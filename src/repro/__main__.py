@@ -4,8 +4,7 @@ Subcommands (all sharing the experiment engine — parallel workers and a
 content-addressed on-disk result cache):
 
 * ``info``    — configuration, cost profile, and a quick latency probe
-  for a catalog symbol or node count (``python -m repro info sn1296``;
-  the bare legacy form ``python -m repro sn1296`` still works).
+  for a catalog symbol or node count (``python -m repro info sn1296``).
 * ``sweep``   — latency-load curves for one network under one or more
   patterns: ``python -m repro sweep sn200 --patterns RND,ADV2
   --loads 0.02:0.5:0.04 --workers 8``.
@@ -98,8 +97,6 @@ import time
 
 from .analysis import format_table
 from .engine import (
-    EXECUTOR_ENV,
-    EXECUTORS,
     ROUTING_BUILDERS,
     ExperimentEngine,
     QueueClient,
@@ -128,19 +125,6 @@ from .topos import catalog_symbols
 from .traffic import SyntheticSource, workload_names
 
 _log = get_logger("cli")
-
-COMMANDS = (
-    "info",
-    "sweep",
-    "compare",
-    "adaptive",
-    "workloads",
-    "cache",
-    "serve",
-    "work",
-    "perf",
-)
-
 
 def parse_loads(text: str) -> list[float]:
     """``"0.02:0.5:0.04"`` (start:stop:step, stop-inclusive) or a comma list."""
@@ -186,19 +170,11 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
 
 def _build_engine(args: argparse.Namespace) -> ExperimentEngine:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    executor = getattr(args, "executor", None)
-    if executor is None:
-        executor = os.environ.get(EXECUTOR_ENV, "") or "pool"
-        if executor not in EXECUTORS:
-            executor = "pool"
     # CLI campaigns run calibrated: executed specs feed the measured-cost
     # table, and cost-balanced shards / ETAs read it back.  Library users
     # opt in explicitly (ExperimentEngine(calibration=...)).
     return ExperimentEngine(
-        cache=cache,
-        max_workers=args.workers,
-        calibration=default_calibration(),
-        executor=executor,
+        cache=cache, max_workers=args.workers, calibration=default_calibration()
     )
 
 
@@ -420,16 +396,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the on-disk result cache",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="miss dispatch tier: 'pool' (scalar core, default), 'batch' "
-        "(NumPy lockstep kernel for shape-compatible specs; needs the "
-        "optional numpy dependency), or 'auto' (batch when available "
-        "and the group is big enough to win per the cost calibration); "
-        "REPRO_EXECUTOR sets the default",
     )
     parser.add_argument(
         "--cache-dir",
@@ -1528,8 +1494,6 @@ def main(argv: list[str]) -> int:
         from .perf import main as perf_main
 
         return perf_main(argv[1:])
-    if argv[0] not in COMMANDS:
-        argv = ["info", *argv]  # legacy: ``python -m repro sn1296``
     args = build_parser().parse_args(argv)
     handler = {
         "info": cmd_info,

@@ -77,7 +77,7 @@ from .campaign import (
     workload_compare,
 )
 from .queue import JobQueue, QueueClient, QueueJob, jobs_for_specs
-from .runner import EXECUTOR_ENV, EXECUTORS, ExperimentEngine, RunStats, default_engine
+from .runner import ExperimentEngine, RunStats, default_engine
 from .spec import (
     LIVE_SPEC_VERSIONS,
     ROUTING_BUILDERS,
@@ -125,8 +125,6 @@ from .worker import QueueWorker, WorkerStats, default_worker_id
 __all__ = [
     "ExperimentSpec",
     "ExperimentEngine",
-    "EXECUTOR_ENV",
-    "EXECUTORS",
     "CacheBackend",
     "FaultyBackend",
     "InjectedFault",

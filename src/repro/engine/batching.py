@@ -1,125 +1,36 @@
-"""Grouping cache-miss specs into lockstep batches.
+"""Spec classification for the benchmark's ``engine.batchable_frac``.
 
-The batch tier (:mod:`repro.sim.batch`) steps many *independent*
-simulations at once, but only when they share everything structural:
-same topology (and layout), same :class:`~repro.sim.SimConfig`, same
-routing scheme, and the same warmup/measure/drain windows.  Lanes then
-differ only in traffic pattern, offered load, packet size, and seed.
-
-This module owns the two decisions the engine delegates:
-
-* :func:`group_batchable` — partition a miss list into shape-compatible
-  groups (plus the specs that cannot batch at all: trace workloads,
-  elastic-link or CBR configs, RNG/adaptive routing, fingerprint specs
-  whose topology object differs per spec);
-* :func:`batch_worthwhile` — the ``auto`` policy: a group must be big
-  enough to amortize the kernel's array build, and if the PR 6 cost
-  calibration says the whole group is trivial on the scalar path, the
-  pool keeps it.
+:func:`spec_batchable` marks the specs a lockstep kernel (many
+simulations advanced per step) could run: stationary synthetic traffic,
+deterministic source routing and credit flow control.  The benchmark's
+per-layer trace reports the share of executed simulations, and of their
+seconds, that have this shape.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
-from typing import Sequence
+from .spec import ExperimentSpec
 
-from ..obs import CostCalibration
-from ..sim.batch import BATCHABLE_PATTERNS, batchable_config, batchable_routing
-from .spec import ExperimentSpec, spec_load
+__all__ = ["spec_batchable"]
 
-__all__ = ["BatchGroup", "group_batchable", "batch_worthwhile", "spec_batchable"]
+_PATTERNS = frozenset({"RND", "SHF", "REV", "ADV1", "ADV2", "ASYM"})
 
-#: ``auto`` never batches fewer lanes than this — below it the kernel's
-#: array build dominates and the scalar path wins.
-MIN_AUTO_LANES = 3
-
-#: ``auto`` leaves a group on the pool/serial path when the calibration
-#: predicts the whole group costs less wall time than this.
-TRIVIAL_GROUP_SECONDS = 0.25
-
-
-class BatchGroup:
-    """Shape-compatible cache misses that can run as one lockstep batch."""
-
-    __slots__ = ("members",)
-
-    def __init__(self) -> None:
-        self.members: list[tuple[str, ExperimentSpec]] = []
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def head(self) -> ExperimentSpec:
-        return self.members[0][1]
+#: Deterministic source routing: no RNG and no congestion-oracle input.
+_ROUTINGS = frozenset({"default", "minimal", "dor"})
 
 
 def spec_batchable(spec: ExperimentSpec) -> bool:
-    """Whether the batch kernel models this spec at all."""
+    """Whether ``spec`` has the lockstep-kernel shape described above.
+
+    Elastic links and the CBR central buffer have per-cycle state
+    machines beyond plain credit flow control, so they read ``False``.
+    """
     source = spec.source
+    config = spec.config
     return (
         getattr(source, "kind", None) == "synthetic"
-        and source.pattern in BATCHABLE_PATTERNS
-        and batchable_routing(spec.routing)
-        and batchable_config(spec.config)
+        and source.pattern in _PATTERNS
+        and spec.routing in _ROUTINGS
+        and not config.elastic_links
+        and config.central_buffer_flits == 0
     )
-
-
-def _shape_key(spec: ExperimentSpec) -> tuple:
-    return (
-        spec.topology,
-        spec.layout,
-        json.dumps(asdict(spec.config), sort_keys=True),
-        spec.routing,
-        spec.warmup,
-        spec.measure,
-        spec.drain,
-    )
-
-
-def group_batchable(
-    misses: Sequence[tuple[str, ExperimentSpec]],
-) -> tuple[list[BatchGroup], list[tuple[str, ExperimentSpec]]]:
-    """Partition ``misses`` into lockstep groups and a scalar remainder.
-
-    Order inside each group and inside the remainder follows the input,
-    so dispatch order stays deterministic.
-    """
-    groups: dict[tuple, BatchGroup] = {}
-    rest: list[tuple[str, ExperimentSpec]] = []
-    for key, spec in misses:
-        if not spec_batchable(spec):
-            rest.append((key, spec))
-            continue
-        group = groups.setdefault(_shape_key(spec), BatchGroup())
-        group.members.append((key, spec))
-    return list(groups.values()), rest
-
-
-def batch_worthwhile(
-    group: BatchGroup,
-    nodes: int,
-    calibration: CostCalibration | None,
-) -> bool:
-    """The ``auto`` policy for one shape-compatible group.
-
-    Groups below :data:`MIN_AUTO_LANES` stay scalar.  When the cost
-    calibration covers every member and predicts the group is trivial
-    (< :data:`TRIVIAL_GROUP_SECONDS` total), the pool keeps it — the
-    kernel's array build would cost more than it saves.  An uncovered
-    workload batches optimistically.
-    """
-    if len(group) < MIN_AUTO_LANES:
-        return False
-    if calibration is None:
-        return True
-    total = 0.0
-    for _, spec in group.members:
-        est = calibration.seconds_for(
-            nodes, spec.warmup + spec.measure + spec.drain, spec_load(spec)
-        )
-        if est is None:
-            return True
-        total += est
-    return total >= TRIVIAL_GROUP_SECONDS

@@ -593,15 +593,7 @@ def run_compare(
     active = [label for label, info in per_label.items() if not info["done"]]
     while active:
         if stop_after_saturation:
-            # The batch tier needs several shape-compatible misses per
-            # engine call to form a lockstep group, so stage coarser than
-            # the worker count when it might engage.  Points computed past
-            # saturation are truncated by assemble_curve (and cached, so
-            # nothing is wasted on a rerun).
-            width = engine.max_workers
-            if engine.executor != "pool":
-                width = max(width, 8)
-            chunk = max(1, math.ceil(width / len(active)))
+            chunk = max(1, math.ceil(engine.max_workers / len(active)))
         else:
             chunk = len(loads)
         batch: list[tuple[str, float]] = []

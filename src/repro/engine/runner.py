@@ -24,18 +24,8 @@ meaningless per-packet latency ordering is canonicalized).
 Catalog-symbol specs ship only their token to workers (the topology is
 rebuilt there); fingerprint specs pickle the live topology object.
 
-Since PR 9 there is a third dispatch tier: ``executor="batch"`` (or
-``"auto"``) routes shape-compatible misses through the NumPy lockstep
-kernel (:mod:`repro.sim.batch`) — many independent sims advanced per
-Python-level step — before the remainder falls back to the pool/serial
-path.  ``auto`` only batches when NumPy is importable and the group is
-big enough to win per the cost calibration; ``batch`` raises a clear
-error when NumPy is missing.  Batch results are bit-identical to the
-scalar core's, so the three tiers are indistinguishable point-for-point.
-
-Environment knobs: ``REPRO_WORKERS`` sets the default worker count,
-``REPRO_NO_CACHE=1`` disables the default on-disk cache, and
-``REPRO_EXECUTOR`` picks the dispatch tier (``pool``/``batch``/``auto``).
+Environment knobs: ``REPRO_WORKERS`` sets the default worker count and
+``REPRO_NO_CACHE=1`` disables the default on-disk cache.
 """
 
 from __future__ import annotations
@@ -58,9 +48,6 @@ ProgressFn = Callable[[int, int, ExperimentSpec, bool], None]
 
 WORKERS_ENV = "REPRO_WORKERS"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-EXECUTORS = ("pool", "batch", "auto")
 
 
 def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
@@ -95,8 +82,6 @@ class RunStats:
     unique: int = 0
     cache_hits: int = 0
     executed: int = 0
-    #: Subset of ``executed`` that ran on the lockstep batch kernel.
-    batched: int = 0
     workers: int = 1
     #: Wall seconds by engine stage (cache_lookup / dispatch / simulate /
     #: write_back / total).  ``simulate`` is the *sum of per-spec measured
@@ -104,12 +89,15 @@ class RunStats:
     #: ``dispatch`` that contains it — the ratio is the realized speedup.
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
+    #: Always 0: every miss runs on the scalar core.  Kept because the
+    #: benchmark's per-layer trace reads it.
+    batched = 0
+
     def accumulate(self, other: "RunStats") -> None:
         self.requested += other.requested
         self.unique += other.unique
         self.cache_hits += other.cache_hits
         self.executed += other.executed
-        self.batched += other.batched
         for stage, seconds in other.stage_seconds.items():
             self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
 
@@ -119,7 +107,6 @@ class RunStats:
             unique=self.unique - earlier.unique,
             cache_hits=self.cache_hits - earlier.cache_hits,
             executed=self.executed - earlier.executed,
-            batched=self.batched - earlier.batched,
             workers=self.workers,
             stage_seconds={
                 stage: seconds - earlier.stage_seconds.get(stage, 0.0)
@@ -133,7 +120,6 @@ class RunStats:
             unique=self.unique,
             cache_hits=self.cache_hits,
             executed=self.executed,
-            batched=self.batched,
             workers=self.workers,
             stage_seconds=dict(self.stage_seconds),
         )
@@ -144,7 +130,6 @@ class RunStats:
             "unique": self.unique,
             "cache_hits": self.cache_hits,
             "executed": self.executed,
-            "batched": self.batched,
             "workers": self.workers,
             "stage_seconds": {
                 stage: round(seconds, 6)
@@ -168,12 +153,6 @@ class ExperimentEngine:
             into the table, and campaign-layer cost balancing / ETAs
             read it back.  ``None`` (the default) keeps the engine — and
             ``predicted_cost`` — on the pure deterministic heuristic.
-        executor: Dispatch tier for misses — ``"pool"`` (scalar core,
-            serial or process fan-out), ``"batch"`` (shape-compatible
-            misses on the NumPy lockstep kernel; raises
-            :class:`~repro.sim.batch.BatchUnavailableError` without
-            NumPy), or ``"auto"`` (batch when available and worthwhile
-            per the calibration, silently falling back otherwise).
     """
 
     def __init__(
@@ -182,17 +161,13 @@ class ExperimentEngine:
         max_workers: int = 1,
         serial_threshold: int = 2,
         calibration: CostCalibration | None = None,
-        executor: str = "pool",
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         self.cache = cache
         self.max_workers = max_workers
         self.serial_threshold = serial_threshold
         self.calibration = calibration
-        self.executor = executor
         self.last_stats = RunStats()
         self.total_stats = RunStats(workers=max_workers)
         self._pool: ProcessPoolExecutor | None = None
@@ -316,19 +291,10 @@ class ExperimentEngine:
                 progress(done, len(unique), spec, False)
 
         if misses:
+            parallel = self.max_workers > 1 and len(misses) >= self.serial_threshold
             try:
                 with span("engine.dispatch") as dispatch_span:
-                    if self.executor != "pool":
-                        misses = self._dispatch_batches(
-                            misses, topology_for, record, stats
-                        )
-                    parallel = (
-                        self.max_workers > 1
-                        and len(misses) >= self.serial_threshold
-                    )
-                    if not misses:
-                        pass
-                    elif parallel:
+                    if parallel:
                         pool = self._ensure_pool()
                         pending = {
                             pool.submit(
@@ -382,74 +348,6 @@ class ExperimentEngine:
         self.total_stats.accumulate(stats)
         return [results[spec.content_hash()] for spec in specs]
 
-    def _dispatch_batches(
-        self,
-        misses: list[tuple[str, ExperimentSpec]],
-        topology_for: Callable[[ExperimentSpec], Topology | None],
-        record: Callable[..., None],
-        stats: RunStats,
-    ) -> list[tuple[str, ExperimentSpec]]:
-        """Run shape-compatible miss groups on the lockstep kernel.
-
-        Returns the misses that stay on the pool/serial path: unbatchable
-        specs, groups ``auto`` judged not worthwhile, and — under
-        ``auto`` without NumPy — everything.  ``executor="batch"`` with
-        NumPy missing raises instead (the tier was explicitly requested).
-        """
-        from ..sim.batch import (
-            BatchLane,
-            numpy_available,
-            require_numpy,
-            simulate_batch,
-        )
-        from .batching import batch_worthwhile, group_batchable
-        from .spec import build_routing
-
-        if not numpy_available():
-            if self.executor == "batch":
-                require_numpy()
-            return misses
-
-        groups, rest = group_batchable(misses)
-        for group in groups:
-            if len(group) < 2:
-                rest.extend(group.members)
-                continue
-            head = group.head
-            topo = topology_for(head)
-            if topo is None:
-                topo = resolve_topology(head.topology, head.layout)
-            if self.executor == "auto" and not batch_worthwhile(
-                group, topo.num_nodes, self.calibration
-            ):
-                rest.extend(group.members)
-                continue
-            routing = build_routing(head.routing, topo)
-            lanes = [
-                BatchLane(
-                    pattern=spec.source.pattern,
-                    load=spec.source.load,
-                    packet_flits=spec.packet_flits,
-                    seed=spec.seed,
-                )
-                for _, spec in group.members
-            ]
-            start = time.perf_counter()
-            batch_results = simulate_batch(
-                topo,
-                head.config,
-                routing,
-                lanes,
-                warmup=head.warmup,
-                measure=head.measure,
-                drain=head.drain,
-            )
-            per_lane = (time.perf_counter() - start) / len(lanes)
-            for (key, spec), result in zip(group.members, batch_results):
-                record(key, spec, result, seconds=per_lane, nodes=topo.num_nodes)
-            stats.batched += len(lanes)
-        return rest
-
 
 _default_engines: dict[tuple, ExperimentEngine] = {}
 
@@ -460,10 +358,8 @@ def default_engine() -> ExperimentEngine:
     ``REPRO_WORKERS=N`` enables N-process fan-out; ``REPRO_NO_CACHE=1``
     turns off the on-disk cache (otherwise ``REPRO_CACHE_DIR`` or
     ``.repro_cache/``, with ``REPRO_CACHE_BACKEND`` selecting the store
-    implementation); ``REPRO_EXECUTOR`` picks the dispatch tier
-    (``pool``, ``batch``, or ``auto``).  One engine is shared per
-    environment configuration so its worker pool and hit counters
-    persist across sweeps.
+    implementation).  One engine is shared per environment configuration
+    so its worker pool and hit counters persist across sweeps.
     """
     from .store import BACKEND_ENV, CACHE_DIR_ENV
 
@@ -472,19 +368,15 @@ def default_engine() -> ExperimentEngine:
         workers = max(1, int(os.environ.get(WORKERS_ENV, "") or 1))
     except ValueError:
         workers = 1
-    executor = os.environ.get(EXECUTOR_ENV, "") or "pool"
-    if executor not in EXECUTORS:
-        executor = "pool"
     signature = (
         no_cache,
         os.environ.get(CACHE_DIR_ENV),
         os.environ.get(BACKEND_ENV),
         workers,
-        executor,
     )
     engine = _default_engines.get(signature)
     if engine is None:
         cache = None if no_cache else ResultCache()
-        engine = ExperimentEngine(cache=cache, max_workers=workers, executor=executor)
+        engine = ExperimentEngine(cache=cache, max_workers=workers)
         _default_engines[signature] = engine
     return engine

@@ -10,19 +10,11 @@ quick workload fails the build).  The baseline file also embeds the
 pre-optimization (lockstep-core) reference numbers measured with the same
 methodology, so every run prints its standing against both.
 
-With ``--batch`` the harness instead races the NumPy lockstep kernel
-(:mod:`repro.sim.batch`) against the scalar core on one shape-compatible
-lane grid, proves the results bit-identical, and writes the speedup table
-to ``BENCH_sim_batch.json``.  Batch timings use ``time.process_time``
-(the lockstep kernel's wall clock is noisy under CI schedulers; CPU time
-is what the speedup claim is about).
-
 Usage::
 
     python -m repro perf                 # full workload, write + compare
     python -m repro perf --quick         # CI-sized workload
     python -m repro perf --check         # exit 1 on >30% regression
-    python -m repro perf --batch         # lockstep kernel vs scalar core
 """
 
 from __future__ import annotations
@@ -58,9 +50,6 @@ BASELINE_PATH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "BENCH_sim_core.json"
 )
 
-#: Committed batch-tier report (``--batch`` output).
-BATCH_BASELINE_PATH = BASELINE_PATH.with_name("BENCH_sim_batch.json")
-
 _CONFIGS = {
     "eb": SimConfig,
     "eb-smart": lambda: SimConfig().with_smart(),
@@ -89,128 +78,6 @@ WORKLOADS: dict[str, dict[str, tuple]] = {
         "sn54-rnd-0.08-el": ("sn54", "RND", 0.08, "el", 1, 100, 250, 600),
     },
 }
-
-
-#: ``--batch`` lane grids: every lane shares topology/config/routing and
-#: cycle windows (the lockstep shape), differing only in load and seed.
-#: Loads sit below saturation — where figure campaigns spend their time
-#: and where the scalar core is event-sparse, i.e. the *hardest* regime
-#: for a fixed-cost-per-cycle vectorized kernel to win in.
-BATCH_WORKLOADS: dict[str, dict] = {
-    "full": {
-        "topology": "sn200",
-        "pattern": "RND",
-        "loads": [0.05, 0.08, 0.10, 0.12],
-        "seeds": [1, 2, 3, 4, 5, 6],
-        "packet_flits": 6,
-        "warmup": 200,
-        "measure": 500,
-        "drain": 1200,
-    },
-    "quick": {
-        "topology": "sn54",
-        "pattern": "RND",
-        "loads": [0.02, 0.05, 0.08],
-        "seeds": [1, 2],
-        "packet_flits": 6,
-        "warmup": 100,
-        "measure": 250,
-        "drain": 600,
-    },
-}
-
-
-def run_batch_workload(mode: str, repeats: int = 2) -> dict:
-    """Race the lockstep kernel against the scalar core on one lane grid.
-
-    Returns the serializable report.  Raises :class:`RuntimeError` when
-    any lane's batch result is not bit-identical to the scalar core's —
-    a fast kernel with wrong answers is not a speedup.
-    """
-    from .engine.spec import build_routing
-    from .sim import SimResult
-    from .sim.batch import BatchLane, require_numpy, simulate_batch
-
-    require_numpy()
-    spec = BATCH_WORKLOADS[mode]
-    topology = make_network(spec["topology"])
-    routing = build_routing("default", topology)
-    config = SimConfig()
-    windows = {k: spec[k] for k in ("warmup", "measure", "drain")}
-    lanes = [
-        BatchLane(
-            pattern=spec["pattern"],
-            load=load,
-            packet_flits=spec["packet_flits"],
-            seed=seed,
-        )
-        for seed in spec["seeds"]
-        for load in spec["loads"]
-    ]
-
-    batch_seconds = None
-    batch_results: list[SimResult] = []
-    for _ in range(repeats):
-        start = time.process_time()
-        batch_results = simulate_batch(topology, config, routing, lanes, **windows)
-        elapsed = time.process_time() - start
-        if batch_seconds is None or elapsed < batch_seconds:
-            batch_seconds = elapsed
-
-    lane_rows = []
-    scalar_seconds = 0.0
-    total_cycles = 0
-    identical = True
-    for lane, batched in zip(lanes, batch_results):
-        # Time construction too: the engine's scalar path builds the
-        # simulator and source per spec, and the batch figure above
-        # likewise includes the kernel's own array/packet build.
-        start = time.process_time()
-        sim = NoCSimulator(topology, config, seed=lane.seed, routing=routing)
-        source = SyntheticSource(
-            topology, lane.pattern, lane.load, lane.packet_flits, seed=lane.seed
-        )
-        raw = sim.run(source, **windows)
-        lane_seconds = time.process_time() - start
-        scalar = SimResult.from_dict(raw.to_dict())
-        same = json.dumps(scalar.to_dict(), sort_keys=True) == json.dumps(
-            batched.to_dict(), sort_keys=True
-        )
-        identical = identical and same
-        scalar_seconds += lane_seconds
-        total_cycles += scalar.cycles
-        lane_rows.append(
-            {
-                "load": lane.load,
-                "seed": lane.seed,
-                "cycles": scalar.cycles,
-                "scalar_seconds": round(lane_seconds, 6),
-                "bit_identical": same,
-            }
-        )
-    if not identical:
-        bad = [r for r in lane_rows if not r["bit_identical"]]
-        raise RuntimeError(
-            f"batch kernel diverged from the scalar core on {len(bad)} "
-            f"lane(s): {bad[:3]}"
-        )
-
-    return {
-        "topology": spec["topology"],
-        "pattern": spec["pattern"],
-        "packet_flits": spec["packet_flits"],
-        **windows,
-        "lane_count": len(lanes),
-        "lanes": lane_rows,
-        "total_cycles": total_cycles,
-        "scalar_seconds": round(scalar_seconds, 6),
-        "batch_seconds": round(batch_seconds, 6),
-        "scalar_cycles_per_sec": round(total_cycles / scalar_seconds, 1),
-        "batch_cycles_per_sec": round(total_cycles / batch_seconds, 1),
-        "speedup": round(scalar_seconds / batch_seconds, 3),
-        "bit_identical": True,
-        "calibration_ops_per_sec": calibrate(),
-    }
 
 
 def calibrate(repeats: int = 3) -> float:
@@ -361,52 +228,6 @@ def speedup_against(
     return total, geomean
 
 
-def _main_batch(args, mode: str) -> int:
-    """The ``--batch`` surface: lockstep kernel vs scalar core."""
-    from .sim.batch import BatchUnavailableError
-
-    try:
-        report = run_batch_workload(mode, repeats=args.repeats)
-    except BatchUnavailableError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 2
-
-    print(
-        f"batch tier perf — {mode} lane grid "
-        f"({report['topology']}, {report['pattern']}, "
-        f"{report['lane_count']} lanes, best of {args.repeats})"
-    )
-    for row in report["lanes"]:
-        print(
-            f"  load={row['load']:<5} seed={row['seed']:<2} "
-            f"{row['cycles']:>6} cyc  scalar {row['scalar_seconds']*1e3:>8.1f} ms"
-        )
-    print(
-        f"  scalar: {report['scalar_seconds']*1e3:>9.1f} ms  "
-        f"{report['scalar_cycles_per_sec']:>12,.0f} cyc/s"
-    )
-    print(
-        f"  batch:  {report['batch_seconds']*1e3:>9.1f} ms  "
-        f"{report['batch_cycles_per_sec']:>12,.0f} cyc/s"
-    )
-    print(f"  speedup: {report['speedup']:.2f}x (bit-identical)")
-
-    output = Path(args.output)
-    if output.name == "BENCH_sim_core.json":
-        output = output.with_name("BENCH_sim_batch.json")
-    merge_report(output, mode, report)
-    print(f"wrote {output}")
-
-    if args.check and report["speedup"] < 1.0:
-        print(
-            f"FAIL: batch tier slower than the scalar core "
-            f"({report['speedup']:.2f}x)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv: list[str]) -> int:
     import argparse
 
@@ -419,12 +240,6 @@ def main(argv: list[str]) -> int:
         "--quick",
         action="store_true",
         help="CI-sized workload (sn54) instead of sn200",
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="benchmark the NumPy lockstep kernel against the scalar "
-        "core (writes BENCH_sim_batch.json; needs numpy)",
     )
     parser.add_argument(
         "--repeats",
@@ -457,8 +272,6 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
-    if args.batch:
-        return _main_batch(args, mode)
     report = run_workload(mode, repeats=args.repeats)
 
     width = max(len(name) for name in report["cases"])

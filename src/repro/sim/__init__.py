@@ -1,20 +1,5 @@
-"""Cycle-accurate NoC simulator: routers, links, flow control, measurement.
+"""Cycle-accurate NoC simulator: routers, links, flow control, measurement."""
 
-The scalar event-driven core (:mod:`.network`) is the bit-identical
-reference; :mod:`.batch` steps whole campaign grids in NumPy lockstep.
-NumPy stays an optional dependency: :mod:`.batch` guards its import, so
-importing ``repro.sim`` never requires it — only actually *running* the
-batch tier does.
-"""
-
-from .batch import (
-    BatchLane,
-    BatchUnavailableError,
-    batchable_config,
-    batchable_routing,
-    numpy_available,
-    simulate_batch,
-)
 from .config import (
     BUFFERING_STRATEGIES,
     SimConfig,
@@ -29,12 +14,6 @@ from .network import NoCSimulator, SimResult
 from .packet import Flit, Packet
 
 __all__ = [
-    "BatchLane",
-    "BatchUnavailableError",
-    "batchable_config",
-    "batchable_routing",
-    "numpy_available",
-    "simulate_batch",
     "SimConfig",
     "BUFFERING_STRATEGIES",
     "eb_small",

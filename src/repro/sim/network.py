@@ -50,9 +50,8 @@ from functools import cached_property
 from ..routing import QueueOracle, RoutingAlgorithm, ZeroQueues, default_routing
 from ..topos.base import Topology
 from .config import SimConfig
-from .links import CreditLink, ElasticLink
+from .links import CreditLink, ElasticLink, link_latency
 from .packet import Flit, Packet
-from .state import NetworkState
 
 # Out-port keys: ints address neighbor routers; ("ej", node) tuples address
 # the per-node ejection ports.
@@ -303,37 +302,43 @@ class NoCSimulator(QueueOracle):
         topo, cfg = self.topology, self.config
         self._elastic = cfg.elastic_links
         self._eligible_at = cfg.router_delay - 1
-        # Structure (neighbor order, unit layout, link order, latencies,
-        # credit grants) comes from the shared NetworkState derivation;
-        # the batch kernel builds its arrays from the very same layout.
-        layout = NetworkState.build(topo, cfg)
-        self.layout = layout
-        self.routers = [_Router(rs.index, rs.neighbors, cfg) for rs in layout.routers]
+        self.routers = [
+            _Router(r, tuple(sorted(topo.router_neighbors(r))), cfg)
+            for r in range(topo.num_routers)
+        ]
         self.links: dict[tuple[int, int], CreditLink | ElasticLink] = {}
-        self.link_cycles: dict[tuple[int, int], int] = dict(layout.link_cycles)
-        for a, b in layout.link_order:
-            lat = layout.link_cycles[(a, b)]
-            if cfg.elastic_links:
-                self.links[(a, b)] = ElasticLink(lat, cfg.num_vcs)
-            else:
-                self.links[(a, b)] = CreditLink(lat)
-        self._inj_units: list[_InputUnit] = [None] * topo.num_nodes  # type: ignore
-        for router, rs in zip(self.routers, layout.routers):
-            for spec in rs.units:
-                if spec.is_injection:
-                    unit = _InputUnit(spec.capacity, spec.index, node=spec.node)
-                    router.in_units.append(unit)
-                    router.in_index[(("inj", spec.node), 0)] = unit
-                    self._inj_units[spec.node] = unit
+        self.link_cycles: dict[tuple[int, int], int] = {}
+        for i, j in topo.edges():
+            lat = link_latency(topo.link_length_hops(i, j), cfg.hops_per_cycle)
+            for a, b in ((i, j), (j, i)):
+                self.link_cycles[(a, b)] = lat
+                if cfg.elastic_links:
+                    self.links[(a, b)] = ElasticLink(lat, cfg.num_vcs)
                 else:
+                    self.links[(a, b)] = CreditLink(lat)
+        self._inj_units: list[_InputUnit] = [None] * topo.num_nodes  # type: ignore
+        for router in self.routers:
+            for neighbor in router.neighbors:
+                lat = self.link_cycles[(neighbor, router.index)]
+                depth = cfg.buffer_depth_for(lat)
+                for vc in range(cfg.num_vcs):
                     unit = _InputUnit(
-                        spec.capacity, spec.index,
-                        upstream=spec.upstream, vc=spec.vc,
-                        credit_latency=spec.credit_latency,
+                        depth, len(router.in_units),
+                        upstream=neighbor, vc=vc, credit_latency=lat,
                     )
                     router.in_units.append(unit)
-                    router.in_index[(spec.upstream, spec.vc)] = unit
-            router.credits[:] = rs.credit_init
+                    router.in_index[(neighbor, vc)] = unit
+            for node in topo.router_nodes(router.index):
+                unit = _InputUnit(10**9, len(router.in_units), node=node)
+                router.in_units.append(unit)
+                router.in_index[(("inj", node), 0)] = unit
+                self._inj_units[node] = unit
+            for neighbor in router.neighbors:
+                out_lat = self.link_cycles[(router.index, neighbor)]
+                peer_depth = cfg.buffer_depth_for(out_lat)
+                base = router.out_base[neighbor]
+                for vc in range(cfg.num_vcs):
+                    router.credits[base + vc] = peer_depth
         # Per-link destination units ([vc] -> unit).
         self._link_in_units: dict[tuple[int, int], list[_InputUnit]] = {}
         # Channel occupancy (UGAL's congestion estimate) as a flat list

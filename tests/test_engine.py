@@ -4,17 +4,22 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis import compare_networks, sweep_loads
 from repro.engine import (
+    BurstTraffic,
     ExperimentEngine,
     ExperimentSpec,
+    HotspotTraffic,
     ResultCache,
+    TransientTraffic,
     resolve_topology,
     run_compare,
     topology_fingerprint,
 )
-from repro.engine.cache import SCHEMA_VERSION
-from repro.sim import SimConfig, SimResult
+from repro.engine.batching import spec_batchable
+from repro.engine.store import SCHEMA_VERSION
+from repro.sim import SimConfig, SimResult, el_links
 from repro.topos import make_network
 
 #: Tiny but shape-preserving windows for the sn54/cm54 class.
@@ -141,6 +146,30 @@ class TestRunner:
             engine.run([spec])
         (result,) = engine.run([spec], topologies={spec.topology: topo})
         assert result.delivered_packets > 0
+
+
+class TestSpecBatchable:
+    """The lockstep-shape classifier behind the benchmark's
+    ``engine.batchable_frac``."""
+
+    def test_plain_synthetic_default_routed_spec_is_batchable(self):
+        assert spec_batchable(fast_spec(routing="default"))
+
+    def test_elastic_and_rng_routed_specs_are_not(self):
+        assert not spec_batchable(fast_spec(config=el_links()))
+        assert not spec_batchable(fast_spec(routing="rng"))
+
+    def test_adaptive_and_nonstationary_specs_never_batch(self):
+        for routing in ("valiant", "ugal-l", "ugal-g", "deflect", "xy-adapt"):
+            assert not spec_batchable(fast_spec(routing=routing))
+        for source in (
+            BurstTraffic(pattern="RND", load=0.05, on_cycles=16, off_cycles=48),
+            HotspotTraffic(pattern="RND", load=0.05, hotspots=(0, 13), fraction=0.3),
+            TransientTraffic(patterns=("ADV1", "ADV2"), load=0.05, period=64),
+        ):
+            assert not spec_batchable(
+                ExperimentSpec(topology="sn54", source=source, **FAST)
+            )
 
 
 class TestCampaignParity:
@@ -371,3 +400,17 @@ class TestSerializationSatellites:
         assert seeded.flows(samples=50) == seeded.flows(samples=50)
         other = SyntheticSource(make_network("sn54"), "RND", 0.1, seed=8)
         assert seeded.flows(samples=50) != other.flows(samples=50)
+
+
+class TestCliDispatch:
+    def test_unknown_subcommand_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["swep"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'swep'" in capsys.readouterr().err
+
+    def test_info_summarizes_a_catalog_symbol(self, capsys):
+        assert main(["info", "sn1296"]) == 0
+        out = capsys.readouterr().out
+        assert "Network summary" in out
+        assert "1296" in out
