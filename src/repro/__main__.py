@@ -20,7 +20,7 @@ content-addressed on-disk result cache):
   PACK`` / ``cache merge STORE...`` (move entries between stores by
   content key; remote ``http://`` stores are valid on either side).
 * ``serve``   — share a result store over HTTP: ``python -m repro serve
-  --store results.sqlite --port 8123 [--token T]`` turns any local
+  --store sqlite:results.sqlite --port 8123 [--token T]`` turns a local
   store into a rendezvous point that every shard host can use as its
   ``--cache-dir``; add ``--queue`` to also coordinate a fault-tolerant
   work queue for an elastic worker fleet (see
@@ -36,18 +36,12 @@ content-addressed on-disk result cache):
   optimization reference (see :mod:`repro.perf`).
 
 Repeating a ``sweep``/``compare`` with identical parameters performs
-zero new simulations — every point is served from the cache.  Stores
-are pluggable through explicit ``--cache-dir`` location schemes:
-``dir:PATH`` (or a plain directory path) keeps the JSON tree,
-``sqlite:PATH`` packs the store into one WAL-mode SQLite file,
-``http://host:port`` talks to a ``repro serve`` endpoint
-(``REPRO_CACHE_TOKEN`` supplies the bearer token when required), and
-``s3://bucket/prefix`` / ``obj:http://host:port/bucket/prefix`` write
-straight into an object-store bucket (boto3 for real S3, or any
-S3-compatible endpoint named by ``REPRO_OBJECT_ENDPOINT`` — no
-coordinator host at all).  The historical suffix-sniffed forms
-(``*.sqlite``/``*.db``/``*.pack`` paths, ``REPRO_CACHE_BACKEND=sqlite``)
-keep working as deprecated aliases that log a one-line warning.
+zero new simulations — every point is served from the cache.  A
+``--cache-dir`` location takes one of three forms: a plain directory
+path holds its store in ``<dir>/results.sqlite`` (the default is
+``.repro_cache/``), ``sqlite:FILE`` names a WAL-mode SQLite pack file
+directly, and ``http://host:port`` talks to a ``repro serve`` endpoint
+(``REPRO_CACHE_TOKEN`` supplies the bearer token when required).
 
 Campaigns too large for one machine split with ``--shard INDEX/COUNT``
 (disjoint, covering, stable under reordering; ``--shard-balance cost``
@@ -55,17 +49,17 @@ weighs points by predicted work instead of count) and rendezvous by
 merge::
 
     host-a$ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
-                --shard 0/2 --cache-dir shard-a.sqlite --workers 8
+                --shard 0/2 --cache-dir sqlite:shard-a.sqlite --workers 8
     host-b$ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
-                --shard 1/2 --cache-dir shard-b.sqlite --workers 8
+                --shard 1/2 --cache-dir sqlite:shard-b.sqlite --workers 8
     # ship shard-b.sqlite to host-a, then:
-    host-a$ python -m repro cache merge shard-a.sqlite shard-b.sqlite
+    host-a$ python -m repro cache merge sqlite:shard-a.sqlite sqlite:shard-b.sqlite
     host-a$ python -m repro sweep sn200 --loads 0.02:0.5:0.02
     # ^ assembles the full curves as a pure cache read (0 simulations)
 
 or over the network, with no file shipping::
 
-    host-c$ python -m repro serve --store results.sqlite --port 8123
+    host-c$ python -m repro serve --store sqlite:results.sqlite --port 8123
     host-a$ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
                 --shard 0/2 --cache-dir http://host-c:8123 --workers 8
     host-b$ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
@@ -78,7 +72,7 @@ Static shards assume every host survives; the work queue does not.
 the same campaign fault-tolerantly — leases expire when a worker dies
 and its specs are re-issued, completed results are never recomputed::
 
-    host-c$ python -m repro serve --store results.sqlite --queue
+    host-c$ python -m repro serve --store sqlite:results.sqlite --queue
     host-a$ python -m repro work http://host-c:8123 --workers 8
     host-b$ python -m repro work http://host-c:8123 --workers 8
     any   $ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
@@ -400,11 +394,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="result store: a cache directory (default .repro_cache), a "
-        "sqlite:/dir: URL, an http:// 'repro serve' endpoint, or an "
-        "s3://bucket/prefix / obj:http://host:port/bucket/prefix "
-        "object-store bucket (.sqlite/.db/.pack paths still work as "
-        "deprecated aliases)",
+        help="result store: a cache directory holding results.sqlite "
+        "(default .repro_cache), a sqlite:FILE pack file, or an "
+        "http(s):// 'repro serve' endpoint",
     )
     parser.add_argument(
         "--shard",
@@ -620,9 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-store maintenance",
         description="Result-store maintenance.  A two-host campaign "
         "rendezvous looks like: run each shard with --shard I/N "
-        "--cache-dir shard-I.sqlite, ship the packs to one host, "
-        "'cache merge shard-0.sqlite shard-1.sqlite', then rerun "
-        "unsharded — a pure cache read.",
+        "--cache-dir sqlite:shard-I.sqlite, ship the packs to one host, "
+        "'cache merge sqlite:shard-0.sqlite sqlite:shard-1.sqlite', then "
+        "rerun unsharded — a pure cache read.",
     )
     cache.add_argument(
         "action", choices=("stats", "clear", "gc", "export", "merge")
@@ -632,10 +624,16 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="STORE",
         help="export: one destination store; merge: source stores to "
-        "copy in (directories, sqlite:/dir: URLs, http:// endpoints, "
-        "or s3://bucket/prefix buckets)",
+        "copy in (cache directories, sqlite:FILE pack files, or "
+        "http(s):// endpoints)",
     )
-    cache.add_argument("--cache-dir", default=None)
+    cache.add_argument(
+        "--cache-dir",
+        default=None,
+        help="store to maintain: a cache directory holding results.sqlite "
+        "(default .repro_cache), a sqlite:FILE pack file, or an "
+        "http(s):// 'repro serve' endpoint",
+    )
     cache.add_argument(
         "--max-bytes",
         type=int,
@@ -660,14 +658,14 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinates a fault-tolerant work queue that 'repro work' "
         "processes drain.  Stop with Ctrl-C or SIGTERM: in-flight "
         "requests finish, queue state is persisted, and the store is "
-        "closed cleanly (an ordinary pack/directory afterwards).",
+        "closed cleanly (an ordinary pack file afterwards).",
     )
     serve.add_argument(
         "--store",
-        default="store.sqlite",
-        help="store to serve: a .sqlite/.db/.pack file (default "
-        "store.sqlite, created on first write), a cache directory, or "
-        "a sqlite:/dir: URL",
+        default="sqlite:store.sqlite",
+        help="store to serve: a sqlite:FILE pack file (default "
+        "sqlite:store.sqlite, created on first write) or a cache "
+        "directory holding results.sqlite",
     )
     serve.add_argument(
         "--host",

@@ -5,13 +5,13 @@ into an incremental, parallel pipeline:
 
 * :mod:`~repro.engine.spec` — :class:`ExperimentSpec`, a frozen, hashable
   description of one simulation point with a stable content hash;
-* :mod:`~repro.engine.store` — pluggable result stores behind the
-  :class:`CacheBackend` protocol: :class:`LocalDirStore` (sharded JSON
-  directory, the classic ``.repro_cache/`` layout),
-  :class:`SqlitePackStore` (single WAL-mode file for 10k+ entry
-  campaigns), and :class:`RemoteStore` (a JSON/HTTP client for a
-  ``python -m repro serve`` rendezvous endpoint — shard hosts share one
-  network store with no pack-file shipping), fronted by
+* :mod:`~repro.engine.store` — result stores behind the
+  :class:`CacheBackend` protocol: :class:`SqlitePackStore` (the local
+  store, one WAL-mode file; the default ``.repro_cache/`` directory
+  holds one named ``results.sqlite``) and :class:`RemoteStore` (the
+  shared store, a JSON/HTTP client for a ``python -m repro serve``
+  rendezvous endpoint — shard hosts share one network store with no
+  pack-file shipping), fronted by
   :class:`ResultCache` (codec, hit counters, batched lookups,
   ``REPRO_CACHE_MAX_BYTES`` auto-GC) and mergeable by content key via
   :func:`merge_stores`;
@@ -39,14 +39,14 @@ flows through the same cached, parallel orchestration.  End to end::
 
 or, split across two hosts and merged back together::
 
-    host-a$ python -m repro sweep sn200 --shard 0/2 --cache-dir a.sqlite
-    host-b$ python -m repro sweep sn200 --shard 1/2 --cache-dir b.sqlite
-    host-a$ python -m repro cache merge a.sqlite b.sqlite
+    host-a$ python -m repro sweep sn200 --shard 0/2 --cache-dir sqlite:a.sqlite
+    host-b$ python -m repro sweep sn200 --shard 1/2 --cache-dir sqlite:b.sqlite
+    host-a$ python -m repro cache merge sqlite:a.sqlite sqlite:b.sqlite
     host-a$ python -m repro sweep sn200   # pure cache read, 0 simulations
 
 or rendezvoused over the network, with no file shipping at all::
 
-    host-c$ python -m repro serve --store results.sqlite --port 8123
+    host-c$ python -m repro serve --store sqlite:results.sqlite --port 8123
     host-a$ python -m repro sweep sn200 --shard 0/2 --cache-dir http://c:8123
     host-b$ python -m repro sweep sn200 --shard 1/2 --cache-dir http://c:8123
     any   $ python -m repro sweep sn200 --cache-dir http://c:8123  # 0 sims
@@ -55,7 +55,7 @@ or, fault-tolerantly, drained from one work queue by an elastic fleet
 (workers may join late, crash, or be killed — leases expire and their
 specs are re-issued)::
 
-    host-c$ python -m repro serve --store results.sqlite --queue
+    host-c$ python -m repro serve --store sqlite:results.sqlite --queue
     host-a$ python -m repro work http://c:8123
     host-b$ python -m repro work http://c:8123
     any   $ python -m repro sweep sn200 --queue http://c:8123
@@ -106,10 +106,7 @@ from .store import (
     FaultyBackend,
     GCReport,
     InjectedFault,
-    LocalDirStore,
     MergeReport,
-    ObjectStore,
-    ObjectStoreError,
     RemoteAuthError,
     RemoteStore,
     RemoteStoreError,
@@ -129,12 +126,9 @@ __all__ = [
     "FaultyBackend",
     "InjectedFault",
     "JobQueue",
-    "LocalDirStore",
     "QueueClient",
     "QueueJob",
     "QueueWorker",
-    "ObjectStore",
-    "ObjectStoreError",
     "SqlitePackStore",
     "RemoteStore",
     "RemoteStoreError",

@@ -357,23 +357,18 @@ def default_engine() -> ExperimentEngine:
 
     ``REPRO_WORKERS=N`` enables N-process fan-out; ``REPRO_NO_CACHE=1``
     turns off the on-disk cache (otherwise ``REPRO_CACHE_DIR`` or
-    ``.repro_cache/``, with ``REPRO_CACHE_BACKEND`` selecting the store
-    implementation).  One engine is shared per environment configuration
-    so its worker pool and hit counters persist across sweeps.
+    ``.repro_cache/``).  One engine is shared per environment
+    configuration so its worker pool and hit counters persist across
+    sweeps.
     """
-    from .store import BACKEND_ENV, CACHE_DIR_ENV
+    from .store import CACHE_DIR_ENV
 
     no_cache = bool(os.environ.get(NO_CACHE_ENV))
     try:
         workers = max(1, int(os.environ.get(WORKERS_ENV, "") or 1))
     except ValueError:
         workers = 1
-    signature = (
-        no_cache,
-        os.environ.get(CACHE_DIR_ENV),
-        os.environ.get(BACKEND_ENV),
-        workers,
-    )
+    signature = (no_cache, os.environ.get(CACHE_DIR_ENV), workers)
     engine = _default_engines.get(signature)
     if engine is None:
         cache = None if no_cache else ResultCache()

@@ -1,60 +1,43 @@
 """Pluggable result stores for the experiment engine.
 
-The store package splits the old monolithic ``engine.cache`` module
-into a small :class:`CacheBackend` protocol plus interchangeable
-implementations, so one campaign can be sharded across hosts and its
-results merged back into a single store:
+The store package is a small :class:`CacheBackend` protocol plus the two
+backends the workflows use — one local, one shared — so one campaign can
+be sharded across hosts and its results merged back into a single store:
 
 * :mod:`~repro.engine.store.base` — the protocol, the canonical entry
-  codec, version-reachability rules, and :func:`merge_stores`;
-* :mod:`~repro.engine.store.localdir` — :class:`LocalDirStore`, the
-  original one-JSON-file-per-entry sharded directory (existing
-  ``.repro_cache/`` directories keep working unchanged);
-* :mod:`~repro.engine.store.sqlite` — :class:`SqlitePackStore`, a
-  single WAL-mode SQLite file: safe for concurrent shard writers on
-  one host, one inode for 10k+ entries, and the transport format for
-  ``cache export`` / ``cache merge``;
-* :mod:`~repro.engine.store.http` — :class:`RemoteStore`, the same
-  protocol over a minimal JSON/HTTP wire format against a ``python -m
-  repro serve`` endpoint (:class:`StoreServer`), so shard hosts
-  rendezvous into one network store with no pack-file shipping;
+  codec, version-reachability rules, location parsing
+  (:func:`open_backend`), and :func:`merge_stores`;
+* :mod:`~repro.engine.store.sqlite` — :class:`SqlitePackStore`, the
+  local store: a single WAL-mode SQLite file, safe for concurrent shard
+  writers on one host, one inode for 10k+ entries, and the transport
+  format for ``cache export`` / ``cache merge``;
+* :mod:`~repro.engine.store.http` — :class:`RemoteStore`, the shared
+  store: the same protocol over a minimal JSON/HTTP wire format against
+  a ``python -m repro serve`` endpoint (:class:`StoreServer`), so shard
+  hosts rendezvous into one network store with no pack-file shipping;
 * :mod:`~repro.engine.store.frontend` — :class:`ResultCache`, the
   engine-facing wrapper adding the SimResult codec, hit counters,
   batched ``get_many``/``put_many``, and the ``REPRO_CACHE_MAX_BYTES``
   auto-GC;
-* :mod:`~repro.engine.store.objectstore` — :class:`ObjectStore`, the
-  same content-addressed layout as object keys in an S3-style bucket
-  (``s3://`` via the optional boto3 extra, or any S3-compatible HTTP
-  endpoint with zero extra dependencies) — the serverless rendezvous:
-  shards write straight into a shared bucket, no coordinator host;
-* :mod:`~repro.engine.store.fakebucket` — :class:`FakeBucketServer`,
-  the local stdlib bucket server tests and CI run the object store
-  against;
 * :mod:`~repro.engine.store.faulty` — :class:`FaultyBackend`, a
   deterministic fault-injection wrapper around any backend (chaos
   tests for the engine's write-back and the queue's retry paths).
 
-Backends are selected by an explicit location scheme (``dir:``,
-``sqlite:``, ``http://``/``https://``, ``s3://``/``obj:``) through
-:func:`open_backend`'s scheme registry; the historical suffix-sniffing
-forms (``*.sqlite``/``*.db``/``*.pack`` paths,
-``REPRO_CACHE_BACKEND=sqlite`` on a plain path) keep working as
-deprecated aliases that log a one-line warning.  Iteration over any
-backend is **cursored**: ``iter_keys(start_after, limit)`` returns one
-bounded sorted page, and the maintenance paths (``stats``/``gc``/
+A location is ``sqlite:FILE`` (a pack file), ``http(s)://HOST:PORT``
+(a ``repro serve`` endpoint), or a plain path — a cache directory,
+opened as ``<dir>/results.sqlite``.  Iteration over any backend is
+**cursored**: ``iter_keys(start_after, limit)`` returns one bounded
+sorted page, and the maintenance paths (``stats``/``gc``/
 ``merge_stores``) stream pages via :func:`iter_key_pages`, so no store
 operation ever materializes a full key set — the property that lets a
 campaign cache grow past one process's memory.
 """
 
 from .base import (
-    BACKEND_ENV,
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
     DEFAULT_KEY_BATCH,
     MAX_BYTES_ENV,
-    PACK_SUFFIXES,
-    REMOTE_PREFIXES,
     SCHEME_REGISTRY,
     SCHEMA_VERSION,
     CacheBackend,
@@ -70,7 +53,6 @@ from .base import (
     merge_stores,
     open_backend,
 )
-from .fakebucket import FakeBucketServer
 from .faulty import DEFAULT_FAILABLE_OPS, FaultyBackend, InjectedFault
 from .frontend import ResultCache
 from .http import (
@@ -82,50 +64,25 @@ from .http import (
     RemoteStoreError,
     StoreServer,
 )
-from .localdir import LocalDirStore
-from .objectstore import (
-    DEFAULT_FANOUT,
-    ENDPOINT_ENV,
-    Boto3Transport,
-    HTTPTransport,
-    MemoryTransport,
-    ObjectStore,
-    ObjectStoreError,
-    ObjectTransport,
-    open_object_store,
-)
 from .sqlite import SqlitePackStore
 
 __all__ = [
-    "BACKEND_ENV",
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_FAILABLE_OPS",
-    "DEFAULT_FANOUT",
     "DEFAULT_KEY_BATCH",
     "DEFAULT_PORT",
-    "ENDPOINT_ENV",
     "MAX_BYTES_ENV",
-    "PACK_SUFFIXES",
     "PROTOCOL_VERSION",
-    "REMOTE_PREFIXES",
     "SCHEMA_VERSION",
     "SCHEME_REGISTRY",
     "TOKEN_ENV",
-    "Boto3Transport",
     "CacheBackend",
     "CacheStats",
-    "FakeBucketServer",
     "FaultyBackend",
     "GCReport",
-    "HTTPTransport",
     "InjectedFault",
-    "LocalDirStore",
-    "MemoryTransport",
     "MergeReport",
-    "ObjectStore",
-    "ObjectStoreError",
-    "ObjectTransport",
     "RawEntry",
     "RemoteAuthError",
     "RemoteStore",
@@ -140,5 +97,4 @@ __all__ = [
     "iter_key_pages",
     "merge_stores",
     "open_backend",
-    "open_object_store",
 ]

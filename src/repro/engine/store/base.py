@@ -3,13 +3,13 @@
 A :class:`CacheBackend` is anything that can hold content-addressed JSON
 *entries* — ``{"schema": 1, "kind": ..., "result": ..., ["spec": ...]}``
 — keyed by a spec content hash.  Two implementations ship with the
-engine: :class:`~repro.engine.store.localdir.LocalDirStore` (the
-original one-file-per-entry sharded directory) and
-:class:`~repro.engine.store.sqlite.SqlitePackStore` (a single SQLite
-file in WAL mode).  Everything that gives the cache its semantics —
-the canonical entry encoding, the schema/spec-version reachability
-rules, LRU-by-mtime eviction — lives here so the backends cannot
-drift apart.
+engine: :class:`~repro.engine.store.sqlite.SqlitePackStore` (a single
+SQLite file in WAL mode, the one local store) and
+:class:`~repro.engine.store.http.RemoteStore` (a client for a ``repro
+serve`` endpoint, the one shared store).  Everything that gives the
+cache its semantics — the canonical entry encoding, the
+schema/spec-version reachability rules, LRU-by-mtime eviction — lives
+here so the backends cannot drift apart.
 
 Backends store raw entries and know nothing about simulation results or
 hit counting; that is the job of the
@@ -47,8 +47,8 @@ checks:
 * **Concurrent writers, last-writer-wins.**  Several shard processes
   may write the same store at once.  Writers of the same key are
   racing to store *identical canonical bytes* (keys are content
-  addresses), so last-writer-wins — an atomic rename, an ``INSERT OR
-  REPLACE``, one server-side lock — is always correct.  Genuine
+  addresses), so last-writer-wins — an ``INSERT OR REPLACE``, one
+  server-side lock — is always correct.  Genuine
   byte conflicts under one key appear only across stores (a spec
   version skew or corruption); :func:`merge_stores` counts them and
   keeps the destination's copy.
@@ -73,34 +73,28 @@ checks:
   paging loop for callers that want a lazy stream.  Maintenance paths
   (``stats``/``gc``/:func:`merge_stores`/``cache export``) must stream
   over cursors — per-page content in memory, never the whole store;
-  backends with an index (SQL, object listings) page natively, and the
-  directory store walks shard directories in sorted order.
+  the SQLite pack pages natively over its primary-key index.
 * **``stats`` counters stay zero.**  ``hits``/``misses`` belong to the
   :class:`~repro.engine.store.frontend.ResultCache` front end; backends
   report entry/byte totals only.  ``size_bytes`` must be cheap (no
   per-entry content scan) — the auto-GC estimate calls it on the write
   path.
 
-Backends are selected by :func:`open_backend` through an explicit
-scheme registry (``dir:`` | ``sqlite:`` | ``http:``/``https:`` |
-``s3:``/``obj:``); the historical suffix-sniffing forms (a bare
-``*.sqlite``/``*.db``/``*.pack`` path, ``REPRO_CACHE_BACKEND=sqlite``
-rewriting a plain directory) keep working as deprecated aliases that
-log a one-line warning on the ``repro.engine.store`` logger.
+Backends are selected by :func:`open_backend`: ``sqlite:FILE`` is a
+pack file, an ``http(s)://`` URL is a ``repro serve`` endpoint, and a
+plain path is a cache directory holding ``results.sqlite``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
-from ...obs import get_logger
 from ...obs.metrics import STORE_MERGE_KEYS
-
-logger = get_logger("engine.store")
 
 #: Bump when the encoded layout of cache entries changes; mismatched
 #: entries are ignored (recomputed and overwritten), never misread.
@@ -110,22 +104,12 @@ SCHEMA_VERSION = 1
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Backend selection for plain-path locations: ``dir`` (default) or
-#: ``sqlite``.  URL-style locations (``sqlite:...`` / ``dir:...``) and
-#: pack-file suffixes win over this.
-BACKEND_ENV = "REPRO_CACHE_BACKEND"
+#: The pack file a plain-path cache directory holds.
+CACHE_PACK_NAME = "results.sqlite"
 
 #: When set, :class:`~repro.engine.store.frontend.ResultCache` runs the
 #: LRU ``gc`` automatically once writes push the store past this size.
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
-
-#: File suffixes that mark a location as a SQLite pack rather than a
-#: cache directory.
-PACK_SUFFIXES = (".sqlite", ".db", ".pack")
-
-#: URL prefixes that mark a location as a remote ``repro serve``
-#: endpoint (see :mod:`repro.engine.store.http`).
-REMOTE_PREFIXES = ("http://", "https://")
 
 #: Default page size for cursored ``iter_keys`` calls: one page per
 #: backend round trip, small enough that no maintenance pass ever holds
@@ -330,7 +314,7 @@ class CacheBackend(Protocol):
         ...
 
     def close(self) -> None:
-        """Release any handles (idempotent; a no-op for directory stores)."""
+        """Release any handles (idempotent)."""
         ...
 
 
@@ -369,12 +353,6 @@ def iter_all_keys(
         yield from page
 
 
-def _open_dir_scheme(text: str, rest: str) -> CacheBackend:
-    from .localdir import LocalDirStore
-
-    return LocalDirStore(rest)
-
-
 def _open_sqlite_scheme(text: str, rest: str) -> CacheBackend:
     from .sqlite import SqlitePackStore
 
@@ -387,94 +365,58 @@ def _open_remote_scheme(text: str, rest: str) -> CacheBackend:
     return RemoteStore(text)
 
 
-def _open_object_scheme(text: str, rest: str) -> CacheBackend:
-    from .objectstore import open_object_store
-
-    return open_object_store(text)
-
-
-#: Explicit location-scheme registry: ``<scheme>:`` prefix -> opener
-#: taking ``(full_location_text, text_after_colon)``.  This is the one
-#: dispatch table for backend selection; everything below it in
-#: :func:`open_backend` is a deprecated alias.
+#: Location-scheme registry: ``<scheme>:`` prefix -> opener taking
+#: ``(full_location_text, text_after_colon)``.  A location without one
+#: of these prefixes is a plain cache-directory path.
 SCHEME_REGISTRY: dict[str, Callable[[str, str], CacheBackend]] = {
-    "dir": _open_dir_scheme,
     "sqlite": _open_sqlite_scheme,
     "http": _open_remote_scheme,
     "https": _open_remote_scheme,
-    "s3": _open_object_scheme,
-    "obj": _open_object_scheme,
 }
 
-#: Deprecated location forms already warned about this process (the
-#: warning is one line per form, not one per open).
-_DEPRECATION_WARNED: set[str] = set()
+#: A ``word:`` prefix that reads as a URL scheme.  Two characters at
+#: least, so a Windows drive letter (``C:``) stays a plain path.
+_SCHEME_LIKE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]+")
 
-
-def _warn_deprecated(form: str, used: str, instead: str) -> None:
-    if form in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(form)
-    logger.warning(
-        "deprecated store location form (%s): use an explicit scheme, "
-        "e.g. %r",
-        used,
-        instead,
-    )
+_LOCATION_FORMS = (
+    "accepted forms: sqlite:FILE (a pack file), http(s)://HOST:PORT "
+    "(a 'repro serve' endpoint), or a plain cache-directory path"
+)
 
 
 def open_backend(location: str | os.PathLike | None = None) -> CacheBackend:
-    """Open the store at ``location``, dispatching on its scheme.
+    """Open the store at ``location``.
 
-    Explicit schemes (the :data:`SCHEME_REGISTRY`):
-
-    * ``dir:<path>`` — a sharded cache directory (:class:`LocalDirStore`);
-    * ``sqlite:<path>`` — a SQLite pack (:class:`SqlitePackStore`);
+    * ``sqlite:<file>`` — a SQLite pack (:class:`SqlitePackStore`);
     * ``http://`` / ``https://`` URLs — a
       :class:`~repro.engine.store.http.RemoteStore` client against a
       ``python -m repro serve`` endpoint (bearer token from
       ``REPRO_CACHE_TOKEN``);
-    * ``s3://bucket/prefix`` / ``obj:http://host:port/bucket/prefix`` —
-      an :class:`~repro.engine.store.objectstore.ObjectStore` (boto3
-      for real S3, the stdlib transport against ``REPRO_OBJECT_ENDPOINT``
-      or an ``obj:``-wrapped URL).
+    * a plain path — a cache directory, opened as the pack
+      ``<dir>/results.sqlite``.
 
-    A plain path is a cache directory — the canonical scheme-less form.
-    Two historical aliases keep working but log a one-line deprecation
-    warning: a bare path ending in ``.sqlite``/``.db``/``.pack`` opens a
-    pack, and ``REPRO_CACHE_BACKEND=sqlite`` packs a plain directory
-    into ``<dir>/results.sqlite``.
-
-    ``None`` falls back to ``REPRO_CACHE_DIR`` / ``.repro_cache``.
+    Any other ``word:`` prefix is rejected rather than read as a
+    directory name, and so is a plain path naming an existing file (a
+    pack file needs the ``sqlite:`` prefix).  ``None`` falls back to
+    ``REPRO_CACHE_DIR`` / ``.repro_cache``.
     """
-    from .localdir import LocalDirStore
     from .sqlite import SqlitePackStore
 
-    if location is None:
-        location = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-    text = os.fspath(location)
+    text = os.fspath(default_cache_dir() if location is None else location)
     scheme, sep, rest = text.partition(":")
     if sep and scheme.lower() in SCHEME_REGISTRY:
         return SCHEME_REGISTRY[scheme.lower()](text, rest)
+    if sep and _SCHEME_LIKE.fullmatch(scheme):
+        raise ValueError(
+            f"unknown store scheme {scheme + ':'!r} in {text!r}; {_LOCATION_FORMS}"
+        )
     path = Path(text)
-    if path.suffix in PACK_SUFFIXES:
-        _warn_deprecated(
-            f"suffix{path.suffix}",
-            f"pack-file suffix {path.suffix!r}",
-            f"sqlite:{text}",
+    if path.is_file():
+        raise ValueError(
+            f"{text!r} is a file, not a cache directory; open a pack file "
+            f"as 'sqlite:{text}'"
         )
-        return SqlitePackStore(path)
-    backend = (os.environ.get(BACKEND_ENV) or "dir").strip().lower()
-    if backend == "sqlite":
-        _warn_deprecated(
-            "env-sqlite",
-            f"{BACKEND_ENV}=sqlite on a plain path",
-            f"sqlite:{path / 'results.sqlite'}",
-        )
-        return SqlitePackStore(path / "results.sqlite")
-    if backend in ("", "dir", "local", "localdir"):
-        return LocalDirStore(path)
-    raise ValueError(f"unknown {BACKEND_ENV} value {backend!r}; options: dir, sqlite")
+    return SqlitePackStore(path / CACHE_PACK_NAME)
 
 
 @dataclass(frozen=True)

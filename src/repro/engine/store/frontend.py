@@ -13,11 +13,11 @@ The front end owns everything backends deliberately do not:
   :meth:`gc` automatically, logged as one line on the
   ``repro.engine.store`` logger.
 
-``ResultCache(path)`` keeps its historical meaning — a sharded JSON
-directory — while pack files, ``sqlite:``/``dir:`` URLs, and
-``http://`` server endpoints select their backends by location (see
-:func:`~repro.engine.store.base.open_backend`).  Passing a ready-made
-backend object wires in anything else that satisfies the protocol.
+``ResultCache(location)`` opens its backend by location — a cache
+directory, a ``sqlite:`` pack file, or an ``http://`` server endpoint
+(see :func:`~repro.engine.store.base.open_backend`).  Passing a
+ready-made backend object wires in anything else that satisfies the
+protocol.
 
 The front end relies on — and only on — the backend contract written
 down in :mod:`repro.engine.store.base`: it batches freely because
@@ -26,8 +26,8 @@ to keep its LRU ``gc`` meaningful, treats every ``None`` payload as a
 recomputable miss, and assumes ``size_bytes`` is cheap enough to call
 on the write path.  Code in this module must not depend on any behavior
 of a particular backend beyond that contract — it is the part that
-stays correct when the backend is a directory, a SQLite pack, or a
-server on another machine.
+stays correct whether the backend is a local SQLite pack or a server
+on another machine.
 """
 
 from __future__ import annotations
@@ -62,10 +62,9 @@ class ResultCache:
     """Content-addressed store for simulation results over any backend.
 
     Args:
-        root: Store location — a cache directory (default layout), a
-            ``.sqlite``/``.db``/``.pack`` file, or a ``sqlite:``/``dir:``
-            URL; ``None`` reads ``REPRO_CACHE_DIR``.  Ignored when
-            ``backend`` is given.
+        root: Store location — a cache directory, a ``sqlite:`` pack
+            file, or an ``http(s)://`` endpoint; ``None`` reads
+            ``REPRO_CACHE_DIR``.  Ignored when ``backend`` is given.
         backend: A ready-made :class:`CacheBackend` to wrap.
         max_bytes: Auto-GC threshold; writes that push the store past it
             run the LRU ``gc`` down to this size.  Defaults to
@@ -84,15 +83,6 @@ class ResultCache:
         self.misses = 0
         self.max_bytes = max_bytes if max_bytes is not None else _env_max_bytes()
         self._approx_bytes: int | None = None
-
-    @property
-    def root(self) -> Path:
-        """Where a *local* store lives (directory root or pack-file path).
-
-        Remote stores have no filesystem root; use :attr:`location` for
-        display, which survives URLs unmangled.
-        """
-        return Path(self.backend.location)
 
     @property
     def location(self) -> str:
@@ -168,15 +158,6 @@ class ResultCache:
         )
         self._after_write(written)
         return written
-
-    def path_for(self, spec: ExperimentSpec) -> Path:
-        """Where ``spec``'s result lives (directory backends only)."""
-        path_for_key = getattr(self.backend, "path_for_key", None)
-        if path_for_key is None:
-            raise NotImplementedError(
-                f"{type(self.backend).__name__} does not expose per-entry paths"
-            )
-        return path_for_key(spec.content_hash())
 
     # -- maintenance ---------------------------------------------------------
 

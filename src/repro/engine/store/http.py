@@ -2,8 +2,8 @@
 
 This module is how sharded campaigns rendezvous *without shipping pack
 files between hosts*: one machine runs ``python -m repro serve`` (a
-:class:`StoreServer` — a stdlib ``ThreadingHTTPServer`` fronting any
-local backend, a SQLite pack by default), and every shard host points
+:class:`StoreServer` — a stdlib ``ThreadingHTTPServer`` fronting a
+local SQLite pack), and every shard host points
 its engine at ``--cache-dir http://host:8123``.  Shard writers stream
 results into the shared store as they finish, and the unsharded rerun
 on any machine assembles the campaign as a pure cache read.
@@ -35,9 +35,6 @@ GET    ``/health``          -> ``{ok, protocol, schema, location}``
 GET    ``/metrics``         -> Prometheus text exposition (0.0.4) of
                             the server process's metrics registry;
                             unauthenticated read-only, like /health
-GET    ``/keys``            -> ``{keys: [...]}`` (legacy full dump;
-                            kept so pre-protocol-2 clients keep
-                            working — new code pages via keys/list)
 POST   ``/keys/list``       ``{start_after?, limit?}`` ->
                             ``{keys, next}`` — one sorted page after
                             the cursor; ``next`` is the resume cursor,
@@ -107,7 +104,6 @@ from .base import (
     GCReport,
     RawEntry,
     chunked,
-    iter_all_keys,
 )
 
 _client_log = get_logger("store.remote")
@@ -118,8 +114,7 @@ _serve_log = get_logger("serve")
 TOKEN_ENV = "REPRO_CACHE_TOKEN"
 
 #: Bump when the endpoint set or body shapes change incompatibly.
-#: 2: cursored ``keys/list`` pagination (``/keys`` kept as a legacy
-#: full dump so protocol-1 clients still work).
+#: 2: cursored ``keys/list`` pagination.
 PROTOCOL_VERSION = 2
 
 #: Server-side clamp on one ``keys/list`` page: a client asking for the
@@ -135,18 +130,7 @@ _RETRY_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
 
 
 class RemoteStoreError(OSError):
-    """The remote store could not be reached or refused the request.
-
-    ``status`` carries the HTTP status code when the server answered
-    with a permanent error, ``None`` for transport failures and
-    exhausted retries — callers use it to tell "this server does not
-    know the endpoint" (404, e.g. an older protocol) from "this server
-    is gone".
-    """
-
-    def __init__(self, message: str, status: int | None = None):
-        super().__init__(message)
-        self.status = status
+    """The remote store could not be reached or refused the request."""
 
 
 class RemoteAuthError(RemoteStoreError):
@@ -221,9 +205,6 @@ class RemoteStore:
         self.max_retry_seconds = max_retry_seconds
         self._sleep = sleep
         self._jitter = jitter
-        # Set once a keys/list call comes back 404: the server predates
-        # protocol 2, so iteration falls back to the legacy full dump.
-        self._legacy_keys = False
 
     @property
     def location(self) -> str:
@@ -305,15 +286,13 @@ class RemoteStore:
                         raise RemoteAuthError(
                             f"{self.url} rejected the request (HTTP {exc.code}): "
                             f"set {TOKEN_ENV} to the token the server was "
-                            "started with",
-                            status=exc.code,
+                            "started with"
                         ) from None
                     if exc.code not in _RETRY_STATUSES:
                         detail = _error_detail(exc)
                         raise RemoteStoreError(
                             f"{self.url}/{endpoint} failed: HTTP {exc.code} "
-                            f"{exc.reason}{detail}",
-                            status=exc.code,
+                            f"{exc.reason}{detail}"
                         ) from None
                     if exc.code in (429, 503):
                         retry_after = _parse_retry_after(
@@ -402,24 +381,8 @@ class RemoteStore:
         page = DEFAULT_KEY_BATCH if limit is None else max(0, int(limit))
         if page == 0:
             return []
-        if not self._legacy_keys:
-            try:
-                resp = self._call(
-                    "keys/list", {"start_after": start_after, "limit": page}
-                )
-                return list(resp["keys"])
-            except RemoteStoreError as exc:
-                if exc.status != 404:
-                    raise
-                # Pre-protocol-2 server: remember, fall back to the
-                # legacy full dump and page it client-side.  Costs one
-                # full transfer per page against an old server — the
-                # price of keeping old coordinators usable at all.
-                self._legacy_keys = True
-        keys = sorted(self._call("keys")["keys"])
-        if start_after is not None:
-            keys = [key for key in keys if key > start_after]
-        return keys[:page]
+        resp = self._call("keys/list", {"start_after": start_after, "limit": page})
+        return list(resp["keys"])
 
     def size_bytes(self) -> int:
         return self._call("size")["size_bytes"]
@@ -510,10 +473,6 @@ def _route_stats(backend: CacheBackend, payload: dict) -> dict:
 
 
 _GET_ROUTES: dict[str, Callable[[CacheBackend, dict], dict]] = {
-    # Legacy full dump (protocol 1): still served so old clients keep
-    # working, but it walks the backend's cursor server-side rather
-    # than asking any backend for an unbounded page.
-    "/keys": lambda backend, payload: {"keys": list(iter_all_keys(backend))},
     "/stats": _route_stats,
     "/size": lambda backend, payload: {"size_bytes": backend.size_bytes()},
 }
@@ -563,8 +522,8 @@ class _StoreHandler(BaseHTTPRequestHandler):
     The body is always read before replying (keeps the socket in a sane
     state on errors), auth is checked before any store access, and every
     store call holds the server-wide lock — concurrent shard writers
-    serialize here, which is what makes a plain SQLite pack (or even a
-    directory store) safe to share over the network.
+    serialize here, which is what makes a plain SQLite pack safe to
+    share over the network.
     """
 
     server_version = f"repro-store/{PROTOCOL_VERSION}"

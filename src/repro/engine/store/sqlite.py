@@ -1,22 +1,24 @@
-"""Single-file SQLite pack store for very large campaigns.
+"""Single-file SQLite pack store: the engine's one local backend.
 
 One ``entries`` table holds every content-addressed entry as its
-canonical JSON text (the same bytes :class:`LocalDirStore` would write
-to a file), plus the byte count and an explicit LRU timestamp::
+canonical JSON text (the bytes :func:`~repro.engine.store.base.encode_entry`
+produces), plus the byte count and an explicit LRU timestamp::
 
     entries(key TEXT PRIMARY KEY, kind TEXT, entry TEXT,
             nbytes INTEGER, mtime REAL)
 
 The database runs in WAL mode with a generous busy timeout, so several
 campaign shards on one host can write the same pack concurrently —
-writers of the same key race to store identical canonical bytes,
-exactly like the directory store's atomic renames.  A 10k+ entry
-campaign costs one inode instead of 10k, and the batch operations
-(:meth:`get_payload_many` / :meth:`put_payload_many`) collapse a whole
-engine batch into one indexed query / one transaction.
+writers of the same key race to store identical canonical bytes, so
+last-writer-wins is always correct.  A 10k+ entry campaign costs one
+inode, and the batch operations (:meth:`get_payload_many` /
+:meth:`put_payload_many`) collapse a whole engine batch into one
+indexed query / one transaction.
 
-Packs are also the transport format for sharded campaigns: ``python -m
-repro cache export pack.sqlite`` bundles a shard's results into one
+A plain cache directory (the default ``.repro_cache/``) is one pack
+named ``results.sqlite`` inside it.  Packs are also the transport
+format for sharded campaigns: ``python -m repro cache export
+sqlite:pack.sqlite`` bundles a shard's results into one
 file to ship between hosts, and ``cache merge`` unpacks it by content
 key on the other side.
 """
@@ -43,7 +45,7 @@ from .base import (
 
 #: Metrics label for this backend (``repro_store_*{backend="sqlite"}``).
 #: The batch methods are the funnels here — the singular forms delegate
-#: to them, the inverse of the directory store's layout.
+#: to them.
 _BACKEND = "sqlite"
 
 _SCHEMA_SQL = """

@@ -1,6 +1,7 @@
 """Tests for the experiment engine: specs, cache, runner, campaigns."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -78,15 +79,16 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         engine = ExperimentEngine(cache=cache)
         spec = fast_spec()
+        key = spec.content_hash()
         (first,) = engine.run([spec])
         assert engine.last_stats.executed == 1
-        blob = cache.path_for(spec).read_bytes()
+        blob = cache.backend.get_entry(key).encoded()
         (second,) = engine.run([spec])
         assert engine.last_stats.executed == 0
         assert engine.last_stats.cache_hits == 1
-        # re-serializing the result reproduces the file byte-for-byte
+        # re-serializing the result reproduces the entry byte-for-byte
         cache.put(spec, second)
-        assert cache.path_for(spec).read_bytes() == blob
+        assert cache.backend.get_entry(key).encoded() == blob
         assert first.avg_latency == second.avg_latency
         assert first.latencies == second.latencies
 
@@ -94,24 +96,27 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         engine = ExperimentEngine(cache=cache)
         spec = fast_spec()
+        key = spec.content_hash()
         engine.run([spec])
-        path = cache.path_for(spec)
-        entry = json.loads(path.read_text())
+        entry = cache.backend.get_entry(key).entry
         entry["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(entry))
+        cache.backend.put_entry(key, entry)
         engine.run([spec])
         assert engine.last_stats.executed == 1  # stale entry ignored
-        assert json.loads(path.read_text())["schema"] == SCHEMA_VERSION
+        assert cache.backend.get_entry(key).entry["schema"] == SCHEMA_VERSION
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = fast_spec()
-        path = cache.path_for(spec)
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        assert cache.get(spec) is None
-        path.write_text(json.dumps({"schema": SCHEMA_VERSION, "kind": "sim"}))
+        key = spec.content_hash()
+        cache.backend.put_entry(key, {"schema": SCHEMA_VERSION, "kind": "sim"})
         assert cache.get(spec) is None  # well-formed but truncated entry
+        pack = sqlite3.connect(cache.backend.path)
+        pack.execute("UPDATE entries SET entry = '{not json' WHERE key = ?", [key])
+        pack.commit()
+        pack.close()
+        assert cache.get(spec) is None
+        assert cache.backend.get_entry(key) is None  # raw reads skip it too
 
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -12,7 +12,6 @@ import pytest
 from repro.engine import (
     ExperimentEngine,
     ExperimentSpec,
-    LocalDirStore,
     RemoteAuthError,
     RemoteStore,
     RemoteStoreError,
@@ -32,18 +31,11 @@ from repro.engine.spec import iter_spec_keys
 from repro.engine.store import (
     DEFAULT_KEY_BATCH,
     SCHEMA_VERSION,
-    FakeBucketServer,
-    HTTPTransport,
-    MemoryTransport,
-    ObjectStore,
-    ObjectStoreError,
     RawEntry,
     encode_entry,
     iter_all_keys,
     iter_key_pages,
-    open_object_store,
 )
-from repro.engine.store import base as base_module
 from repro.engine.store import http as http_module
 
 #: Tiny but shape-preserving windows for the sn54/cm54 class.
@@ -71,21 +63,13 @@ def remote_store(server, **overrides):
     return RemoteStore(server.url, **kw)
 
 
-@pytest.fixture(params=["dir", "sqlite", "remote", "object"])
+@pytest.fixture(params=["sqlite", "remote"])
 def backend(request, tmp_path):
-    """Every store implementation, including the HTTP client against a
-    live ephemeral-port server and the object store against a live fake
-    bucket — the wire protocols pass the same equivalence suite the
-    local backends do."""
-    if request.param == "dir":
-        yield LocalDirStore(tmp_path / "store")
-    elif request.param == "sqlite":
+    """Both store implementations: the local pack, and the HTTP client
+    against a live ephemeral-port server — the wire protocol passes the
+    same equivalence suite the local backend does."""
+    if request.param == "sqlite":
         yield SqlitePackStore(tmp_path / "store.sqlite")
-    elif request.param == "object":
-        with FakeBucketServer() as bucket:
-            store = ObjectStore(HTTPTransport(bucket.url, "tests"), prefix="repro")
-            yield store
-            store.close()
     else:
         with StoreServer(
             SqlitePackStore(tmp_path / "store.sqlite"), quiet=True
@@ -199,7 +183,7 @@ class TestCostBalancedSharding:
     def test_cost_sharded_campaign_covers_grid(self, tmp_path):
         """Two cost-balanced shard runs cover the grid exactly once, and
         the unsharded rerun over the union is a pure cache read."""
-        cache = ResultCache(tmp_path / "store.sqlite")
+        cache = ResultCache(f"sqlite:{tmp_path / 'store.sqlite'}")
         engine = ExperimentEngine(cache=cache)
         executed = []
         for index in range(2):
@@ -313,53 +297,65 @@ class TestBackendEquivalence:
 
 class TestBackendCrossEquivalence:
     def test_same_keys_and_payloads_via_both_backends(self, tmp_path):
-        """One campaign written through each backend stores identical
-        canonical entries under identical keys."""
+        """One campaign written through the default cache directory, an
+        explicit pack file, and a served store keeps identical canonical
+        entries under identical keys."""
         specs = [fast_spec(), fast_spec(load=0.08)]
-        local = LocalDirStore(tmp_path / "dir")
-        pack = SqlitePackStore(tmp_path / "pack.sqlite")
-        ExperimentEngine(cache=ResultCache(backend=local)).run(specs)
-        ExperimentEngine(cache=ResultCache(backend=pack)).run(specs)
-        assert list(local.iter_keys()) == list(pack.iter_keys())
-        for key in local.iter_keys():
-            assert (
-                local.get_entry(key).encoded() == pack.get_entry(key).encoded()
-            )
+        default = open_backend(tmp_path / "cache")
+        pack = open_backend(f"sqlite:{tmp_path / 'pack.sqlite'}")
+        served = SqlitePackStore(tmp_path / "served.sqlite")
+        with StoreServer(served, quiet=True) as server:
+            remote = remote_store(server)
+            for store in (default, pack, remote):
+                ExperimentEngine(cache=ResultCache(backend=store)).run(specs)
+            keys = list(default.iter_keys())
+            assert keys == sorted(iter_spec_keys(specs))
+            assert list(pack.iter_keys()) == list(remote.iter_keys()) == keys
+            for key in keys:
+                encoded = default.get_entry(key).encoded()
+                assert pack.get_entry(key).encoded() == encoded
+                assert remote.get_entry(key).encoded() == encoded
 
-    def test_open_backend_dispatch(self, tmp_path, monkeypatch):
-        assert isinstance(open_backend(tmp_path / "plain"), LocalDirStore)
-        assert isinstance(open_backend(tmp_path / "pack.sqlite"), SqlitePackStore)
-        assert isinstance(open_backend(tmp_path / "pack.db"), SqlitePackStore)
-        assert isinstance(
-            open_backend(f"sqlite:{tmp_path}/url"), SqlitePackStore
-        )
-        assert isinstance(open_backend(f"dir:{tmp_path}/x.sqlite"), LocalDirStore)
-        monkeypatch.setenv("REPRO_OBJECT_ENDPOINT", "http://127.0.0.1:1")
-        assert isinstance(open_backend("s3://bucket/prefix"), ObjectStore)
-        assert isinstance(
-            open_backend("obj:http://127.0.0.1:1/bucket/prefix"), ObjectStore
-        )
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        packed = open_backend(tmp_path / "plain")
-        assert isinstance(packed, SqlitePackStore)
-        assert packed.path.name == "results.sqlite"
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            open_backend(tmp_path / "plain")
+    def test_open_backend_dispatch(self, tmp_path):
+        """Every accepted location form (the rejected ones are below)."""
+        plain = open_backend(tmp_path / "plain")
+        assert isinstance(plain, SqlitePackStore)
+        assert plain.path == tmp_path / "plain" / "results.sqlite"
+        assert open_backend(str(tmp_path / "plain")).path == plain.path
+        (tmp_path / "existing").mkdir()
+        assert open_backend(tmp_path / "existing").path.name == "results.sqlite"
+        pack = open_backend(f"sqlite:{tmp_path}/pack.db")
+        assert isinstance(pack, SqlitePackStore)
+        assert pack.path == tmp_path / "pack.db"
+        assert open_backend(f"SQLite:{tmp_path}/pack.db").path == pack.path
+        # A pack-like name without the scheme is still a directory.
+        assert open_backend(tmp_path / "x.sqlite").path.name == "results.sqlite"
+        for url in ("http://127.0.0.1:1", "https://example.invalid:8123/"):
+            assert isinstance(open_backend(url), RemoteStore)
+        assert not any(tmp_path.glob("*/results.sqlite"))  # opening is lazy
 
-    def test_deprecated_location_forms_warn_once(self, tmp_path, caplog):
-        """Suffix-sniffed pack paths and REPRO_CACHE_BACKEND=sqlite still
-        work, but each form logs exactly one deprecation line per
-        process — the explicit schemes stay silent."""
-        base_module._DEPRECATION_WARNED.clear()
-        with caplog.at_level(logging.WARNING, logger="repro.engine.store"):
-            open_backend(tmp_path / "pack.sqlite")
-            open_backend(tmp_path / "other.sqlite")  # same form: no new line
-            open_backend(f"sqlite:{tmp_path}/explicit.sqlite")
-            open_backend(tmp_path / "plain")
-        warned = [r for r in caplog.records if "deprecated" in r.getMessage()]
-        assert len(warned) == 1
-        assert "sqlite:" in warned[0].getMessage()
+    @pytest.mark.parametrize(
+        "location",
+        [
+            "s3://bucket/prefix",
+            "obj:http://127.0.0.1:1/bucket/prefix",
+            "dir:cache",
+            "ftp://host/cache",
+        ],
+    )
+    def test_open_backend_rejects_unknown_schemes(self, location):
+        """A retired or foreign scheme is an error, never a directory
+        named after it."""
+        with pytest.raises(ValueError, match="accepted forms: sqlite:FILE"):
+            open_backend(location)
+
+    def test_open_backend_rejects_a_file_as_cache_directory(self, tmp_path):
+        pack = tmp_path / "pack.sqlite"
+        SqlitePackStore(pack).put_payload("aa" * 32, "sim", {"x": 1})
+        with pytest.raises(ValueError, match=f"'sqlite:{pack}'"):
+            open_backend(pack)
+        with pytest.raises(ValueError, match="sqlite:"):
+            ResultCache(str(pack))
 
     def test_two_connections_share_one_pack(self, tmp_path):
         """Concurrent writers on one host: separate connections to the
@@ -375,14 +371,21 @@ class TestBackendCrossEquivalence:
         assert b.stats().entries == 0
 
     def test_result_cache_path_still_means_directory(self, tmp_path):
-        cache = ResultCache(tmp_path / "legacy")
-        assert isinstance(cache.backend, LocalDirStore)
+        """A plain path is a cache directory holding one pack; an old
+        one-JSON-file-per-entry tree inside it is ignored, so its points
+        are simply re-simulated."""
         spec = fast_spec()
-        ExperimentEngine(cache=cache).run([spec])
-        assert cache.path_for(spec).is_file()
-        packed = ResultCache(tmp_path / "pack.sqlite")
-        with pytest.raises(NotImplementedError):
-            packed.path_for(spec)
+        key = spec.content_hash()
+        legacy = tmp_path / "legacy" / key[:2] / f"{key}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(encode_entry({"schema": SCHEMA_VERSION, "kind": "sim"}))
+        cache = ResultCache(tmp_path / "legacy")
+        assert cache.backend.path == tmp_path / "legacy" / "results.sqlite"
+        engine = ExperimentEngine(cache=cache)
+        engine.run([spec])
+        assert engine.last_stats.executed == 1
+        assert cache.backend.path.is_file()
+        assert list(cache.backend.iter_keys()) == [key]
 
 
 class TestMerge:
@@ -392,7 +395,7 @@ class TestMerge:
         return cache
 
     def test_merge_copies_and_skips(self, tmp_path):
-        a = LocalDirStore(tmp_path / "a")
+        a = SqlitePackStore(tmp_path / "a.sqlite")
         b = SqlitePackStore(tmp_path / "b.sqlite")
         self.fill(a, [0.02, 0.05])
         self.fill(b, [0.05, 0.08])  # 0.05 overlaps, byte-identical
@@ -403,8 +406,8 @@ class TestMerge:
         assert b.stats().entries == 3
 
     def test_merge_counts_conflicts_and_keeps_ours(self, tmp_path):
-        a = LocalDirStore(tmp_path / "a")
-        b = LocalDirStore(tmp_path / "b")
+        a = SqlitePackStore(tmp_path / "a.sqlite")
+        b = SqlitePackStore(tmp_path / "b.sqlite")
         self.fill(a, [0.02])
         self.fill(b, [0.02])
         (key,) = a.iter_keys()
@@ -418,7 +421,7 @@ class TestMerge:
         assert b.get_entry(key).entry == ours  # destination wins
 
     def test_merge_preserves_lru_timestamps(self, tmp_path):
-        a = LocalDirStore(tmp_path / "a")
+        a = SqlitePackStore(tmp_path / "a.sqlite")
         b = SqlitePackStore(tmp_path / "b.sqlite")
         self.fill(a, [0.02])
         (key,) = a.iter_keys()
@@ -566,9 +569,9 @@ class TestShardedCampaignEndToEnd:
         executed = [stats.executed for stats in shard_stats]
         assert sum(executed) == len(LOADS)  # disjoint + covering
 
-        merged = ResultCache(tmp_path / "merged.sqlite")
+        merged = ResultCache(f"sqlite:{tmp_path / 'merged.sqlite'}")
         for index in range(2):
-            merge_stores(merged.backend, LocalDirStore(tmp_path / f"shard{index}"))
+            merge_stores(merged.backend, open_backend(tmp_path / f"shard{index}"))
 
         with ExperimentEngine(cache=merged, max_workers=2) as engine:
             curve = run_sweep(engine, "sn54", "RND", LOADS, **FAST)
@@ -773,129 +776,6 @@ class TestCursoredIteration:
         assert full == sorted(keys + [behind, ahead])
 
 
-class TestObjectStore:
-    """Object-store specifics beyond the shared equivalence suite:
-    location parsing, the bucket wire protocol, and merge transport."""
-
-    @pytest.fixture
-    def bucket(self):
-        with FakeBucketServer() as server:
-            yield server
-
-    def test_obj_location_parsing(self, bucket):
-        store = open_object_store(f"obj:{bucket.url}/ci/campaign")
-        assert isinstance(store, ObjectStore)
-        assert store.prefix == "campaign"
-        store.put_payload("aa" * 32, "sim", {"x": 1})
-        assert store.get_payload("aa" * 32, "sim") == {"x": 1}
-        store.close()
-
-    def test_s3_location_uses_endpoint_env(self, bucket, monkeypatch):
-        monkeypatch.setenv("REPRO_OBJECT_ENDPOINT", bucket.url)
-        store = open_object_store("s3://ci/campaign")
-        store.put_payload("aa" * 32, "sim", {"x": 1})
-        same = open_object_store("s3://ci/campaign")
-        assert same.get_payload("aa" * 32, "sim") == {"x": 1}
-        other_prefix = open_object_store("s3://ci/elsewhere")
-        assert other_prefix.stats().entries == 0
-        for s in (store, same, other_prefix):
-            s.close()
-
-    def test_s3_location_without_boto3_names_the_cure(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBJECT_ENDPOINT", raising=False)
-        import importlib.util
-
-        if importlib.util.find_spec("boto3") is not None:
-            pytest.skip("boto3 installed; the guarded-import path is moot")
-        with pytest.raises(ObjectStoreError, match="REPRO_OBJECT_ENDPOINT"):
-            open_object_store("s3://bucket/prefix")
-
-    def test_bad_locations_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            open_object_store("obj:ftp://host/bucket")
-        with pytest.raises(ValueError):
-            open_object_store("obj:http://127.0.0.1:1/")
-        monkeypatch.setenv("REPRO_OBJECT_ENDPOINT", "http://127.0.0.1:1")
-        with pytest.raises(ValueError):
-            open_object_store("s3://")
-
-    def test_unreachable_endpoint_is_one_clear_error(self):
-        store = open_object_store("obj:http://127.0.0.1:1/ci/campaign")
-        with pytest.raises(ObjectStoreError, match="unreachable"):
-            store.put_payload("aa" * 32, "sim", {"x": 1})
-
-    def test_merge_round_trip_is_byte_identical(self, tmp_path, bucket):
-        """pack -> bucket -> fresh pack preserves canonical bytes and
-        LRU timestamps: the bucket is a transport, not a transform."""
-        source = SqlitePackStore(tmp_path / "src.sqlite")
-        ExperimentEngine(cache=ResultCache(backend=source)).run(
-            [fast_spec(), fast_spec(load=0.08)]
-        )
-        backdated = source.iter_keys()[0]
-        old = time.time() - 3 * 86400
-        source.put_entry(backdated, source.get_entry(backdated).entry, mtime=old)
-
-        remote = ObjectStore(HTTPTransport(bucket.url, "ci"), prefix="campaign")
-        up = merge_stores(remote, source)
-        assert (up.copied, up.conflicts) == (2, 0)
-        out = SqlitePackStore(tmp_path / "out.sqlite")
-        down = merge_stores(out, remote)
-        assert (down.copied, down.conflicts) == (2, 0)
-        for key in source.iter_keys():
-            assert out.get_entry(key).encoded() == source.get_entry(key).encoded()
-        assert abs(out.get_entry(backdated).mtime - old) < 2.0
-        remote.close()
-
-    def test_request_log_shows_batched_puts(self, bucket):
-        store = ObjectStore(HTTPTransport(bucket.url, "ci"), prefix="campaign")
-        store.put_payload_many(
-            [(f"{i:02d}" + "aa" * 31, "sim", {"i": i}, None) for i in range(5)]
-        )
-        puts = [line for line in bucket.request_log if line.startswith("PUT ")]
-        assert len(puts) == 5
-        store.close()
-
-
-class CappedTransport:
-    """Delegating transport that fails the test on any page or batch
-    larger than the cap — the bucket-level batch-size assertion."""
-
-    def __init__(self, inner, cap):
-        self.inner = inner
-        self.cap = cap
-        self.location = inner.location
-        self.max_seen = 0
-
-    def _check(self, n):
-        self.max_seen = max(self.max_seen, n)
-        assert n <= self.cap, f"transport batch of {n} keys exceeds cap {self.cap}"
-
-    def get_many(self, keys):
-        self._check(len(keys))
-        return self.inner.get_many(keys)
-
-    def put_many(self, items):
-        self._check(len(items))
-        return self.inner.put_many(items)
-
-    def touch_many(self, items):
-        self._check(len(items))
-        return self.inner.touch_many(items)
-
-    def delete_many(self, keys):
-        self._check(len(keys))
-        return self.inner.delete_many(keys)
-
-    def list_page(self, prefix, start_after, limit):
-        self._check(limit)
-        page = self.inner.list_page(prefix, start_after, limit)
-        self._check(len(page))
-        return page
-
-    def close(self):
-        self.inner.close()
-
-
 class CappedBackend:
     """Delegating backend that fails the test on any single key fetch
     larger than the cap — the store-level batch-size assertion."""
@@ -965,8 +845,6 @@ class TestBoundedIterationAt50k:
             backend.put_entry_many(chunk)
 
     def test_sqlite_stats_merge_gc_stay_bounded(self, tmp_path):
-        transport = CappedTransport(MemoryTransport(), self.CAP)
-        bucket_store = ObjectStore(transport, prefix="repro")
         pack = SqlitePackStore(tmp_path / "big.sqlite")
         self.fill(pack)
 
@@ -976,21 +854,18 @@ class TestBoundedIterationAt50k:
         assert stats.reclaimable_entries == 0
 
         # merge streams cursored pages through both capped wrappers.
-        report = merge_stores(bucket_store, source)
+        destination = CappedBackend(SqlitePackStore(tmp_path / "dst.sqlite"), self.CAP)
+        report = merge_stores(destination, source)
         assert report.copied == self.N
         assert source.pages >= self.N // DEFAULT_KEY_BATCH
+        assert destination.stats().entries == self.N
 
-        # Object-store maintenance paths observe the transport cap.
-        assert bucket_store.stats().entries == self.N
-        gc_report = bucket_store.gc(max_bytes=0)
-        assert gc_report.removed_entries == self.N
-
-        # SQLite gc pages internally; the pack still empties fully.
-        pack_report = pack.gc(max_bytes=0)
-        assert pack_report.removed_entries == self.N
-        assert pack.stats().entries == 0
-        assert transport.max_seen <= self.CAP
+        # SQLite gc pages internally; both packs still empty fully.
+        for store in (pack, destination):
+            assert store.gc(max_bytes=0).removed_entries == self.N
+            assert store.stats().entries == 0
         assert source.max_seen <= self.CAP
+        assert destination.max_seen <= self.CAP
 
 
 class TestWireProtocolV2:
@@ -1018,30 +893,10 @@ class TestWireProtocolV2:
         assert second["keys"] == keys[2:]
         assert second["next"] is None
 
-    def test_legacy_keys_endpoint_still_serves_full_dump(self, server):
-        store = remote_store(server)
-        keys = [f"{i:02d}" + "ef" * 31 for i in range(4)]
-        for key in keys:
-            store.put_payload(key, "sim", {"k": key})
-        assert store._call("keys")["keys"] == keys
-
-    def test_client_falls_back_to_legacy_keys_on_old_server(
-        self, server, monkeypatch
-    ):
-        """A pre-redesign server (no keys/list route) still iterates
-        correctly: the client notices the 404 once, then pages the
-        legacy full dump client-side."""
-        monkeypatch.delitem(http_module._POST_ROUTES, "/keys/list")
-        store = remote_store(server)
-        keys = [f"{i:02d}" + "aa" * 31 for i in range(5)]
-        for key in keys:
-            store.put_payload(key, "sim", {"k": key})
-        assert store.iter_keys(limit=2) == keys[:2]
-        assert store._legacy_keys is True
-        assert store.iter_keys(start_after=keys[1], limit=2) == keys[2:4]
-        assert list(iter_all_keys(store, batch=2)) == keys
-        # A fresh client (fresh fallback flag) sees the same key space.
-        assert list(iter_all_keys(remote_store(server), batch=3)) == keys
+    def test_full_key_dump_endpoint_is_gone(self, server):
+        """Keys are served only a bounded page at a time."""
+        with pytest.raises(RemoteStoreError, match="HTTP 404"):
+            remote_store(server)._call("keys")
 
 
 class TestMergeObservability:

@@ -165,16 +165,18 @@ class TestCacheGC:
         engine.run(specs)
         return cache, specs
 
+    @staticmethod
+    def backdate(cache, spec, stamp):
+        """Set one entry's LRU timestamp through the raw-entry API."""
+        key = spec.content_hash()
+        cache.backend.put_entry(key, cache.backend.get_entry(key).entry, mtime=stamp)
+
     def test_max_bytes_keeps_most_recent(self, tmp_path):
         cache, specs = self.fill(tmp_path)
         # Spread mtimes, oldest first, then re-read one to bump its LRU slot.
         for i, spec in enumerate(specs):
-            path = cache.path_for(spec)
-            stamp = time.time() - 3600 + i
-            import os
-
-            os.utime(path, (stamp, stamp))
-        keep_size = cache.path_for(specs[-1]).stat().st_size
+            self.backdate(cache, spec, time.time() - 3600 + i)
+        keep_size = len(cache.backend.get_entry(specs[-1].content_hash()).encoded())
         report = cache.gc(max_bytes=keep_size)
         assert report.removed_entries == len(specs) - 1
         assert cache.get(specs[-1]) is not None  # newest mtime survived
@@ -192,34 +194,28 @@ class TestCacheGC:
         assert cache.stats().entries == 1
 
     def test_max_age_evicts_stale_only(self, tmp_path):
-        import os
-
         cache, specs = self.fill(tmp_path)
         old = time.time() - 10 * 86400
         for spec in specs[:2]:
-            path = cache.path_for(spec)
-            os.utime(path, (old, old))
+            self.backdate(cache, spec, old)
         report = cache.gc(max_age_days=7)
         assert report.removed_entries == 2
         assert cache.get(specs[2]) is not None
         assert cache.get(specs[0]) is None
 
     def test_hit_touches_mtime(self, tmp_path):
-        import os
-
         cache, specs = self.fill(tmp_path, n=1)
-        path = cache.path_for(specs[0])
         old = time.time() - 10 * 86400
-        os.utime(path, (old, old))
+        self.backdate(cache, specs[0], old)
         assert cache.get(specs[0]) is not None  # hit refreshes LRU position
-        assert path.stat().st_mtime > old + 86400
+        assert cache.backend.get_entry(specs[0].content_hash()).mtime > old + 86400
 
     def test_unreachable_versions_reclaimable_and_collected(self, tmp_path):
         cache, specs = self.fill(tmp_path, n=2)
-        path = cache.path_for(specs[0])
-        entry = json.loads(path.read_text())
+        key = specs[0].content_hash()
+        entry = cache.backend.get_entry(key).entry
         entry["spec"]["spec_version"] = 2  # superseded spec version
-        path.write_text(json.dumps(entry))
+        cache.backend.put_entry(key, entry)
         stats = cache.stats()
         assert stats.reclaimable_entries == 1
         assert stats.reclaimable_bytes > 0
