@@ -87,7 +87,7 @@ def average_route_stats(topology: Topology) -> tuple[float, float]:
         for dst in range(nr):
             if src == dst:
                 continue
-            path = paths.path(src, dst)
+            path = paths.walk(src, dst)
             total_hops += len(path) - 1
             total_wire += sum(
                 topology.link_length_hops(a, b) for a, b in zip(path, path[1:])

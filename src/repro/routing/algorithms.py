@@ -21,8 +21,8 @@ deadlock-avoidance schemes directly:
 
 Adaptive schemes observe congestion through a :class:`QueueOracle`.
 Attaching the routing to a :class:`~repro.sim.NoCSimulator` installs
-the simulator itself as the oracle (live credit/occupancy state at
-injection time); without one, the default :class:`ZeroQueues` oracle
+the simulator's live occupancy view (``sim.queues``) as the oracle;
+without one, the default :class:`ZeroQueues` oracle
 makes every adaptive scheme silently degenerate to minimal routing —
 the first route computed that way logs a one-line warning on
 ``repro.routing``.
@@ -82,6 +82,8 @@ class RoutingAlgorithm(ABC):
         self.topology = topology
         self.num_vcs = num_vcs
         self.minimal = MinimalPaths(topology)
+        # path -> its frozen Route, shared by every packet taking that path.
+        self._routes: dict[tuple[int, ...], Route] = {}
 
     @abstractmethod
     def route(self, src: int, dst: int, packet_id: int = 0) -> Route:
@@ -89,6 +91,13 @@ class RoutingAlgorithm(ABC):
 
     def _ascending_vcs(self, path: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(min(h, self.num_vcs - 1) for h in range(len(path) - 1))
+
+    def _route_for(self, path: tuple[int, ...]) -> Route:
+        """The one :class:`Route` (hop-index VCs) for ``path``."""
+        route = self._routes.get(path)
+        if route is None:
+            route = self._routes[path] = Route(path, self._ascending_vcs(path))
+        return route
 
     def _warn_if_zero_oracle(self) -> None:
         """One-line warning the first time an adaptive scheme routes with
@@ -132,7 +141,8 @@ class StaticMinimalRouting(RoutingAlgorithm):
     def route(self, src: int, dst: int, packet_id: int = 0) -> Route:
         cached = self._route_cache.get((src, dst))
         if cached is None:
-            path = self.minimal.path(src, dst)
+            # This cache is already per pair: walk, don't memoise twice.
+            path = self.minimal.walk(src, dst)
             cached = Route(path, self._ascending_vcs(path))
             self._route_cache[(src, dst)] = cached
         return cached
@@ -227,8 +237,7 @@ class ValiantRouting(RoutingAlgorithm):
         intermediate = self._rng.randrange(self.topology.num_routers)
         first = self.minimal.path(src, intermediate)
         second = self.minimal.path(intermediate, dst)
-        path = first + second[1:]
-        return Route(path, self._ascending_vcs(path))
+        return self._route_for(first + second[1:])
 
 
 class UGALRouting(RoutingAlgorithm):
@@ -270,7 +279,7 @@ class UGALRouting(RoutingAlgorithm):
         self._warn_if_zero_oracle()
         minimal_path = self.minimal.path(src, dst)
         if src == dst:
-            return Route(minimal_path, ())
+            return self._route_for(minimal_path)
         intermediate = self._rng.randrange(self.topology.num_routers)
         valiant_path = self.minimal.path(src, intermediate) + self.minimal.path(
             intermediate, dst
@@ -282,7 +291,7 @@ class UGALRouting(RoutingAlgorithm):
         )
         if len(chosen) - 1 > self.num_vcs:
             chosen = minimal_path  # VC schedule must stay ascending
-        return Route(chosen, self._ascending_vcs(chosen))
+        return self._route_for(chosen)
 
 
 class XYAdaptiveRouting(RoutingAlgorithm):
@@ -308,16 +317,14 @@ class XYAdaptiveRouting(RoutingAlgorithm):
         sx, sy = grid.position_of(src)
         dx, dy = grid.position_of(dst)
         if src == dst:
-            return Route((src,), ())
+            return self._route_for((src,))
         if sx == dx or sy == dy:
-            path = self.minimal.path(src, dst)
-            return Route(path, self._ascending_vcs(path))
+            return self._route_for(self.minimal.path(src, dst))
         row_first = (src, grid.router_at(dx, sy), dst)
         col_first = (src, grid.router_at(sx, dy), dst)
         cost_row = self.oracle.output_queue(src, row_first[1])
         cost_col = self.oracle.output_queue(src, col_first[1])
-        path = row_first if cost_row <= cost_col else col_first
-        return Route(path, self._ascending_vcs(path))
+        return self._route_for(row_first if cost_row <= cost_col else col_first)
 
 
 class DeflectionRouting(RoutingAlgorithm):
@@ -356,10 +363,10 @@ class DeflectionRouting(RoutingAlgorithm):
         self._warn_if_zero_oracle()
         minimal_path = self.minimal.path(src, dst)
         if src == dst:
-            return Route(minimal_path, ())
+            return self._route_for(minimal_path)
         first_queue = self.oracle.output_queue(src, minimal_path[1])
         if first_queue <= self.threshold:
-            return Route(minimal_path, self._ascending_vcs(minimal_path))
+            return self._route_for(minimal_path)
         best = minimal_path
         # Hops break occupancy ties, neighbor index breaks hop ties —
         # fully deterministic for a given oracle state.
@@ -373,4 +380,4 @@ class DeflectionRouting(RoutingAlgorithm):
             key = (self.oracle.output_queue(src, neighbor), len(candidate), neighbor)
             if key < best_key:
                 best, best_key = candidate, key
-        return Route(best, self._ascending_vcs(best))
+        return self._route_for(best)

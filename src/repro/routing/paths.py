@@ -25,6 +25,9 @@ class MinimalPaths:
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        # (src, dst) -> path: the simulator routes every injected packet,
+        # so each pair is walked once and then served from here.
+        self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
     @cached_property
     def next_hop(self) -> list[list[int]]:
@@ -50,7 +53,19 @@ class MinimalPaths:
         return table
 
     def path(self, src: int, dst: int) -> tuple[int, ...]:
-        """Router sequence ``src .. dst`` (inclusive)."""
+        """Router sequence ``src .. dst`` (inclusive), memoised per pair."""
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._paths[(src, dst)] = self.walk(src, dst)
+        return path
+
+    def walk(self, src: int, dst: int) -> tuple[int, ...]:
+        """Router sequence ``src .. dst`` read off the next-hop table.
+
+        Unmemoised: one-pass scans over every pair (route statistics,
+        channel loads) use this so they do not keep ``O(Nr^2)`` paths
+        alive.
+        """
         if src == dst:
             return (src,)
         table = self.next_hop[dst]
@@ -79,7 +94,7 @@ class MinimalPaths:
         for (src, dst), rate in flows.items():
             if src == dst or rate == 0.0:
                 continue
-            path = self.path(src, dst)
+            path = self.walk(src, dst)
             for a, b in zip(path, path[1:]):
                 loads[(a, b)] = loads.get((a, b), 0.0) + rate
         return loads

@@ -35,9 +35,11 @@ order the naive lockstep core used, and skipped cycles consume the
 injection RNG identically, so results are bit-identical to the
 pre-optimization core (pinned by ``tests/test_golden_digests.py``).
 
-The simulator also implements the
-:class:`~repro.routing.algorithms.QueueOracle` protocol so UGAL can
-observe live channel occupancy.
+Adaptive routings observe live channel occupancy through
+:class:`LiveQueues`, a :class:`~repro.routing.algorithms.QueueOracle`
+view over the simulator's occupancy counters that holds no reference
+back to the simulator, so a finished run is freed by reference counting
+alone.
 """
 
 from __future__ import annotations
@@ -60,33 +62,32 @@ from .packet import Flit, Packet
 class _InputUnit:
     """One (input port, VC) FIFO, with its identity resolved at build time.
 
-    ``node`` is set for injection units (the NIC it serves); link units
-    carry ``upstream``/``vc`` and, under credit flow control, the link to
-    return credits on — so the hot path never reconstructs tuple keys.
+    ``node`` is set for injection units (the NIC it serves); under credit
+    flow control, link units carry the ready-made wheel entry that returns
+    one credit upstream — so the hot path never reconstructs tuple keys
+    (the router's ``in_index`` keeps each unit's (upstream, VC) identity).
     ``index`` is the unit's position in the router's build order; the
     router's ``occupied`` set tracks these indices so arbitration visits
     only non-empty units.
     """
 
-    __slots__ = ("capacity", "buffer", "index", "node", "upstream", "vc",
-                 "credit_code", "credit_latency")
+    __slots__ = ("capacity", "buffer", "index", "node", "credit_entry",
+                 "credit_latency")
 
     def __init__(
         self,
         capacity: int,
         index: int,
         node: int | None = None,
-        upstream: int | None = None,
-        vc: int = 0,
         credit_latency: int = 0,
     ):
         self.capacity = capacity
         self.buffer: deque = deque()
         self.index = index
         self.node = node
-        self.upstream = upstream
-        self.vc = vc
-        self.credit_code = -1  # event code of the upstream link's credit path
+        # (None, upstream credits, credit index, link ordinal): appended to
+        # the event wheel as is when a flit leaves this unit (credit links).
+        self.credit_entry: tuple | None = None
         self.credit_latency = credit_latency
 
     @property
@@ -109,7 +110,7 @@ class _Router:
 
     __slots__ = (
         "index", "neighbors", "config", "in_units", "in_index", "occupied",
-        "out_base", "out_code", "out_info", "credits", "owner", "rr",
+        "out_base", "out_info", "credits", "owner", "rr",
         "buffered",
         "cb_free", "cb_flits", "cb_queues", "cb_committed", "cb_stream_owner",
     )
@@ -126,9 +127,9 @@ class _Router:
         self.out_base: dict[int, int] = {
             nbr: pos * config.num_vcs for pos, nbr in enumerate(neighbors)
         }
-        self.out_code: dict[int, int] = {}  # neighbor -> flit event code
-        # neighbor -> (credit/owner base, link, latency, event code,
-        # occupancy ordinal, round-robin slot); one lookup serves a grant.
+        # neighbor -> (credit/owner base, link, latency, downstream [vc] ->
+        # input unit, link ordinal, round-robin slot); one lookup serves a
+        # grant.  Never a router: that would make router <-> router cycles.
         self.out_info: dict[int, tuple] = {}
         size = len(neighbors) * config.num_vcs
         self.credits: list[int] = [0] * size
@@ -260,7 +261,40 @@ class SimResult:
         )
 
 
-class NoCSimulator(QueueOracle):
+class LiveQueues(QueueOracle):
+    """One simulator's live channel occupancy, as a routing oracle.
+
+    The view holds the simulator's occupancy list and its
+    ``(src, dst) -> ordinal`` map, never the simulator itself.  Installed
+    as ``routing.oracle`` it therefore forms no simulator <-> routing
+    reference cycle, and a finished run's routers, flits and event wheel
+    are freed by reference counting the moment the caller drops the
+    simulator, not at some later generation-2 collection.
+    """
+
+    def __init__(self, occupancy: list[int], occ_ordinal: dict[tuple[int, int], int]):
+        self._occupancy = occupancy
+        self._occ_ordinal = occ_ordinal
+
+    def output_queue(self, router: int, neighbor: int) -> int:
+        """Live congestion on the ``router -> neighbor`` channel.
+
+        The simulator increments a channel's occupancy when a flit wins
+        arbitration onto the link and decrements it when the flit's
+        credit returns (credit-flow links) or when it drains into the
+        staging buffer (elastic links) — so for credit links this is
+        exactly the downstream credit deficit (flits in flight plus flits
+        still buffered at the neighbor), and for elastic links the flits
+        occupying the link pipeline.  This is the state adaptive
+        algorithms read at injection time; it is maintained
+        unconditionally (cheap array bumps), so attaching an adaptive
+        routing never changes static-routing results.
+        """
+        ordinal = self._occ_ordinal.get((router, neighbor))
+        return 0 if ordinal is None else self._occupancy[ordinal]
+
+
+class NoCSimulator:
     """Flit-level simulator over a topology + configuration + routing."""
 
     def __init__(
@@ -282,17 +316,17 @@ class NoCSimulator(QueueOracle):
         self.rng = random.Random(seed)
         self.now = 0
         self._build()
-        # Adaptive algorithms observe live congestion through this
-        # simulator: the default (degenerate) ZeroQueues oracle and any
-        # stale simulator left by a previous run are replaced with self,
-        # so route choice reads this run's credit/occupancy state at
-        # injection time.  A custom QueueOracle (anything else, including
-        # ZeroQueues subclasses) was attached deliberately and is kept.
+        # Adaptive algorithms observe live congestion through this run's
+        # LiveQueues view: the default (degenerate) ZeroQueues oracle and
+        # any stale view left by a previous run are replaced with it, so route choice reads this run's credit/occupancy state
+        # at injection time.  A custom QueueOracle (anything else,
+        # including ZeroQueues subclasses) was attached deliberately and
+        # is kept.
         oracle = getattr(self.routing, "oracle", None)
         if oracle is not None and (
-            type(oracle) is ZeroQueues or isinstance(oracle, NoCSimulator)
+            type(oracle) is ZeroQueues or isinstance(oracle, LiveQueues)
         ):
-            self.routing.oracle = self
+            self.routing.oracle = self.queues
 
     # ------------------------------------------------------------------
     # Construction
@@ -301,7 +335,9 @@ class NoCSimulator(QueueOracle):
     def _build(self) -> None:
         topo, cfg = self.topology, self.config
         self._elastic = cfg.elastic_links
+        self._uses_cb = cfg.uses_central_buffer
         self._eligible_at = cfg.router_delay - 1
+        self._node_router = [topo.node_router(n) for n in range(topo.num_nodes)]
         self.routers = [
             _Router(r, tuple(sorted(topo.router_neighbors(r))), cfg)
             for r in range(topo.num_routers)
@@ -323,8 +359,7 @@ class NoCSimulator(QueueOracle):
                 depth = cfg.buffer_depth_for(lat)
                 for vc in range(cfg.num_vcs):
                     unit = _InputUnit(
-                        depth, len(router.in_units),
-                        upstream=neighbor, vc=vc, credit_latency=lat,
+                        depth, len(router.in_units), credit_latency=lat
                     )
                     router.in_units.append(unit)
                     router.in_index[(neighbor, vc)] = unit
@@ -339,63 +374,57 @@ class NoCSimulator(QueueOracle):
                 base = router.out_base[neighbor]
                 for vc in range(cfg.num_vcs):
                     router.credits[base + vc] = peer_depth
-        # Per-link destination units ([vc] -> unit).
-        self._link_in_units: dict[tuple[int, int], list[_InputUnit]] = {}
         # Channel occupancy (UGAL's congestion estimate) as a flat list
         # indexed by link ordinal, with the (src, dst) -> ordinal map kept
-        # for the cold QueueOracle lookup.
+        # for the cold QueueOracle lookup.  ``queues`` is the oracle view
+        # over both that adaptive routings read.
         self._occ_ordinal: dict[tuple[int, int], int] = {}
         self._occupancy: list[int] = [0] * len(self.links)
-        # Event codes: each directed credit link gets an even integer;
-        # code + 1 is its credit return path.  Wheel slots hold plain int
-        # codes, and the handler tables resolve a code back to everything
-        # its delivery needs.  Elastic links are cycle-driven instead:
+        self.queues = LiveQueues(self._occupancy, self._occ_ordinal)
+        # Destination router per link ordinal (credit-link flit delivery).
+        # Kept here rather than in ``out_info`` so no router references
+        # another.  Elastic links are cycle-driven instead:
         # ``_elastic_info`` carries their per-advance state.
-        self._flit_handlers: dict[int, tuple] = {}
-        self._credit_handlers: dict[int, tuple] = {}
+        self._link_dst: list[_Router] = []
         self._elastic_info: dict[tuple[int, int], tuple] = {}
         for ordinal, (src, dst) in enumerate(self.links):
-            units = [
-                self.routers[dst].in_index[(src, vc)] for vc in range(cfg.num_vcs)
-            ]
-            self._link_in_units[(src, dst)] = units
+            dst_router = self.routers[dst]
+            units = [dst_router.in_index[(src, vc)] for vc in range(cfg.num_vcs)]
             self._occ_ordinal[(src, dst)] = ordinal
+            self._link_dst.append(dst_router)
             link = self.links[(src, dst)]
             src_router = self.routers[src]
+            base = src_router.out_base[dst]
             if cfg.elastic_links:
-                self._elastic_info[(src, dst)] = (
-                    link, units, self.routers[dst], ordinal
-                )
+                self._elastic_info[(src, dst)] = (link, units, dst_router, ordinal)
             else:
-                src_router.out_code[dst] = 2 * ordinal
-                self._flit_handlers[2 * ordinal] = (self.routers[dst], units)
-                self._credit_handlers[2 * ordinal + 1] = (
-                    src_router.credits, src_router.out_base[dst], ordinal,
-                )
                 for vc in range(cfg.num_vcs):
-                    units[vc].credit_code = 2 * ordinal + 1
-            # One consolidated grant-time record per output port: the old
-            # per-grant chain of out_base / links / out_code / occupancy
-            # lookups collapses to a single dict hit.
+                    units[vc].credit_entry = (
+                        None, src_router.credits, base + vc, ordinal
+                    )
+            # One consolidated grant-time record per output port: a grant
+            # resolves everything it touches with a single dict hit.
             src_router.out_info[dst] = (
-                src_router.out_base[dst], link, link.latency,
-                src_router.out_code.get(dst, -1), ordinal,
+                base, link, link.latency, units, ordinal,
                 src_router.neighbors.index(dst),
             )
         # Activity tracking: components that can make progress this cycle.
         # Credit links are event-scheduled on a calendar wheel (arrival
-        # cycle -> event codes; cheaper than a heap since any cycle's
-        # events are processed together and order within a cycle is
-        # immaterial); elastic links advance every cycle while they hold
-        # flits, so they live in an active set.
+        # cycle -> events; cheaper than a heap since any cycle's events
+        # are processed together and order within a cycle is immaterial);
+        # elastic links advance every cycle while they hold flits, so
+        # they live in an active set.
         self._active_routers: set[int] = set()
-        # Wheel slots carry the payloads themselves: (code, flit, vc) for
-        # a flit crossing a wire, (code, vc) for a returning credit — the
-        # wheel *is* the credit-link transport (CreditLink objects remain
-        # as the standalone/unit-tested model).  Per-wire in-flight counts
-        # are only maintained when the CBR spill heuristic needs them.
+        # Wheel slots carry pre-resolved entries — the wheel *is* the
+        # credit-link transport (CreditLink objects remain as the
+        # standalone/unit-tested model):
+        #   (flit, destination input unit, link ordinal)  a flit on a wire;
+        #   (None, upstream credits, credit index, link ordinal)  a credit
+        #       return, the input unit's ``credit_entry`` appended as is.
+        # Per-wire in-flight counts are only maintained when the CBR spill
+        # heuristic needs them.
         self._event_wheel: dict[int, list[tuple]] = {}
-        self._track_inflight = cfg.uses_central_buffer and not cfg.elastic_links
+        self._track_inflight = self._uses_cb and not cfg.elastic_links
         self._credit_inflight: list[int] = [0] * len(self.links)
         self._active_elastic_links: set[tuple[int, int]] = set()
         # Hoisted per-cycle scratch (cleared after use, never reallocated).
@@ -413,26 +442,6 @@ class NoCSimulator(QueueOracle):
         self._pending_replies: list[tuple[int, int, int]] = []
 
     # ------------------------------------------------------------------
-    # QueueOracle (UGAL feedback)
-    # ------------------------------------------------------------------
-
-    def output_queue(self, router: int, neighbor: int) -> int:
-        """Live congestion on the ``router -> neighbor`` channel.
-
-        ``_occupancy`` increments when a flit wins arbitration onto the
-        link and decrements when its credit returns (credit-flow links)
-        or when it drains into the staging buffer (elastic links) — so
-        for credit links this is exactly the downstream credit deficit
-        (flits in flight plus flits still buffered at the neighbor), and
-        for elastic links the flits occupying the link pipeline.  This
-        is the state adaptive algorithms read at injection time; it is
-        maintained unconditionally (cheap array bumps), so attaching an
-        adaptive routing never changes static-routing results.
-        """
-        ordinal = self._occ_ordinal.get((router, neighbor))
-        return 0 if ordinal is None else self._occupancy[ordinal]
-
-    # ------------------------------------------------------------------
     # Packet creation
     # ------------------------------------------------------------------
 
@@ -446,15 +455,20 @@ class NoCSimulator(QueueOracle):
         reply_size: int = 0,
     ) -> Packet:
         """Create a packet at ``src_node``'s NIC, routed now."""
-        src_router = self.topology.node_router(src_node)
-        dst_router = self.topology.node_router(dst_node)
-        route = self.routing.route(src_router, dst_router)
+        node_router = self._node_router
+        num_nodes = len(node_router)
+        if not (0 <= src_node < num_nodes and 0 <= dst_node < num_nodes):
+            bad = dst_node if 0 <= src_node < num_nodes else src_node
+            raise ValueError(f"node {bad} out of range")
+        src_router = node_router[src_node]
+        now = self.now
+        route = self.routing.route(src_router, node_router[dst_node])
         packet = Packet(
             src=src_node,
             dst=dst_node,
             route=route,
             size=size,
-            created=self.now,
+            created=now,
             kind=kind,
             wants_reply=wants_reply,
             reply_size=reply_size,
@@ -464,9 +478,9 @@ class NoCSimulator(QueueOracle):
         router = self.routers[src_router]
         if not buffer:
             router.occupied.add(unit.index)
-        for flit in packet.make_flits():
-            flit.arrival = self.now
-            buffer.append(flit)
+        last = size - 1
+        for index in range(size):
+            buffer.append(Flit(packet, index, index == 0, index == last, now))
         router.buffered += size
         self._active_routers.add(src_router)
         self._set_backlog(src_node, len(buffer))
@@ -518,14 +532,17 @@ class NoCSimulator(QueueOracle):
         return delivered
 
     def _deliver_credit_links(self) -> None:
-        """Pop this cycle's link events and drain the matching FIFOs.
+        """Pop this cycle's link events and apply them.
 
-        One event code is scheduled per sent flit/credit; a FIFO drain
-        triggered by an earlier event may leave later same-cycle events
-        pointing at an already-empty queue, which is a harmless no-op.
-        Cross-link delivery order is immaterial (each link feeds its own
-        per-(port, VC) staging buffers and credit counters), so wheel
-        order and the lockstep core's dict order produce identical state.
+        One entry is scheduled per sent flit or returned credit, already
+        resolved to what its delivery touches: ``(flit, destination input
+        unit, link ordinal)`` buffers a flit at the router the ordinal
+        names in ``_link_dst``; ``(None, credits, index, ordinal)`` (an
+        input unit's prebuilt ``credit_entry``) returns one credit
+        upstream.  Cross-link delivery order is immaterial (each link
+        feeds its own per-(port, VC) staging buffers and credit
+        counters), so wheel order and the lockstep core's dict order
+        produce identical state.
         """
         now = self.now
         entries = self._event_wheel.pop(now, None)
@@ -533,20 +550,18 @@ class NoCSimulator(QueueOracle):
             return
         occupancy = self._occupancy
         active = self._active_routers
-        flit_handlers = self._flit_handlers
-        credit_handlers = self._credit_handlers
+        link_dst = self._link_dst
         track = self._track_inflight
         for entry in entries:
-            code = entry[0]
-            if code & 1:
-                router_credits, base, ordinal = credit_handlers[code]
-                router_credits[base + entry[1]] += 1
+            flit = entry[0]
+            if flit is None:
+                _, credits, index, ordinal = entry
+                credits[index] += 1
                 occupancy[ordinal] -= 1
             else:
-                router, units = flit_handlers[code]
-                flit = entry[1]
+                _, unit, ordinal = entry
+                router = link_dst[ordinal]
                 flit.arrival = now
-                unit = units[entry[2]]
                 buffer = unit.buffer
                 if not buffer:
                     router.occupied.add(unit.index)
@@ -554,7 +569,7 @@ class NoCSimulator(QueueOracle):
                 router.buffered += 1
                 active.add(router.index)
                 if track:
-                    self._credit_inflight[code >> 1] -= 1
+                    self._credit_inflight[ordinal] -= 1
 
     def _advance_elastic_links(self) -> None:
         """One cycle of elastic pipeline motion for every in-flight link.
@@ -696,20 +711,20 @@ class NoCSimulator(QueueOracle):
                     else:
                         self._nonzero_backlogs.pop(node, None)
                     self._backlog_dirty = True
-                elif unit.credit_code >= 0:
+                elif (credit := unit.credit_entry) is not None:
                     when = now + unit.credit_latency
                     wheel = self._event_wheel
                     try:
-                        wheel[when].append((unit.credit_code, unit.vc))
+                        wheel[when].append(credit)
                     except KeyError:
-                        wheel[when] = [(unit.credit_code, unit.vc)]
+                        wheel[when] = [credit]
                 self.eject_credits[dst] -= 1
                 self.eject_pipe.append((now + 1, flit))
                 if flit.is_head and packet.injected < 0:
                     packet.injected = now
                 return
             out_key = packet.path[hop + 1]
-            base, link, latency, out_code, ordinal, rr_slot = (
+            base, link, latency, dest_units, ordinal, rr_slot = (
                 router.out_info[out_key]
             )
             vc = packet.vcs[hop]
@@ -728,7 +743,7 @@ class NoCSimulator(QueueOracle):
                 if viable_one and cb_committed and packet.pid in cb_committed:
                     viable_one = False
             if not viable_one:
-                if self.config.uses_central_buffer:
+                if self._uses_cb:
                     self._try_central_buffer(router, out_key, [(unit, flit, True)])
                 return
             router.rr[rr_slot] += 1
@@ -746,13 +761,13 @@ class NoCSimulator(QueueOracle):
                 else:
                     self._nonzero_backlogs.pop(node, None)
                 self._backlog_dirty = True
-            elif unit.credit_code >= 0:
+            elif (credit := unit.credit_entry) is not None:
                 when = now + unit.credit_latency
                 wheel = self._event_wheel
                 try:
-                    wheel[when].append((unit.credit_code, unit.vc))
+                    wheel[when].append(credit)
                 except KeyError:
-                    wheel[when] = [(unit.credit_code, unit.vc)]
+                    wheel[when] = [credit]
             if flit.is_head:
                 owner_list[index] = packet.pid
                 if packet.injected < 0:
@@ -768,9 +783,9 @@ class NoCSimulator(QueueOracle):
                 when = now + latency
                 wheel = self._event_wheel
                 try:
-                    wheel[when].append((out_code, flit, vc))
+                    wheel[when].append((flit, dest_units[vc], ordinal))
                 except KeyError:
-                    wheel[when] = [(out_code, flit, vc)]
+                    wheel[when] = [(flit, dest_units[vc], ordinal)]
                 if self._track_inflight:
                     self._credit_inflight[ordinal] += 1
             self._occupancy[ordinal] += 1
@@ -861,7 +876,7 @@ class NoCSimulator(QueueOracle):
             grants = requests.items()
 
         elastic = self._elastic
-        uses_cb = self.config.uses_central_buffer
+        uses_cb = self._uses_cb
         cb_committed = router.cb_committed
         viable = self._viable  # hoisted: cleared before each use
         router_index = router.index
@@ -870,7 +885,7 @@ class NoCSimulator(QueueOracle):
         for out_key, candidates in grants:
             winner = None
             if type(out_key) is int:
-                base, link, latency, out_code, ordinal, rr_slot = (
+                base, link, latency, dest_units, ordinal, rr_slot = (
                     router.out_info[out_key]
                 )
                 owner_list = router.owner
@@ -921,14 +936,12 @@ class NoCSimulator(QueueOracle):
                             else:
                                 self._nonzero_backlogs.pop(node, None)
                             self._backlog_dirty = True
-                        elif container.credit_code >= 0:
+                        elif (credit := container.credit_entry) is not None:
                             when = now + container.credit_latency
                             try:
-                                wheel[when].append(
-                                    (container.credit_code, container.vc)
-                                )
+                                wheel[when].append(credit)
                             except KeyError:
-                                wheel[when] = [(container.credit_code, container.vc)]
+                                wheel[when] = [credit]
                     else:  # CB queue pop
                         container.popleft()
                         router.cb_free += 1
@@ -949,9 +962,9 @@ class NoCSimulator(QueueOracle):
                         credits_list[index] -= 1
                         when = now + latency
                         try:
-                            wheel[when].append((out_code, flit, vc))
+                            wheel[when].append((flit, dest_units[vc], ordinal))
                         except KeyError:
-                            wheel[when] = [(out_code, flit, vc)]
+                            wheel[when] = [(flit, dest_units[vc], ordinal)]
                         if track_inflight:
                             self._credit_inflight[ordinal] += 1
                     self._occupancy[ordinal] += 1
@@ -1002,14 +1015,12 @@ class NoCSimulator(QueueOracle):
                             else:
                                 self._nonzero_backlogs.pop(node, None)
                             self._backlog_dirty = True
-                        elif container.credit_code >= 0:
+                        elif (credit := container.credit_entry) is not None:
                             when = now + container.credit_latency
                             try:
-                                wheel[when].append(
-                                    (container.credit_code, container.vc)
-                                )
+                                wheel[when].append(credit)
                             except KeyError:
-                                wheel[when] = [(container.credit_code, container.vc)]
+                                wheel[when] = [credit]
                         self.eject_credits[dst] -= 1
                         self.eject_pipe.append((now + 1, flit))
                         if flit.is_head and packet.injected < 0:
@@ -1026,14 +1037,14 @@ class NoCSimulator(QueueOracle):
         router.buffered -= 1
         if unit.node is not None:
             self._set_backlog(unit.node, len(unit.buffer))
-        elif unit.credit_code >= 0:
+        elif unit.credit_entry is not None:
             when = self.now + unit.credit_latency
             wheel = self._event_wheel
             slot = wheel.get(when)
             if slot is None:
-                wheel[when] = [(unit.credit_code, unit.vc)]
+                wheel[when] = [unit.credit_entry]
             else:
-                slot.append((unit.credit_code, unit.vc))
+                slot.append(unit.credit_entry)
 
     def _upstream_pressure(self, router: _Router, flit: Flit) -> bool:
         """Is a flit stuck in the incoming link right behind this one?"""

@@ -62,17 +62,6 @@ class Packet:
             raise ValueError("packet not delivered yet")
         return self.ejected - self.created
 
-    def make_flits(self) -> list["Flit"]:
-        return [
-            Flit(
-                packet=self,
-                index=i,
-                is_head=i == 0,
-                is_tail=i == self.size - 1,
-            )
-            for i in range(self.size)
-        ]
-
 
 class Flit:
     """One flow-control unit.  ``hop`` counts router-to-router traversals
@@ -80,13 +69,20 @@ class Flit:
 
     __slots__ = ("packet", "index", "is_head", "is_tail", "hop", "arrival")
 
-    def __init__(self, packet: Packet, index: int, is_head: bool, is_tail: bool):
+    def __init__(
+        self,
+        packet: Packet,
+        index: int,
+        is_head: bool,
+        is_tail: bool,
+        arrival: int,
+    ):
         self.packet = packet
         self.index = index
         self.is_head = is_head
         self.is_tail = is_tail
         self.hop = 0
-        self.arrival = -1  # cycle the flit entered its current buffer
+        self.arrival = arrival  # cycle the flit entered its current buffer
 
     @property
     def current_router(self) -> int:

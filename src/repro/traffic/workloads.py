@@ -120,29 +120,28 @@ class WorkloadSource:
             self._phase_level = high if self._phase_rng.random() < 0.5 else low
         return self._phase_level
 
-    def _destination(self, src: int, rng: random.Random) -> int:
-        topo = self.topology
-        n = topo.num_nodes
-        if rng.random() < self.spec.locality:
-            # Directory home: deterministic stride within a nearby window.
-            window = max(2, n // 16)
-            dst = (src + 1 + rng.randrange(window)) % n
-        else:
-            dst = rng.randrange(n - 1)
-            dst = dst if dst < src else dst + 1
-        return dst
-
     def packets_at(self, cycle: int, rng: random.Random):
-        probability = (
-            self.intensity_scale * self.spec.intensity / 100.0 * self._phase(cycle)
-        )
-        for src in range(self.topology.num_nodes):
-            if rng.random() >= probability:
+        spec = self.spec
+        probability = self.intensity_scale * spec.intensity / 100.0 * self._phase(cycle)
+        locality = spec.locality
+        read_fraction = spec.read_fraction
+        n = self.topology.num_nodes
+        window = max(2, n // 16)
+        draw = rng.random
+        randrange = rng.randrange
+        for src in range(n):
+            if draw() >= probability:
                 continue
-            dst = self._destination(src, rng)
+            if draw() < locality:
+                # Directory home: deterministic stride within a nearby window.
+                dst = (src + 1 + randrange(window)) % n
+            else:
+                # Uniform sharing miss over every other node.
+                dst = randrange(n - 1)
+                dst = dst if dst < src else dst + 1
             if dst == src:
                 continue
-            if rng.random() < self.spec.read_fraction:
+            if draw() < read_fraction:
                 yield (src, dst, READ_FLITS, "read", True, REPLY_FLITS)
             else:
                 yield (src, dst, WRITE_FLITS, "write", False, 0)

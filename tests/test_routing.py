@@ -1,6 +1,7 @@
 """Tests for routing: minimal paths, VC schedules, deadlock policies, UGAL."""
 
 import logging
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -355,22 +356,51 @@ class TestZeroOracleWarning:
         sn = make_network("sn54")
         ugal = UGALRouting(sn, num_vcs=4)
         sim = NoCSimulator(sn, routing=ugal, seed=1)
-        assert ugal.oracle is sim  # live oracle self-installed
+        assert ugal.oracle is sim.queues  # live view self-installed
         with caplog.at_level(logging.WARNING, logger="repro.routing"):
             ugal.route(0, 7)
         assert not self._records(caplog)
 
+    def test_installed_view_reads_live_occupancy(self):
+        """After traffic has run, the routing's oracle reports exactly the
+        simulator's live per-channel state: on credit links, the credit
+        deficit toward the downstream buffers."""
+        from repro.sim import NoCSimulator, SimConfig
+        from repro.traffic import SyntheticSource
+
+        sn = make_network("sn54")
+        ugal = UGALRouting(sn, num_vcs=4, seed=3)
+        sim = NoCSimulator(sn, SimConfig(num_vcs=4), routing=ugal, seed=1)
+        source = SyntheticSource(sn, "ADV1", rate=0.4)
+        for _ in range(150):
+            for spec in source.packets_at(sim.now, sim.rng):
+                sim.inject_packet(*spec)
+            sim.step()
+        assert ugal.oracle is sim.queues
+        busy = 0
+        for (a, b), cycles in sim.link_cycles.items():
+            depth = sim.config.buffer_depth_for(cycles)
+            base = sim.routers[a].out_base[b]
+            deficit = sum(
+                depth - sim.routers[a].credits[base + vc]
+                for vc in range(sim.config.num_vcs)
+            )
+            assert sim.queues.output_queue(a, b) == deficit
+            busy += deficit > 0
+        assert busy  # the traffic really left channels occupied
+        assert ugal.oracle.output_queue(0, 0) == 0  # not a channel
+
     def test_stale_simulator_oracle_is_rebound(self):
-        """A routing reused across runs re-binds to the *new* simulator,
-        while a custom oracle is never overwritten."""
+        """A routing reused across runs re-binds to the *new* simulator's
+        view, while a custom oracle is never overwritten."""
         from repro.sim import NoCSimulator
 
         sn = make_network("sn54")
         ugal = UGALRouting(sn, num_vcs=4)
         first = NoCSimulator(sn, routing=ugal, seed=1)
-        assert ugal.oracle is first
+        assert ugal.oracle is first.queues
         second = NoCSimulator(sn, routing=ugal, seed=2)
-        assert ugal.oracle is second
+        assert ugal.oracle is second.queues
 
         class Pinned(ZeroQueues):
             pass
@@ -379,6 +409,101 @@ class TestZeroOracleWarning:
         custom = UGALRouting(sn, num_vcs=4, oracle=pinned)
         NoCSimulator(sn, routing=custom, seed=3)
         assert custom.oracle is pinned
+
+
+class ShiftingQueues(ZeroQueues):
+    """Deterministic, time-varying channel occupancy for differential
+    route checks: ``shift`` is advanced by the test between routes."""
+
+    shift = 0
+
+    def output_queue(self, router, neighbor):
+        return (router * 7 + neighbor * 13 + self.shift) % 5
+
+
+def _reference_route(routing, rng, walk, src, dst):
+    """The route an unmemoised UGAL / Valiant / deflection walk builds:
+    paths from fresh next-hop walks, one ``randrange`` per packet on
+    ``rng``, and a freshly constructed :class:`Route`."""
+    nr = routing.topology.num_routers
+    minimal = walk(src, dst)
+    if isinstance(routing, ValiantRouting):
+        mid = rng.randrange(nr)
+        path = walk(src, mid) + walk(mid, dst)[1:]
+    elif src == dst:
+        path = minimal
+    elif isinstance(routing, UGALRouting):
+        mid = rng.randrange(nr)
+        valiant = walk(src, mid) + walk(mid, dst)[1:]
+        cheaper = routing._path_cost(valiant) < routing._path_cost(minimal)
+        path = valiant if cheaper else minimal
+        if len(path) - 1 > routing.num_vcs:
+            path = minimal
+    else:  # deflection
+        oracle = routing.oracle
+        first_queue = oracle.output_queue(src, minimal[1])
+        path = minimal
+        if first_queue > routing.threshold:
+            best_key = (first_queue, len(minimal), minimal[1])
+            for neighbor in sorted(routing.topology.router_neighbors(src)):
+                candidate = (src,) + walk(neighbor, dst)
+                if neighbor == minimal[1] or len(candidate) - 1 > routing.num_vcs:
+                    continue
+                key = (oracle.output_queue(src, neighbor), len(candidate), neighbor)
+                if key < best_key:
+                    path, best_key = candidate, key
+    vcs = tuple(min(h, routing.num_vcs - 1) for h in range(len(path) - 1))
+    return Route(path, vcs)
+
+
+class TestRouteMemos:
+    """Memoised paths and shared Route objects are invisible: every route
+    equals the unmemoised computation, and the per-packet RNG stream is
+    consumed exactly as before."""
+
+    SYMBOLS = ["sn54", "fbf3", "t2d3"]
+
+    @pytest.mark.parametrize("symbol", SYMBOLS)
+    def test_memoised_paths_equal_fresh_walks(self, symbol):
+        topo = make_network(symbol)
+        memo = MinimalPaths(topo)
+        fresh = MinimalPaths(topo)
+        pairs = [(s, d) for s in range(topo.num_routers) for d in range(topo.num_routers)]
+        for _ in range(2):  # first pass fills the memo, second reads it
+            for src, dst in pairs:
+                assert memo.path(src, dst) == fresh.walk(src, dst)
+
+    @pytest.mark.parametrize("symbol", SYMBOLS)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda topo, oracle: UGALRouting(topo, oracle=oracle, seed=4),
+            lambda topo, oracle: UGALRouting(topo, global_info=True, oracle=oracle, seed=4),
+            lambda topo, oracle: ValiantRouting(topo, seed=4),
+            lambda topo, oracle: DeflectionRouting(topo, oracle=oracle),
+        ],
+        ids=["ugal-l", "ugal-g", "valiant", "deflect"],
+    )
+    def test_seeded_routes_equal_fresh_routes(self, symbol, make):
+        topo = make_network(symbol)
+        oracle = ShiftingQueues()
+        routing = make(topo, oracle)
+        reference_rng = random.Random(4)
+        walk = MinimalPaths(topo).walk
+        draws = random.Random(11)
+        nr = topo.num_routers
+        shared: dict[tuple[int, ...], Route] = {}
+        for step in range(400):
+            oracle.shift = step
+            src = draws.randrange(nr)
+            dst = src if step % 25 == 0 else draws.randrange(nr)
+            expected = _reference_route(routing, reference_rng, walk, src, dst)
+            route = routing.route(src, dst)
+            assert route == expected
+            # One frozen Route per distinct path.
+            assert shared.setdefault(route.path, route) is route
+        if hasattr(routing, "_rng"):
+            assert routing._rng.getstate() == reference_rng.getstate()
 
 
 class TestDefaultRouting:

@@ -1,9 +1,13 @@
 """Tests for the cycle-accurate simulator: delivery, ordering, flow control."""
 
+import gc
+import weakref
+
 import pytest
 
 from dataclasses import replace
 
+from repro.engine import ROUTING_BUILDERS, build_routing
 from repro.routing import StaticMinimalRouting, UGALRouting
 from repro.sim import NoCSimulator, SimConfig, cbr, eb_var, el_links, link_latency
 from repro.sim.links import CreditLink, ElasticLink
@@ -405,3 +409,40 @@ class TestFastForward:
             SyntheticSource(topo, "RND", 0.002), warmup=200, measure=400, drain=800
         )
         assert result.cycles > steps  # jumped over idle stretches
+
+
+class TestRefcountFree:
+    """A finished run must be freed by reference counting alone.
+
+    Adaptive routings read live occupancy through the simulator's
+    ``queues`` view; if anything the routing keeps (or anything inside
+    the simulator) pointed back at the simulator, the whole run —
+    routers, buffered flits, event wheel — would survive until a
+    generation-2 collection.  With the collector off, dropping the
+    simulator must kill it even while the routing lives on.
+    """
+
+    #: Grid-only schemes need a grid; everything else runs on sn54.
+    SYMBOLS = {"dor": "t2d54", "xy-adapt": "fbf54"}
+
+    @pytest.mark.parametrize("make_config", [SimConfig, el_links], ids=["credit", "elastic"])
+    @pytest.mark.parametrize("name", sorted(ROUTING_BUILDERS))
+    def test_finished_run_is_freed_without_gc(self, name, make_config):
+        topo = make_network(self.SYMBOLS.get(name, "sn54"))
+        routing = build_routing(name, topo)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = NoCSimulator(topo, make_config(), routing=routing, seed=3)
+            result = sim.run(
+                SyntheticSource(topo, "ADV1", 0.3), warmup=50, measure=150, drain=100
+            )
+            assert result.created_packets
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None, "simulator outlived its last reference"
+        finally:
+            if was_enabled:
+                gc.enable()
+        oracle = getattr(routing, "oracle", None)
+        assert oracle is None or not isinstance(oracle, NoCSimulator)
