@@ -6,8 +6,7 @@
 """
 
 from repro.analysis import geometric_mean
-from repro.sim import NoCSimulator
-from repro.traffic import WorkloadSource
+from repro.engine import default_engine, workload_compare
 
 from harness import SIM_KW, latency_curve, network, print_series
 
@@ -27,14 +26,18 @@ def figure_10a():
 
 
 def figure_10b():
-    latencies = {}
-    for layout in LAYOUTS:
-        topo = network("sn200", layout)
-        for bench in WORKLOADS_10B:
-            sim = NoCSimulator(topo, seed=2)
-            res = sim.run(WorkloadSource(topo, bench, seed=4), **SIM_KW)
-            latencies[(layout, bench)] = res.avg_latency
-    return latencies
+    table = workload_compare(
+        default_engine(),
+        {layout: network("sn200", layout) for layout in LAYOUTS},
+        WORKLOADS_10B,
+        seed=2,
+        **SIM_KW,
+    )
+    return {
+        (layout, bench): table[layout][bench].avg_latency
+        for layout in LAYOUTS
+        for bench in WORKLOADS_10B
+    }
 
 
 def test_fig10a_synthetic(benchmark):

@@ -10,37 +10,39 @@ CB / SMART / elastic), as in the paper's BookSim setup.  Checks:
 * at low load, minimal routing is the latency floor for both networks.
 """
 
-from repro.routing import StaticMinimalRouting, UGALRouting
-from repro.sim import NoCSimulator, SimConfig
-from repro.topos import make_network
-from repro.traffic import SyntheticSource
+from repro.analysis import adaptive_study
+from repro.engine import default_engine
+from repro.sim import SimConfig
 
-from harness import print_series
+from harness import SIM_KW, print_series
 
-SIM_KW = dict(warmup=200, measure=500, drain=1200)
+NETWORKS = ("sn200", "fbf4")
+PATTERNS = ("RND", "ASYM")
 LOADS = [0.02, 0.10, 0.25]
 CONFIG = SimConfig(num_vcs=4, edge_buffer_flits=8)
-
-
-def run_point(topo, routing, pattern, load, seed=2):
-    sim = NoCSimulator(topo, CONFIG, routing=routing, seed=seed)
-    return sim.run(SyntheticSource(topo, pattern, load), **SIM_KW)
+#: Printed scheme label -> engine routing name.
+SCHEMES = {"MIN": "default", "UGAL-L": "ugal-l", "UGAL-G": "ugal-g"}
 
 
 def run_fig20():
-    results = {}
-    for sym in ("sn200", "fbf4"):
-        for pattern in ("RND", "ASYM"):
-            for load in LOADS:
-                topo = make_network(sym)  # fresh topology per run
-                for scheme, make_routing in (
-                    ("MIN", lambda t: StaticMinimalRouting(t, num_vcs=4)),
-                    ("UGAL-L", lambda t: UGALRouting(t, num_vcs=4, seed=1)),
-                    ("UGAL-G", lambda t: UGALRouting(t, num_vcs=4, global_info=True, seed=1)),
-                ):
-                    res = run_point(topo, make_routing(topo), pattern, load)
-                    results[(sym, pattern, scheme, load)] = res
-    return results
+    study = adaptive_study(
+        default_engine(),
+        networks=NETWORKS,
+        routings=tuple(SCHEMES.values()),
+        traffic=PATTERNS,
+        loads=LOADS,
+        config=CONFIG,
+        seed=2,
+        stop_after_saturation=False,
+        **SIM_KW,
+    )
+    return {
+        (sym, pattern, scheme, point.load): point
+        for scheme, routing in SCHEMES.items()
+        for sym in NETWORKS
+        for pattern in PATTERNS
+        for point in study.curve(sym, routing, pattern).points
+    }
 
 
 def test_fig20(benchmark):
@@ -48,7 +50,7 @@ def test_fig20(benchmark):
     rows = []
     for (sym, pattern, scheme, load), res in sorted(results.items()):
         rows.append(
-            [f"{sym}_{scheme}", pattern, load, round(res.avg_latency, 1),
+            [f"{sym}_{scheme}", pattern, load, round(res.latency, 1),
              round(res.throughput, 4), res.saturated]
         )
     print_series(
@@ -57,10 +59,10 @@ def test_fig20(benchmark):
         rows,
     )
     # Low load: minimal routing is the latency floor for both networks.
-    for sym in ("sn200", "fbf4"):
-        base = results[(sym, "RND", "MIN", 0.02)].avg_latency
+    for sym in NETWORKS:
+        base = results[(sym, "RND", "MIN", 0.02)].latency
         for scheme in ("UGAL-L", "UGAL-G"):
-            assert results[(sym, "RND", scheme, 0.02)].avg_latency >= base * 0.9
+            assert results[(sym, "RND", scheme, 0.02)].latency >= base * 0.9
     # Asymmetric traffic at load: SN's UGAL delivers at least FBF's UGAL
     # throughput (the paper: higher by >100% near saturation).
     sn_thr = results[("sn200", "ASYM", "UGAL-L", 0.25)].throughput
@@ -69,4 +71,4 @@ def test_fig20(benchmark):
     # UGAL never deadlocks and keeps delivering under adversarial load.
     for (sym, pattern, scheme, load), res in results.items():
         if not res.saturated:
-            assert res.delivered_packets > 0
+            assert res.throughput > 0

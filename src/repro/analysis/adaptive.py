@@ -49,9 +49,7 @@ class AdaptiveStudyResult:
     def curve(self, network: str, routing: str, traffic: str) -> SweepResult:
         return self.curves[(network, routing, traffic)]
 
-    def saturation_throughput(
-        self, network: str, routing: str, traffic: str
-    ) -> float:
+    def saturation_throughput(self, network: str, routing: str, traffic: str) -> float:
         return self.curve(network, routing, traffic).saturation_throughput()
 
     def best_routing(self, network: str, traffic: str) -> str:

@@ -12,19 +12,15 @@ Sweeps are submitted through the experiment engine
 point is content-addressed, so repeated figure reproduction is served
 from the on-disk cache, and setting ``REPRO_WORKERS`` (or passing an
 ``engine`` with ``max_workers > 1``) fans the points across worker
-processes.  Passing an explicit :class:`RoutingAlgorithm` *object*
-bypasses the engine (live adaptive state is neither serializable nor
-cacheable) and runs the legacy serial loop.
+processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..routing import RoutingAlgorithm
-from ..sim import NoCSimulator, SimConfig
+from ..sim import SimConfig
 from ..topos.base import Topology
-from ..traffic import SyntheticSource
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ def sweep_loads(
     pattern: str,
     loads: list[float],
     config: SimConfig | None = None,
-    routing: RoutingAlgorithm | None = None,
+    routing: str = "default",
     packet_flits: int = 6,
     warmup: int = 300,
     measure: int = 800,
@@ -121,24 +117,13 @@ def sweep_loads(
     """Run the simulator across ``loads`` (flits/node/cycle), low to high.
 
     ``topology`` may be a live :class:`Topology` or a catalog symbol;
+    ``routing`` names a scheme in :data:`repro.engine.ROUTING_BUILDERS`;
     ``engine`` overrides the default (env-configured) experiment engine.
     ``shard=(index, count)`` computes only this invocation's slice of a
     distributed campaign, partitioned per ``shard_balance`` — every
     invocation slicing one campaign must use the same mode (see
     :func:`repro.engine.run_compare`).
     """
-    if routing is not None:
-        if shard is not None:
-            raise ValueError(
-                "sharding needs engine-cacheable specs; live routing "
-                "objects run the legacy serial loop"
-            )
-        return _sweep_serial(
-            topology, pattern, loads, config=config, routing=routing,
-            packet_flits=packet_flits, warmup=warmup, measure=measure,
-            drain=drain, seed=seed, stop_after_saturation=stop_after_saturation,
-            name=name,
-        )
     from ..engine import default_engine, run_sweep
 
     return run_sweep(
@@ -148,6 +133,7 @@ def sweep_loads(
         loads,
         config=config,
         packet_flits=packet_flits,
+        routing=routing,
         seed=seed,
         warmup=warmup,
         measure=measure,
@@ -157,43 +143,6 @@ def sweep_loads(
         shard=shard,
         shard_balance=shard_balance,
     )
-
-
-def _sweep_serial(
-    topology: Topology | str,
-    pattern: str,
-    loads: list[float],
-    *,
-    config: SimConfig | None,
-    routing: RoutingAlgorithm | None,
-    packet_flits: int,
-    warmup: int,
-    measure: int,
-    drain: int,
-    seed: int,
-    stop_after_saturation: bool,
-    name: str | None,
-) -> SweepResult:
-    """Legacy in-process loop for live routing objects (UGAL et al.)."""
-    if isinstance(topology, str):
-        from ..engine import resolve_topology
-
-        topology = resolve_topology(topology)
-    result = SweepResult(network=name or topology.name, pattern=pattern)
-    for load in sorted(loads):
-        sim = NoCSimulator(topology, config, routing=routing, seed=seed)
-        source = SyntheticSource(topology, pattern, load, packet_flits)
-        outcome = sim.run(source, warmup=warmup, measure=measure, drain=drain)
-        point = SweepPoint(
-            load=load,
-            latency=outcome.avg_latency,
-            throughput=outcome.throughput,
-            saturated=outcome.saturated,
-        )
-        result.points.append(point)
-        if point.saturated and stop_after_saturation:
-            break
-    return result
 
 
 def compare_networks(
@@ -209,15 +158,6 @@ def compare_networks(
     Submitted as one engine campaign: with a multi-worker engine the
     (network × load) grid runs in parallel, with per-network early stop.
     """
-    if "routing" in kwargs:
-        routing = kwargs.pop("routing")
-        return {
-            label: sweep_loads(
-                topology, pattern, loads, config=(configs or {}).get(label),
-                routing=routing, name=label, **kwargs,
-            )
-            for label, topology in topologies.items()
-        }
     from ..engine import default_engine, run_compare
 
     return run_compare(

@@ -110,12 +110,16 @@ ROUTING_BUILDERS = {
 }
 
 
-def build_routing(name: str, topology: Topology) -> RoutingAlgorithm:
-    """Instantiate a named routing scheme for ``topology``."""
-    if name not in ROUTING_BUILDERS:
+def _require_routing_name(name: str) -> None:
+    if not isinstance(name, str) or name not in ROUTING_BUILDERS:
         raise ValueError(
             f"unknown routing {name!r}; options: {sorted(ROUTING_BUILDERS)}"
         )
+
+
+def build_routing(name: str, topology: Topology) -> RoutingAlgorithm:
+    """Instantiate a named routing scheme for ``topology``."""
+    _require_routing_name(name)
     return ROUTING_BUILDERS[name](topology)
 
 
@@ -467,6 +471,11 @@ class ExperimentSpec:
     measure: int = 800
     drain: int = 1500
     layout: str | None = None
+
+    def __post_init__(self) -> None:
+        # Fail at construction, before the spec is hashed or looked up:
+        # only a routing name can be rebuilt in a worker or cached.
+        _require_routing_name(self.routing)
 
     @classmethod
     def synthetic(

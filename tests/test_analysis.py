@@ -1,9 +1,12 @@
 """Tests for the analysis harness: sweeps, large-N model, metrics."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import repro.routing
 from repro.analysis import (
     LargeScaleModel,
     compare_networks,
@@ -12,8 +15,11 @@ from repro.analysis import (
     relative_improvement,
     sweep_loads,
 )
-from repro.sim import SimConfig
+from repro.engine import ExperimentEngine, ExperimentSpec, ResultCache
+from repro.routing import RoutingAlgorithm, StaticMinimalRouting, UGALRouting
+from repro.sim import NoCSimulator, SimConfig
 from repro.topos import make_network
+from repro.traffic import SyntheticSource
 
 
 class TestSweep:
@@ -131,3 +137,129 @@ class TestMetrics:
         assert "T" in text and "sn" in text and "12.5" in text
         lines = text.splitlines()
         assert set(lines[2]) <= {"-", " "}
+
+
+#: Tiny windows for the sn54 class.
+FAST = dict(warmup=100, measure=200, drain=300)
+#: Figure 20's router configuration (benchmarks/test_fig20_adaptive.py).
+FIG20_CONFIG = SimConfig(num_vcs=4, edge_buffer_flits=8)
+
+
+class TestRoutingNames:
+    """Routing is a scheme name; anything else fails before simulating."""
+
+    def test_unknown_name_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown routing 'ugal'; options"):
+            ExperimentSpec.synthetic("sn54", "RND", 0.05, routing="ugal")
+
+    def test_routing_object_rejected_at_construction(self):
+        ugal = UGALRouting(make_network("sn54"))
+        with pytest.raises(ValueError, match="unknown routing"):
+            ExperimentSpec.synthetic("sn54", "RND", 0.05, routing=ugal)
+
+    def test_sweep_with_routing_object_simulates_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated a point")
+
+        monkeypatch.setattr(NoCSimulator, "run", forbidden)
+        engine = ExperimentEngine(cache=ResultCache(tmp_path))
+        topo = make_network("sn54")
+        with pytest.raises(ValueError, match="unknown routing"):
+            sweep_loads(
+                topo, "RND", [0.05], routing=UGALRouting(topo), engine=engine,
+                **FAST,
+            )
+
+
+class TestOneSimulationPath:
+    """Sweeps by routing name agree with a directly executed spec."""
+
+    LOADS = [0.02, 0.2]
+
+    def test_named_adaptive_sweep_matches_spec_execute(self, tmp_path):
+        engine = ExperimentEngine(cache=ResultCache(tmp_path))
+        curve = sweep_loads(
+            "sn54", "ADV1", self.LOADS, routing="ugal-l", engine=engine,
+            stop_after_saturation=False, **FAST,
+        )
+        assert engine.last_stats.executed == len(self.LOADS)
+        for point in curve.points:
+            spec = ExperimentSpec.synthetic(
+                "sn54", "ADV1", point.load, routing="ugal-l", **FAST
+            )
+            direct = spec.execute()
+            assert point.latency == direct.avg_latency
+            assert point.throughput == direct.throughput
+            assert point.saturated == direct.saturated
+        again = sweep_loads(
+            "sn54", "ADV1", self.LOADS, routing="ugal-l", engine=engine,
+            stop_after_saturation=False, **FAST,
+        )
+        assert engine.last_stats.executed == 0
+        assert again.points == curve.points
+
+    @pytest.mark.parametrize("pattern", ["RND", "ASYM"])
+    def test_default_spec_equals_figure20_minimal_run(self, pattern):
+        """Figure 20's MIN rows: the engine's ``default`` routing gives
+        the same result as the hand-built 4-VC static minimal router."""
+        topo = make_network("sn54")
+        for load in self.LOADS:
+            spec = ExperimentSpec.synthetic(
+                "sn54", pattern, load, config=FIG20_CONFIG, seed=2, **FAST
+            )
+            sim = NoCSimulator(
+                topo, FIG20_CONFIG, routing=StaticMinimalRouting(topo, num_vcs=4),
+                seed=2,
+            )
+            direct = sim.run(SyntheticSource(topo, pattern, load), **FAST)
+            assert spec.execute().to_dict() == direct.to_dict()
+
+
+#: What a figure must not call: the simulator itself, or anything that
+#: builds a routing object for it.  Figures go through the engine.
+_BYPASS_CALLS = frozenset(
+    {"NoCSimulator", "default_routing"}
+    | {
+        name
+        for name, obj in vars(repro.routing).items()
+        if isinstance(obj, type) and issubclass(obj, RoutingAlgorithm)
+    }
+)
+
+
+def _bypass_calls(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in _BYPASS_CALLS:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+class TestFiguresUseEngine:
+    """A warm reproduction of the paper runs no simulations: no figure
+    may build a simulator or routing object of its own."""
+
+    def test_scanner_flags_a_bypass(self):
+        assert {"StaticMinimalRouting", "UGALRouting"} <= _BYPASS_CALLS
+        source = "sim = repro.sim.NoCSimulator(topo, routing=UGALRouting(topo))\n"
+        assert _bypass_calls(source) == [
+            "line 1: NoCSimulator",
+            "line 1: UGALRouting",
+        ]
+
+    def test_no_figure_bypasses_the_engine(self):
+        figures = sorted(
+            (Path(__file__).parents[1] / "benchmarks").glob("test_*.py")
+        )
+        assert figures
+        offenders = {
+            path.name: calls
+            for path in figures
+            if (calls := _bypass_calls(path.read_text()))
+        }
+        assert offenders == {}

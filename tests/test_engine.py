@@ -162,7 +162,7 @@ class TestSpecBatchable:
 
     def test_elastic_and_rng_routed_specs_are_not(self):
         assert not spec_batchable(fast_spec(config=el_links()))
-        assert not spec_batchable(fast_spec(routing="rng"))
+        assert not spec_batchable(fast_spec(routing="valiant"))
 
     def test_adaptive_and_nonstationary_specs_never_batch(self):
         for routing in ("valiant", "ugal-l", "ugal-g", "deflect", "xy-adapt"):
