@@ -12,7 +12,6 @@ from functools import lru_cache
 
 from repro.analysis import format_table, sweep_loads
 from repro.engine import default_engine
-from repro.power import average_route_stats
 from repro.sim import SimConfig
 from repro.topos import make_network
 
@@ -26,11 +25,6 @@ FIGURE_LOADS = [0.008, 0.06, 0.16, 0.30]
 @lru_cache(maxsize=None)
 def network(symbol: str, layout: str | None = None):
     return make_network(symbol, layout=layout)
-
-
-@lru_cache(maxsize=None)
-def route_stats(symbol: str, layout: str | None = None):
-    return average_route_stats(network(symbol, layout))
 
 
 def smart_config(**kw) -> SimConfig:

@@ -8,7 +8,7 @@
 import pytest
 
 from repro.analysis import LargeScaleModel
-from repro.power import average_route_stats, dynamic_power, make_metrics, static_power, technology
+from repro.power import dynamic_power, make_metrics, static_power, technology
 from repro.sim import SimConfig
 from repro.topos import cycle_time_ns, make_network
 
@@ -44,7 +44,7 @@ def figure_1bc(nm: int):
             throughput_flits_per_cycle=delivered * topo.num_nodes,
             cycle_time_ns=ct,
             static=static_power(topo, tech),
-            dynamic=dynamic_power(topo, tech, offered, ct, average_route_stats(topo)),
+            dynamic=dynamic_power(topo, tech, offered, ct),
             avg_latency_cycles=model.latency(min(delivered, model.saturation_rate * 0.9)),
         )
         results[sym] = metrics.throughput_per_power

@@ -9,7 +9,7 @@ import pytest
 
 from repro.power import dynamic_power, network_area, static_power, technology
 
-from harness import network, print_series, route_stats
+from harness import network, print_series
 from repro.topos import cycle_time_ns
 
 NETWORKS = ["fbf3", "fbf4", "pfbf3", "sn200", "t2d4", "cm4"]
@@ -24,7 +24,7 @@ def figure_16(nm: int):
         area = network_area(topo, tech, hops_per_cycle=9, edge_buffer_flits=None)
         static = static_power(topo, tech, hops_per_cycle=9, edge_buffer_flits=None)
         dynamic = dynamic_power(
-            topo, tech, RATE, cycle_time_ns(sym), route_stats(sym),
+            topo, tech, RATE, cycle_time_ns(sym),
             hops_per_cycle=9, edge_buffer_flits=None,
         )
         n = topo.num_nodes

@@ -5,7 +5,7 @@ import pytest
 from repro.power import dynamic_power, network_area, static_power, technology
 from repro.topos import cycle_time_ns
 
-from harness import network, print_series, route_stats
+from harness import network, print_series
 
 NETWORKS = ["fbf8", "fbf9", "pfbf9", "sn1296", "t2d9", "cm9"]
 RATE = 0.05
@@ -19,7 +19,7 @@ def figure_17(nm: int):
         area = network_area(topo, tech, hops_per_cycle=9, edge_buffer_flits=None)
         static = static_power(topo, tech, hops_per_cycle=9, edge_buffer_flits=None)
         dynamic = dynamic_power(
-            topo, tech, RATE, cycle_time_ns(sym), route_stats(sym),
+            topo, tech, RATE, cycle_time_ns(sym),
             hops_per_cycle=9, edge_buffer_flits=None,
         )
         n = topo.num_nodes

@@ -8,7 +8,7 @@
 from repro.power import TECH_45NM, dynamic_power, network_area
 from repro.topos import cycle_time_ns
 
-from harness import latency_curve, network, print_series, route_stats, smart_config
+from harness import latency_curve, network, print_series, smart_config
 
 NETWORKS = ["sn54", "fbf54", "pfbf54", "t2d54"]
 LOADS = [0.008, 0.06, 0.16]
@@ -27,7 +27,7 @@ def figure_19():
     }
     dyn = {
         sym: dynamic_power(
-            network(sym), TECH_45NM, 0.06, cycle_time_ns(sym), route_stats(sym),
+            network(sym), TECH_45NM, 0.06, cycle_time_ns(sym),
             hops_per_cycle=9, edge_buffer_flits=None,
         ).per_node(network(sym).num_nodes)
         for sym in NETWORKS

@@ -15,7 +15,7 @@ from repro.core import SlimNoC
 from repro.power import TECH_45NM, dynamic_power, network_area, static_power
 from repro.topos import FlattenedButterfly, make_network
 
-from harness import print_series, route_stats
+from harness import print_series
 
 
 def hierarchical_comparison():
@@ -70,8 +70,8 @@ def injection_rate_sweep():
     fbf = make_network("fbf4")
     rows = []
     for rate in (0.01, 0.05, 0.15, 0.30):
-        sn_dyn = dynamic_power(sn, TECH_45NM, rate, 0.5, route_stats("sn200")).total
-        fbf_dyn = dynamic_power(fbf, TECH_45NM, rate, 0.6, route_stats("fbf4")).total
+        sn_dyn = dynamic_power(sn, TECH_45NM, rate, 0.5).total
+        fbf_dyn = dynamic_power(fbf, TECH_45NM, rate, 0.6).total
         rows.append((rate, sn_dyn, fbf_dyn))
     return rows
 

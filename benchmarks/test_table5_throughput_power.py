@@ -12,7 +12,7 @@ from repro.analysis import LargeScaleModel
 from repro.power import dynamic_power, make_metrics, static_power, technology
 from repro.topos import cycle_time_ns
 
-from harness import network, print_series, route_stats
+from harness import network, print_series
 
 CLASSES = {
     "small": ("sn200", ["t2d4", "cm4", "pfbf3", "fbf3", "fbf4"]),
@@ -32,7 +32,7 @@ def throughput_per_power(sym: str, nm: int) -> float:
         cycle_time_ns=ct,
         static=static_power(topo, tech, hops_per_cycle=9, edge_buffer_flits=None),
         dynamic=dynamic_power(
-            topo, tech, OFFERED, ct, route_stats(sym),
+            topo, tech, OFFERED, ct,
             hops_per_cycle=9, edge_buffer_flits=None,
         ),
         avg_latency_cycles=25.0,

@@ -45,6 +45,19 @@ def _bfs_all(adjacency: list[list[int]], source: int) -> list[int]:
     return dist
 
 
+def failed_links(
+    topology: Topology, fail_fraction: float, seed: int = 0
+) -> set[tuple[int, int]]:
+    """The links :func:`degrade` removes: a seeded random sample of
+    ``topology.edges()``, as ``(i, j)`` pairs with ``i < j``."""
+    if not 0.0 <= fail_fraction < 1.0:
+        raise ValueError("fail_fraction must be in [0, 1)")
+    edges = topology.edges()
+    rng = random.Random(seed)
+    picked = rng.sample(range(len(edges)), int(fail_fraction * len(edges)))
+    return {edges[index] for index in picked}
+
+
 def degrade(topology: Topology, fail_fraction: float, seed: int = 0) -> ResilienceReport:
     """Remove a random link fraction and measure what remains.
 
@@ -53,14 +66,11 @@ def degrade(topology: Topology, fail_fraction: float, seed: int = 0) -> Resilien
         fail_fraction: Fraction of links to remove (0..1).
         seed: RNG seed for the failure pattern.
     """
-    if not 0.0 <= fail_fraction < 1.0:
-        raise ValueError("fail_fraction must be in [0, 1)")
+    failures = failed_links(topology, fail_fraction, seed)
     edges = topology.edges()
-    rng = random.Random(seed)
-    failures = set(rng.sample(range(len(edges)), int(fail_fraction * len(edges))))
     adjacency: list[list[int]] = [[] for _ in range(topology.num_routers)]
-    for index, (i, j) in enumerate(edges):
-        if index in failures:
+    for i, j in edges:
+        if (i, j) in failures:
             continue
         adjacency[i].append(j)
         adjacency[j].append(i)

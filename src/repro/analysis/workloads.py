@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 from ..power import (
     TECH_45NM,
     Technology,
-    average_route_stats,
     dynamic_power,
     make_metrics,
     static_power,
@@ -67,10 +66,8 @@ class WorkloadRow:
 @lru_cache(maxsize=None)
 def _symbol_context(symbol: str):
     """Per-symbol invariants shared by every benchmark's join: the live
-    topology, its cycle time, and the all-pairs route statistics (the
-    expensive piece — cached exactly like the figure harness did)."""
-    topo = make_network(symbol)
-    return topo, cycle_time_ns(symbol), average_route_stats(topo)
+    topology and its cycle time."""
+    return make_network(symbol), cycle_time_ns(symbol)
 
 
 def _join_power(
@@ -81,13 +78,13 @@ def _join_power(
     tech: Technology,
 ) -> WorkloadRow:
     """Fold one simulation outcome into the power/EDP models."""
-    topo, ct, route_stats = _symbol_context(symbol)
+    topo, ct = _symbol_context(symbol)
     kw = dict(hops_per_cycle=config.hops_per_cycle, edge_buffer_flits=None)
     metrics = make_metrics(
         throughput_flits_per_cycle=result.throughput * topo.num_nodes,
         cycle_time_ns=ct,
         static=static_power(topo, tech, **kw),
-        dynamic=dynamic_power(topo, tech, result.throughput, ct, route_stats, **kw),
+        dynamic=dynamic_power(topo, tech, result.throughput, ct, **kw),
         avg_latency_cycles=result.avg_latency,
     )
     return WorkloadRow(

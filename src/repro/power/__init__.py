@@ -1,6 +1,12 @@
 """Analytical area/power/energy models (DSENT substitution)."""
 
-from .area import AreaReport, crossbar_area_mm2, network_area, router_buffer_flits, total_wire_mm
+from .area import (
+    AreaReport,
+    crossbar_area_mm2,
+    network_area,
+    router_buffer_flits,
+    total_wire_mm,
+)
 from .energy import EnergyMetrics, make_metrics, normalize
 from .power import PowerReport, average_route_stats, dynamic_power, static_power
 from .technology import TECH_22NM, TECH_45NM, Technology, technology, tile_side_mm

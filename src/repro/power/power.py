@@ -45,7 +45,11 @@ class PowerReport:
         return self.total / num_nodes
 
     def breakdown(self) -> dict[str, float]:
-        return {"buffers": self.buffers, "crossbars": self.crossbars, "wires": self.wires}
+        return {
+            "buffers": self.buffers,
+            "crossbars": self.crossbars,
+            "wires": self.wires,
+        }
 
 
 def static_power(
@@ -72,27 +76,64 @@ def static_power(
     return PowerReport(buffers=buffer_leak, crossbars=xbar_leak, wires=wire_leak)
 
 
+#: Route averages per topology structure (``topology_fingerprint``): the
+#: one memo for every figure, model and workload join.
+_ROUTE_AVERAGES: dict[str, tuple[float, float]] = {}
+
+
 def average_route_stats(topology: Topology) -> tuple[float, float]:
     """(average router hops, average wire hops) over uniform node pairs.
 
     Hops follow the deterministic minimal routing tables; wire hops sum
-    the physical link lengths along those routes.
+    the physical link lengths along those routes.  Computed once per
+    topology structure and memoised, so structurally identical networks
+    built separately share one entry.
     """
-    paths = MinimalPaths(topology)
+    from ..engine.spec import topology_fingerprint  # local: power loads no engine
+
+    key = topology_fingerprint(topology)
+    stats = _ROUTE_AVERAGES.get(key)
+    if stats is None:
+        stats = _ROUTE_AVERAGES[key] = _compute_route_averages(topology)
+    return stats
+
+
+def _compute_route_averages(topology: Topology) -> tuple[float, float]:
+    """One pass per destination over the next-hop table, no path tuples:
+    a router's route is its next hop's route plus one link, so
+    ``hops[v] = hops[nh] + 1`` and ``wire[v] = wire[nh] + len(v, nh)``.
+    Link lengths are integers, so both totals are exact."""
     nr = topology.num_routers
-    total_hops = 0.0
-    total_wire = 0.0
-    pairs = 0
-    for src in range(nr):
-        for dst in range(nr):
-            if src == dst:
-                continue
-            path = paths.walk(src, dst)
-            total_hops += len(path) - 1
-            total_wire += sum(
-                topology.link_length_hops(a, b) for a, b in zip(path, path[1:])
-            )
-            pairs += 1
+    length = [
+        {n: topology.link_length_hops(v, n) for n in topology.router_neighbors(v)}
+        for v in range(nr)
+    ]
+    total_hops = 0
+    total_wire = 0
+    for dst, table in enumerate(MinimalPaths(topology).next_hop):
+        hops = [-1] * nr  # -1 unknown, -2 on the chain being resolved
+        wire = [0] * nr
+        hops[dst] = 0
+        for start in range(nr):
+            chain = []
+            current = start
+            while hops[current] == -1:
+                hops[current] = -2
+                chain.append(current)
+                current = table[current]
+            if hops[current] == -2:
+                raise RuntimeError("routing loop detected")
+            h = hops[current]
+            w = wire[current]
+            for router in reversed(chain):
+                h += 1
+                w += length[router][current]
+                hops[router] = h
+                wire[router] = w
+                current = router
+        total_hops += sum(hops)
+        total_wire += sum(wire)
+    pairs = nr * (nr - 1)
     return total_hops / pairs, total_wire / pairs
 
 
@@ -101,7 +142,7 @@ def dynamic_power(
     tech: Technology,
     injection_rate: float,
     cycle_time_ns: float,
-    route_stats: tuple[float, float] | None = None,
+    *,
     vcs: int = 2,
     hops_per_cycle: int = 1,
     central_buffer_flits: int = 0,
@@ -114,23 +155,18 @@ def dynamic_power(
     lengths, and per-mm wire switching) plus clock power for the router's
     clocked storage, which scales with total buffer bits and is why
     high-radix routers burn dynamic power even at fixed load.
-
-    Args:
-        route_stats: Optional precomputed (hops, wire hops) pair — the
-            all-pairs sweep is O(Nr^2) and worth caching across calls.
     """
     if injection_rate < 0:
         raise ValueError("injection rate must be non-negative")
-    hops, wire_hops = route_stats if route_stats else average_route_stats(topology)
+    hops, wire_hops = average_route_stats(topology)
     cycles_per_second = 1.0 / (cycle_time_ns * 1e-9)
     flits_per_second = topology.num_nodes * injection_rate * cycles_per_second
     bits_per_second = flits_per_second * FLIT_BITS
     routers_visited = hops + 1  # source router included
-    buffer_bits = sum(
-        router_buffer_flits(
-            topology, vcs, hops_per_cycle, central_buffer_flits, edge_buffer_flits
-        )
-    ) * FLIT_BITS
+    buffers = router_buffer_flits(
+        topology, vcs, hops_per_cycle, central_buffer_flits, edge_buffer_flits
+    )
+    buffer_bits = sum(buffers) * FLIT_BITS
     clock_power = buffer_bits * tech.clock_energy_j_per_bit * cycles_per_second
     buffer_power = bits_per_second * routers_visited * tech.buffer_energy_j_per_bit
     radix = topology.router_radix

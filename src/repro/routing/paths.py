@@ -9,7 +9,6 @@ livelock freedom for free.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
 from ..topos.base import Topology
@@ -32,22 +31,22 @@ class MinimalPaths:
     @cached_property
     def next_hop(self) -> list[list[int]]:
         nr = self.topology.num_routers
+        # Deterministic: neighbors scanned in sorted order, first setter
+        # wins, so the lowest-index parent is chosen.
+        neighbors = [sorted(self.topology.router_neighbors(r)) for r in range(nr)]
         table: list[list[int]] = []
         for dst in range(nr):
             hops = [-1] * nr  # next hop toward dst; dst itself stays -1
-            dist = [-1] * nr
-            dist[dst] = 0
-            frontier = deque([dst])
-            while frontier:
-                current = frontier.popleft()
-                # Deterministic: neighbors scanned in sorted order, first
-                # setter wins, so the lowest-index parent is chosen.
-                for neighbor in sorted(self.topology.router_neighbors(current)):
-                    if dist[neighbor] < 0:
-                        dist[neighbor] = dist[current] + 1
+            seen = [False] * nr
+            seen[dst] = True
+            frontier = [dst]
+            for current in frontier:  # FIFO: the list grows while read
+                for neighbor in neighbors[current]:
+                    if not seen[neighbor]:
+                        seen[neighbor] = True
                         hops[neighbor] = current
                         frontier.append(neighbor)
-            if any(d < 0 for d in dist):
+            if len(frontier) < nr:
                 raise ValueError("topology is disconnected")
             table.append(hops)
         return table
@@ -62,19 +61,20 @@ class MinimalPaths:
     def walk(self, src: int, dst: int) -> tuple[int, ...]:
         """Router sequence ``src .. dst`` read off the next-hop table.
 
-        Unmemoised: one-pass scans over every pair (route statistics,
-        channel loads) use this so they do not keep ``O(Nr^2)`` paths
-        alive.
+        Unmemoised.  Used by :meth:`channel_loads`, so a scan over every
+        flow keeps no ``O(Nr^2)`` paths alive, and by the simulator's
+        routes: :meth:`path` and the static routing's per-pair cache.
         """
         if src == dst:
             return (src,)
         table = self.next_hop[dst]
+        nr = self.topology.num_routers
         path = [src]
         current = src
         while current != dst:
             current = table[current]
             path.append(current)
-            if len(path) > self.topology.num_routers:
+            if len(path) > nr:
                 raise RuntimeError("routing loop detected")
         return tuple(path)
 

@@ -4,6 +4,10 @@ import math
 
 import pytest
 
+import repro.power.power as power_module
+from repro.analysis import degrade
+from repro.analysis.resilience import failed_links
+from repro.engine import topology_fingerprint
 from repro.power import (
     TECH_22NM,
     TECH_45NM,
@@ -17,7 +21,9 @@ from repro.power import (
     tile_side_mm,
 )
 from repro.power.area import crossbar_area_mm2, router_buffer_flits, total_wire_mm
-from repro.topos import cycle_time_ns, make_network
+from repro.routing.paths import MinimalPaths
+from repro.topos import catalog_symbols, cycle_time_ns, make_network
+from repro.topos.base import Topology
 
 
 class TestTechnology:
@@ -124,25 +130,24 @@ class TestStaticPower:
 class TestDynamicPower:
     def test_scales_with_rate(self):
         sn = make_network("sn200")
-        stats = average_route_stats(sn)
-        low = dynamic_power(sn, TECH_45NM, 0.01, 0.5, stats).total
-        high = dynamic_power(sn, TECH_45NM, 0.10, 0.5, stats).total
+        low = dynamic_power(sn, TECH_45NM, 0.01, 0.5).total
+        high = dynamic_power(sn, TECH_45NM, 0.10, 0.5).total
         assert high > low
         with pytest.raises(ValueError):
-            dynamic_power(sn, TECH_45NM, -0.1, 0.5, stats)
+            dynamic_power(sn, TECH_45NM, -0.1, 0.5)
 
     def test_sn_beats_fbf_dynamic(self):
         """Paper Figure 16c: SN's dynamic power is below FBF's."""
         sn_t = make_network("sn200")
         fbf_t = make_network("fbf3")
-        sn = dynamic_power(sn_t, TECH_45NM, 0.05, 0.5, average_route_stats(sn_t)).total
-        fbf = dynamic_power(fbf_t, TECH_45NM, 0.05, 0.6, average_route_stats(fbf_t)).total
+        sn = dynamic_power(sn_t, TECH_45NM, 0.05, 0.5).total
+        fbf = dynamic_power(fbf_t, TECH_45NM, 0.05, 0.6).total
         assert sn < fbf
 
     def test_clock_power_floor(self):
         """Even at zero activity, clocked buffers burn dynamic power."""
         sn = make_network("sn200")
-        report = dynamic_power(sn, TECH_45NM, 0.0, 0.5, average_route_stats(sn))
+        report = dynamic_power(sn, TECH_45NM, 0.0, 0.5)
         assert report.buffers > 0
 
     def test_route_stats(self):
@@ -150,6 +155,111 @@ class TestDynamicPower:
         hops, wire = average_route_stats(sn)
         assert 1.0 < hops < 2.0  # diameter-2 network
         assert wire > hops  # physical length exceeds hop count
+
+    def test_route_averages_are_not_positional(self):
+        """A stale precomputed (hops, wire) tuple must not land in ``vcs``."""
+        sn = make_network("sn54")
+        with pytest.raises(TypeError, match="positional argument"):
+            dynamic_power(sn, TECH_45NM, 0.05, 0.5, average_route_stats(sn))
+
+
+def reference_route_stats(topology):
+    """Reference: every (src, dst) route walked hop by hop with ``walk``."""
+    paths = MinimalPaths(topology)
+    nr = topology.num_routers
+    total_hops = 0.0
+    total_wire = 0.0
+    pairs = 0
+    for src in range(nr):
+        for dst in range(nr):
+            if src == dst:
+                continue
+            path = paths.walk(src, dst)
+            total_hops += len(path) - 1
+            total_wire += sum(
+                topology.link_length_hops(a, b) for a, b in zip(path, path[1:])
+            )
+            pairs += 1
+    return total_hops / pairs, total_wire / pairs
+
+
+class DegradedTopology(Topology):
+    """``base`` with the links :func:`repro.analysis.degrade` removes."""
+
+    def __init__(self, base, fail_fraction, seed):
+        super().__init__(base.concentration)
+        failed = failed_links(base, fail_fraction, seed)
+        self._adjacency = [
+            tuple(
+                n
+                for n in base.router_neighbors(r)
+                if (min(r, n), max(r, n)) not in failed
+            )
+            for r in range(base.num_routers)
+        ]
+        self._coordinates = dict(base.coordinates)
+
+    def _build_adjacency(self):
+        return self._adjacency
+
+    def _build_coordinates(self):
+        return self._coordinates
+
+
+class TestRouteAverages:
+    """The one-pass next-hop sweep against a per-pair path walk."""
+
+    @pytest.mark.parametrize("symbol", catalog_symbols())
+    def test_equals_path_walk_on_catalog(self, symbol):
+        topo = make_network(symbol)
+        assert average_route_stats(topo) == reference_route_stats(topo)
+
+    def test_layouts_share_hops_not_wires(self):
+        basic = make_network("sn200", layout="sn_basic")
+        subgr = make_network("sn200", layout="sn_subgr")
+        basic_stats = average_route_stats(basic)
+        subgr_stats = average_route_stats(subgr)
+        assert basic_stats == reference_route_stats(basic)
+        assert subgr_stats == reference_route_stats(subgr)
+        assert basic_stats[0] == subgr_stats[0]
+        assert basic_stats[1] != subgr_stats[1]
+        keys = {topology_fingerprint(basic), topology_fingerprint(subgr)}
+        assert len(keys) == 2 and keys <= power_module._ROUTE_AVERAGES.keys()
+
+    def test_irregular_degraded_graph(self):
+        base = make_network("sn54")
+        report = degrade(base, 0.2, seed=3)
+        assert report.connected and report.failed_links > 0
+        topo = DegradedTopology(base, 0.2, seed=3)
+        assert topo.num_links() == report.total_links - report.failed_links
+        stats = average_route_stats(topo)
+        assert stats == reference_route_stats(topo)
+        assert stats[0] == report.average_path  # minimal routes are BFS-short
+        assert stats != average_route_stats(base)
+
+    def test_disconnected_graph_raises(self):
+        base = make_network("sn54")
+        assert not degrade(base, 0.8, seed=0).connected
+        with pytest.raises(ValueError, match="disconnected"):
+            average_route_stats(DegradedTopology(base, 0.8, seed=0))
+
+    def test_memo_serves_rebuilt_topology(self, monkeypatch):
+        built = []
+
+        class CountingPaths(MinimalPaths):
+            def __init__(self, topology):
+                built.append(topology)
+                super().__init__(topology)
+
+        monkeypatch.setattr(power_module, "_ROUTE_AVERAGES", {})
+        monkeypatch.setattr(power_module, "MinimalPaths", CountingPaths)
+        first = average_route_stats(make_network("sn54"))
+        assert len(built) == 1
+        again = average_route_stats(make_network("sn54"))
+        assert again is first
+        assert len(built) == 1
+        dynamic_power(make_network("sn54"), TECH_45NM, 0.05, 0.5)
+        assert len(built) == 1
 
 
 class TestEnergyMetrics:
@@ -202,13 +312,12 @@ class TestPaperHeadlines:
         for sym, sat in (("sn200", 0.42), ("fbf4", 0.45), ("t2d4", 0.10), ("cm4", 0.08)):
             topo = make_network(sym)
             ct = cycle_time_ns(sym)
-            stats = average_route_stats(topo)
             delivered = min(offered, sat)
             metrics = make_metrics(
                 throughput_flits_per_cycle=delivered * topo.num_nodes,
                 cycle_time_ns=ct,
                 static=static_power(topo, tech),
-                dynamic=dynamic_power(topo, tech, offered, ct, stats),
+                dynamic=dynamic_power(topo, tech, offered, ct),
                 avg_latency_cycles=25.0,
             )
             results[sym] = metrics.throughput_per_power
