@@ -34,22 +34,30 @@ def edge_buffer_flits(distance_hops: int, vcs: int, hops_per_cycle: int = 1) -> 
     return round_trip_cycles(distance_hops, hops_per_cycle) * vcs
 
 
+def _delta_by_length(
+    topology: Topology, vcs: int, hops_per_cycle: int
+) -> dict[int, int]:
+    """δij for each distinct link length of ``topology``: links share a
+    few lengths, so each size is worked out once per call."""
+    lengths = {length for _, _, length in topology.link_lengths}
+    return {d: edge_buffer_flits(d, vcs, hops_per_cycle) for d in lengths}
+
+
 def average_wire_length(topology: Topology) -> float:
     """The paper's ``M`` (Eq. 4): mean Manhattan link length in hops."""
     return topology.average_wire_length()
 
 
-def total_edge_buffers(topology: Topology, vcs: int = 2, hops_per_cycle: int = 1) -> int:
+def total_edge_buffers(
+    topology: Topology, vcs: int = 2, hops_per_cycle: int = 1
+) -> int:
     """``Δeb`` (Eq. 5): sum of δij over all *directed* connected pairs.
 
     Eq. 5 iterates i and j over all routers, so each undirected link
     contributes a buffer at both of its endpoints.
     """
-    total = 0
-    for i, j in topology.edges():
-        delta = edge_buffer_flits(topology.link_length_hops(i, j), vcs, hops_per_cycle)
-        total += 2 * delta
-    return total
+    delta = _delta_by_length(topology, vcs, hops_per_cycle)
+    return 2 * sum(delta[length] for _, _, length in topology.link_lengths)
 
 
 def total_central_buffers(topology: Topology, cb_flits: int, vcs: int = 2) -> int:
@@ -61,11 +69,11 @@ def per_router_edge_buffers(
     topology: Topology, vcs: int = 2, hops_per_cycle: int = 1
 ) -> list[int]:
     """Total input-buffer flits at each router (Figure 5b/5c quantity)."""
+    delta = _delta_by_length(topology, vcs, hops_per_cycle)
     totals = [0] * topology.num_routers
-    for i, j in topology.edges():
-        delta = edge_buffer_flits(topology.link_length_hops(i, j), vcs, hops_per_cycle)
-        totals[i] += delta
-        totals[j] += delta
+    for i, j, length in topology.link_lengths:
+        totals[i] += delta[length]
+        totals[j] += delta[length]
     return totals
 
 
@@ -74,20 +82,22 @@ def per_router_central_buffer(topology: Topology, cb_flits: int, vcs: int = 2) -
     return cb_flits + 2 * topology.network_radix * vcs
 
 
-def link_distance_histogram(topology: Topology, bin_width: int = 2) -> dict[tuple[int, int], float]:
+def link_distance_histogram(
+    topology: Topology, bin_width: int = 2
+) -> dict[tuple[int, int], float]:
     """Probability mass per distance range (Figure 6).
 
     Returns ``{(lo, hi): probability}`` with half-open paper-style ranges
     "1-2", "3-4", ... expressed as inclusive (lo, hi) bounds.
     """
-    links = topology.edges()
+    links = topology.link_lengths
     if not links:
         return {}
     histogram: dict[tuple[int, int], int] = {}
-    for i, j in links:
-        dist = topology.link_length_hops(i, j)
+    for _, _, dist in links:
         lo = ((max(dist, 1) - 1) // bin_width) * bin_width + 1
-        histogram[(lo, lo + bin_width - 1)] = histogram.get((lo, lo + bin_width - 1), 0) + 1
+        bucket = (lo, lo + bin_width - 1)
+        histogram[bucket] = histogram.get(bucket, 0) + 1
     total = len(links)
     return {bucket: count / total for bucket, count in sorted(histogram.items())}
 
@@ -101,7 +111,9 @@ class BufferBudget:
     per_router_flits: float
 
     @classmethod
-    def edge(cls, topology: Topology, vcs: int = 2, hops_per_cycle: int = 1) -> "BufferBudget":
+    def edge(
+        cls, topology: Topology, vcs: int = 2, hops_per_cycle: int = 1
+    ) -> "BufferBudget":
         total = total_edge_buffers(topology, vcs, hops_per_cycle)
         return cls("edge", total, total / topology.num_routers)
 

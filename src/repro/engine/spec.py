@@ -47,7 +47,7 @@ from ..routing import (
     default_routing,
 )
 from ..sim import NoCSimulator, SimConfig, SimResult
-from ..topos.base import Topology
+from ..topos.base import Topology, topology_fingerprint
 from ..traffic import (
     WORKLOADS,
     BurstSource,
@@ -121,27 +121,6 @@ def build_routing(name: str, topology: Topology) -> RoutingAlgorithm:
     """Instantiate a named routing scheme for ``topology``."""
     _require_routing_name(name)
     return ROUTING_BUILDERS[name](topology)
-
-
-def topology_fingerprint(topology: Topology) -> str:
-    """Stable structural identity of a topology.
-
-    Covers everything the simulator consumes: the concrete class (it
-    selects the default routing scheme), concentration, and the link
-    graph with per-link physical lengths (they set wire latencies and
-    buffer depths).  Display names are deliberately excluded so renamed
-    but structurally identical networks share cache entries.
-    """
-    payload = {
-        "class": type(topology).__name__,
-        "concentration": topology.concentration,
-        "routers": topology.num_routers,
-        "links": [
-            [i, j, topology.link_length_hops(i, j)] for i, j in topology.edges()
-        ],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 
 def topology_token(topology: Topology | str) -> str:

@@ -84,7 +84,7 @@ def allocator_area_mm2(tech: Technology, router_radix: int) -> float:
 def total_wire_mm(topology: Topology, tech: Technology) -> float:
     """Sum of router-router wire lengths in mm (Manhattan placement)."""
     side = tile_side_mm(tech, topology.concentration)
-    return sum(topology.link_length_hops(i, j) for i, j in topology.edges()) * side
+    return sum(length for _, _, length in topology.link_lengths) * side
 
 
 def network_area(

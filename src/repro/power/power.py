@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..routing.paths import MinimalPaths
-from ..topos.base import Topology
+from ..topos.base import Topology, route_totals
 from .area import (
     FLIT_BITS,
     allocator_area_mm2,
@@ -76,65 +75,18 @@ def static_power(
     return PowerReport(buffers=buffer_leak, crossbars=xbar_leak, wires=wire_leak)
 
 
-#: Route averages per topology structure (``topology_fingerprint``): the
-#: one memo for every figure, model and workload join.
-_ROUTE_AVERAGES: dict[str, tuple[float, float]] = {}
-
-
 def average_route_stats(topology: Topology) -> tuple[float, float]:
     """(average router hops, average wire hops) over uniform node pairs.
 
     Hops follow the deterministic minimal routing tables; wire hops sum
-    the physical link lengths along those routes.  Computed once per
-    topology structure and memoised, so structurally identical networks
-    built separately share one entry.
+    the physical link lengths along those routes.  Both are read off the
+    topology's memoised :func:`~repro.topos.base.route_totals`, so
+    structurally identical networks built separately share one pass.
     """
-    from ..engine.spec import topology_fingerprint  # local: power loads no engine
-
-    key = topology_fingerprint(topology)
-    stats = _ROUTE_AVERAGES.get(key)
-    if stats is None:
-        stats = _ROUTE_AVERAGES[key] = _compute_route_averages(topology)
-    return stats
-
-
-def _compute_route_averages(topology: Topology) -> tuple[float, float]:
-    """One pass per destination over the next-hop table, no path tuples:
-    a router's route is its next hop's route plus one link, so
-    ``hops[v] = hops[nh] + 1`` and ``wire[v] = wire[nh] + len(v, nh)``.
-    Link lengths are integers, so both totals are exact."""
+    totals = route_totals(topology)
     nr = topology.num_routers
-    length = [
-        {n: topology.link_length_hops(v, n) for n in topology.router_neighbors(v)}
-        for v in range(nr)
-    ]
-    total_hops = 0
-    total_wire = 0
-    for dst, table in enumerate(MinimalPaths(topology).next_hop):
-        hops = [-1] * nr  # -1 unknown, -2 on the chain being resolved
-        wire = [0] * nr
-        hops[dst] = 0
-        for start in range(nr):
-            chain = []
-            current = start
-            while hops[current] == -1:
-                hops[current] = -2
-                chain.append(current)
-                current = table[current]
-            if hops[current] == -2:
-                raise RuntimeError("routing loop detected")
-            h = hops[current]
-            w = wire[current]
-            for router in reversed(chain):
-                h += 1
-                w += length[router][current]
-                hops[router] = h
-                wire[router] = w
-                current = router
-        total_hops += sum(hops)
-        total_wire += sum(wire)
     pairs = nr * (nr - 1)
-    return total_hops / pairs, total_wire / pairs
+    return totals.hops / pairs, totals.wire / pairs
 
 
 def dynamic_power(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ..topos.base import Topology
+from ..topos.base import Topology, bfs_tree, sorted_neighbors
 
 
 class MinimalPaths:
@@ -30,26 +30,10 @@ class MinimalPaths:
 
     @cached_property
     def next_hop(self) -> list[list[int]]:
-        nr = self.topology.num_routers
-        # Deterministic: neighbors scanned in sorted order, first setter
-        # wins, so the lowest-index parent is chosen.
-        neighbors = [sorted(self.topology.router_neighbors(r)) for r in range(nr)]
-        table: list[list[int]] = []
-        for dst in range(nr):
-            hops = [-1] * nr  # next hop toward dst; dst itself stays -1
-            seen = [False] * nr
-            seen[dst] = True
-            frontier = [dst]
-            for current in frontier:  # FIFO: the list grows while read
-                for neighbor in neighbors[current]:
-                    if not seen[neighbor]:
-                        seen[neighbor] = True
-                        hops[neighbor] = current
-                        frontier.append(neighbor)
-            if len(frontier) < nr:
-                raise ValueError("topology is disconnected")
-            table.append(hops)
-        return table
+        # A router's next hop toward dst is its parent in dst's BFS tree;
+        # dst itself stays -1.
+        neighbors = sorted_neighbors(self.topology)
+        return [bfs_tree(neighbors, dst)[1] for dst in range(self.topology.num_routers)]
 
     def path(self, src: int, dst: int) -> tuple[int, ...]:
         """Router sequence ``src .. dst`` (inclusive), memoised per pair."""

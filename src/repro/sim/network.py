@@ -239,9 +239,9 @@ class SimResult:
     @classmethod
     def from_dict(cls, payload: dict) -> "SimResult":
         if "latency_hist" in payload:
-            latencies = [
-                value for value, count in payload["latency_hist"] for _ in range(count)
-            ]
+            latencies = []
+            for value, count in payload["latency_hist"]:
+                latencies += [value] * count
         else:
             latencies = list(payload["latencies"])
         return cls(

@@ -1,6 +1,6 @@
 """Baseline topologies and the Table 4 configuration catalog."""
 
-from .base import Topology
+from .base import Topology, topology_fingerprint
 from .catalog import catalog_symbols, cycle_time_ns, expected_nodes, make_network
 from .dragonfly import Dragonfly
 from .flattened_butterfly import FlattenedButterfly, PartitionedFBF
@@ -9,6 +9,7 @@ from .grids import ConcentratedMesh, Torus2D
 
 __all__ = [
     "Topology",
+    "topology_fingerprint",
     "Torus2D",
     "ConcentratedMesh",
     "FlattenedButterfly",

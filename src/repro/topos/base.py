@@ -9,9 +9,12 @@ paper's comparisons (Table 4) are apples-to-apples by construction.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from abc import ABC, abstractmethod
 from collections import deque
 from functools import cached_property
+from typing import NamedTuple
 
 Coordinate = tuple[int, int]
 
@@ -130,12 +133,31 @@ class Topology(ABC):
         xj, yj = self.coordinates[j]
         return abs(xi - xj) + abs(yi - yj)
 
+    @cached_property
+    def link_lengths(self) -> list[tuple[int, int, int]]:
+        """Every link once as ``(i, j, length)`` with ``i < j``, in
+        :meth:`edges` order: the wire-length table that the fingerprint,
+        the route totals and the cost models read."""
+        return [(i, j, self.link_length_hops(i, j)) for i, j in self.edges()]
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable structural identity; see :func:`topology_fingerprint`."""
+        payload = {
+            "class": type(self).__name__,
+            "concentration": self.concentration,
+            "routers": self.num_routers,
+            "links": self.link_lengths,
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+
     def average_wire_length(self) -> float:
         """Mean link length in hops — the paper's ``M`` (Eq. 4)."""
-        links = self.edges()
+        links = self.link_lengths
         if not links:
             return 0.0
-        return sum(self.link_length_hops(i, j) for i, j in links) / len(links)
+        return sum(length for _, _, length in links) / len(links)
 
     # -- graph metrics ---------------------------------------------------------
 
@@ -154,17 +176,14 @@ class Topology(ABC):
             raise ValueError("topology is disconnected")
         return dist
 
-    @cached_property
+    @property
     def diameter(self) -> int:
-        return max(max(self.shortest_hops_from(s)) for s in range(self.num_routers))
+        return route_totals(self).diameter
 
     def average_hop_distance(self) -> float:
         """Mean router-to-router shortest-path hops."""
-        total = 0
         nr = self.num_routers
-        for source in range(nr):
-            total += sum(self.shortest_hops_from(source))
-        return total / (nr * (nr - 1))
+        return route_totals(self).hops / (nr * (nr - 1))
 
     def bisection_links(self) -> int:
         """Links crossing a median cut of the die (minimum over both axes).
@@ -192,3 +211,100 @@ class Topology(ABC):
             f"{type(self).__name__}(name={self.name!r}, routers={self.num_routers}, "
             f"nodes={self.num_nodes}, k'={self.network_radix})"
         )
+
+
+def topology_fingerprint(topology: Topology) -> str:
+    """Stable structural identity of a topology.
+
+    Covers everything the simulator consumes: the concrete class (it
+    selects the default routing scheme), concentration, and the link
+    graph with per-link physical lengths (they set wire latencies and
+    buffer depths).  Display names are deliberately excluded so renamed
+    but structurally identical networks share cache entries.  Computed
+    once per object and cached on it.
+    """
+    return topology.fingerprint
+
+
+def sorted_neighbors(topology: Topology) -> list[list[int]]:
+    """Each router's neighbours in ascending order, for :func:`bfs_tree`."""
+    return [sorted(neighbors) for neighbors in topology.adjacency]
+
+
+def bfs_tree(neighbors: list[list[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first tree of ``root``: ``(visit order, parent)``.
+
+    The tie-break of the minimal routing tables: ``neighbors`` lists are
+    scanned in sorted order, the frontier is FIFO and the first setter
+    wins, so each router's parent is the first visited of its neighbours
+    one hop nearer ``root``.  ``parent[root]`` is -1; every parent
+    precedes its children in the visit order.
+    """
+    nr = len(neighbors)
+    parent = [-1] * nr
+    parent[root] = root  # marks the root seen until the tree is done
+    order = [root]
+    for current in order:  # FIFO: the list grows while read
+        for neighbor in neighbors[current]:
+            if parent[neighbor] < 0:
+                parent[neighbor] = current
+                order.append(neighbor)
+        if len(order) == nr:  # all seen: the last level sets no parent
+            break
+    else:
+        raise ValueError("topology is disconnected")
+    parent[root] = -1
+    return order, parent
+
+
+class RouteTotals(NamedTuple):
+    """Sums over ordered router pairs of the deterministic minimal routes."""
+
+    #: Router hops, i.e. shortest-path lengths.
+    hops: int
+    #: Wire hops: the link lengths along each route.
+    wire: int
+    #: The longest shortest path.
+    diameter: int
+
+
+#: Route totals per topology structure (:func:`topology_fingerprint`):
+#: the one memo behind ``diameter``, ``average_hop_distance`` and
+#: :func:`repro.power.average_route_stats`.
+_ROUTE_TOTALS: dict[str, RouteTotals] = {}
+
+
+def route_totals(topology: Topology) -> RouteTotals:
+    """:class:`RouteTotals` of ``topology``, computed once per structure,
+    so structurally identical networks built separately share one entry."""
+    key = topology.fingerprint
+    totals = _ROUTE_TOTALS.get(key)
+    if totals is None:
+        totals = _ROUTE_TOTALS[key] = _sum_routes(topology)
+    return totals
+
+
+def _sum_routes(topology: Topology) -> RouteTotals:
+    """One BFS tree per destination, read in visit order: a router's
+    route is its parent's route plus one link, so ``hops[v] = hops[p] + 1``
+    and ``wire[v] = wire[p] + len(v, p)``.  Link lengths are integers, so
+    every total is exact."""
+    nr = topology.num_routers
+    length: list[dict[int, int]] = [{} for _ in range(nr)]
+    for i, j, d in topology.link_lengths:
+        length[i][j] = d
+        length[j][i] = d
+    neighbors = sorted_neighbors(topology)
+    total_hops = total_wire = diameter = 0
+    for dst in range(nr):
+        order, parent = bfs_tree(neighbors, dst)
+        hops = [0] * nr
+        wire = [0] * nr
+        for router in order[1:]:
+            up = parent[router]
+            hops[router] = hops[up] + 1
+            wire[router] = wire[up] + length[router][up]
+        total_hops += sum(hops)
+        total_wire += sum(wire)
+        diameter = max(diameter, hops[order[-1]])
+    return RouteTotals(total_hops, total_wire, diameter)

@@ -2,11 +2,13 @@
 
 import ast
 import math
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import repro.routing
+import repro.topos.base as base_module
 from repro.analysis import (
     LargeScaleModel,
     compare_networks,
@@ -17,6 +19,7 @@ from repro.analysis import (
 )
 from repro.engine import ExperimentEngine, ExperimentSpec, ResultCache
 from repro.routing import RoutingAlgorithm, StaticMinimalRouting, UGALRouting
+from repro.routing.paths import MinimalPaths
 from repro.sim import NoCSimulator, SimConfig
 from repro.topos import make_network
 from repro.traffic import SyntheticSource
@@ -106,6 +109,25 @@ class TestLargeScaleModel:
         result = model.sweep([0.01, 0.1, 2.0])
         assert result.points[-1].saturated
         assert result.points[0].latency < result.points[1].latency
+
+    def test_empty_store_builds_next_hop_once(self, tmp_path, monkeypatch):
+        """The averages come from the topology's BFS summary, so only the
+        worst-channel load builds a next-hop table."""
+        builds = []
+        next_hop = MinimalPaths.__dict__["next_hop"].func
+
+        def counting_next_hop(self):
+            builds.append(self.topology)
+            return next_hop(self)
+
+        counting = cached_property(counting_next_hop)
+        counting.__set_name__(MinimalPaths, "next_hop")
+        monkeypatch.setattr(MinimalPaths, "next_hop", counting)
+        monkeypatch.setattr(base_module, "_ROUTE_TOTALS", {})
+        cache = ResultCache(tmp_path)
+        LargeScaleModel.build(make_network("sn54"), "RND", cache=cache)
+        assert cache.stats().entries == 1
+        assert len(builds) == 1
 
     def test_model_tracks_simulator_at_small_n(self):
         """Cross-check: analytical zero-load within ~40% of cycle-accurate."""

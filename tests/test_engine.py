@@ -359,6 +359,7 @@ class TestSerializationSatellites:
         assert "latency_hist" in payload and "latencies" not in payload
         assert payload["latency_hist"] == [[10, 400], [20, 400], [30, 10]]
         clone = SimResult.from_dict(payload)
+        assert clone.latencies == sorted(result.latencies)
         assert clone.avg_latency == result.avg_latency
         assert clone.p99_latency == result.p99_latency
 

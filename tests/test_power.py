@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-import repro.power.power as power_module
+import repro.topos.base as base_module
 from repro.analysis import degrade
 from repro.analysis.resilience import failed_links
 from repro.engine import topology_fingerprint
@@ -224,7 +224,7 @@ class TestRouteAverages:
         assert basic_stats[0] == subgr_stats[0]
         assert basic_stats[1] != subgr_stats[1]
         keys = {topology_fingerprint(basic), topology_fingerprint(subgr)}
-        assert len(keys) == 2 and keys <= power_module._ROUTE_AVERAGES.keys()
+        assert len(keys) == 2 and keys <= base_module._ROUTE_TOTALS.keys()
 
     def test_irregular_degraded_graph(self):
         base = make_network("sn54")
@@ -244,22 +244,57 @@ class TestRouteAverages:
             average_route_stats(DegradedTopology(base, 0.8, seed=0))
 
     def test_memo_serves_rebuilt_topology(self, monkeypatch):
-        built = []
+        computed = []
+        sum_routes = base_module._sum_routes
 
-        class CountingPaths(MinimalPaths):
-            def __init__(self, topology):
-                built.append(topology)
-                super().__init__(topology)
+        def counting_sum_routes(topology):
+            computed.append(topology)
+            return sum_routes(topology)
 
-        monkeypatch.setattr(power_module, "_ROUTE_AVERAGES", {})
-        monkeypatch.setattr(power_module, "MinimalPaths", CountingPaths)
+        monkeypatch.setattr(base_module, "_ROUTE_TOTALS", {})
+        monkeypatch.setattr(base_module, "_sum_routes", counting_sum_routes)
         first = average_route_stats(make_network("sn54"))
-        assert len(built) == 1
+        assert len(computed) == 1
         again = average_route_stats(make_network("sn54"))
-        assert again is first
-        assert len(built) == 1
+        assert again == first
+        assert len(computed) == 1
         dynamic_power(make_network("sn54"), TECH_45NM, 0.05, 0.5)
-        assert len(built) == 1
+        assert len(computed) == 1
+        assert make_network("sn54").diameter == 2
+        assert len(computed) == 1
+
+
+#: The catalog plus the SN layouts that only move wires.
+STRUCTURES = [
+    *catalog_symbols(),
+    *(f"sn200/{layout}" for layout in ("sn_basic", "sn_gr", "sn_rand")),
+]
+
+
+class TestStructureSummary:
+    """The one BFS pass per destination against per-source BFS and walks."""
+
+    @pytest.mark.parametrize("name", STRUCTURES)
+    def test_equals_reference(self, name):
+        symbol, _, layout = name.partition("/")
+        topo = make_network(symbol, layout=layout or None)
+        nr = topo.num_routers
+        dists = [topo.shortest_hops_from(s) for s in range(nr)]
+        assert topo.diameter == max(max(d) for d in dists)
+        assert topo.average_hop_distance() == sum(map(sum, dists)) / (nr * (nr - 1))
+        assert average_route_stats(topo) == reference_route_stats(topo)
+        assert topo.link_lengths == [
+            (i, j, topo.link_length_hops(i, j)) for i, j in topo.edges()
+        ]
+
+    def test_disconnected_graph_raises(self):
+        base = make_network("sn54")
+        assert not degrade(base, 0.8, seed=3).connected
+        topo = DegradedTopology(base, 0.8, seed=3)
+        with pytest.raises(ValueError, match="disconnected"):
+            topo.diameter
+        with pytest.raises(ValueError, match="disconnected"):
+            average_route_stats(topo)
 
 
 class TestEnergyMetrics:
