@@ -8,8 +8,6 @@ across N worker processes (``REPRO_NO_CACHE=1`` forces re-simulation).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.analysis import format_table, sweep_loads
 from repro.engine import default_engine
 from repro.sim import SimConfig
@@ -22,11 +20,6 @@ SIM_KW = dict(warmup=200, measure=500, drain=1200)
 FIGURE_LOADS = [0.008, 0.06, 0.16, 0.30]
 
 
-@lru_cache(maxsize=None)
-def network(symbol: str, layout: str | None = None):
-    return make_network(symbol, layout=layout)
-
-
 def smart_config(**kw) -> SimConfig:
     return SimConfig(**kw).with_smart()
 
@@ -37,7 +30,7 @@ def latency_curve(symbol, pattern, loads=None, config=None, layout=None, **kw):
     params.update(kw)
     params.setdefault("engine", default_engine())
     return sweep_loads(
-        network(symbol, layout),
+        make_network(symbol, layout),
         pattern,
         list(loads or FIGURE_LOADS),
         config=config,

@@ -7,8 +7,9 @@
 
 from repro.analysis import geometric_mean
 from repro.engine import default_engine, workload_compare
+from repro.topos import make_network
 
-from harness import SIM_KW, latency_curve, network, print_series
+from harness import SIM_KW, latency_curve, print_series
 
 LAYOUTS = ["sn_basic", "sn_gr", "sn_rand", "sn_subgr"]
 PATTERNS = ["REV", "RND", "SHF"]
@@ -28,7 +29,7 @@ def figure_10a():
 def figure_10b():
     table = workload_compare(
         default_engine(),
-        {layout: network("sn200", layout) for layout in LAYOUTS},
+        {layout: make_network("sn200", layout) for layout in LAYOUTS},
         WORKLOADS_10B,
         seed=2,
         **SIM_KW,

@@ -8,8 +8,9 @@
 
 from repro.core import SlimNoC
 from repro.power import TECH_45NM, network_area, static_power
+from repro.topos import make_network
 
-from harness import network, print_series
+from harness import print_series
 
 LAYOUTS = ["sn_rand", "sn_basic", "sn_gr", "sn_subgr"]
 NETWORKS = ["fbf4", "pfbf4", "sn200", "t2d4", "cm4"]
@@ -25,7 +26,7 @@ def figure_15():
     net_area = {}
     net_power = {}
     for sym in NETWORKS:
-        topo = network(sym)
+        topo = make_network(sym)
         net_area[sym] = network_area(topo, TECH_45NM, edge_buffer_flits=None)
         net_power[sym] = static_power(topo, TECH_45NM, edge_buffer_flits=None)
     return layout_area, net_area, net_power

@@ -9,8 +9,8 @@ import pytest
 
 from repro.power import dynamic_power, network_area, static_power, technology
 
-from harness import network, print_series
-from repro.topos import cycle_time_ns
+from harness import print_series
+from repro.topos import cycle_time_ns, make_network
 
 NETWORKS = ["fbf3", "fbf4", "pfbf3", "sn200", "t2d4", "cm4"]
 RATE = 0.05
@@ -20,7 +20,7 @@ def figure_16(nm: int):
     tech = technology(nm)
     rows = {}
     for sym in NETWORKS:
-        topo = network(sym)
+        topo = make_network(sym)
         area = network_area(topo, tech, hops_per_cycle=9, edge_buffer_flits=None)
         static = static_power(topo, tech, hops_per_cycle=9, edge_buffer_flits=None)
         dynamic = dynamic_power(

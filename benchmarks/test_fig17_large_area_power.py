@@ -3,9 +3,9 @@
 import pytest
 
 from repro.power import dynamic_power, network_area, static_power, technology
-from repro.topos import cycle_time_ns
+from repro.topos import cycle_time_ns, make_network
 
-from harness import network, print_series
+from harness import print_series
 
 NETWORKS = ["fbf8", "fbf9", "pfbf9", "sn1296", "t2d9", "cm9"]
 RATE = 0.05
@@ -15,7 +15,7 @@ def figure_17(nm: int):
     tech = technology(nm)
     rows = {}
     for sym in NETWORKS:
-        topo = network(sym)
+        topo = make_network(sym)
         area = network_area(topo, tech, hops_per_cycle=9, edge_buffer_flits=None)
         static = static_power(topo, tech, hops_per_cycle=9, edge_buffer_flits=None)
         dynamic = dynamic_power(

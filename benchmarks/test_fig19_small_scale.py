@@ -6,9 +6,9 @@
 """
 
 from repro.power import TECH_45NM, dynamic_power, network_area
-from repro.topos import cycle_time_ns
+from repro.topos import cycle_time_ns, make_network
 
-from harness import latency_curve, network, print_series, smart_config
+from harness import latency_curve, print_series, smart_config
 
 NETWORKS = ["sn54", "fbf54", "pfbf54", "t2d54"]
 LOADS = [0.008, 0.06, 0.16]
@@ -21,15 +21,15 @@ def figure_19():
     }
     area = {
         sym: network_area(
-            network(sym), TECH_45NM, hops_per_cycle=9, edge_buffer_flits=None
-        ).per_node_cm2(network(sym).num_nodes)
+            make_network(sym), TECH_45NM, hops_per_cycle=9, edge_buffer_flits=None
+        ).per_node_cm2(make_network(sym).num_nodes)
         for sym in NETWORKS
     }
     dyn = {
         sym: dynamic_power(
-            network(sym), TECH_45NM, 0.06, cycle_time_ns(sym),
+            make_network(sym), TECH_45NM, 0.06, cycle_time_ns(sym),
             hops_per_cycle=9, edge_buffer_flits=None,
-        ).per_node(network(sym).num_nodes)
+        ).per_node(make_network(sym).num_nodes)
         for sym in NETWORKS
     }
     return curves, area, dyn

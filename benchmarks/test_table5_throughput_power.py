@@ -10,9 +10,9 @@ import pytest
 
 from repro.analysis import LargeScaleModel
 from repro.power import dynamic_power, make_metrics, static_power, technology
-from repro.topos import cycle_time_ns
+from repro.topos import cycle_time_ns, make_network
 
-from harness import network, print_series
+from harness import print_series
 
 CLASSES = {
     "small": ("sn200", ["t2d4", "cm4", "pfbf3", "fbf3", "fbf4"]),
@@ -23,7 +23,7 @@ OFFERED = 0.30
 
 def throughput_per_power(sym: str, nm: int) -> float:
     tech = technology(nm)
-    topo = network(sym)
+    topo = make_network(sym)
     ct = cycle_time_ns(sym)
     model = LargeScaleModel.build(topo, "RND")
     delivered = min(OFFERED, model.saturation_rate)

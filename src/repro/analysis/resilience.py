@@ -11,10 +11,9 @@ partitions or stretches quickly at the same failure rate.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
-from ..topos.base import Topology
+from ..topos.base import Topology, hop_distances
 
 
 @dataclass(frozen=True)
@@ -30,19 +29,6 @@ class ResilienceReport:
     @property
     def failure_fraction(self) -> float:
         return self.failed_links / self.total_links if self.total_links else 0.0
-
-
-def _bfs_all(adjacency: list[list[int]], source: int) -> list[int]:
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    frontier = deque([source])
-    while frontier:
-        current = frontier.popleft()
-        for neighbor in adjacency[current]:
-            if dist[neighbor] < 0:
-                dist[neighbor] = dist[current] + 1
-                frontier.append(neighbor)
-    return dist
 
 
 def failed_links(
@@ -79,8 +65,8 @@ def degrade(topology: Topology, fail_fraction: float, seed: int = 0) -> Resilien
     worst = 0
     pairs = 0
     for source in range(topology.num_routers):
-        dist = _bfs_all(adjacency, source)
-        if any(d < 0 for d in dist):
+        dist = hop_distances(adjacency, source)
+        if -1 in dist:
             return ResilienceReport(
                 failed_links=len(failures),
                 total_links=len(edges),

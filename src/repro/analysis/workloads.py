@@ -17,7 +17,6 @@ symbol — the same convention the figure harness uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ..power import (
@@ -63,13 +62,6 @@ class WorkloadRow:
         }
 
 
-@lru_cache(maxsize=None)
-def _symbol_context(symbol: str):
-    """Per-symbol invariants shared by every benchmark's join: the live
-    topology and its cycle time."""
-    return make_network(symbol), cycle_time_ns(symbol)
-
-
 def _join_power(
     symbol: str,
     bench: str,
@@ -78,7 +70,8 @@ def _join_power(
     tech: Technology,
 ) -> WorkloadRow:
     """Fold one simulation outcome into the power/EDP models."""
-    topo, ct = _symbol_context(symbol)
+    topo = make_network(symbol)
+    ct = cycle_time_ns(symbol)
     kw = dict(hops_per_cycle=config.hops_per_cycle, edge_buffer_flits=None)
     metrics = make_metrics(
         throughput_flits_per_cycle=result.throughput * topo.num_nodes,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import accumulate
 
 from ..topos.base import Coordinate
 
@@ -67,16 +68,49 @@ def wire_crossing_counts(
     """Wires routed over each grid slot (left-hand side of Eq. 3).
 
     Wire endpoints count toward their own slots, matching the paper's
-    "wires placed over a router and its attached nodes".
+    "wires placed over a router and its attached nodes".  Each
+    :func:`wire_path` is one column segment plus one row segment that
+    share a corner slot: the segments go into per-column and per-row
+    difference arrays, the corner is subtracted once, and prefix sums
+    read off every slot, in time linear in wires plus grid slots.
     """
     counts: Counter[Coordinate] = Counter()
+    if not edges:
+        return counts
+    x0 = min(x for x, _ in coords.values())
+    y0 = min(y for _, y in coords.values())
+    width = max(x for x, _ in coords.values()) - x0 + 2
+    height = max(y for _, y in coords.values()) - y0 + 2
+    columns = [[0] * height for _ in range(width)]
+    rows = [[0] * width for _ in range(height)]
+    corners: Counter[Coordinate] = Counter()
     for i, j in edges:
-        for slot in wire_path(coords[i], coords[j]):
-            counts[slot] += 1
+        ci, cj = coords[i], coords[j]
+        # The column and row of the L, as in wire_path.
+        if x_dominant(ci, cj):
+            x, y = ci[0], cj[1]
+        else:
+            x, y = cj[0], ci[1]
+        low, high = sorted((ci[1], cj[1]))
+        columns[x - x0][low - y0] += 1
+        columns[x - x0][high - y0 + 1] -= 1
+        low, high = sorted((ci[0], cj[0]))
+        rows[y - y0][low - x0] += 1
+        rows[y - y0][high - x0 + 1] -= 1
+        corners[(x, y)] += 1
+    across = [list(accumulate(row)) for row in rows]
+    for dx, column in enumerate(columns):
+        for dy, down in enumerate(accumulate(column)):
+            wires = down + across[dy][dx]
+            if wires:
+                counts[(dx + x0, dy + y0)] = wires
+    counts.subtract(corners)
     return counts
 
 
-def max_wire_crossings(edges: list[tuple[int, int]], coords: dict[int, Coordinate]) -> int:
+def max_wire_crossings(
+    edges: list[tuple[int, int]], coords: dict[int, Coordinate]
+) -> int:
     """The worst slot's wire count — must stay <= ``W`` (Eq. 3)."""
     counts = wire_crossing_counts(edges, coords)
     return max(counts.values()) if counts else 0

@@ -2,7 +2,8 @@
 
 Slim NoC parameters ``q`` are tiny prime powers (q <= 37 in the paper's
 analyses), so straightforward trial division is both adequate and the most
-readable choice.
+readable choice for single numbers.  Enumerating every prime power up to a
+bound (Table 2 scans to N = 1300) uses a sieve instead.
 """
 
 from __future__ import annotations
@@ -56,5 +57,21 @@ def is_prime_power(n: int) -> bool:
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
-    """All prime powers ``<= limit`` in increasing order (excluding 1)."""
-    return [n for n in range(2, limit + 1) if is_prime_power(n)]
+    """All prime powers ``<= limit`` in increasing order (excluding 1).
+
+    A sieve of Eratosthenes finds the primes; each prime then flags its
+    own powers, so no number is factored.
+    """
+    if limit < 2:
+        return []
+    prime = bytearray([1]) * (limit + 1)
+    power = bytearray(limit + 1)
+    for p in range(2, limit + 1):
+        if not prime[p]:
+            continue
+        prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        q = p
+        while q <= limit:
+            power[q] = 1
+            q *= p
+    return [n for n, flagged in enumerate(power) if flagged]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from abc import ABC, abstractmethod
-from collections import deque
+from collections.abc import Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -55,13 +55,14 @@ class Topology(ABC):
     @cached_property
     def adjacency(self) -> list[tuple[int, ...]]:
         adj = self._build_adjacency()
+        linked = [set(neighbors) for neighbors in adj]
         for router, neighbors in enumerate(adj):
-            if router in neighbors:
+            if router in linked[router]:
                 raise ValueError(f"router {router} has a self-loop")
-            if len(set(neighbors)) != len(neighbors):
+            if len(linked[router]) != len(neighbors):
                 raise ValueError(f"router {router} has duplicate links")
             for neighbor in neighbors:
-                if router not in adj[neighbor]:
+                if router not in linked[neighbor]:
                     raise ValueError(f"link {router}->{neighbor} is not symmetric")
         return adj
 
@@ -163,16 +164,8 @@ class Topology(ABC):
 
     def shortest_hops_from(self, source: int) -> list[int]:
         """BFS hop counts from ``source`` to every router."""
-        dist = [-1] * self.num_routers
-        dist[source] = 0
-        frontier = deque([source])
-        while frontier:
-            current = frontier.popleft()
-            for neighbor in self.adjacency[current]:
-                if dist[neighbor] < 0:
-                    dist[neighbor] = dist[current] + 1
-                    frontier.append(neighbor)
-        if any(d < 0 for d in dist):
+        dist = hop_distances(self.adjacency, source)
+        if -1 in dist:
             raise ValueError("topology is disconnected")
         return dist
 
@@ -224,6 +217,21 @@ def topology_fingerprint(topology: Topology) -> str:
     once per object and cached on it.
     """
     return topology.fingerprint
+
+
+def hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
+    """BFS hop counts from ``source`` over ``adjacency``; -1 marks a router
+    that ``source`` cannot reach."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    order = [source]
+    for current in order:  # FIFO: the list grows while read
+        step = dist[current] + 1
+        for neighbor in adjacency[current]:
+            if dist[neighbor] < 0:
+                dist[neighbor] = step
+                order.append(neighbor)
+    return dist
 
 
 def sorted_neighbors(topology: Topology) -> list[list[int]]:

@@ -2,7 +2,9 @@
 
 ``make_network`` builds any configuration by its Table 4 symbol
 (``t2d3``, ``cm9``, ``fbf4``, ``pfbf8``, …) or the Slim NoC size aliases
-(``sn54``, ``sn200``, ``sn1024``, ``sn1296``).  ``cycle_time_ns`` returns
+(``sn54``, ``sn200``, ``sn1024``, ``sn1296``), once per process: every
+call with the same symbol and layout returns the same shared object, so
+topologies must not be mutated.  ``cycle_time_ns`` returns
 the per-topology router clock the paper assigns to account for crossbar
 size (section 5.1).
 """
@@ -19,7 +21,15 @@ from .folded_clos import FoldedClos
 from .grids import ConcentratedMesh, Torus2D
 
 #: Router cycle times per topology family (section 5.1 "Cycle Times").
-CYCLE_TIME_NS = {"sn": 0.5, "pfbf": 0.5, "t2d": 0.4, "cm": 0.4, "fbf": 0.6, "df": 0.5, "clos": 0.5}
+CYCLE_TIME_NS = {
+    "sn": 0.5,
+    "pfbf": 0.5,
+    "t2d": 0.4,
+    "cm": 0.4,
+    "fbf": 0.6,
+    "df": 0.5,
+    "clos": 0.5,
+}
 
 
 def cycle_time_ns(name: str) -> float:
@@ -80,8 +90,22 @@ def catalog_symbols() -> list[str]:
     return sorted(_CATALOG)
 
 
+#: The networks built so far, one per ``(symbol, layout)`` key.
+_NETWORKS: dict[tuple[str, str | None], Topology] = {}
+
+
 def make_network(symbol: str, layout: str | None = None) -> Topology:
-    """Build a catalog network; ``layout`` overrides the SN layout."""
+    """The catalog network ``symbol``; ``layout`` overrides the SN layout.
+
+    Each ``(symbol, layout)`` key is built once per process and the same
+    object is returned on every later call, so the structure it derives
+    (adjacency, coordinates, link table, fingerprint) is derived once.
+    Topologies are immutable values: callers must not mutate the result.
+    """
+    key = (symbol, layout)
+    topology = _NETWORKS.get(key)
+    if topology is not None:
+        return topology
     if symbol not in _CATALOG:
         raise ValueError(f"unknown network {symbol!r}; options: {catalog_symbols()}")
     topology = _CATALOG[symbol][0]()
@@ -89,6 +113,7 @@ def make_network(symbol: str, layout: str | None = None) -> Topology:
         if not isinstance(topology, SlimNoC):
             raise ValueError(f"{symbol!r} has a fixed layout; only SN accepts one")
         topology = topology.with_layout(layout)
+    _NETWORKS[key] = topology
     return topology
 
 

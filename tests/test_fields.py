@@ -43,6 +43,13 @@ class TestPrimes:
     def test_prime_powers_up_to(self):
         assert prime_powers_up_to(16) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
+    def test_sieve_matches_is_prime_power(self):
+        """The sieve lists exactly the ``is_prime_power`` numbers, for
+        every bound up to Table 2's N = 1300."""
+        expected = [n for n in range(2, 1301) if is_prime_power(n)]
+        for limit in range(1301):
+            assert prime_powers_up_to(limit) == [n for n in expected if n <= limit]
+
 
 @pytest.mark.parametrize("q", PAPER_FIELDS)
 class TestFieldAxioms:

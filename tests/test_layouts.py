@@ -1,6 +1,7 @@
 """Tests for Slim NoC layouts, placement model, and cost models (section 3)."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,12 @@ from repro.core import (
     technology_wire_limit,
     total_central_buffers,
     total_edge_buffers,
+    wire_crossing_counts,
     wire_path,
 )
 from repro.core.costmodel import BufferBudget, theorem1_bounds
 from repro.core.layouts import LAYOUTS, group_tile_shape
+from repro.topos import catalog_symbols, make_network
 
 ALL_LAYOUTS = sorted(LAYOUTS)
 
@@ -175,6 +178,40 @@ class TestWirePath:
     def test_endpoints_always_covered(self, ci, cj):
         path = wire_path(ci, cj)
         assert ci in path and cj in path
+
+
+#: Fig 5's sweep: every layout at each (q, p).
+FIG5_NETWORKS = [
+    f"{q}/{p}/{layout}"
+    for q, p in [(3, 3), (5, 4), (7, 6), (8, 8), (9, 8), (11, 8)]
+    for layout in ["sn_rand", "sn_basic", "sn_gr", "sn_subgr"]
+]
+
+
+class TestWireCrossingCounts:
+    """The difference-array count against a walk over every wire slot."""
+
+    @staticmethod
+    def _check(topo):
+        edges, coords = topo.edges(), topo.coordinates
+        reference = Counter(
+            slot for i, j in edges for slot in wire_path(coords[i], coords[j])
+        )
+        counts = wire_crossing_counts(edges, coords)
+        assert counts == reference
+        assert dict(counts) == dict(reference)  # no zero-count slots either
+
+    @pytest.mark.parametrize("symbol", catalog_symbols())
+    def test_catalog(self, symbol):
+        self._check(make_network(symbol))
+
+    @pytest.mark.parametrize("name", FIG5_NETWORKS)
+    def test_fig5_sweep(self, name):
+        q, p, layout = name.split("/")
+        self._check(SlimNoC(int(q), int(p), layout=layout))
+
+    def test_no_edges(self):
+        assert wire_crossing_counts([], {0: (1, 1)}) == Counter()
 
 
 class TestWireConstraint:

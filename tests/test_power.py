@@ -7,6 +7,7 @@ import pytest
 import repro.topos.base as base_module
 from repro.analysis import degrade
 from repro.analysis.resilience import failed_links
+from repro.core import SlimNoC
 from repro.engine import topology_fingerprint
 from repro.power import (
     TECH_22NM,
@@ -253,14 +254,19 @@ class TestRouteAverages:
 
         monkeypatch.setattr(base_module, "_ROUTE_TOTALS", {})
         monkeypatch.setattr(base_module, "_sum_routes", counting_sum_routes)
-        first = average_route_stats(make_network("sn54"))
+        sn54 = make_network("sn54")
+        first = average_route_stats(sn54)
         assert len(computed) == 1
-        again = average_route_stats(make_network("sn54"))
+        # make_network returns one shared object per symbol, so rebuild
+        # the structure by hand: the memo must serve it by fingerprint.
+        rebuilt = [SlimNoC(3, 3) for _ in range(3)]
+        assert all(topo is not sn54 for topo in rebuilt)
+        again = average_route_stats(rebuilt[0])
         assert again == first
         assert len(computed) == 1
-        dynamic_power(make_network("sn54"), TECH_45NM, 0.05, 0.5)
+        dynamic_power(rebuilt[1], TECH_45NM, 0.05, 0.5)
         assert len(computed) == 1
-        assert make_network("sn54").diameter == 2
+        assert rebuilt[2].diameter == 2
         assert len(computed) == 1
 
 

@@ -491,7 +491,9 @@ class TestChaosRecovery:
     def test_sigkilled_worker_recovers(self, tmp_path):
         port = _free_port()
         url = f"http://127.0.0.1:{port}"
-        specs = spec_grid(10)
+        # The queue leases heaviest first, so the victim's first lease
+        # holds this long run and is still live when the victim dies.
+        specs = [*spec_grid(9), fast_spec(load=0.06, measure=60_000)]
         procs = []
         logs = []
         try:
@@ -520,24 +522,7 @@ class TestChaosRecovery:
             )
             reply = client.submit(jobs_for_specs(specs))
             assert reply["accepted"] == 10
-            for name in ("victim", "survivor"):
-                proc, log = self._spawn(
-                    [
-                        "work",
-                        url,
-                        "--id",
-                        name,
-                        "--max-specs",
-                        "4" if name == "victim" else "2",
-                        "--poll",
-                        "0.2",
-                    ],
-                    tmp_path,
-                    name,
-                )
-                procs.append(proc)
-                logs.append(log)
-            victim = procs[1]
+            victim = self._work("victim", 4, url, tmp_path, procs, logs)
             # Kill the victim the moment it holds a live lease.
             _wait_for(
                 lambda: "victim" in client.status()["workers"],
@@ -546,6 +531,9 @@ class TestChaosRecovery:
             )
             victim.kill()  # SIGKILL: no drain, no complete, no release
             victim.wait(timeout=10)
+            assert client.status()["leased"] >= 1  # it died holding a lease
+            # Only now start the survivor, so the victim cannot be starved.
+            self._work("survivor", 2, url, tmp_path, procs, logs)
             status = _wait_for(
                 lambda: (s := client.status())["drained"] and s,
                 120,
@@ -586,6 +574,14 @@ class TestChaosRecovery:
                     proc.kill()
             for log in logs:
                 log.close()
+
+    def _work(self, name, max_specs, url, tmp_path, procs, logs):
+        """Start a ``repro work`` process and register it for cleanup."""
+        argv = ["work", url, "--id", name, "--max-specs", str(max_specs)]
+        proc, log = self._spawn([*argv, "--poll", "0.2"], tmp_path, name)
+        procs.append(proc)
+        logs.append(log)
+        return proc
 
     @staticmethod
     def _healthy(url) -> bool:

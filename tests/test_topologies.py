@@ -2,13 +2,16 @@
 
 import pytest
 
+import repro.topos.catalog as catalog_module
 from repro.core import SlimNoC
+from repro.engine import resolve_topology
 from repro.topos import (
     ConcentratedMesh,
     Dragonfly,
     FlattenedButterfly,
     FoldedClos,
     PartitionedFBF,
+    Topology,
     Torus2D,
     catalog_symbols,
     cycle_time_ns,
@@ -80,6 +83,68 @@ class TestTable4:
         symbols = catalog_symbols()
         for row in TABLE4_ROWS:
             assert row[0] in symbols
+
+
+class TestCatalogMemo:
+    """``make_network`` builds each (symbol, layout) key once per process."""
+
+    @pytest.mark.parametrize("symbol", catalog_symbols())
+    def test_one_object_per_symbol(self, symbol):
+        assert make_network(symbol) is make_network(symbol)
+        assert make_network(symbol, layout=None) is make_network(symbol)
+
+    @pytest.mark.parametrize("layout", ["sn_basic", "sn_gr", "sn_rand"])
+    def test_one_object_per_layout(self, layout):
+        sn = make_network("sn200", layout=layout)
+        assert make_network("sn200", layout) is sn
+        assert sn.layout == layout
+        default = make_network("sn200")
+        assert sn is not default
+        assert sn.fingerprint != default.fingerprint
+
+    def test_rejected_keys_cache_nothing(self, monkeypatch):
+        monkeypatch.setattr(catalog_module, "_NETWORKS", {})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown network"):
+                make_network("hypercube")
+            with pytest.raises(ValueError, match="fixed layout"):
+                make_network("fbf3", layout="sn_gr")
+        assert catalog_module._NETWORKS == {}
+
+    def test_resolve_topology_returns_memoised_object(self):
+        assert resolve_topology("sn200") is make_network("sn200")
+        assert resolve_topology("sn200", "sn_gr") is make_network("sn200", "sn_gr")
+
+
+class _Listed(Topology):
+    """A topology over a given adjacency list, one router per grid column."""
+
+    def __init__(self, adjacency):
+        super().__init__(1)
+        self._listed = adjacency
+
+    def _build_adjacency(self):
+        return [tuple(neighbors) for neighbors in self._listed]
+
+    def _build_coordinates(self):
+        return {router: (router + 1, 1) for router in range(len(self._listed))}
+
+
+class TestAdjacencyValidation:
+    def test_valid_adjacency_passes(self):
+        assert _Listed([(1, 2), (0,), (0,)]).adjacency == [(1, 2), (0,), (0,)]
+
+    @pytest.mark.parametrize(
+        "adjacency,message",
+        [
+            ([(1,), (1, 0)], "router 1 has a self-loop"),
+            ([(1, 1), (0,)], "router 0 has duplicate links"),
+            ([(1, 2), (0,), ()], "link 0->2 is not symmetric"),
+        ],
+    )
+    def test_invalid_adjacency_rejected(self, adjacency, message):
+        with pytest.raises(ValueError, match=message):
+            _Listed(adjacency).adjacency
 
 
 class TestTorus:
