@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..topos.base import Topology, hop_distances
+from ..topos.base import Topology, all_pairs_hops
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ def failed_links(
     return {edges[index] for index in picked}
 
 
-def degrade(topology: Topology, fail_fraction: float, seed: int = 0) -> ResilienceReport:
+def degrade(
+    topology: Topology, fail_fraction: float, seed: int = 0
+) -> ResilienceReport:
     """Remove a random link fraction and measure what remains.
 
     Args:
@@ -61,28 +63,14 @@ def degrade(topology: Topology, fail_fraction: float, seed: int = 0) -> Resilien
         adjacency[i].append(j)
         adjacency[j].append(i)
 
-    total = 0
-    worst = 0
-    pairs = 0
-    for source in range(topology.num_routers):
-        dist = hop_distances(adjacency, source)
-        if -1 in dist:
-            return ResilienceReport(
-                failed_links=len(failures),
-                total_links=len(edges),
-                connected=False,
-                diameter=None,
-                average_path=None,
-            )
-        worst = max(worst, max(dist))
-        total += sum(dist)
-        pairs += topology.num_routers - 1
+    hops = all_pairs_hops(adjacency)
+    pairs = topology.num_routers * (topology.num_routers - 1)
     return ResilienceReport(
         failed_links=len(failures),
         total_links=len(edges),
-        connected=True,
-        diameter=worst,
-        average_path=total / pairs,
+        connected=hops.connected,
+        diameter=hops.diameter if hops.connected else None,
+        average_path=hops.total / pairs if hops.connected else None,
     )
 
 

@@ -12,6 +12,7 @@ cycle; ``H`` hops per link cycle — 1 without SMART, ~9 with SMART at
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from ..topos.base import Topology
@@ -34,13 +35,27 @@ def edge_buffer_flits(distance_hops: int, vcs: int, hops_per_cycle: int = 1) -> 
     return round_trip_cycles(distance_hops, hops_per_cycle) * vcs
 
 
-def _delta_by_length(
+#: Per-router edge-buffer totals of each live topology, per ``(vcs, H)``.
+#: Weak keys: a table lives only as long as its topology.
+_EDGE_BUFFERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _router_edge_buffers(
     topology: Topology, vcs: int, hops_per_cycle: int
-) -> dict[int, int]:
-    """δij for each distinct link length of ``topology``: links share a
-    few lengths, so each size is worked out once per call."""
-    lengths = {length for _, _, length in topology.link_lengths}
-    return {d: edge_buffer_flits(d, vcs, hops_per_cycle) for d in lengths}
+) -> list[int]:
+    """The shared per-router table; callers must not mutate it.  δij is
+    worked out once per distinct link length, since links share a few."""
+    tables = _EDGE_BUFFERS.setdefault(topology, {})
+    totals = tables.get((vcs, hops_per_cycle))
+    if totals is None:
+        lengths = {length for _, _, length in topology.link_lengths}
+        delta = {d: edge_buffer_flits(d, vcs, hops_per_cycle) for d in lengths}
+        totals = [0] * topology.num_routers
+        for i, j, length in topology.link_lengths:
+            totals[i] += delta[length]
+            totals[j] += delta[length]
+        tables[vcs, hops_per_cycle] = totals
+    return totals
 
 
 def average_wire_length(topology: Topology) -> float:
@@ -56,8 +71,7 @@ def total_edge_buffers(
     Eq. 5 iterates i and j over all routers, so each undirected link
     contributes a buffer at both of its endpoints.
     """
-    delta = _delta_by_length(topology, vcs, hops_per_cycle)
-    return 2 * sum(delta[length] for _, _, length in topology.link_lengths)
+    return sum(_router_edge_buffers(topology, vcs, hops_per_cycle))
 
 
 def total_central_buffers(topology: Topology, cb_flits: int, vcs: int = 2) -> int:
@@ -68,13 +82,9 @@ def total_central_buffers(topology: Topology, cb_flits: int, vcs: int = 2) -> in
 def per_router_edge_buffers(
     topology: Topology, vcs: int = 2, hops_per_cycle: int = 1
 ) -> list[int]:
-    """Total input-buffer flits at each router (Figure 5b/5c quantity)."""
-    delta = _delta_by_length(topology, vcs, hops_per_cycle)
-    totals = [0] * topology.num_routers
-    for i, j, length in topology.link_lengths:
-        totals[i] += delta[length]
-        totals[j] += delta[length]
-    return totals
+    """Total input-buffer flits at each router (Figure 5b/5c quantity),
+    as a fresh list from a table kept per live topology."""
+    return list(_router_edge_buffers(topology, vcs, hops_per_cycle))
 
 
 def per_router_central_buffer(topology: Topology, cb_flits: int, vcs: int = 2) -> int:

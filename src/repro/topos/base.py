@@ -138,8 +138,23 @@ class Topology(ABC):
     def link_lengths(self) -> list[tuple[int, int, int]]:
         """Every link once as ``(i, j, length)`` with ``i < j``, in
         :meth:`edges` order: the wire-length table that the fingerprint,
-        the route totals and the cost models read."""
-        return [(i, j, self.link_length_hops(i, j)) for i, j in self.edges()]
+        the route totals and the cost models read.
+
+        Built in one pass over adjacency and coordinates with the
+        Manhattan metric of :meth:`link_length_hops`; a subclass that
+        overrides that method (the torus's ring metric) gets its table
+        from the override instead."""
+        if type(self).link_length_hops is not Topology.link_length_hops:
+            return [(i, j, self.link_length_hops(i, j)) for i, j in self.edges()]
+        coords = self.coordinates
+        table = []
+        for i, neighbors in enumerate(self.adjacency):
+            xi, yi = coords[i]
+            for j in neighbors:
+                if i < j:
+                    xj, yj = coords[j]
+                    table.append((i, j, abs(xi - xj) + abs(yi - yj)))
+        return table
 
     @cached_property
     def fingerprint(self) -> str:
@@ -169,14 +184,25 @@ class Topology(ABC):
             raise ValueError("topology is disconnected")
         return dist
 
+    @cached_property
+    def hop_summary(self) -> HopSummary:
+        """All-pairs shortest-path totals (:func:`all_pairs_hops`)."""
+        return all_pairs_hops(self.adjacency)
+
+    def _connected_hops(self) -> HopSummary:
+        summary = self.hop_summary
+        if not summary.connected:
+            raise ValueError("topology is disconnected")
+        return summary
+
     @property
     def diameter(self) -> int:
-        return route_totals(self).diameter
+        return self._connected_hops().diameter
 
     def average_hop_distance(self) -> float:
         """Mean router-to-router shortest-path hops."""
         nr = self.num_routers
-        return route_totals(self).hops / (nr * (nr - 1))
+        return self._connected_hops().total / (nr * (nr - 1))
 
     def bisection_links(self) -> int:
         """Links crossing a median cut of the die (minimum over both axes).
@@ -234,6 +260,54 @@ def hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
     return dist
 
 
+class HopSummary(NamedTuple):
+    """Shortest-path totals over ordered pairs of distinct routers."""
+
+    #: Sum of hop distances over the pairs that are connected.
+    total: int
+    #: The longest of those distances.
+    diameter: int
+    #: Whether every router reaches every other.
+    connected: bool
+
+
+def all_pairs_hops(adjacency: Sequence[Sequence[int]]) -> HopSummary:
+    """:class:`HopSummary` of ``adjacency``, all sources expanded at once.
+
+    Each router's reach set is a Python int with one bit per router.
+    Level ``d`` ORs every neighbour's level ``d - 1`` set into a router's
+    own, so the set then holds exactly the routers within ``d`` hops; the
+    newly set bits are the pairs at distance ``d``.  A router whose set
+    is already full drops out.  Distances do not depend on the routing
+    tie-break, so this equals per-source BFS in sum, maximum and
+    connectivity.
+    """
+    nr = len(adjacency)
+    full = (1 << nr) - 1
+    reach = [1 << router for router in range(nr)]
+    active = [router for router in range(nr) if reach[router] != full]
+    total = distance = 0
+    while active:
+        grown = []
+        found = 0
+        for router in active:
+            before = reach[router]
+            after = before
+            for neighbor in adjacency[router]:
+                after |= reach[neighbor]
+            if after != before:
+                found += after.bit_count() - before.bit_count()
+                grown.append((router, after))
+        if not found:  # only disconnected routers are left
+            break
+        distance += 1
+        total += distance * found
+        for router, after in grown:
+            reach[router] = after
+        active = [router for router, after in grown if after != full]
+    return HopSummary(total, distance, all(r == full for r in reach))
+
+
 def sorted_neighbors(topology: Topology) -> list[list[int]]:
     """Each router's neighbours in ascending order, for :func:`bfs_tree`."""
     return [sorted(neighbors) for neighbors in topology.adjacency]
@@ -272,13 +346,10 @@ class RouteTotals(NamedTuple):
     hops: int
     #: Wire hops: the link lengths along each route.
     wire: int
-    #: The longest shortest path.
-    diameter: int
 
 
 #: Route totals per topology structure (:func:`topology_fingerprint`):
-#: the one memo behind ``diameter``, ``average_hop_distance`` and
-#: :func:`repro.power.average_route_stats`.
+#: the memo behind :func:`repro.power.average_route_stats`.
 _ROUTE_TOTALS: dict[str, RouteTotals] = {}
 
 
@@ -293,26 +364,24 @@ def route_totals(topology: Topology) -> RouteTotals:
 
 
 def _sum_routes(topology: Topology) -> RouteTotals:
-    """One BFS tree per destination, read in visit order: a router's
-    route is its parent's route plus one link, so ``hops[v] = hops[p] + 1``
-    and ``wire[v] = wire[p] + len(v, p)``.  Link lengths are integers, so
-    every total is exact."""
+    """Router hops come from :attr:`Topology.hop_summary`.  Wire hops
+    depend on the tie-break, so they take one BFS tree per destination,
+    read in visit order: a router's route is its parent's route plus one
+    link, so ``wire[v] = wire[p] + len(v, p)``.  Link lengths are
+    integers, so every total is exact."""
+    hops = topology.hop_summary
     nr = topology.num_routers
     length: list[dict[int, int]] = [{} for _ in range(nr)]
     for i, j, d in topology.link_lengths:
         length[i][j] = d
         length[j][i] = d
     neighbors = sorted_neighbors(topology)
-    total_hops = total_wire = diameter = 0
+    total_wire = 0
     for dst in range(nr):
         order, parent = bfs_tree(neighbors, dst)
-        hops = [0] * nr
         wire = [0] * nr
         for router in order[1:]:
             up = parent[router]
-            hops[router] = hops[up] + 1
             wire[router] = wire[up] + length[router][up]
-        total_hops += sum(hops)
         total_wire += sum(wire)
-        diameter = max(diameter, hops[order[-1]])
-    return RouteTotals(total_hops, total_wire, diameter)
+    return RouteTotals(hops.total, total_wire)

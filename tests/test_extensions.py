@@ -3,8 +3,10 @@
 import pytest
 
 from repro.analysis import degrade, resilience_curve
+from repro.analysis.resilience import ResilienceReport, failed_links
 from repro.core.slimnoc import design_for_nodes
 from repro.topos import make_network
+from repro.topos.base import hop_distances
 
 
 class TestDesignForNodes:
@@ -98,3 +100,37 @@ class TestResilience:
         b = degrade(sn, 0.3, seed=1)
         # Same failure count, (almost certainly) different damage.
         assert a.failed_links == b.failed_links
+
+
+def reference_degrade(topology, fail_fraction, seed):
+    """The per-source BFS loop that :func:`degrade` replaced."""
+    failures = failed_links(topology, fail_fraction, seed)
+    edges = topology.edges()
+    adjacency = [[] for _ in range(topology.num_routers)]
+    for i, j in edges:
+        if (i, j) not in failures:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    total = worst = pairs = 0
+    for source in range(topology.num_routers):
+        dist = hop_distances(adjacency, source)
+        if -1 in dist:
+            return ResilienceReport(len(failures), len(edges), False, None, None)
+        worst = max(worst, max(dist))
+        total += sum(dist)
+        pairs += topology.num_routers - 1
+    return ResilienceReport(len(failures), len(edges), True, worst, total / pairs)
+
+
+class TestResilienceReference:
+    """The all-pairs hop kernel against the per-source BFS loop."""
+
+    @pytest.mark.parametrize("symbol", ["sn200", "t2d4", "fbf4", "cm3", "sn54"])
+    def test_equal_reports(self, symbol):
+        topo = make_network(symbol)
+        fractions = [0.05, 0.10, 0.20, 0.40, 0.80]
+        curve = resilience_curve(topo, fractions, seeds=(0, 1, 2))
+        for fraction in fractions:
+            expected = [reference_degrade(topo, fraction, seed) for seed in (0, 1, 2)]
+            assert curve[fraction] == expected
+        assert not any(report.connected for report in curve[0.80])

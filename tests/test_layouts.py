@@ -1,6 +1,8 @@
 """Tests for Slim NoC layouts, placement model, and cost models (section 3)."""
 
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -28,6 +30,7 @@ from repro.core import (
 from repro.core.costmodel import BufferBudget, theorem1_bounds
 from repro.core.layouts import LAYOUTS, group_tile_shape
 from repro.topos import catalog_symbols, make_network
+from repro.topos.base import all_pairs_hops, hop_distances
 
 ALL_LAYOUTS = sorted(LAYOUTS)
 
@@ -214,6 +217,24 @@ class TestWireCrossingCounts:
         assert wire_crossing_counts([], {0: (1, 1)}) == Counter()
 
 
+class TestFig5Structure:
+    """Fig 5's directly built networks: the one-pass link table against
+    one ``link_length_hops`` per edge, the all-pairs hop kernel against
+    per-source BFS."""
+
+    @pytest.mark.parametrize("name", FIG5_NETWORKS)
+    def test_link_table_and_hops(self, name):
+        q, p, layout = name.split("/")
+        sn = SlimNoC(int(q), int(p), layout=layout)
+        assert sn.link_lengths == [
+            (i, j, sn.link_length_hops(i, j)) for i, j in sn.edges()
+        ]
+        dists = [hop_distances(sn.adjacency, s) for s in range(sn.num_routers)]
+        expected = (sum(map(sum, dists)), max(map(max, dists)), True)
+        assert all(min(row) >= 0 for row in dists)
+        assert tuple(all_pairs_hops(sn.adjacency)) == expected
+
+
 class TestWireConstraint:
     def test_crossings_positive_for_sn(self):
         sn = SlimNoC(5, 4, layout="sn_subgr")
@@ -296,6 +317,37 @@ class TestBufferModel:
     def test_per_router_totals_sum_to_delta(self):
         sn = SlimNoC(5, 4)
         assert sum(per_router_edge_buffers(sn)) == total_edge_buffers(sn)
+
+    @pytest.mark.parametrize("vcs,h", [(2, 1), (3, 1), (2, 9)])
+    @pytest.mark.parametrize("symbol", ["sn200", "t2d4", "cm3", "fbf4", "df200"])
+    def test_per_router_totals_from_scratch(self, symbol, vcs, h):
+        topo = make_network(symbol)
+        expected = [0] * topo.num_routers
+        for i, j in topo.edges():
+            size = edge_buffer_flits(topo.link_length_hops(i, j), vcs, h)
+            expected[i] += size
+            expected[j] += size
+        assert per_router_edge_buffers(topo, vcs, h) == expected
+        assert total_edge_buffers(topo, vcs, h) == sum(expected)
+
+    def test_per_router_result_is_fresh(self):
+        sn = SlimNoC(5, 4)
+        first = per_router_edge_buffers(sn)
+        kept = list(first)
+        first[0] += 1000
+        first.append(1)
+        assert per_router_edge_buffers(sn) == kept
+        assert per_router_edge_buffers(sn) is not per_router_edge_buffers(sn)
+
+    def test_tables_do_not_keep_topology_alive(self):
+        sn = SlimNoC(3, 3)
+        per_router_edge_buffers(sn)
+        total_edge_buffers(sn, hops_per_cycle=9)
+        assert sn.diameter == 2
+        ref = weakref.ref(sn)
+        del sn
+        gc.collect()
+        assert ref() is None
 
     def test_buffer_budget_constructors(self):
         sn = SlimNoC(5, 4)

@@ -266,8 +266,20 @@ class TestRouteAverages:
         assert len(computed) == 1
         dynamic_power(rebuilt[1], TECH_45NM, 0.05, 0.5)
         assert len(computed) == 1
-        assert rebuilt[2].diameter == 2
+        assert average_route_stats(rebuilt[2]) == first
         assert len(computed) == 1
+
+    def test_hop_metrics_skip_route_totals(self, monkeypatch):
+        """``diameter`` and ``average_hop_distance`` read the all-pairs
+        hop kernel, never the route totals and their BFS trees."""
+        computed = []
+        monkeypatch.setattr(base_module, "_ROUTE_TOTALS", {})
+        monkeypatch.setattr(base_module, "_sum_routes", computed.append)
+        for topo in (SlimNoC(3, 3), DegradedTopology(make_network("sn54"), 0.2, 3)):
+            assert topo.diameter >= 2
+            assert topo.average_hop_distance() > 1
+        assert computed == []
+        assert base_module._ROUTE_TOTALS == {}
 
 
 #: The catalog plus the SN layouts that only move wires.
@@ -278,7 +290,9 @@ STRUCTURES = [
 
 
 class TestStructureSummary:
-    """The one BFS pass per destination against per-source BFS and walks."""
+    """The hop metrics of the bit-parallel all-pairs kernel and the route
+    totals of one BFS tree per destination against per-source BFS and
+    per-pair path walks."""
 
     @pytest.mark.parametrize("name", STRUCTURES)
     def test_equals_reference(self, name):
@@ -286,6 +300,7 @@ class TestStructureSummary:
         topo = make_network(symbol, layout=layout or None)
         nr = topo.num_routers
         dists = [topo.shortest_hops_from(s) for s in range(nr)]
+        assert topo.hop_summary == (sum(map(sum, dists)), max(map(max, dists)), True)
         assert topo.diameter == max(max(d) for d in dists)
         assert topo.average_hop_distance() == sum(map(sum, dists)) / (nr * (nr - 1))
         assert average_route_stats(topo) == reference_route_stats(topo)
@@ -299,6 +314,8 @@ class TestStructureSummary:
         topo = DegradedTopology(base, 0.8, seed=3)
         with pytest.raises(ValueError, match="disconnected"):
             topo.diameter
+        with pytest.raises(ValueError, match="disconnected"):
+            topo.average_hop_distance()
         with pytest.raises(ValueError, match="disconnected"):
             average_route_stats(topo)
 

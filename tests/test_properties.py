@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SlimNoC, layout_coordinates, mms_graph
@@ -19,6 +19,7 @@ from repro.routing import (
 )
 from repro.sim import NoCSimulator, SimConfig, link_latency
 from repro.topos import make_network
+from repro.topos.base import all_pairs_hops, hop_distances
 from repro.traffic import (
     BurstSource,
     HotspotSource,
@@ -310,3 +311,34 @@ def test_deflection_never_drops_flits(seed):
     assert res.delivered_packets == res.created_packets
     assert res.delivered_flits == res.delivered_packets * 6
     assert not res.saturated
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Adjacency lists of random undirected simple graphs: possibly no
+    edges, one router, or several components."""
+    nr = draw(st.integers(1, 24))
+    pairs = st.tuples(st.integers(0, nr - 1), st.integers(0, nr - 1))
+    links = {(min(a, b), max(a, b)) for a, b in draw(st.lists(pairs, max_size=60))}
+    adjacency = [[] for _ in range(nr)]
+    for a, b in sorted(links):
+        if a != b:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    return adjacency
+
+
+@given(symmetric_graphs())
+@example([[]])  # one router
+@example([[], [], []])  # no edges
+@example([[1], [0], [3], [2, 4], [3]])  # several components
+@settings(max_examples=150, deadline=None)
+def test_all_pairs_hops_matches_per_source_bfs(adjacency):
+    """The bit-parallel kernel equals per-source BFS in sum, maximum and
+    connectivity, over the pairs that are connected."""
+    dists = [hop_distances(adjacency, s) for s in range(len(adjacency))]
+    reached = [d for row in dists for d in row if d >= 0]
+    summary = all_pairs_hops(adjacency)
+    assert summary.total == sum(reached)
+    assert summary.diameter == max(reached)
+    assert summary.connected == all(d >= 0 for row in dists for d in row)

@@ -327,3 +327,44 @@ class TestTopologyBase:
     def test_concentration_validation(self):
         with pytest.raises(ValueError):
             SlimNoC(5, 0)
+
+
+#: Fig 3's directly built networks: naive SF, fixed-radix FBF and torus,
+#: and the Dragonfly of Fig 3b/c.
+FIG3_NETWORKS = [
+    *(
+        SlimNoC(q, p, layout="sn_rand")
+        for q, p in [(3, 3), (5, 4), (7, 6), (9, 8), (11, 8)]
+    ),
+    *(
+        cls(cols, rows, p)
+        for cols, rows, p in [(6, 3, 3), (10, 5, 4), (14, 7, 6), (18, 9, 8), (22, 11, 8)]
+        for cls in (FlattenedButterfly, Torus2D)
+    ),
+    Dragonfly(2, concentration=6, name="df"),
+]
+
+
+class TestLinkLengthTable:
+    """The one-pass link table against one ``link_length_hops`` per edge
+    (the catalog is covered in test_power.py, Fig 5 in test_layouts.py)."""
+
+    @staticmethod
+    def _check(topo):
+        assert topo.link_lengths == [
+            (i, j, topo.link_length_hops(i, j)) for i, j in topo.edges()
+        ]
+
+    @pytest.mark.parametrize(
+        "topo", FIG3_NETWORKS, ids=lambda t: f"{type(t).__name__}-{t.num_routers}"
+    )
+    def test_fig3_networks(self, topo):
+        self._check(topo)
+
+    def test_non_square_torus_keeps_ring_metric(self):
+        torus = Torus2D(5, 3, 2)
+        self._check(torus)
+        # Wrap-around links span the die in Manhattan terms; the folded
+        # torus keeps every wire one hop long.
+        assert {length for _, _, length in torus.link_lengths} == {1}
+        assert torus.router_at(0, 0) in torus.router_neighbors(torus.router_at(4, 0))
