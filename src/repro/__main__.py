@@ -88,19 +88,16 @@ import signal
 import sys
 import threading
 import time
+from typing import TYPE_CHECKING
 
 from .analysis import format_table
 from .engine import (
     ROUTING_BUILDERS,
     ExperimentEngine,
-    QueueClient,
-    QueueWorker,
-    RemoteStoreError,
     ResultCache,
     build_sweep_specs,
     build_workload_specs,
     estimate_campaign_seconds,
-    jobs_for_specs,
     run_compare,
     run_sweep,
     shard_specs,
@@ -118,7 +115,11 @@ from .sim import BUFFERING_STRATEGIES, NoCSimulator, SimConfig
 from .topos import catalog_symbols
 from .traffic import SyntheticSource, workload_names
 
+if TYPE_CHECKING:
+    from .engine.queue import QueueClient
+
 _log = get_logger("cli")
+
 
 def parse_loads(text: str) -> list[float]:
     """``"0.02:0.5:0.04"`` (start:stop:step, stop-inclusive) or a comma list."""
@@ -912,6 +913,8 @@ def _sweep_queued(
             "--queue needs the cache: results rendezvous in the "
             "coordinator's store"
         )
+    from .engine.queue import QueueClient, jobs_for_specs
+
     url = args.queue
     groups, node_counts, symbols = _synthetic_grid(
         args, config, [args.network], patterns
@@ -1337,6 +1340,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_work(args: argparse.Namespace) -> int:
+    from .engine.worker import QueueWorker
+
     worker = QueueWorker(
         args.url,
         worker_id=args.worker_id,
@@ -1505,9 +1510,22 @@ def main(argv: list[str]) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, LookupError, RemoteStoreError) as exc:
+    except _user_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _user_errors() -> tuple[type[Exception], ...]:
+    """Exceptions reported as a one-line ``error:`` and exit code 2.
+
+    ``RemoteStoreError`` joins only once the remote store has been
+    imported — it cannot be raised before — so local subcommands never
+    load the HTTP stack just to name the class.
+    """
+    http = sys.modules.get("repro.engine.store.http")
+    if http is None:
+        return (ValueError, LookupError)
+    return (ValueError, LookupError, http.RemoteStoreError)
 
 
 if __name__ == "__main__":

@@ -62,7 +62,14 @@ specs are re-issued)::
 
 Re-running any form performs zero new simulations: every point is
 served from the cache.
+
+The remote-store, fault-injection, queue and worker names are exported
+lazily: ``import repro.engine`` does not load those submodules (nor
+``urllib``, ``ssl``, ``http.server`` or ``multiprocessing``); the first
+read of one of their names does.
 """
+
+from importlib import import_module
 
 from .campaign import (
     SHARD_BALANCE_MODES,
@@ -76,7 +83,6 @@ from .campaign import (
     traffic_for_token,
     workload_compare,
 )
-from .queue import JobQueue, QueueClient, QueueJob, jobs_for_specs
 from .runner import ExperimentEngine, RunStats, default_engine
 from .spec import (
     LIVE_SPEC_VERSIONS,
@@ -100,24 +106,48 @@ from .spec import (
 )
 from .store import (
     SCHEMA_VERSION,
-    TOKEN_ENV,
     CacheBackend,
     CacheStats,
-    FaultyBackend,
     GCReport,
-    InjectedFault,
     MergeReport,
-    RemoteAuthError,
-    RemoteStore,
-    RemoteStoreError,
     ResultCache,
     SqlitePackStore,
-    StoreServer,
     default_cache_dir,
     merge_stores,
     open_backend,
 )
-from .worker import QueueWorker, WorkerStats, default_worker_id
+
+#: Names served on first access (PEP 562): the remote store, the fault
+#: injector, the work queue and the worker fleet, which a serial run on
+#: the local store never uses (the remote store alone pulls in
+#: ``urllib.request``, ``ssl`` and ``http.server``).  Name -> submodule
+#: that defines it.
+_LAZY = {
+    "FaultyBackend": ".store.faulty",
+    "InjectedFault": ".store.faulty",
+    "TOKEN_ENV": ".store.http",
+    "RemoteAuthError": ".store.http",
+    "RemoteStore": ".store.http",
+    "RemoteStoreError": ".store.http",
+    "StoreServer": ".store.http",
+    "JobQueue": ".queue",
+    "QueueClient": ".queue",
+    "QueueJob": ".queue",
+    "jobs_for_specs": ".queue",
+    "QueueWorker": ".worker",
+    "WorkerStats": ".worker",
+    "default_worker_id": ".worker",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ExperimentSpec",

@@ -31,10 +31,11 @@ Environment knobs: ``REPRO_WORKERS`` sets the default worker count and
 from __future__ import annotations
 
 import os
+import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..obs import CostCalibration
 from ..obs.metrics import ENGINE_SPEC_SECONDS, ENGINE_SPECS, span
@@ -43,11 +44,26 @@ from ..topos.base import Topology
 from .spec import FINGERPRINT_PREFIX, ExperimentSpec, resolve_topology, spec_load
 from .store import ResultCache
 
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
 #: progress(done, total, spec, from_cache) — invoked once per unique spec.
 ProgressFn = Callable[[int, int, ExperimentSpec, bool], None]
 
 WORKERS_ENV = "REPRO_WORKERS"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
+
+
+def __getattr__(name: str):
+    # ``ProcessPoolExecutor`` (and with it ``multiprocessing``) loads when
+    # the first parallel batch needs a pool, so a cache replay or a
+    # serial run never imports it.  Reading it as a module attribute lets
+    # a test replace the pool class for ``_ensure_pool``.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
@@ -186,7 +202,8 @@ class ExperimentEngine:
         campaigns don't pay process startup once per batch — and fully
         cached runs never pay it at all."""
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            pool_class = sys.modules[__name__].ProcessPoolExecutor
+            self._pool = pool_class(max_workers=self.max_workers)
         return self._pool
 
     def close(self) -> None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar, Iterable, Iterator, Union
 
 from ..obs.calibration import COST_BASE_ACTIVITY, CostCalibration
@@ -421,6 +421,13 @@ def traffic_from_dict(payload: dict) -> TrafficSpec:
     raise ValueError(f"unknown traffic source kind {kind!r}")
 
 
+#: ``SimConfig``'s field names in declaration order.  Every field is a
+#: scalar (int, float, bool or str), so reading them one by one gives
+#: the same dict as the recursive ``asdict`` copy, for a fraction of
+#: the cost — ``to_dict`` runs once per spec hash.
+_CONFIG_FIELDS = tuple(f.name for f in fields(SimConfig))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One simulation point, fully pinned and hashable.
@@ -493,7 +500,7 @@ class ExperimentSpec:
             "topology": self.topology,
             "source": self.source.to_dict(),
             "packet_flits": self.packet_flits,
-            "config": asdict(self.config),
+            "config": {name: getattr(self.config, name) for name in _CONFIG_FIELDS},
             "routing": self.routing,
             "seed": self.seed,
             "warmup": self.warmup,

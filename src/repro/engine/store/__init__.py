@@ -23,6 +23,9 @@ be sharded across hosts and its results merged back into a single store:
   deterministic fault-injection wrapper around any backend (chaos
   tests for the engine's write-back and the queue's retry paths).
 
+The ``http`` and ``faulty`` names are exported lazily: each submodule
+is imported the first time one of its names is read from this package.
+
 A location is ``sqlite:FILE`` (a pack file), ``http(s)://HOST:PORT``
 (a ``repro serve`` endpoint), or a plain path — a cache directory,
 opened as ``<dir>/results.sqlite``.  Iteration over any backend is
@@ -32,6 +35,8 @@ sorted page, and the maintenance paths (``stats``/``gc``/
 operation ever materializes a full key set — the property that lets a
 campaign cache grow past one process's memory.
 """
+
+from importlib import import_module
 
 from .base import (
     CACHE_DIR_ENV,
@@ -53,18 +58,34 @@ from .base import (
     merge_stores,
     open_backend,
 )
-from .faulty import DEFAULT_FAILABLE_OPS, FaultyBackend, InjectedFault
 from .frontend import ResultCache
-from .http import (
-    DEFAULT_PORT,
-    PROTOCOL_VERSION,
-    TOKEN_ENV,
-    RemoteAuthError,
-    RemoteStore,
-    RemoteStoreError,
-    StoreServer,
-)
 from .sqlite import SqlitePackStore
+
+#: Names served on first access (PEP 562): the remote store pulls in
+#: ``urllib.request``, ``ssl`` and ``http.server``, which a run on the
+#: local store never needs.  Name -> submodule that defines it.
+_LAZY = {
+    "DEFAULT_FAILABLE_OPS": ".faulty",
+    "FaultyBackend": ".faulty",
+    "InjectedFault": ".faulty",
+    "DEFAULT_PORT": ".http",
+    "PROTOCOL_VERSION": ".http",
+    "TOKEN_ENV": ".http",
+    "RemoteAuthError": ".http",
+    "RemoteStore": ".http",
+    "RemoteStoreError": ".http",
+    "StoreServer": ".http",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CACHE_DIR_ENV",

@@ -35,10 +35,14 @@ checks:
   :func:`entry_is_unreachable` test version markers on raw text.
 * **mtimes are the LRU clock.**  Each entry carries one last-use
   timestamp.  ``get_payload``/``get_payload_many`` refresh it on a hit
-  ("touch on read"); ``put_payload*`` stamps "now"; ``put_entry*``
+  ("touch on read") when it is more than one hour old
+  (:data:`~repro.engine.store.sqlite.TOUCH_GRANULARITY_S`, the
+  ``relatime`` rule), so a warm replay of fresh entries writes
+  nothing; ``put_payload*`` stamps "now"; ``put_entry*``
   *preserves* a supplied ``mtime`` (backdating is how merges keep a
   shard's eviction order) and only defaults to "now" when none is
-  given.  ``gc`` evicts strictly in mtime order.
+  given.  ``gc`` evicts strictly in mtime order, so recency is exact
+  to within that hour.
 * **Misses are silent, never errors.**  A missing, unreadable, corrupt,
   wrong-``kind``, or wrong-schema entry makes ``get_payload`` return
   ``None`` (the engine recomputes and overwrites); raw ``get_entry``

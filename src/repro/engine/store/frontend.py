@@ -22,9 +22,10 @@ protocol.
 The front end relies on — and only on — the backend contract written
 down in :mod:`repro.engine.store.base`: it batches freely because
 ``*_many`` calls are plural-not-different, trusts mtime refresh on hits
-to keep its LRU ``gc`` meaningful, treats every ``None`` payload as a
-recomputable miss, and assumes ``size_bytes`` is cheap enough to call
-on the write path.  Code in this module must not depend on any behavior
+to keep its LRU ``gc`` meaningful (to a one-hour granularity: a hit on
+an entry stamped within the hour leaves the stamp as it is), treats
+every ``None`` payload as a recomputable miss, and assumes
+``size_bytes`` is cheap enough to call on the write path.  Code in this module must not depend on any behavior
 of a particular backend beyond that contract — it is the part that
 stays correct whether the backend is a local SQLite pack or a server
 on another machine.

@@ -48,6 +48,12 @@ from .base import (
 #: to them.
 _BACKEND = "sqlite"
 
+#: A hit refreshes an entry's mtime only when the stamp is older than
+#: this many seconds (the ``relatime`` rule).  LRU order is kept to
+#: within this granularity, and a batch whose hits are all fresh reads
+#: without opening a write transaction.
+TOUCH_GRANULARITY_S = 3600.0
+
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS entries (
     key    TEXT PRIMARY KEY,
@@ -151,26 +157,30 @@ class SqlitePackStore:
             conn = self._connect()
             found: dict[str, dict] = {}
             now = time.time()
+            stale_before = now - TOUCH_GRANULARITY_S
+            stale: list[str] = []
             for chunk in chunked(wanted):
                 marks = ",".join("?" * len(chunk))
-                query = f"SELECT key, entry FROM entries WHERE key IN ({marks})"
-                rows = conn.execute(query, chunk).fetchall()
-                hits = []
-                for key, text in rows:
+                query = (
+                    f"SELECT key, entry, mtime FROM entries WHERE key IN ({marks})"
+                )
+                for key, text, mtime in conn.execute(query, chunk):
                     payload = self._check(text, kind)
                     if payload is not None:
                         found[key] = payload
-                        hits.append(key)
                         op.add_bytes(len(text))
-                if hits:
-                    # Touch on read: mtime order is the LRU order gc()
-                    # evicts in.
-                    marks = ",".join("?" * len(hits))
+                        if mtime < stale_before:
+                            stale.append(key)
+            if stale:
+                # Touch on read: mtime order is the LRU order gc()
+                # evicts in.
+                for chunk in chunked(stale):
+                    marks = ",".join("?" * len(chunk))
                     conn.execute(
                         f"UPDATE entries SET mtime = ? WHERE key IN ({marks})",
-                        [now, *hits],
+                        [now, *chunk],
                     )
-            conn.commit()
+                conn.commit()
             return found
 
     def put_payload(

@@ -1,7 +1,12 @@
 """Tests for the experiment engine: specs, cache, runner, campaigns."""
 
+import dataclasses
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +25,7 @@ from repro.engine import (
 )
 from repro.engine.batching import spec_batchable
 from repro.engine.store import SCHEMA_VERSION
-from repro.sim import SimConfig, SimResult, el_links
+from repro.sim import BUFFERING_STRATEGIES, SimConfig, SimResult, cbr, el_links
 from repro.topos import make_network
 
 #: Tiny but shape-preserving windows for the sn54/cm54 class.
@@ -72,6 +77,142 @@ class TestExperimentSpec:
         rebuilt = spec.execute()
         assert direct.avg_latency == rebuilt.avg_latency
         assert direct.throughput == rebuilt.throughput
+
+
+#: The configs the figures run: the default, SMART, every Fig 11
+#: buffering strategy, and the CBR sizes of Figs 12-13.
+FIGURE_CONFIGS = {
+    "default": SimConfig(),
+    "smart": SimConfig().with_smart(),
+    **{name: factory() for name, factory in BUFFERING_STRATEGIES.items()},
+    "cbr20": cbr(20),
+    "cbr40": cbr(40),
+}
+
+
+class TestSpecConfigDict:
+    """``to_dict`` reads ``SimConfig``'s fields one by one instead of the
+    recursive ``asdict`` copy; the dict, and so every hash, must match."""
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
+    def test_config_dict_equals_asdict(self, name):
+        config = FIGURE_CONFIGS[name]
+        spec = fast_spec(config=config)
+        payload = spec.to_dict()
+        assert payload["config"] == dataclasses.asdict(config)
+        assert list(payload["config"]) == list(dataclasses.asdict(config))
+        clone = ExperimentSpec.from_dict(json.loads(json.dumps(payload)))
+        assert clone == spec
+        assert clone.to_dict() == payload
+        assert clone.content_hash() == spec.content_hash()
+
+    def test_every_config_field_is_a_scalar(self):
+        # A nested field would make the shallow walk share (and the hash
+        # misread) a mutable value that ``asdict`` copies recursively.
+        scalars = {int, float, bool, str}
+        names = {t.__name__ for t in scalars}
+        for f in dataclasses.fields(SimConfig):
+            assert f.type in scalars or f.type in names, (f.name, f.type)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules a warm serial run on the local store must never load: the
+#: remote store, queue, worker and fault injector, and what they (or a
+#: process pool) would drag in.
+REMOTE_STACK = (
+    "repro.engine.store.http",
+    "repro.engine.queue",
+    "repro.engine.worker",
+    "repro.engine.store.faulty",
+    "ssl",
+    "http.client",
+    "multiprocessing",
+)
+
+_WARM_CHILD = """
+import json, sys
+import repro
+from repro.engine import ExperimentSpec, default_engine
+engine = default_engine()
+engine.run([ExperimentSpec.from_dict(json.loads(sys.argv[1]))])
+stats = engine.last_stats
+assert (stats.cache_hits, stats.executed) == (1, 0), stats
+print(json.dumps([name for name in sys.argv[2:] if name in sys.modules]))
+"""
+
+
+def _child_env(tmp_path, **extra) -> dict:
+    """A fresh interpreter's environment: this checkout's source and a
+    store under ``tmp_path``, no other ``REPRO_*`` setting."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(
+        PYTHONPATH=str(SRC),
+        REPRO_CACHE_DIR=str(tmp_path),
+        REPRO_CALIBRATION=str(tmp_path / "calibration.json"),
+        **extra,
+    )
+    return env
+
+
+class TestLazyImports:
+    def test_warm_run_loads_no_remote_stack(self, tmp_path):
+        spec = fast_spec()
+        ExperimentEngine(cache=ResultCache(tmp_path)).run([spec])
+        # A multi-worker engine too: a pure cache read never builds its
+        # pool, so it must not import multiprocessing either.
+        env = _child_env(tmp_path, REPRO_WORKERS="2")
+        argv = [sys.executable, "-c", _WARM_CHILD, json.dumps(spec.to_dict())]
+        out = subprocess.run(
+            [*argv, *REMOTE_STACK], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "sn54"],
+            ["sweep", "sn54", "--loads", "0.05", "--warmup", "20"]
+            + ["--measure", "20", "--drain", "20", "--no-cache", "--quiet"],
+        ],
+        ids=["info", "sweep"],
+    )
+    def test_local_cli_subcommands_load_no_remote_stack(self, argv, tmp_path):
+        child = (
+            "import sys\n"
+            "from repro.__main__ import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            f"print([m for m in {REMOTE_STACK!r} if m in sys.modules])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            env=_child_env(tmp_path),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_cli_still_reports_remote_errors(self, tmp_path, capsys, monkeypatch):
+        from repro.engine import SqlitePackStore, StoreServer
+
+        monkeypatch.setenv("REPRO_CACHE_TOKEN", "wrong-token")
+        pack = SqlitePackStore(tmp_path / "store.sqlite")
+        with StoreServer(pack, token="right-token", quiet=True) as server:
+            assert main(["cache", "stats", "--cache-dir", server.url]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("package", ["repro.engine", "repro.engine.store"])
+    def test_public_names_still_resolve(self, package):
+        module = __import__(package, fromlist=["*"])
+        for name in module.__all__:
+            assert getattr(module, name) is not None, name
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        assert set(module.__all__) <= set(namespace)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
 
 class TestResultCache:

@@ -37,6 +37,7 @@ from repro.engine.store import (
     iter_key_pages,
 )
 from repro.engine.store import http as http_module
+from repro.engine.store.sqlite import TOUCH_GRANULARITY_S
 
 #: Tiny but shape-preserving windows for the sn54/cm54 class.
 FAST = dict(warmup=100, measure=200, drain=300)
@@ -293,6 +294,64 @@ class TestBackendEquivalence:
         for a, b in zip(first, again):
             assert a.avg_latency == b.avg_latency
             assert a.latencies == b.latencies
+
+
+class TestTouchGranularity:
+    """A hit refreshes an entry's mtime only when the stamp is older than
+    ``TOUCH_GRANULARITY_S``, so a warm read of fresh entries writes
+    nothing — on the local pack and through ``RemoteStore`` alike."""
+
+    FRESH = "aa" * 32
+    STALE = "bb" * 32
+
+    def seed(self, backend, now):
+        for i, key in enumerate((self.FRESH, self.STALE)):
+            backend.put_payload(key, "sim", {"x": i})
+        set_mtime(backend, self.FRESH, now - TOUCH_GRANULARITY_S / 2)
+        set_mtime(backend, self.STALE, now - 2 * TOUCH_GRANULARITY_S)
+
+    def check(self, reader, pack):
+        """``reader`` serves the gets; ``pack`` is the SQLite file under it."""
+        now = time.time()
+        self.seed(reader, now)
+        conn = pack._connect()
+        changes = conn.total_changes
+        assert reader.get_payload_many([self.FRESH], "sim") == {self.FRESH: {"x": 0}}
+        assert conn.total_changes == changes
+        assert not conn.in_transaction
+        assert pack.get_entry(self.FRESH).mtime == now - TOUCH_GRANULARITY_S / 2
+
+        found = reader.get_payload_many([self.FRESH, self.STALE], "sim")
+        assert set(found) == {self.FRESH, self.STALE}
+        assert conn.total_changes == changes + 1  # the stale row only
+        assert not conn.in_transaction
+        assert pack.get_entry(self.FRESH).mtime == now - TOUCH_GRANULARITY_S / 2
+        assert pack.get_entry(self.STALE).mtime >= now
+
+    def test_local_pack(self, tmp_path):
+        pack = SqlitePackStore(tmp_path / "store.sqlite")
+        self.check(pack, pack)
+
+    def test_through_remote_store(self, tmp_path):
+        pack = SqlitePackStore(tmp_path / "store.sqlite")
+        with StoreServer(pack, quiet=True) as server:
+            self.check(remote_store(server), pack)
+
+    def test_gc_evicts_in_mtime_order_across_the_boundary(self, backend):
+        now = time.time()
+        stale, fresh, newest = "aa" * 32, "bb" * 32, "cc" * 32
+        ages = {stale: 2.0, fresh: 0.5, newest: 0.25}
+        for i, (key, age) in enumerate(ages.items()):
+            backend.put_payload(key, "sim", {"x": i})
+            set_mtime(backend, key, now - age * TOUCH_GRANULARITY_S)
+        # One read: the stale entry jumps to "now", the fresh ones keep
+        # their stamps, so the LRU order becomes fresh < newest < stale.
+        assert len(backend.get_payload_many(list(ages), "sim")) == 3
+        size = len(encode_entry(backend.get_entry(stale).entry))
+        assert backend.gc(max_bytes=2 * size).removed_entries == 1
+        assert sorted(backend.iter_keys()) == [stale, newest]
+        assert backend.gc(max_bytes=size).removed_entries == 1
+        assert list(backend.iter_keys()) == [stale]
 
 
 class TestBackendCrossEquivalence:
