@@ -16,15 +16,13 @@ content-addressed on-disk result cache):
 * ``cache``   — result-store maintenance: ``cache stats`` (size plus
   reclaimable bytes from superseded schema/spec versions) / ``cache
   clear`` / ``cache gc [--max-bytes N] [--max-age DAYS]`` (LRU eviction
-  by last use; unreachable entries always go first) / ``cache export
-  PACK`` / ``cache merge STORE...`` (move entries between stores by
-  content key; remote ``http://`` stores are valid on either side).
+  by last use; unreachable entries always go first).
 * ``serve``   — share a result store over HTTP: ``python -m repro serve
   --store sqlite:results.sqlite --port 8123 [--token T]`` turns a local
-  store into a rendezvous point that every shard host can use as its
-  ``--cache-dir``; add ``--queue`` to also coordinate a fault-tolerant
-  work queue for an elastic worker fleet (see
-  :mod:`repro.engine.store.http` and :mod:`repro.engine.queue`).
+  store into one that any host can use as its ``--cache-dir``; add
+  ``--queue`` to also coordinate a fault-tolerant work queue for an
+  elastic worker fleet (see :mod:`repro.engine.store.http` and
+  :mod:`repro.engine.queue`).
 * ``work``    — join a coordinator's work queue as an elastic worker:
   ``python -m repro work http://host:8123 --workers 4``.  Workers claim
   leased spec batches, heartbeat while simulating, and write results
@@ -43,40 +41,19 @@ path holds its store in ``<dir>/results.sqlite`` (the default is
 directly, and ``http://host:port`` talks to a ``repro serve`` endpoint
 (``REPRO_CACHE_TOKEN`` supplies the bearer token when required).
 
-Campaigns too large for one machine split with ``--shard INDEX/COUNT``
-(disjoint, covering, stable under reordering; ``--shard-balance cost``
-weighs points by predicted work instead of count) and rendezvous by
-merge::
-
-    host-a$ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
-                --shard 0/2 --cache-dir sqlite:shard-a.sqlite --workers 8
-    host-b$ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
-                --shard 1/2 --cache-dir sqlite:shard-b.sqlite --workers 8
-    # ship shard-b.sqlite to host-a, then:
-    host-a$ python -m repro cache merge sqlite:shard-a.sqlite sqlite:shard-b.sqlite
-    host-a$ python -m repro sweep sn200 --loads 0.02:0.5:0.02
-    # ^ assembles the full curves as a pure cache read (0 simulations)
-
-or over the network, with no file shipping::
-
-    host-c$ python -m repro serve --store sqlite:results.sqlite --port 8123
-    host-a$ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
-                --shard 0/2 --cache-dir http://host-c:8123 --workers 8
-    host-b$ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
-                --shard 1/2 --cache-dir http://host-c:8123 --workers 8
-    any   $ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
-                --cache-dir http://host-c:8123   # pure cache read
-
-Static shards assume every host survives; the work queue does not.
-``serve --queue`` plus any number of ``repro work`` processes drains
-the same campaign fault-tolerantly — leases expire when a worker dies
-and its specs are re-issued, completed results are never recomputed::
+A campaign too large for one machine is spread across hosts by the work
+queue: ``serve --queue`` plus any number of ``repro work`` processes
+drains it fault-tolerantly — leases expire when a worker dies and its
+specs are re-issued, completed results are never recomputed.
+``sweep``, ``compare`` and ``workloads`` all take ``--queue URL``::
 
     host-c$ python -m repro serve --store sqlite:results.sqlite --queue
     host-a$ python -m repro work http://host-c:8123 --workers 8
     host-b$ python -m repro work http://host-c:8123 --workers 8
     any   $ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
                 --queue http://host-c:8123   # submit, wait, assemble
+    any   $ python -m repro sweep sn200 --loads 0.02:0.5:0.02 \\
+                --cache-dir http://host-c:8123   # pure cache read
 """
 
 from __future__ import annotations
@@ -97,10 +74,8 @@ from .engine import (
     ResultCache,
     build_sweep_specs,
     build_workload_specs,
-    estimate_campaign_seconds,
     run_compare,
     run_sweep,
-    shard_specs,
     spec_load,
 )
 from .obs import (
@@ -141,18 +116,17 @@ def parse_loads(text: str) -> list[float]:
     return loads
 
 
-def parse_shard(text: str) -> tuple[int, int]:
-    """``"0/2"`` → ``(index, count)``, validated."""
-    try:
-        index_text, count_text = text.split("/")
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "shard must be INDEX/COUNT, e.g. 0/2"
-        ) from None
-    if count < 1 or not 0 <= index < count:
-        raise argparse.ArgumentTypeError("need count >= 1 and 0 <= index < count")
-    return index, count
+def _non_negative(convert):
+    """argparse type: ``convert(text)``, rejecting values below zero."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
@@ -166,7 +140,7 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
 def _build_engine(args: argparse.Namespace) -> ExperimentEngine:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     # CLI campaigns run calibrated: executed specs feed the measured-cost
-    # table, and cost-balanced shards / ETAs read it back.  Library users
+    # table, and queue job order / ETAs read it back.  Library users
     # opt in explicitly (ExperimentEngine(calibration=...)).
     return ExperimentEngine(
         cache=cache, max_workers=args.workers, calibration=default_calibration()
@@ -199,26 +173,21 @@ def _synthetic_grid(
     config: SimConfig,
     networks: list[str],
     patterns: list[str],
-) -> tuple[list[list], dict[str, int], dict[str, str]]:
-    """The campaign's spec grid, grouped as the campaign layer shards it.
+) -> tuple[list, dict[str, int], dict[str, str]]:
+    """The campaign's spec grid: ``(specs, node_counts, symbols)``.
 
-    Returns ``(groups, node_counts, symbols)``: one spec group per
-    independent shard partition (``sweep`` partitions each pattern
-    separately — one ``run_sweep`` call each — while ``compare``
-    partitions all networks together), the token → node-count map the
-    cost model needs, and the token → catalog-symbol map queue workers
+    ``node_counts`` maps topology tokens to node counts (the cost
+    model), ``symbols`` maps them to the catalog symbols queue workers
     rebuild topologies from.  Built with the same
     :func:`build_sweep_specs` the campaign layer uses, so content
-    hashes — and therefore shard membership and queue keys — match the
-    real run exactly.
+    hashes — and therefore queue keys — match the real run exactly.
     """
-    groups: list[list] = []
+    specs: list = []
     node_counts: dict[str, int] = {}
     symbols: dict[str, str] = {}
     for pattern in patterns:
-        group: list = []
         for network in networks:
-            specs, topo_map = build_sweep_specs(
+            grid, topo_map = build_sweep_specs(
                 network,
                 pattern,
                 args.loads,
@@ -230,23 +199,23 @@ def _synthetic_grid(
                 measure=args.measure,
                 drain=args.drain,
             )
-            group.extend(specs)
+            specs.extend(grid)
             for token, topo in topo_map.items():
                 node_counts[token] = topo.num_nodes
                 symbols[token] = network
-        groups.append(group)
-    return groups, node_counts, symbols
+    return specs, node_counts, symbols
 
 
 def _workload_grid(
     args: argparse.Namespace, benches: list[str]
-) -> tuple[list[list], dict[str, int]]:
-    """Spec grid for a workload campaign (one shard partition)."""
+) -> tuple[list, dict[str, int], dict[str, str]]:
+    """Spec grid for a workload campaign, shaped like :func:`_synthetic_grid`."""
     config = SimConfig().with_smart(not args.no_smart)
-    group: list = []
+    specs: list = []
     node_counts: dict[str, int] = {}
+    symbols: dict[str, str] = {}
     for network in args.networks:
-        specs, topo_map = build_workload_specs(
+        grid, topo_map = build_workload_specs(
             network,
             benches,
             config=config,
@@ -256,16 +225,17 @@ def _workload_grid(
             measure=args.measure,
             drain=args.drain,
         )
-        group.extend(specs)
+        specs.extend(grid)
         for token, topo in topo_map.items():
             node_counts[token] = topo.num_nodes
-    return [group], node_counts
+            symbols[token] = network
+    return specs, node_counts, symbols
 
 
 def _campaign_progress(
     args: argparse.Namespace,
     engine: ExperimentEngine,
-    groups: list[list],
+    specs: list,
     node_counts: dict[str, int],
 ):
     """Progress reporting for a campaign: ``(callback, line_or_None)``.
@@ -280,25 +250,6 @@ def _campaign_progress(
     if not getattr(args, "progress", False):
         return _progress, None
     calibration = engine.calibration
-    if getattr(args, "shard", None) is not None:
-        # A sharded run only completes its own slice; size the line (and
-        # its pending cost) to that slice, computed with the same
-        # partition function the campaign layer uses.
-        index, count = args.shard
-        specs = []
-        for group in groups:
-            specs.extend(
-                shard_specs(
-                    group,
-                    index,
-                    count,
-                    balance=args.shard_balance,
-                    node_counts=node_counts,
-                    calibration=calibration,
-                )
-            )
-    else:
-        specs = [spec for group in groups for spec in group]
 
     def cost_fn(spec) -> float | None:
         nodes = node_counts.get(spec.topology)
@@ -315,44 +266,6 @@ def _campaign_progress(
         line.update(spec, cached)
 
     return callback, line
-
-
-def _print_shard_eta(
-    args: argparse.Namespace,
-    engine: ExperimentEngine,
-    groups: list[list],
-    node_counts: dict[str, int],
-) -> None:
-    """Announce the sharded slice and its calibrated time estimate."""
-    index, count = args.shard
-    owned: list = []
-    for group in groups:
-        owned.extend(
-            shard_specs(
-                group,
-                index,
-                count,
-                balance=args.shard_balance,
-                node_counts=node_counts,
-                calibration=engine.calibration,
-            )
-        )
-    total = sum(len(group) for group in groups)
-    seconds = estimate_campaign_seconds(owned, node_counts, engine.calibration)
-    if seconds is not None:
-        print(
-            f"  shard {index}/{count}: {len(owned)} of {total} points, "
-            f"est ~{format_duration(seconds)} simulation time (calibrated, "
-            "cache hits not counted)",
-            file=sys.stderr,
-        )
-    else:
-        print(
-            f"  shard {index}/{count}: {len(owned)} of {total} points "
-            "(no calibrated ETA — the cost table has no measurements for "
-            "this grid yet)",
-            file=sys.stderr,
-        )
 
 
 def _print_stage_seconds(stats) -> None:
@@ -400,23 +313,12 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "http(s):// 'repro serve' endpoint",
     )
     parser.add_argument(
-        "--shard",
-        type=parse_shard,
+        "--queue",
         default=None,
-        metavar="INDEX/COUNT",
-        help="run only this shard of the campaign grid (e.g. 0/2; "
-        "partitioned by spec content hash — disjoint, covering, "
-        "order-independent); merge the shard stores with 'cache merge' "
-        "(or point every shard at one 'repro serve' store), then rerun "
-        "unsharded to assemble results from cache",
-    )
-    parser.add_argument(
-        "--shard-balance",
-        choices=("hash", "cost"),
-        default="hash",
-        help="shard partition: 'hash' for even point counts (default), "
-        "'cost' to balance predicted work (load x network size x "
-        "simulated cycles) across shards",
+        metavar="URL",
+        help="submit the grid to a 'repro serve --queue' coordinator, "
+        "wait for the worker fleet to drain it, then assemble the "
+        "results from the shared store (a pure cache read)",
     )
     parser.add_argument(
         "--progress",
@@ -493,15 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="json_path",
         default=None,
         help="also write curves + engine stats as JSON",
-    )
-    sweep.add_argument(
-        "--queue",
-        default=None,
-        metavar="URL",
-        help="submit the grid to a 'repro serve --queue' coordinator, "
-        "wait for the worker fleet to drain it, then assemble the "
-        "curves from the shared store (a pure cache read); "
-        "incompatible with --shard",
     )
     _add_sim_options(sweep)
     _add_engine_options(sweep)
@@ -611,23 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache",
         help="result-store maintenance",
-        description="Result-store maintenance.  A two-host campaign "
-        "rendezvous looks like: run each shard with --shard I/N "
-        "--cache-dir sqlite:shard-I.sqlite, ship the packs to one host, "
-        "'cache merge sqlite:shard-0.sqlite sqlite:shard-1.sqlite', then "
-        "rerun unsharded — a pure cache read.",
+        description="Result-store maintenance: stats, clear, or LRU gc of "
+        "a local store or a 'repro serve' endpoint.  To share a store "
+        "with other hosts, serve it in place with "
+        "'repro serve --store sqlite:FILE'.",
     )
-    cache.add_argument(
-        "action", choices=("stats", "clear", "gc", "export", "merge")
-    )
-    cache.add_argument(
-        "stores",
-        nargs="*",
-        metavar="STORE",
-        help="export: one destination store; merge: source stores to "
-        "copy in (cache directories, sqlite:FILE pack files, or "
-        "http(s):// endpoints)",
-    )
+    cache.add_argument("action", choices=("stats", "clear", "gc"))
     cache.add_argument(
         "--cache-dir",
         default=None,
@@ -637,13 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--max-bytes",
-        type=int,
+        type=_non_negative(int),
         default=None,
         help="gc: evict LRU entries until the store fits",
     )
     cache.add_argument(
         "--max-age",
-        type=float,
+        type=_non_negative(float),
         default=None,
         metavar="DAYS",
         help="gc: evict entries untouched for this many days",
@@ -651,13 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="share a result store over HTTP (sharded-campaign rendezvous)",
+        help="share a result store over HTTP (and coordinate a work queue)",
         description="Serve a local result store over the JSON/HTTP wire "
-        "protocol so shard hosts can use it as their --cache-dir "
-        "(http://HOST:PORT) — results rendezvous over the network "
-        "instead of shipping pack files.  With --queue the server also "
-        "coordinates a fault-tolerant work queue that 'repro work' "
-        "processes drain.  Stop with Ctrl-C or SIGTERM: in-flight "
+        "protocol so any host can use it as its --cache-dir "
+        "(http://HOST:PORT).  With --queue the server also coordinates "
+        "a fault-tolerant work queue that 'repro work' processes drain "
+        "and that 'sweep', 'compare' and 'workloads' submit to with "
+        "--queue URL.  Stop with Ctrl-C or SIGTERM: in-flight "
         "requests finish, queue state is persisted, and the store is "
         "closed cleanly (an ordinary pack file afterwards).",
     )
@@ -820,16 +702,13 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
     patterns = [p for p in args.patterns.split(",") if p]
+    grid = _synthetic_grid(args, config, [args.network], patterns)
     if args.queue is not None:
-        return _sweep_queued(args, config, patterns)
+        return _run_queued(args, grid, cmd_sweep)
+    specs, node_counts, _symbols = grid
     curves = {}
     with _build_engine(args) as engine:
-        groups, node_counts, _symbols = _synthetic_grid(
-            args, config, [args.network], patterns
-        )
-        progress, line = _campaign_progress(args, engine, groups, node_counts)
-        if args.shard is not None and not args.quiet:
-            _print_shard_eta(args, engine, groups, node_counts)
+        progress, line = _campaign_progress(args, engine, specs, node_counts)
         for pattern in patterns:
             before = engine.total_stats.snapshot()
             curve = run_sweep(
@@ -845,30 +724,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 measure=args.measure,
                 drain=args.drain,
                 stop_after_saturation=not args.no_stop,
-                shard=args.shard,
-                shard_balance=args.shard_balance,
                 progress=progress,
             )
             curves[pattern] = curve
             if line is not None:
                 line.finish()
             stats = engine.total_stats.since(before)
-            if args.shard is not None:
-                title = (
-                    f"{args.network} / {pattern} "
-                    f"[shard {args.shard[0]}/{args.shard[1]}: "
-                    f"{len(curve.points)} of {len(args.loads)} points]"
-                )
-            else:
-                title = (
-                    f"{args.network} / {pattern} (sat throughput "
-                    f"{curve.saturation_throughput():.4f})"
-                )
             print(
                 format_table(
                     ["load", "latency [cyc]", "throughput"],
                     _curve_rows(curve),
-                    title=title,
+                    title=f"{args.network} / {pattern} (sat throughput "
+                    f"{curve.saturation_throughput():.4f})",
                 )
             )
             print(
@@ -881,7 +748,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.json_path:
         payload = {
             "network": args.network,
-            "shard": None if args.shard is None else list(args.shard),
             "curves": {p: c.to_dict() for p, c in curves.items()},
             "engine": total.to_dict(),
         }
@@ -891,23 +757,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_queued(
-    args: argparse.Namespace, config: SimConfig, patterns: list[str]
-) -> int:
-    """``sweep --queue URL``: submit the grid, wait for the fleet, then
-    assemble the curves from the coordinator's store.
+def _run_queued(args: argparse.Namespace, grid: tuple, command) -> int:
+    """``<command> --queue URL``: submit the grid, wait for the fleet,
+    then rerun ``command`` against the coordinator's store.
 
-    The submit is idempotent (keys are content hashes), so rerunning a
-    crashed submit-and-wait is safe; specs whose results are already in
-    the store are marked done at submit time and never re-issued.  The
-    final assembly is the ordinary unsharded sweep pointed at the
-    coordinator URL — a pure cache read once the queue drains.
+    ``grid`` is ``(specs, node_counts, symbols)`` as the ``*_grid``
+    helpers build it.  The submit is idempotent (keys are content
+    hashes), so rerunning a crashed submit-and-wait is safe; specs whose
+    results are already in the store are marked done at submit time and
+    never re-issued.  The final run is the ordinary command pointed at
+    the coordinator URL — a pure cache read once the queue drains.
     """
-    if args.shard is not None:
-        raise ValueError(
-            "--queue and --shard are mutually exclusive: the queue "
-            "balances work across the fleet dynamically"
-        )
     if args.no_cache:
         raise ValueError(
             "--queue needs the cache: results rendezvous in the "
@@ -915,11 +775,8 @@ def _sweep_queued(
         )
     from .engine.queue import QueueClient, jobs_for_specs
 
+    specs, node_counts, symbols = grid
     url = args.queue
-    groups, node_counts, symbols = _synthetic_grid(
-        args, config, [args.network], patterns
-    )
-    specs = [spec for group in groups for spec in group]
     jobs = jobs_for_specs(specs, node_counts, default_calibration())
     client = QueueClient(url)
     reply = client.submit(jobs, symbols)
@@ -932,11 +789,11 @@ def _sweep_queued(
         )
     _wait_for_queue(args, client)
     # The queue is drained: every result is in the coordinator's store.
-    # Assemble with the ordinary sweep path (saturation staging and all)
-    # pointed at that store — zero simulations by construction.
+    # Rerun the command (saturation staging, power join and all) pointed
+    # at that store — zero simulations by construction.
     args.queue = None
     args.cache_dir = url
-    return cmd_sweep(args)
+    return command(args)
 
 
 def _wait_for_queue(args: argparse.Namespace, client: QueueClient) -> dict:
@@ -999,8 +856,8 @@ def _wait_for_queue(args: argparse.Namespace, client: QueueClient) -> dict:
 def cmd_adaptive(args: argparse.Namespace) -> int:
     from .analysis import adaptive_study
 
-    if args.shard is not None:
-        print("error: adaptive does not support --shard", file=sys.stderr)
+    if args.queue is not None:
+        print("error: adaptive does not support --queue", file=sys.stderr)
         return 2
     routings = [r for r in args.routings.split(",") if r]
     traffic = [t for t in args.traffic.split(",") if t]
@@ -1035,8 +892,14 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if args.model and args.shard is not None:
-        raise ValueError("--shard applies to simulation campaigns, not --model")
+    if args.model and args.queue is not None:
+        raise ValueError("--queue applies to simulation campaigns, not --model")
+    if args.queue is not None:
+        return _run_queued(
+            args,
+            _synthetic_grid(args, config, args.networks, [args.pattern]),
+            cmd_compare,
+        )
     with _build_engine(args) as engine:
         if args.model:
             from dataclasses import replace
@@ -1053,12 +916,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         else:
-            groups, node_counts, _symbols = _synthetic_grid(
+            specs, node_counts, _symbols = _synthetic_grid(
                 args, config, args.networks, [args.pattern]
             )
-            progress, line = _campaign_progress(args, engine, groups, node_counts)
-            if args.shard is not None and not args.quiet:
-                _print_shard_eta(args, engine, groups, node_counts)
+            progress, line = _campaign_progress(args, engine, specs, node_counts)
             curves = run_compare(
                 engine,
                 {symbol: symbol for symbol in args.networks},
@@ -1072,42 +933,31 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 measure=args.measure,
                 drain=args.drain,
                 stop_after_saturation=not args.no_stop,
-                shard=args.shard,
-                shard_balance=args.shard_balance,
                 progress=progress,
             )
             if line is not None:
                 line.finish()
         stats = engine.total_stats
         _save_calibration(engine)
-    if args.shard is None:
-        rows = []
-        for label in args.networks:
-            curve = curves[label]
-            rows.append(
-                [
-                    label,
-                    round(curve.zero_load_latency(), 2),
-                    f"{curve.saturation_throughput():.4f}",
-                    len(curve.points),
-                ]
-            )
-        print(
-            format_table(
-                ["network", "zero-load latency", "sat throughput", "points"],
-                rows,
-                title=f"Pattern {args.pattern} over "
-                f"{min(args.loads):g}..{max(args.loads):g}",
-            )
+    rows = []
+    for label in args.networks:
+        curve = curves[label]
+        rows.append(
+            [
+                label,
+                round(curve.zero_load_latency(), 2),
+                f"{curve.saturation_throughput():.4f}",
+                len(curve.points),
+            ]
         )
-    else:
-        computed = sum(len(curves[label].points) for label in args.networks)
-        grid = len(args.networks) * len(args.loads)
-        print(
-            f"shard {args.shard[0]}/{args.shard[1]}: computed {computed} "
-            f"of {grid} grid points (merge stores, then rerun unsharded "
-            "to assemble curves)"
+    print(
+        format_table(
+            ["network", "zero-load latency", "sat throughput", "points"],
+            rows,
+            title=f"Pattern {args.pattern} over "
+            f"{min(args.loads):g}..{max(args.loads):g}",
         )
+    )
     print(
         f"  engine: {stats.cache_hits} cached, {stats.executed} simulated, "
         f"{stats.workers} workers\n"
@@ -1136,11 +986,12 @@ def cmd_workloads(args: argparse.Namespace) -> int:
     baseline = args.baseline or args.networks[0]
     if baseline not in args.networks:
         raise ValueError(f"baseline {baseline!r} is not among the networks")
-    if args.shard is not None:
-        return _workloads_shard(args, benches)
+    grid = _workload_grid(args, benches)
+    if args.queue is not None:
+        return _run_queued(args, grid, cmd_workloads)
+    specs, node_counts, _symbols = grid
     with _build_engine(args) as engine:
-        groups, node_counts = _workload_grid(args, benches)
-        progress, line = _campaign_progress(args, engine, groups, node_counts)
+        progress, line = _campaign_progress(args, engine, specs, node_counts)
         table = workload_table(
             args.networks,
             benches,
@@ -1210,63 +1061,6 @@ def cmd_workloads(args: argparse.Namespace) -> int:
                 "cache_hits": stats.cache_hits,
                 "simulated": stats.executed,
             },
-        }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"  wrote {args.json_path}")
-    return 0
-
-
-def _workloads_shard(args: argparse.Namespace, benches) -> int:
-    """Cache-population pass for one shard of a workload campaign.
-
-    The power/EDP join needs the full (network × benchmark) table, so a
-    shard run only simulates its slice of the grid; merge the shard
-    stores and rerun unsharded for the joined report.
-    """
-    from .engine import workload_compare
-
-    config = SimConfig().with_smart(not args.no_smart)
-    with _build_engine(args) as engine:
-        groups, node_counts = _workload_grid(args, benches)
-        progress, line = _campaign_progress(args, engine, groups, node_counts)
-        if not args.quiet:
-            _print_shard_eta(args, engine, groups, node_counts)
-        table = workload_compare(
-            engine,
-            {symbol: symbol for symbol in args.networks},
-            benches,
-            config=config,
-            intensity_scale=args.intensity_scale,
-            seed=args.seed,
-            warmup=args.warmup,
-            measure=args.measure,
-            drain=args.drain,
-            shard=args.shard,
-            shard_balance=args.shard_balance,
-            progress=progress,
-        )
-        if line is not None:
-            line.finish()
-        stats = engine.total_stats
-        _save_calibration(engine)
-    computed = sum(len(cells) for cells in table.values())
-    grid = len(args.networks) * len(benches)
-    print(
-        f"shard {args.shard[0]}/{args.shard[1]}: computed {computed} of "
-        f"{grid} grid points (merge stores, then rerun unsharded for the "
-        "power/EDP join)"
-    )
-    print(
-        f"  engine: {stats.cache_hits} cached, {stats.executed} simulated, "
-        f"{stats.workers} workers"
-    )
-    if args.json_path:
-        payload = {
-            "shard": list(args.shard),
-            "computed": computed,
-            "grid": grid,
-            "engine": stats.to_dict(),
         }
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -1390,10 +1184,6 @@ def cmd_work(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir)
-    if args.action in ("export", "merge"):
-        return _cache_transfer(cache, args)
-    if args.stores:
-        raise ValueError(f"cache {args.action} takes no STORE arguments")
     if args.action == "clear":
         removed = cache.clear()
         print(f"removed {removed} cached results from {cache.location}")
@@ -1430,58 +1220,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
             title="Result cache",
         )
     )
-    return 0
-
-
-def _cache_transfer(cache: ResultCache, args: argparse.Namespace) -> int:
-    """``cache export PACK`` / ``cache merge STORE...``: move entries
-    between stores by content key (skip-if-present, conflicts counted)."""
-    from .engine import merge_stores, open_backend
-    from .obs import TransferLine
-
-    def transfer(destination, source):
-        # The live line streams per copied page: keys moved (however
-        # they resolved), bytes, and a pace ETA against the source's
-        # total entry count.
-        line = TransferLine(source.stats().entries, label="transfer")
-        report = merge_stores(
-            destination,
-            source,
-            progress=lambda delta: line.advance(
-                keys=delta.copied + delta.skipped + delta.conflicts,
-                nbytes=delta.copied_bytes,
-            ),
-        )
-        line.finish()
-        return report
-
-    if args.action == "export":
-        if len(args.stores) != 1:
-            raise ValueError("cache export takes exactly one destination store")
-        destination = open_backend(args.stores[0])
-        report = transfer(destination, cache.backend)
-        print(
-            f"exported {cache.location} -> {destination.location}: "
-            f"{report.copied} copied "
-            f"({round(report.copied_bytes / 1e6, 2)} MB), "
-            f"{report.skipped} already present, "
-            f"{report.conflicts} conflicts kept theirs"
-        )
-        destination.close()
-        return 0
-    if not args.stores:
-        raise ValueError("cache merge needs at least one source store")
-    for source_location in args.stores:
-        source = open_backend(source_location)
-        report = transfer(cache.backend, source)
-        print(
-            f"merged {source.location} -> {cache.location}: "
-            f"{report.copied} copied "
-            f"({round(report.copied_bytes / 1e6, 2)} MB), "
-            f"{report.skipped} already present, "
-            f"{report.conflicts} conflicts kept ours"
-        )
-        source.close()
     return 0
 
 

@@ -6,7 +6,7 @@ matrix — static minimal vs Valiant vs *live* UGAL (the simulator is the
 congestion oracle) vs deflection, across load, traffic variant
 (steady adversarial and bursty), and topology (SN vs mesh).  Every
 point flows through the cached campaign engine, so reruns are pure
-cache reads and the grid shards/queues like any other campaign.
+cache reads.
 
 Typical use::
 

@@ -111,18 +111,12 @@ def sweep_loads(
     stop_after_saturation: bool = True,
     name: str | None = None,
     engine=None,
-    shard: tuple[int, int] | None = None,
-    shard_balance: str = "hash",
 ) -> SweepResult:
     """Run the simulator across ``loads`` (flits/node/cycle), low to high.
 
     ``topology`` may be a live :class:`Topology` or a catalog symbol;
     ``routing`` names a scheme in :data:`repro.engine.ROUTING_BUILDERS`;
     ``engine`` overrides the default (env-configured) experiment engine.
-    ``shard=(index, count)`` computes only this invocation's slice of a
-    distributed campaign, partitioned per ``shard_balance`` — every
-    invocation slicing one campaign must use the same mode (see
-    :func:`repro.engine.run_compare`).
     """
     from ..engine import default_engine, run_sweep
 
@@ -140,8 +134,6 @@ def sweep_loads(
         drain=drain,
         stop_after_saturation=stop_after_saturation,
         name=name,
-        shard=shard,
-        shard_balance=shard_balance,
     )
 
 

@@ -10,24 +10,20 @@ into an incremental, parallel pipeline:
   store, one WAL-mode file; the default ``.repro_cache/`` directory
   holds one named ``results.sqlite``) and :class:`RemoteStore` (the
   shared store, a JSON/HTTP client for a ``python -m repro serve``
-  rendezvous endpoint — shard hosts share one network store with no
-  pack-file shipping), fronted by
-  :class:`ResultCache` (codec, hit counters, batched lookups,
-  ``REPRO_CACHE_MAX_BYTES`` auto-GC) and mergeable by content key via
-  :func:`merge_stores`;
+  rendezvous endpoint), fronted by :class:`ResultCache` (codec, hit
+  counters, batched lookups, ``REPRO_CACHE_MAX_BYTES`` auto-GC);
 * :mod:`~repro.engine.runner` — :class:`ExperimentEngine`, a batch
   executor fanning cache misses across a process pool;
 * :mod:`~repro.engine.campaign` — sweep/compare grid builders with
   staged early stop on saturation, (network × benchmark) workload
-  campaigns (:func:`workload_compare`), and deterministic shard
-  partitioning (:func:`shard_specs`) for splitting one campaign across
-  hosts;
+  campaigns (:func:`workload_compare`);
 * :mod:`~repro.engine.queue` / :mod:`~repro.engine.worker` — the
   fault-tolerant work queue (:class:`JobQueue` behind ``repro serve
   --queue``) and the elastic :class:`QueueWorker` fleet loop
   (``python -m repro work``): leased batches, heartbeats, expired-lease
   requeue, and poison-spec quarantine, so workers can join, crash, or
-  be killed at any point and the campaign still drains.
+  be killed at any point and the campaign still drains.  This is the
+  one way to spread a campaign across hosts.
 
 Specs carry a tagged traffic union — synthetic patterns *or*
 PARSEC/SPLASH workload models — so every experiment class in the repo
@@ -37,21 +33,7 @@ flows through the same cached, parallel orchestration.  End to end::
         --loads 0.02:0.5:0.04 --workers 8
     python -m repro workloads sn200 fbf3 --benches barnes,fft --workers 8
 
-or, split across two hosts and merged back together::
-
-    host-a$ python -m repro sweep sn200 --shard 0/2 --cache-dir sqlite:a.sqlite
-    host-b$ python -m repro sweep sn200 --shard 1/2 --cache-dir sqlite:b.sqlite
-    host-a$ python -m repro cache merge sqlite:a.sqlite sqlite:b.sqlite
-    host-a$ python -m repro sweep sn200   # pure cache read, 0 simulations
-
-or rendezvoused over the network, with no file shipping at all::
-
-    host-c$ python -m repro serve --store sqlite:results.sqlite --port 8123
-    host-a$ python -m repro sweep sn200 --shard 0/2 --cache-dir http://c:8123
-    host-b$ python -m repro sweep sn200 --shard 1/2 --cache-dir http://c:8123
-    any   $ python -m repro sweep sn200 --cache-dir http://c:8123  # 0 sims
-
-or, fault-tolerantly, drained from one work queue by an elastic fleet
+or drained across hosts from one work queue by an elastic fleet
 (workers may join late, crash, or be killed — leases expire and their
 specs are re-issued)::
 
@@ -59,6 +41,7 @@ specs are re-issued)::
     host-a$ python -m repro work http://c:8123
     host-b$ python -m repro work http://c:8123
     any   $ python -m repro sweep sn200 --queue http://c:8123
+    any   $ python -m repro sweep sn200 --cache-dir http://c:8123  # 0 sims
 
 Re-running any form performs zero new simulations: every point is
 served from the cache.
@@ -72,14 +55,11 @@ read of one of their names does.
 from importlib import import_module
 
 from .campaign import (
-    SHARD_BALANCE_MODES,
     assemble_curve,
     build_sweep_specs,
     build_workload_specs,
-    estimate_campaign_seconds,
     run_compare,
     run_sweep,
-    shard_specs,
     traffic_for_token,
     workload_compare,
 )
@@ -98,7 +78,6 @@ from .spec import (
     iter_spec_keys,
     predicted_cost,
     resolve_topology,
-    shard_for_key,
     spec_load,
     topology_fingerprint,
     topology_token,
@@ -109,11 +88,9 @@ from .store import (
     CacheBackend,
     CacheStats,
     GCReport,
-    MergeReport,
     ResultCache,
     SqlitePackStore,
     default_cache_dir,
-    merge_stores,
     open_backend,
 )
 
@@ -167,11 +144,9 @@ __all__ = [
     "ResultCache",
     "CacheStats",
     "GCReport",
-    "MergeReport",
     "RunStats",
     "WorkerStats",
     "SCHEMA_VERSION",
-    "SHARD_BALANCE_MODES",
     "SPEC_VERSION",
     "LIVE_SPEC_VERSIONS",
     "ROUTING_BUILDERS",
@@ -186,17 +161,13 @@ __all__ = [
     "default_engine",
     "default_cache_dir",
     "open_backend",
-    "merge_stores",
     "build_routing",
-    "estimate_campaign_seconds",
     "predicted_cost",
     "resolve_topology",
     "spec_load",
     "topology_fingerprint",
     "topology_token",
     "iter_spec_keys",
-    "shard_for_key",
-    "shard_specs",
     "build_sweep_specs",
     "build_workload_specs",
     "assemble_curve",

@@ -1,11 +1,12 @@
 """Fault-tolerant campaign work queue: leases, heartbeats, quarantine.
 
-Static ``--shard I/N`` partitioning divides a campaign *before* anyone
-runs it — a crashed host strands its slice, a slow host gates the whole
-campaign, and a late-joining machine has nothing to claim.  The queue
-inverts that: a campaign is *submitted* once (heaviest specs first, by
-predicted cost) to the ``repro serve`` coordinator, and an elastic fleet
-of ``python -m repro work http://coordinator`` processes drains it.
+The queue is the one way to spread a campaign across hosts.  A
+campaign is *submitted* once (heaviest specs first, by predicted cost)
+to the ``repro serve --queue`` coordinator — ``sweep``, ``compare`` and
+``workloads`` all take ``--queue URL`` — and an elastic fleet of
+``python -m repro work http://coordinator`` processes drains it.  No
+host owns a fixed slice, so a crashed host strands nothing, a slow host
+gates nothing, and a late-joining machine finds work to claim.
 Workers may join, leave, crash, or be SIGKILLed at any point:
 
 * **Leases.**  :meth:`JobQueue.claim` hands a worker a batch of specs
@@ -609,8 +610,8 @@ def jobs_for_specs(
 
     Costs come from :func:`~repro.engine.spec.predicted_cost` (upgraded
     to measured seconds when the calibration table covers the spec), so
-    the queue's heaviest-first order matches ``--shard-balance cost``.
-    Duplicate specs collapse to one job.
+    the queue hands out the heaviest specs first.  Duplicate specs
+    collapse to one job.
     """
     from .spec import predicted_cost
 

@@ -13,8 +13,8 @@ returns one :class:`~repro.sim.SimResult` per spec, in order:
 
 A batch with zero misses never touches the process machinery at all:
 the worker pool is created lazily by the first miss that goes parallel,
-so a fully cached repeat run (e.g. replaying a campaign against a
-merged shard store) costs one cache query and no ``fork``/``spawn``.
+so a fully cached repeat run (e.g. replaying a campaign against the
+store a queue fleet filled) costs one cache query and no ``fork``/``spawn``.
 
 Results are *normalized* through the JSON codec in both paths, so a
 fresh simulation, a parallel run, and a cache hit are indistinguishable
@@ -194,7 +194,7 @@ class ExperimentEngine:
     def pool_active(self) -> bool:
         """Whether a worker pool currently exists.  Pure cache replays
         must leave this ``False`` — process startup is the one cost a
-        merged-store repeat run is supposed to skip."""
+        warm repeat run is supposed to skip."""
         return self._pool is not None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -354,7 +354,7 @@ class ExperimentEngine:
                 # transaction on a SQLite pack).  Flushed even when a miss
                 # raises or the run is interrupted, so every simulation
                 # that *did* finish survives into the store — nothing a
-                # sharded campaign already paid for is re-simulated.
+                # campaign already paid for is re-simulated.
                 if self.cache is not None and executed:
                     with span("engine.write_back") as write_span:
                         self.cache.put_many(executed)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterable, Iterator, Union
 
 from ..obs.calibration import COST_BASE_ACTIVITY, CostCalibration
@@ -55,6 +55,7 @@ from ..traffic import (
     SyntheticSource,
     TransientSource,
     WorkloadSource,
+    WorkloadSpec,
 )
 
 #: Bump when the *meaning* of a spec changes (e.g. a simulator fix that
@@ -367,11 +368,12 @@ class WorkloadTraffic:
         # The benchmark's full parameter set rides along so the content
         # hash covers it: retuning a WorkloadSpec in WORKLOADS moves every
         # affected cache key instead of silently serving stale results.
+        params = WORKLOADS[self.bench]
         return {
             "kind": self.kind,
             "bench": self.bench,
             "intensity_scale": self.intensity_scale,
-            "params": asdict(WORKLOADS[self.bench]),
+            "params": {name: getattr(params, name) for name in _WORKLOAD_FIELDS},
         }
 
     def build(self, topology: Topology, packet_flits: int, seed: int):
@@ -421,11 +423,12 @@ def traffic_from_dict(payload: dict) -> TrafficSpec:
     raise ValueError(f"unknown traffic source kind {kind!r}")
 
 
-#: ``SimConfig``'s field names in declaration order.  Every field is a
-#: scalar (int, float, bool or str), so reading them one by one gives
-#: the same dict as the recursive ``asdict`` copy, for a fraction of
-#: the cost — ``to_dict`` runs once per spec hash.
+#: ``SimConfig``'s and ``WorkloadSpec``'s field names in declaration
+#: order.  Every field is a scalar (int, float, bool or str), so reading
+#: them one by one gives the same dict as the recursive ``asdict`` copy,
+#: for a fraction of the cost — ``to_dict`` runs once per spec hash.
 _CONFIG_FIELDS = tuple(f.name for f in fields(SimConfig))
+_WORKLOAD_FIELDS = tuple(f.name for f in fields(WorkloadSpec))
 
 
 @dataclass(frozen=True)
@@ -536,10 +539,6 @@ class ExperimentSpec:
             self.__dict__["_content_hash"] = cached
         return cached
 
-    def shard_of(self, shard_count: int) -> int:
-        """Which of ``shard_count`` campaign shards owns this spec."""
-        return shard_for_key(self.content_hash(), shard_count)
-
     def execute(self, topology: Topology | None = None) -> SimResult:
         """Run the simulation this spec describes (in any process).
 
@@ -558,28 +557,9 @@ class ExperimentSpec:
 
 
 def iter_spec_keys(specs: Iterable[ExperimentSpec]) -> Iterator[str]:
-    """Content hashes for ``specs`` in order — the store and shard keys.
-
-    The iteration point shared by the cache-first pass
-    (:meth:`~repro.engine.store.frontend.ResultCache.get_many`) and shard
-    partitioning (:func:`~repro.engine.campaign.shard_specs`), so "the
-    key of a spec" has exactly one definition.
-    """
+    """Content hashes for ``specs`` in order — the store keys."""
     for spec in specs:
         yield spec.content_hash()
-
-
-def shard_for_key(key: str, shard_count: int) -> int:
-    """Deterministic shard index of a content key, in ``[0, shard_count)``.
-
-    Derived from the key's leading hex digits, so the partition is a
-    pure function of spec *content*: disjoint, covering, and stable
-    under spec-list reordering — every worker that computes the same
-    spec agrees on which shard owns it.
-    """
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    return int(key[:16], 16) % shard_count
 
 
 #: Baseline activity of an idle-ish network relative to its offered load
@@ -617,21 +597,18 @@ def predicted_cost(
 
         cost = (warmup + measure + drain) * num_nodes * (base + load)
 
-    It exists for *balance*, not prediction: :func:`shard_specs` with
-    ``balance="cost"`` weighs each spec by this number so shards carry
-    comparable expected work instead of equal point counts (a 0.45-load
-    point near saturation costs many times a 0.02-load one; one shard
-    drawing all the hot points would gate the whole campaign).  Only
-    ratios between specs matter, so the units are arbitrary.
+    It exists for *ordering*, not prediction: the work queue hands out
+    the heaviest specs first (:func:`~repro.engine.queue.jobs_for_specs`)
+    so a 0.45-load point near saturation, which costs many times a
+    0.02-load one, does not start last and gate the whole campaign.
+    Only ratios between specs matter, so the units are arbitrary.
 
     With a :class:`~repro.obs.calibration.CostCalibration` (and
     ``num_nodes``), the estimate becomes **measured wall seconds**
     whenever the spec's (network size, cycle budget) bucket has been
     observed — the engine records every executed spec's wall time into
     the table, so repeat campaigns converge toward real durations.
-    Specs whose bucket is missing fall back to the heuristic (callers
-    that must not mix units, like LPT partitioning, check coverage
-    first — see ``campaign._spec_costs``).
+    Specs whose bucket is missing fall back to the heuristic.
 
     ``num_nodes`` comes from the campaign layer, which holds the live
     topology objects; without it the model still orders same-network

@@ -1,20 +1,18 @@
 """Pluggable result stores for the experiment engine.
 
 The store package is a small :class:`CacheBackend` protocol plus the two
-backends the workflows use — one local, one shared — so one campaign can
-be sharded across hosts and its results merged back into a single store:
+backends the workflows use — one local, one shared:
 
 * :mod:`~repro.engine.store.base` — the protocol, the canonical entry
-  codec, version-reachability rules, location parsing
-  (:func:`open_backend`), and :func:`merge_stores`;
+  codec, version-reachability rules and location parsing
+  (:func:`open_backend`);
 * :mod:`~repro.engine.store.sqlite` — :class:`SqlitePackStore`, the
-  local store: a single WAL-mode SQLite file, safe for concurrent shard
-  writers on one host, one inode for 10k+ entries, and the transport
-  format for ``cache export`` / ``cache merge``;
+  local store: a single WAL-mode SQLite file, safe for concurrent
+  writers on one host, one inode for 10k+ entries;
 * :mod:`~repro.engine.store.http` — :class:`RemoteStore`, the shared
   store: the same protocol over a minimal JSON/HTTP wire format against
-  a ``python -m repro serve`` endpoint (:class:`StoreServer`), so shard
-  hosts rendezvous into one network store with no pack-file shipping;
+  a ``python -m repro serve`` endpoint (:class:`StoreServer`), which
+  also hosts the work queue that spreads a campaign across hosts;
 * :mod:`~repro.engine.store.frontend` — :class:`ResultCache`, the
   engine-facing wrapper adding the SimResult codec, hit counters,
   batched ``get_many``/``put_many``, and the ``REPRO_CACHE_MAX_BYTES``
@@ -30,8 +28,8 @@ A location is ``sqlite:FILE`` (a pack file), ``http(s)://HOST:PORT``
 (a ``repro serve`` endpoint), or a plain path — a cache directory,
 opened as ``<dir>/results.sqlite``.  Iteration over any backend is
 **cursored**: ``iter_keys(start_after, limit)`` returns one bounded
-sorted page, and the maintenance paths (``stats``/``gc``/
-``merge_stores``) stream pages via :func:`iter_key_pages`, so no store
+sorted page, and the maintenance paths (``stats``/``gc``) stream
+pages, so no store
 operation ever materializes a full key set — the property that lets a
 campaign cache grow past one process's memory.
 """
@@ -48,14 +46,12 @@ from .base import (
     CacheBackend,
     CacheStats,
     GCReport,
-    MergeReport,
     RawEntry,
     default_cache_dir,
     encode_entry,
     entry_is_unreachable,
     iter_all_keys,
     iter_key_pages,
-    merge_stores,
     open_backend,
 )
 from .frontend import ResultCache
@@ -103,7 +99,6 @@ __all__ = [
     "FaultyBackend",
     "GCReport",
     "InjectedFault",
-    "MergeReport",
     "RawEntry",
     "RemoteAuthError",
     "RemoteStore",
@@ -116,6 +111,5 @@ __all__ = [
     "entry_is_unreachable",
     "iter_all_keys",
     "iter_key_pages",
-    "merge_stores",
     "open_backend",
 ]

@@ -14,9 +14,9 @@ here so the backends cannot drift apart.
 Backends store raw entries and know nothing about simulation results or
 hit counting; that is the job of the
 :class:`~repro.engine.store.frontend.ResultCache` front end.  Because
-every entry is encoded canonically, moving entries between backends
-(:func:`merge_stores`) preserves content exactly: a merged store is
-byte-for-byte equivalent to having run the campaign locally.
+every entry is encoded canonically, an entry read through one backend
+and written through another (the raw ``get_entry*``/``put_entry*``
+calls) keeps its exact bytes.
 
 The backend contract
 --------------------
@@ -31,7 +31,7 @@ checks:
   Payload writes construct the entry dict themselves and *must* encode
   it with this function; :meth:`CacheBackend.put_entry` stores the
   caller's dict verbatim (re-encoded, never re-ordered or annotated).
-  This is what makes cross-backend merges byte-identical and lets
+  This is what makes cross-backend copies byte-identical and lets
   :func:`entry_is_unreachable` test version markers on raw text.
 * **mtimes are the LRU clock.**  Each entry carries one last-use
   timestamp.  ``get_payload``/``get_payload_many`` refresh it on a hit
@@ -39,23 +39,20 @@ checks:
   (:data:`~repro.engine.store.sqlite.TOUCH_GRANULARITY_S`, the
   ``relatime`` rule), so a warm replay of fresh entries writes
   nothing; ``put_payload*`` stamps "now"; ``put_entry*``
-  *preserves* a supplied ``mtime`` (backdating is how merges keep a
-  shard's eviction order) and only defaults to "now" when none is
-  given.  ``gc`` evicts strictly in mtime order, so recency is exact
-  to within that hour.
+  *preserves* a supplied ``mtime`` (so a copied entry keeps its
+  eviction order) and only defaults to "now" when none is given.
+  ``gc`` evicts strictly in mtime order, so recency is exact to within
+  that hour.
 * **Misses are silent, never errors.**  A missing, unreadable, corrupt,
   wrong-``kind``, or wrong-schema entry makes ``get_payload`` return
   ``None`` (the engine recomputes and overwrites); raw ``get_entry``
   skips undecodable entries.  Backends raise only for infrastructure
   failures (e.g. an unreachable server), not for content.
-* **Concurrent writers, last-writer-wins.**  Several shard processes
-  may write the same store at once.  Writers of the same key are
-  racing to store *identical canonical bytes* (keys are content
+* **Concurrent writers, last-writer-wins.**  Several engines or queue
+  workers may write the same store at once.  Writers of the same key
+  are racing to store *identical canonical bytes* (keys are content
   addresses), so last-writer-wins — an ``INSERT OR REPLACE``, one
-  server-side lock — is always correct.  Genuine
-  byte conflicts under one key appear only across stores (a spec
-  version skew or corruption); :func:`merge_stores` counts them and
-  keeps the destination's copy.
+  server-side lock — is always correct.
 * **Batch calls are plural, not different.**  ``*_many`` methods must
   be observably equivalent to a loop over their singular forms —
   missing keys are simply absent from the result dict (never ``None``
@@ -75,9 +72,9 @@ checks:
   in-flight cursor may be missed by that sweep (they are found by the
   next one).  :func:`iter_all_keys` / :func:`iter_key_pages` wrap the
   paging loop for callers that want a lazy stream.  Maintenance paths
-  (``stats``/``gc``/:func:`merge_stores`/``cache export``) must stream
-  over cursors — per-page content in memory, never the whole store;
-  the SQLite pack pages natively over its primary-key index.
+  (``stats``/``gc``) must stream over cursors — per-page content in
+  memory, never the whole store; the SQLite pack pages natively over
+  its primary-key index.
 * **``stats`` counters stay zero.**  ``hits``/``misses`` belong to the
   :class:`~repro.engine.store.frontend.ResultCache` front end; backends
   report entry/byte totals only.  ``size_bytes`` must be cheap (no
@@ -97,8 +94,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
-
-from ...obs.metrics import STORE_MERGE_KEYS
 
 #: Bump when the encoded layout of cache entries changes; mismatched
 #: entries are ignored (recomputed and overwritten), never misread.
@@ -212,8 +207,8 @@ class GCReport:
 
 @dataclass(frozen=True)
 class RawEntry:
-    """One store entry in transit between backends: the decoded entry
-    dict plus its last-use timestamp (so a merge preserves LRU order)."""
+    """One raw store entry: the decoded entry dict plus its last-use
+    timestamp (so a copy preserves LRU order)."""
 
     key: str
     entry: dict
@@ -228,8 +223,8 @@ class CacheBackend(Protocol):
     """What a result store must provide to back a ``ResultCache``.
 
     ``get_payload``/``put_payload`` move schema-checked payloads for one
-    ``kind``; ``get_entry``/``put_entry`` move raw entries between
-    backends (export/merge); ``iter_keys``/``stats``/``gc`` support
+    ``kind``; ``get_entry``/``put_entry`` move raw entries with their
+    mtimes; ``iter_keys``/``stats``/``gc`` support
     maintenance.  Implementations must be safe for concurrent writers
     on one host: last-writer-wins on identical canonical bytes.
     """
@@ -422,92 +417,3 @@ def open_backend(location: str | os.PathLike | None = None) -> CacheBackend:
         )
     return SqlitePackStore(path / CACHE_PACK_NAME)
 
-
-@dataclass(frozen=True)
-class MergeReport:
-    """Outcome of copying one source store into a destination.
-
-    ``conflicts`` counts keys present in both stores with *different*
-    canonical bytes — a spec-version skew or a corrupted entry; the
-    destination's copy is kept.  Identical entries count as ``skipped``.
-    """
-
-    copied: int
-    skipped: int
-    conflicts: int
-    copied_bytes: int
-
-    def accumulate(self, other: "MergeReport") -> "MergeReport":
-        return MergeReport(
-            copied=self.copied + other.copied,
-            skipped=self.skipped + other.skipped,
-            conflicts=self.conflicts + other.conflicts,
-            copied_bytes=self.copied_bytes + other.copied_bytes,
-        )
-
-
-def merge_stores(
-    dst: CacheBackend,
-    src: CacheBackend,
-    progress: Callable[[MergeReport], None] | None = None,
-    batch: int = DEFAULT_KEY_BATCH,
-) -> MergeReport:
-    """Copy every entry of ``src`` into ``dst`` by content key.
-
-    Skip-if-present: keys already in ``dst`` are left untouched (counted
-    as ``skipped`` when byte-identical, ``conflicts`` otherwise).  Source
-    mtimes ride along, so LRU eviction order survives the merge.  This
-    is how sharded campaign outputs rendezvous into one store — after
-    merging every shard, the full unsharded rerun is a pure cache read.
-
-    The source's key space streams through :func:`iter_key_pages`
-    (cursored ``iter_keys`` pages of ``batch`` keys), so a store of any
-    size merges in bounded memory: one page of keys and entries at a
-    time, one read per side and one write transaction per page.  Each
-    page feeds the ``repro_store_merge_keys_total`` counter by outcome
-    and, when ``progress`` is given, calls it with that page's
-    incremental :class:`MergeReport` (the CLI's live transfer line).
-    """
-    copied = skipped = conflicts = copied_bytes = 0
-    for keys in iter_key_pages(src, batch=batch):
-        theirs = src.get_entry_many(keys)
-        ours = dst.get_entry_many(keys)
-        fresh: list[RawEntry] = []
-        page_skipped = page_conflicts = page_bytes = 0
-        for key in keys:
-            raw = theirs.get(key)
-            if raw is None:  # racing gc/clear on the source
-                continue
-            existing = ours.get(key)
-            if existing is None:
-                fresh.append(raw)
-            elif existing.encoded() == raw.encoded():
-                page_skipped += 1
-            else:
-                page_conflicts += 1
-        if fresh:
-            page_bytes = dst.put_entry_many(fresh)
-            STORE_MERGE_KEYS.labels(outcome="copied").inc(len(fresh))
-        if page_skipped:
-            STORE_MERGE_KEYS.labels(outcome="skipped").inc(page_skipped)
-        if page_conflicts:
-            STORE_MERGE_KEYS.labels(outcome="conflict").inc(page_conflicts)
-        copied += len(fresh)
-        skipped += page_skipped
-        conflicts += page_conflicts
-        copied_bytes += page_bytes
-        if progress is not None:
-            progress(
-                MergeReport(
-                    copied=len(fresh),
-                    skipped=page_skipped,
-                    conflicts=page_conflicts,
-                    copied_bytes=page_bytes,
-                )
-            )
-    return MergeReport(
-        copied=copied,
-        skipped=skipped,
-        conflicts=conflicts,
-        copied_bytes=copied_bytes,
-    )

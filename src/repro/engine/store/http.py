@@ -1,26 +1,26 @@
 """Remote result store: the :class:`CacheBackend` protocol over JSON/HTTP.
 
-This module is how sharded campaigns rendezvous *without shipping pack
-files between hosts*: one machine runs ``python -m repro serve`` (a
+This module is how hosts share one campaign's results *without shipping
+pack files*: one machine runs ``python -m repro serve`` (a
 :class:`StoreServer` — a stdlib ``ThreadingHTTPServer`` fronting a
-local SQLite pack), and every shard host points
-its engine at ``--cache-dir http://host:8123``.  Shard writers stream
-results into the shared store as they finish, and the unsharded rerun
-on any machine assembles the campaign as a pure cache read.
+local SQLite pack, and with ``--queue`` the campaign's work queue), and
+every ``repro work`` host streams results into the shared store as it
+finishes.  A rerun on any machine pointed at ``--cache-dir
+http://host:8123`` assembles the campaign as a pure cache read.
 
 Two halves, one wire protocol:
 
 * :class:`RemoteStore` — the client.  A full :class:`CacheBackend`
-  (single and batched payloads, raw entries for ``cache export`` /
-  ``cache merge``, ``iter_keys``/``stats``/``gc``/``clear``), so a URL
-  is a first-class store location everywhere a path is: engine caches,
-  merge sources *and* destinations, ``cache stats``.  Transient
+  (single and batched payloads, raw entries with their mtimes,
+  ``iter_keys``/``stats``/``gc``/``clear``), so a URL is a first-class
+  store location everywhere a path is: engine caches, ``cache stats``
+  and ``cache gc``.  Transient
   failures (connection refused, 5xx, timeouts) are retried with
   exponential backoff; a dead server surfaces as a single clear
   :class:`RemoteStoreError`, and a token mismatch as
   :class:`RemoteAuthError` (no retry — credentials do not heal).
 * :class:`StoreServer` — the server.  Every request holds one lock
-  around the backing store, so concurrent shard writers serialize into
+  around the backing store, so concurrent writers serialize into
   SQLite safely; with ``token=...`` (or ``--token`` / the
   ``REPRO_CACHE_TOKEN`` environment variable on the CLI) requests must
   carry ``Authorization: Bearer <token>``.
@@ -521,7 +521,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
 
     The body is always read before replying (keeps the socket in a sane
     state on errors), auth is checked before any store access, and every
-    store call holds the server-wide lock — concurrent shard writers
+    store call holds the server-wide lock — concurrent writers
     serialize here, which is what makes a plain SQLite pack safe to
     share over the network.
     """

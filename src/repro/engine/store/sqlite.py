@@ -8,7 +8,7 @@ produces), plus the byte count and an explicit LRU timestamp::
             nbytes INTEGER, mtime REAL)
 
 The database runs in WAL mode with a generous busy timeout, so several
-campaign shards on one host can write the same pack concurrently —
+engines on one host can write the same pack concurrently —
 writers of the same key race to store identical canonical bytes, so
 last-writer-wins is always correct.  A 10k+ entry campaign costs one
 inode, and the batch operations (:meth:`get_payload_many` /
@@ -16,11 +16,8 @@ inode, and the batch operations (:meth:`get_payload_many` /
 indexed query / one transaction.
 
 A plain cache directory (the default ``.repro_cache/``) is one pack
-named ``results.sqlite`` inside it.  Packs are also the transport
-format for sharded campaigns: ``python -m repro cache export
-sqlite:pack.sqlite`` bundles a shard's results into one
-file to ship between hosts, and ``cache merge`` unpacks it by content
-key on the other side.
+named ``results.sqlite`` inside it.  To share a pack with other hosts,
+serve it in place: ``python -m repro serve --store sqlite:FILE``.
 """
 
 from __future__ import annotations
@@ -89,7 +86,7 @@ class SqlitePackStore:
             conn = sqlite3.connect(self.path, timeout=30.0, check_same_thread=False)
             # Must precede table creation to take effect on a new file;
             # lets gc hand freed pages back without a full VACUUM (which
-            # needs exclusive access and would block concurrent shard
+            # needs exclusive access and would block concurrent
             # writers — see incremental_vacuum in _reclaim_pages).
             conn.execute("PRAGMA auto_vacuum=INCREMENTAL")
             conn.execute("PRAGMA journal_mode=WAL")
@@ -109,7 +106,7 @@ class SqlitePackStore:
 
         ``PRAGMA incremental_vacuum`` frees pages inside an ordinary
         write transaction (WAL-safe, no exclusive lock), so auto-GC can
-        run while other shard writers hold the pack open; on packs
+        run while other writers hold the pack open; on packs
         created without ``auto_vacuum`` it is a harmless no-op and the
         pages are simply reused by later inserts.
         """

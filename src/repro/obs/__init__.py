@@ -17,9 +17,9 @@ registry without import cycles:
 * :mod:`~repro.obs.calibration` — the measured-cost table
   (:class:`CostCalibration`): per-spec wall seconds observed by the
   engine accumulate into buckets keyed by (network size, simulated
-  cycles), so ``predicted_cost`` and ``--shard-balance cost`` converge
-  toward real wall times instead of the load×size×cycles heuristic;
-  a fresh checkout seeds the table from the committed perf baseline
+  cycles), so ``predicted_cost`` (the queue's heaviest-first order and
+  the ``--progress`` ETA) converges toward real wall times instead of
+  the load×size×cycles heuristic; a fresh checkout seeds the table from the committed perf baseline
   (``benchmarks/BENCH_sim_core.json``);
 * :mod:`~repro.obs.progress` — the ``--progress`` live line
   (done/total, hit rate, ETA from calibrated cost).
@@ -51,7 +51,7 @@ from .metrics import (
     span_stack,
     store_op,
 )
-from .progress import ProgressLine, TransferLine, format_duration
+from .progress import ProgressLine, format_duration
 
 __all__ = [
     "CALIBRATION_ENV",
@@ -64,7 +64,6 @@ __all__ = [
     "MetricsRegistry",
     "ProgressLine",
     "Span",
-    "TransferLine",
     "bucket_key",
     "configure_logging",
     "default_calibration",

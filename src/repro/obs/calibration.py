@@ -1,9 +1,10 @@
-"""Measured-cost calibration for ``--shard-balance cost`` and ETAs.
+"""Measured-cost calibration for the queue's job order and ETAs.
 
 ``predicted_cost`` (engine/spec.py) estimates a spec's wall time in
 abstract units: ``cycles x num_nodes x (COST_BASE_ACTIVITY + load)``.
 That heuristic ranks specs correctly but its units are meaningless, so
-shard ETAs and the LPT partition quality are only as good as the model.
+``--progress`` ETAs and the work queue's heaviest-first order are only
+as good as the model.
 This module closes the ROADMAP loop: every executed spec's **measured**
 wall seconds feed an EWMA ratio table keyed by :func:`bucket_key`
 (network size x power-of-two cycle count).  A calibrated cost is then
@@ -18,12 +19,8 @@ scales with network size — each size learns its own scale.
 The table persists as JSON next to the cache (``.repro_calibration.json``
 by default, ``REPRO_CALIBRATION`` to relocate).  A fresh checkout with
 no table auto-seeds in memory from the committed perf baseline
-(``benchmarks/BENCH_sim_core.json``) so first-run ETAs are sane.
-
-Determinism caveat: cost-balanced **shard partitions are only
-reproducible across hosts that share the same calibration table** (or
-that both have none).  CI's shard jobs run with a shared checkout and
-no local table, so they stay on the seeded/heuristic path.
+(``benchmarks/BENCH_sim_core.json``) so first-run ETAs are sane.  A
+queued campaign's order comes from the submitting host's table only.
 """
 
 from __future__ import annotations

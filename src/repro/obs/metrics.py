@@ -293,11 +293,6 @@ STORE_RETRIES = REGISTRY.counter(
     "Remote-store retry attempts by endpoint",
     ("endpoint",),
 )
-STORE_MERGE_KEYS = REGISTRY.counter(
-    "repro_store_merge_keys_total",
-    "Keys processed by merge_stores by outcome (copied/skipped/conflict)",
-    ("outcome",),
-)
 SERVER_REQUESTS = REGISTRY.counter(
     "repro_server_requests_total",
     "Store-server HTTP requests by endpoint and method",

@@ -116,58 +116,3 @@ class ProgressLine:
             self.stream.flush()
             self._wrote = False
 
-
-class TransferLine:
-    """Live status line for bulk store transfers (``cache merge/export``).
-
-    The transfer analog of :class:`ProgressLine`: ``advance(keys=,
-    nbytes=)`` is called once per copied page, and the line shows keys
-    moved, megabytes, and a pace-based ETA against the source's total
-    entry count (pass ``total=0`` when the total is unknown — the ETA
-    is simply omitted).
-    """
-
-    def __init__(self, total: int, stream: IO[str] | None = None, label: str = ""):
-        import sys
-
-        self.total = max(0, int(total))
-        self.stream = stream if stream is not None else sys.stderr
-        self.label = label or "transfer"
-        self.keys = 0
-        self.nbytes = 0
-        self._start: float | None = None
-        self._wrote = False
-
-    def eta_seconds(self) -> float | None:
-        if self._start is None or self.keys == 0 or self.keys >= self.total:
-            return None
-        elapsed = time.perf_counter() - self._start
-        return elapsed / self.keys * (self.total - self.keys)
-
-    def advance(self, keys: int = 0, nbytes: int = 0) -> None:
-        if self._start is None:
-            self._start = time.perf_counter()
-        self.keys += keys
-        self.nbytes += nbytes
-        self._render()
-
-    def _render(self) -> None:
-        shown = f"{self.keys}/{self.total}" if self.total else str(self.keys)
-        parts = [
-            f"{self.label}: {shown} keys",
-            f"{self.nbytes / 1e6:.1f} MB",
-        ]
-        eta = self.eta_seconds()
-        if eta is not None:
-            parts.append(f"eta ~{format_duration(eta)}")
-        line = "  ".join(parts)
-        self.stream.write(f"\r{line:<78}")
-        self.stream.flush()
-        self._wrote = True
-
-    def finish(self) -> None:
-        """Terminate the in-place line (newline) if anything was drawn."""
-        if self._wrote:
-            self.stream.write("\n")
-            self.stream.flush()
-            self._wrote = False

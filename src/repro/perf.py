@@ -150,8 +150,8 @@ def feed_cost_calibration(mode: str, report: dict) -> int:
     """Fold a perf run's measured seconds into the cost-calibration table.
 
     Each case is a known (topology, load, cycle-budget) point with a
-    fresh wall-seconds measurement — exactly what the campaign layer's
-    ETA and ``--shard-balance cost`` read back.  Saves the table when
+    fresh wall-seconds measurement — exactly what the ``--progress`` ETA
+    and the work queue's heaviest-first order read back.  Saves the table when
     anything changed; returns the number of cases folded in.
     """
     calibration = default_calibration()

@@ -561,3 +561,29 @@ class TestCliDispatch:
         out = capsys.readouterr().out
         assert "Network summary" in out
         assert "1296" in out
+
+    @pytest.mark.parametrize(
+        "option, value", [("--max-bytes", "-5"), ("--max-age", "-1")]
+    )
+    def test_cache_gc_rejects_negative_limits(self, option, value, tmp_path, capsys):
+        """A negative limit would evict every entry, fresh ones too."""
+        cache = ResultCache(tmp_path / "cache")
+        ExperimentEngine(cache=cache).run([fast_spec()])
+        argv = ["cache", "gc", "--cache-dir", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be >= 0" in capsys.readouterr().err
+        assert cache.stats().entries == 1
+        # Zero stays valid: it empties the store.
+        assert main(argv + [option, "0"]) == 0
+        assert cache.stats().entries == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["adaptive", "sn54"], ["compare", "sn54", "--model"]],
+        ids=["adaptive", "compare-model"],
+    )
+    def test_queue_rejected_where_no_grid_is_queued(self, argv, capsys):
+        assert main(argv + ["--queue", "http://127.0.0.1:1"]) == 2
+        assert "--queue" in capsys.readouterr().err

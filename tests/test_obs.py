@@ -16,10 +16,9 @@ from repro.engine import (
     ResultCache,
     SqlitePackStore,
     StoreServer,
-    estimate_campaign_seconds,
-    shard_specs,
 )
-from repro.engine.spec import iter_spec_keys, predicted_cost
+from repro.engine.queue import JobQueue, jobs_for_specs
+from repro.engine.spec import predicted_cost
 from repro.obs import (
     CostCalibration,
     ProgressLine,
@@ -247,13 +246,10 @@ class TestCalibration:
         assert len(table) == 0 and not table.dirty
 
 
-class TestCalibratedSharding:
+class TestCalibratedCosts:
     def grids(self):
         """Two light-cycle specs and one heavy-cycle spec: the heuristic
-        thinks the heavy one dominates (4x the cycles), so LPT isolates
-        it and groups both light specs on the other shard; the inverted
-        calibration measures the light bucket as the slow one, which
-        forces the light specs apart instead."""
+        thinks the heavy one dominates (4x the cycles)."""
         light = [fast_spec(load=0.02), fast_spec(load=0.04)]
         heavy = [fast_spec(load=0.03, **SLOW)]
         return light, heavy
@@ -266,49 +262,40 @@ class TestCalibratedSharding:
         table.observe(54, 2600, 0.05, 0.01)
         return table
 
-    def test_estimate_is_all_or_nothing(self):
-        light, heavy = self.grids()
-        table = self.inverted_table()
-        full = estimate_campaign_seconds(light + heavy, NODES, table)
-        assert full is not None and full > 0
-        partial = CostCalibration()
-        partial.observe(54, 600, 0.05, 10.0)  # only the light bucket
-        assert estimate_campaign_seconds(light + heavy, NODES, partial) is None
-        assert estimate_campaign_seconds(light + heavy, NODES, None) is None
+    def queue_order(self, path, specs, calibration):
+        queue = JobQueue(SqlitePackStore(path))
+        queue.submit(jobs_for_specs(specs, NODES, calibration))
+        return list(queue.pending)
 
-    def test_calibrated_partition_differs_and_balances_seconds(self):
+    def test_calibrated_costs_invert_the_queue_order(self, tmp_path):
+        """The queue hands out the heaviest spec first; a calibration
+        table that measures the light bucket as the slow one puts the
+        light specs ahead of the heavy one, the reverse of the
+        heuristic order."""
         light, heavy = self.grids()
         specs = light + heavy
-        table = self.inverted_table()
+        light_keys = {spec.content_hash() for spec in light}
+        heavy_key = heavy[0].content_hash()
 
-        def cost(spec):
-            return predicted_cost(spec, num_nodes=54, calibration=table)
+        heuristic = self.queue_order(tmp_path / "h.sqlite", specs, None)
+        assert heuristic[0] == heavy_key
+        assert set(heuristic[1:]) == light_keys
 
-        calibrated = [
-            shard_specs(
-                specs, i, 2, balance="cost", node_counts=NODES, calibration=table
-            )
-            for i in range(2)
-        ]
-        heuristic = [
-            shard_specs(specs, i, 2, balance="cost", node_counts=NODES)
-            for i in range(2)
-        ]
-        # Disjoint and covering either way.
-        keys = [set(iter_spec_keys(shard)) for shard in calibrated]
-        assert not keys[0] & keys[1]
-        assert keys[0] | keys[1] == set(iter_spec_keys(specs))
-        # The inverted table must actually change the partition.
-        assert keys[0] != set(iter_spec_keys(heuristic[0]))
-        # LPT guarantee on *measured* cost: shard spread is bounded by one
-        # spec's cost — the heuristic partition is far outside that bound
-        # here because it thinks the heavy specs dominate.
-        spread = abs(sum(map(cost, calibrated[0])) - sum(map(cost, calibrated[1])))
-        assert spread <= max(map(cost, specs))
-        bad_spread = abs(
-            sum(map(cost, heuristic[0])) - sum(map(cost, heuristic[1]))
+        calibrated = self.queue_order(
+            tmp_path / "c.sqlite", specs, self.inverted_table()
         )
-        assert spread < bad_spread
+        assert set(calibrated[:2]) == light_keys
+        assert calibrated[-1] == heavy_key
+
+    def test_cost_model_orders_by_load_size_and_cycles(self):
+        light = fast_spec(load=0.02)
+        heavy = fast_spec(load=0.45)
+        long = fast_spec(load=0.02, **SLOW)
+        assert predicted_cost(heavy) > predicted_cost(light)
+        assert predicted_cost(long) > predicted_cost(light)
+        assert predicted_cost(light, num_nodes=200) > predicted_cost(
+            light, num_nodes=54
+        )
 
     def test_predicted_cost_falls_back_without_bucket(self):
         spec = fast_spec()
@@ -491,22 +478,3 @@ class TestCliTelemetry:
         # The campaign taught the calibration table and persisted it.
         saved = CostCalibration.load(tmp_path / "cal.json")
         assert len(saved) > 0
-
-    def test_calibrated_shard_eta_printed_on_rerun(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        argv = [
-            "sweep", "sn54", "--loads", "0.02,0.05,0.08",
-            "--warmup", "50", "--measure", "100", "--drain", "200",
-        ]
-        assert self.run_cli(argv + ["--quiet"], tmp_path, monkeypatch) == 0
-        capsys.readouterr()
-        rc = self.run_cli(
-            argv + ["--shard", "0/2", "--shard-balance", "cost"],
-            tmp_path,
-            monkeypatch,
-        )
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "shard 0/2:" in err
-        assert "calibrated" in err

@@ -1,10 +1,9 @@
-"""Pluggable result stores (local + remote HTTP), shard partitioning,
-merge, auto-GC, pool lifecycle."""
+"""Pluggable result stores (local + remote HTTP), raw-entry transfer,
+auto-GC, pool lifecycle, and campaigns spread over the work queue."""
 
-import itertools
 import json
 import logging
-import random
+import threading
 import time
 
 import pytest
@@ -17,15 +16,11 @@ from repro.engine import (
     RemoteStoreError,
     ResultCache,
     SqlitePackStore,
+    JobQueue,
+    QueueWorker,
     StoreServer,
-    merge_stores,
     open_backend,
-    predicted_cost,
-    run_compare,
     run_sweep,
-    shard_for_key,
-    shard_specs,
-    workload_compare,
 )
 from repro.engine.spec import iter_spec_keys
 from repro.engine.store import (
@@ -82,121 +77,6 @@ def set_mtime(backend, key, mtime):
     """Backdate one entry's LRU timestamp on either backend."""
     raw = backend.get_entry(key)
     backend.put_entry(key, raw.entry, mtime=mtime)
-
-
-class TestShardPartitioning:
-    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
-    def test_disjoint_and_covering(self, count):
-        specs = spec_grid()
-        shards = [shard_specs(specs, i, count) for i in range(count)]
-        keys = [set(iter_spec_keys(shard)) for shard in shards]
-        assert set().union(*keys) == set(iter_spec_keys(specs))
-        for a, b in itertools.combinations(keys, 2):
-            assert not a & b
-        assert sum(len(shard) for shard in shards) == len(specs)
-
-    def test_stable_under_permutation(self):
-        specs = spec_grid()
-        shuffled = specs[:]
-        random.Random(7).shuffle(shuffled)
-        for index in range(3):
-            original = set(iter_spec_keys(shard_specs(specs, index, 3)))
-            permuted = set(iter_spec_keys(shard_specs(shuffled, index, 3)))
-            assert original == permuted
-
-    def test_key_sharding_is_content_based(self):
-        spec = fast_spec()
-        key = spec.content_hash()
-        assert spec.shard_of(4) == shard_for_key(key, 4)
-        assert shard_for_key(key, 1) == 0
-
-    def test_invalid_shards_rejected(self):
-        specs = spec_grid(4)
-        with pytest.raises(ValueError):
-            shard_specs(specs, 2, 2)
-        with pytest.raises(ValueError):
-            shard_specs(specs, -1, 2)
-        with pytest.raises(ValueError):
-            shard_for_key("ab", 0)
-        with pytest.raises(ValueError):
-            shard_specs(specs, 0, 2, balance="bogus")
-
-
-def mixed_cost_grid() -> list[ExperimentSpec]:
-    """Specs whose predicted costs vary widely (loads and windows)."""
-    specs = [fast_spec(load=0.01 + 0.05 * i) for i in range(8)]
-    specs += [
-        fast_spec(load=0.3, warmup=300, measure=800, drain=1500),
-        fast_spec(load=0.45, warmup=300, measure=800, drain=1500),
-    ]
-    return specs
-
-
-class TestCostBalancedSharding:
-    @pytest.mark.parametrize("count", [1, 2, 3, 5])
-    def test_disjoint_and_covering(self, count):
-        specs = mixed_cost_grid()
-        shards = [
-            shard_specs(specs, i, count, balance="cost") for i in range(count)
-        ]
-        keys = [set(iter_spec_keys(shard)) for shard in shards]
-        assert set().union(*keys) == set(iter_spec_keys(specs))
-        for a, b in itertools.combinations(keys, 2):
-            assert not a & b
-
-    def test_stable_under_permutation(self):
-        specs = mixed_cost_grid()
-        shuffled = specs[:]
-        random.Random(11).shuffle(shuffled)
-        for index in range(3):
-            original = set(
-                iter_spec_keys(shard_specs(specs, index, 3, balance="cost"))
-            )
-            permuted = set(
-                iter_spec_keys(shard_specs(shuffled, index, 3, balance="cost"))
-            )
-            assert original == permuted
-
-    def test_balances_predicted_work(self):
-        """Greedy LPT property: the spread between the heaviest and
-        lightest shard is at most one spec's cost — far tighter than
-        hash partitioning can promise on a skewed grid."""
-        specs = mixed_cost_grid()
-        costs = {spec.content_hash(): predicted_cost(spec) for spec in specs}
-        totals = [
-            sum(costs[key] for key in iter_spec_keys(
-                shard_specs(specs, index, 2, balance="cost")
-            ))
-            for index in range(2)
-        ]
-        assert max(totals) - min(totals) <= max(costs.values())
-
-    def test_cost_model_orders_by_load_size_and_cycles(self):
-        light = fast_spec(load=0.02)
-        heavy = fast_spec(load=0.45)
-        long = fast_spec(load=0.02, warmup=300, measure=800, drain=1500)
-        assert predicted_cost(heavy) > predicted_cost(light)
-        assert predicted_cost(long) > predicted_cost(light)
-        assert predicted_cost(light, num_nodes=200) > predicted_cost(
-            light, num_nodes=54
-        )
-
-    def test_cost_sharded_campaign_covers_grid(self, tmp_path):
-        """Two cost-balanced shard runs cover the grid exactly once, and
-        the unsharded rerun over the union is a pure cache read."""
-        cache = ResultCache(f"sqlite:{tmp_path / 'store.sqlite'}")
-        engine = ExperimentEngine(cache=cache)
-        executed = []
-        for index in range(2):
-            run_sweep(
-                engine, "sn54", "RND", LOADS, **FAST,
-                shard=(index, 2), shard_balance="cost",
-            )
-            executed.append(engine.last_stats.executed)
-        assert sum(executed) == len(LOADS)
-        curve = run_sweep(engine, "sn54", "RND", LOADS, **FAST)
-        assert engine.last_stats.executed == 0
-        assert [p.load for p in curve.points] == LOADS
 
 
 class TestBackendEquivalence:
@@ -447,52 +327,9 @@ class TestBackendCrossEquivalence:
         assert list(cache.backend.iter_keys()) == [key]
 
 
-class TestMerge:
-    def fill(self, backend, loads):
-        cache = ResultCache(backend=backend)
-        ExperimentEngine(cache=cache).run([fast_spec(load=x) for x in loads])
-        return cache
-
-    def test_merge_copies_and_skips(self, tmp_path):
-        a = SqlitePackStore(tmp_path / "a.sqlite")
-        b = SqlitePackStore(tmp_path / "b.sqlite")
-        self.fill(a, [0.02, 0.05])
-        self.fill(b, [0.05, 0.08])  # 0.05 overlaps, byte-identical
-        report = merge_stores(b, a)
-        assert report.copied == 1
-        assert report.skipped == 1
-        assert report.conflicts == 0
-        assert b.stats().entries == 3
-
-    def test_merge_counts_conflicts_and_keeps_ours(self, tmp_path):
-        a = SqlitePackStore(tmp_path / "a.sqlite")
-        b = SqlitePackStore(tmp_path / "b.sqlite")
-        self.fill(a, [0.02])
-        self.fill(b, [0.02])
-        (key,) = a.iter_keys()
-        ours = b.get_entry(key).entry
-        tampered = json.loads(json.dumps(ours))
-        tampered["result"]["avg_latency"] = -1.0
-        a.put_entry(key, tampered)
-        report = merge_stores(b, a)
-        assert report.conflicts == 1
-        assert report.copied == 0
-        assert b.get_entry(key).entry == ours  # destination wins
-
-    def test_merge_preserves_lru_timestamps(self, tmp_path):
-        a = SqlitePackStore(tmp_path / "a.sqlite")
-        b = SqlitePackStore(tmp_path / "b.sqlite")
-        self.fill(a, [0.02])
-        (key,) = a.iter_keys()
-        old = time.time() - 5 * 86400
-        set_mtime(a, key, old)
-        merge_stores(b, a)
-        assert abs(b.get_entry(key).mtime - old) < 2.0
-
-
 class TestRemoteStore:
     """Wire-protocol behavior beyond the shared backend-equivalence
-    suite: auth, retry/backoff, offline errors, merge transport."""
+    suite: auth, retry/backoff, offline errors, raw-entry transport."""
 
     @pytest.fixture
     def server(self, tmp_path):
@@ -568,41 +405,54 @@ class TestRemoteStore:
         with pytest.raises(RemoteStoreError, match="repro serve"):
             store.stats()
 
-    def test_remote_merge_round_trip_is_byte_identical(self, tmp_path, server):
-        """local pack -> remote -> fresh local pack preserves canonical
-        bytes and LRU timestamps: the network is a transport, not a
-        transform."""
+    def test_entry_round_trip_is_byte_identical(self, tmp_path, server):
+        """local pack -> remote -> fresh local pack through the raw-entry
+        calls preserves canonical bytes and LRU timestamps: the network
+        is a transport, not a transform."""
         source = SqlitePackStore(tmp_path / "src.sqlite")
         ExperimentEngine(cache=ResultCache(backend=source)).run(
             [fast_spec(), fast_spec(load=0.08)]
         )
-        backdated = source.iter_keys()[0]
+        keys = source.iter_keys()
+        backdated = keys[0]
         old = time.time() - 3 * 86400
         source.put_entry(backdated, source.get_entry(backdated).entry, mtime=old)
 
         remote = remote_store(server)
-        up = merge_stores(remote, source)
-        assert (up.copied, up.conflicts) == (2, 0)
+        remote.put_entry_many(source.get_entry_many(keys).values())
         out = SqlitePackStore(tmp_path / "out.sqlite")
-        down = merge_stores(out, remote)
-        assert (down.copied, down.conflicts) == (2, 0)
-        for key in source.iter_keys():
+        out.put_entry_many(remote.get_entry_many(keys).values())
+        for key in keys:
             assert out.get_entry(key).encoded() == source.get_entry(key).encoded()
         assert abs(out.get_entry(backdated).mtime - old) < 2.0
 
-    def test_concurrent_shards_rendezvous_without_file_shipping(
-        self, tmp_path, server
-    ):
-        """The acceptance flow, in-process: two sharded sweeps write the
-        same live endpoint, and the unsharded rerun (from any client)
+    def test_concurrent_writers_share_one_live_endpoint(self, server):
+        """Two engines write disjoint halves of one sweep into the same
+        live endpoint at once, and the full rerun (from any client)
         simulates nothing.  No store files move between cache
         locations."""
-        for index in range(2):
-            with ExperimentEngine(
-                cache=ResultCache(backend=remote_store(server))
-            ) as engine:
-                run_sweep(engine, "sn54", "RND", LOADS, **FAST, shard=(index, 2))
-                assert engine.total_stats.cache_hits == 0
+        halves = [LOADS[0::2], LOADS[1::2]]
+        errors = []
+
+        def write(loads):
+            try:
+                with ExperimentEngine(
+                    cache=ResultCache(backend=remote_store(server))
+                ) as engine:
+                    run_sweep(
+                        engine, "sn54", "RND", loads, **FAST,
+                        stop_after_saturation=False,
+                    )
+                    assert engine.total_stats.executed == len(loads)
+            except BaseException as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        writers = [threading.Thread(target=write, args=(h,)) for h in halves]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join()
+        assert not errors, errors
         with ExperimentEngine(
             cache=ResultCache(backend=remote_store(server))
         ) as engine:
@@ -612,78 +462,78 @@ class TestRemoteStore:
         assert [p.load for p in curve.points] == LOADS
 
 
-class TestShardedCampaignEndToEnd:
-    def test_merged_shards_make_rerun_pure_cache_read(self, tmp_path):
-        """The acceptance criterion: two --shard i/2 runs into separate
-        stores, merged, make the full unsharded rerun simulate nothing."""
-        shard_stats = []
-        for index in range(2):
-            with ExperimentEngine(
-                cache=ResultCache(tmp_path / f"shard{index}")
-            ) as engine:
-                run_sweep(
-                    engine, "sn54", "RND", LOADS, **FAST, shard=(index, 2)
-                )
-                shard_stats.append(engine.total_stats.snapshot())
-        executed = [stats.executed for stats in shard_stats]
-        assert sum(executed) == len(LOADS)  # disjoint + covering
+class TestQueuedCampaignCli:
+    """``compare --queue`` and ``workloads --queue`` end to end: the CLI
+    submits the grid to an in-process coordinator, a worker thread
+    drains it, and the final report simulates nothing and matches a
+    local run's rows."""
 
-        merged = ResultCache(f"sqlite:{tmp_path / 'merged.sqlite'}")
-        for index in range(2):
-            merge_stores(merged.backend, open_backend(tmp_path / f"shard{index}"))
+    @pytest.fixture
+    def coordinator(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "cal.json"))
+        backend = SqlitePackStore(tmp_path / "coordinator.sqlite")
+        with StoreServer(backend, quiet=True, queue=JobQueue(backend)) as server:
+            worker = QueueWorker(server.url, worker_id="t1", sleep=0.05)
+            thread = threading.Thread(target=worker.run)
+            thread.start()
+            try:
+                yield server.url, worker
+            finally:
+                worker.request_stop()
+                thread.join(timeout=60)
+        backend.close()
 
-        with ExperimentEngine(cache=merged, max_workers=2) as engine:
-            curve = run_sweep(engine, "sn54", "RND", LOADS, **FAST)
-            assert engine.total_stats.executed == 0
-            assert not engine.pool_active
-        assert [p.load for p in curve.points] == LOADS
+    def run_cli(self, argv, capsys):
+        from repro.__main__ import main
 
-    def test_sharded_equals_unsharded_point_for_point(self, tmp_path):
-        unsharded = run_sweep(
-            ExperimentEngine(cache=ResultCache(tmp_path / "ref")),
-            "sn54",
-            "RND",
-            LOADS,
-            **FAST,
-            stop_after_saturation=False,
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def split_report(out):
+        """``(rows, engine_line)``: the report without its timing lines."""
+        lines = out.splitlines()
+        (engine,) = [line for line in lines if line.startswith("  engine:")]
+        rows = [
+            line for line in lines if not line.startswith(("  engine:", "  stages:"))
+        ]
+        return rows, engine
+
+    def test_compare_queue_matches_local_run(self, tmp_path, coordinator, capsys):
+        url, worker = coordinator
+        argv = [
+            "compare", "sn54", "cm54", "--loads", "0.02,0.05,0.3", "--quiet",
+            "--warmup", "100", "--measure", "200", "--drain", "300",
+        ]
+        queued = self.run_cli(argv + ["--queue", url], capsys)
+        local = self.run_cli(argv + ["--cache-dir", str(tmp_path / "local")], capsys)
+        rows, engine = self.split_report(queued)
+        assert " 0 simulated" in engine
+        assert rows == self.split_report(local)[0]
+        assert worker.stats.done == 6  # the whole grid, past saturation too
+
+    def test_workloads_queue_matches_local_run(self, tmp_path, coordinator, capsys):
+        url, worker = coordinator
+        argv = [
+            "workloads", "sn54", "cm54", "--benches", "barnes,fft", "--quiet",
+            "--warmup", "100", "--measure", "200", "--drain", "300",
+        ]
+        queued_json = tmp_path / "queued.json"
+        local_json = tmp_path / "local.json"
+        self.run_cli(argv + ["--queue", url, "--json", str(queued_json)], capsys)
+        self.run_cli(
+            argv
+            + ["--cache-dir", str(tmp_path / "local"), "--json", str(local_json)],
+            capsys,
         )
-        by_load = {}
-        for index in range(3):
-            partial = run_sweep(
-                ExperimentEngine(cache=ResultCache(tmp_path / f"s{index}")),
-                "sn54",
-                "RND",
-                LOADS,
-                **FAST,
-                shard=(index, 3),
-            )
-            for point in partial.points:
-                by_load[point.load] = point
-        assert [by_load[p.load] for p in unsharded.points] == unsharded.points
-
-    def test_sharded_compare_and_workloads(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        engine = ExperimentEngine(cache=cache)
-        topos = {"sn54": "sn54", "cm54": "cm54"}
-        curves0 = run_compare(engine, topos, "RND", LOADS[:3], **FAST, shard=(0, 2))
-        curves1 = run_compare(engine, topos, "RND", LOADS[:3], **FAST, shard=(1, 2))
-        points = sum(
-            len(curves[label].points)
-            for curves in (curves0, curves1)
-            for label in topos
-        )
-        assert points == len(topos) * 3
-        table0 = workload_compare(engine, topos, ["barnes", "fft"], **FAST,
-                                  shard=(0, 2))
-        table1 = workload_compare(engine, topos, ["barnes", "fft"], **FAST,
-                                  shard=(1, 2))
-        cells0 = {(n, b) for n in table0 for b in table0[n]}
-        cells1 = {(n, b) for n in table1 for b in table1[n]}
-        assert not cells0 & cells1
-        assert len(cells0 | cells1) == 4
-        full = workload_compare(engine, topos, ["barnes", "fft"], **FAST)
-        assert engine.last_stats.executed == 0  # shards covered the grid
-        assert all(set(full[label]) == {"barnes", "fft"} for label in topos)
+        queued = json.loads(queued_json.read_text())
+        local = json.loads(local_json.read_text())
+        assert queued["engine"]["simulated"] == 0
+        assert local["engine"]["simulated"] == 4
+        assert queued["rows"] == local["rows"]
+        assert queued["edp_normalized"] == local["edp_normalized"]
+        assert worker.stats.done == 4
 
 
 class TestAutoGC:
@@ -722,7 +572,7 @@ class TestAutoGC:
 class TestRunnerDurability:
     def test_partial_results_survive_a_failing_batch(self, tmp_path):
         """Results that finished before a miss raised are flushed to the
-        store — an interrupted shard never re-simulates paid-for work."""
+        store — an interrupted campaign never re-simulates paid-for work."""
         from repro.engine import topology_fingerprint
         from repro.topos import make_network
 
@@ -876,8 +726,8 @@ class CappedBackend:
 
 
 class TestBoundedIterationAt50k:
-    """The acceptance bound: a 50k-entry store's stats, gc, and merge
-    complete with every key fetch capped at 512 keys."""
+    """The acceptance bound: a 50k-entry store's stats, gc, and a
+    page-by-page copy complete with every key fetch capped at 512 keys."""
 
     CAP = 512
     N = 50_000
@@ -903,7 +753,7 @@ class TestBoundedIterationAt50k:
         if chunk:
             backend.put_entry_many(chunk)
 
-    def test_sqlite_stats_merge_gc_stay_bounded(self, tmp_path):
+    def test_sqlite_stats_copy_gc_stay_bounded(self, tmp_path):
         pack = SqlitePackStore(tmp_path / "big.sqlite")
         self.fill(pack)
 
@@ -912,11 +762,14 @@ class TestBoundedIterationAt50k:
         assert stats.entries == self.N
         assert stats.reclaimable_entries == 0
 
-        # merge streams cursored pages through both capped wrappers.
-        destination = CappedBackend(SqlitePackStore(tmp_path / "dst.sqlite"), self.CAP)
-        report = merge_stores(destination, source)
-        assert report.copied == self.N
+        # The flat key stream pages the source through capped cursors.
+        assert sum(1 for _ in iter_all_keys(source)) == self.N
         assert source.pages >= self.N // DEFAULT_KEY_BATCH
+
+        # A raw-entry copy, one cursored page at a time, both sides capped.
+        destination = CappedBackend(SqlitePackStore(tmp_path / "dst.sqlite"), self.CAP)
+        for keys in iter_key_pages(source):
+            destination.put_entry_many(source.get_entry_many(keys).values())
         assert destination.stats().entries == self.N
 
         # SQLite gc pages internally; both packs still empty fully.
@@ -957,40 +810,3 @@ class TestWireProtocolV2:
         with pytest.raises(RemoteStoreError, match="HTTP 404"):
             remote_store(server)._call("keys")
 
-
-class TestMergeObservability:
-    def test_merge_emits_progress_pages_and_counters(self, tmp_path):
-        from repro.obs.metrics import REGISTRY
-
-        a = SqlitePackStore(tmp_path / "a.sqlite")
-        b = SqlitePackStore(tmp_path / "b.sqlite")
-        keys = [f"{i:02d}" + "bb" * 31 for i in range(7)]
-        for key in keys:
-            a.put_payload(key, "sim", {"k": key})
-        b.put_payload(keys[0], "sim", {"k": keys[0]})  # one skip
-
-        before = REGISTRY.value("repro_store_merge_keys_total", outcome="copied")
-        deltas = []
-        report = merge_stores(b, a, progress=deltas.append, batch=3)
-        assert report.copied == 6
-        assert report.skipped == 1
-        assert len(deltas) == 3  # pages of 3, 3, 1
-        assert sum(d.copied for d in deltas) == report.copied
-        assert sum(d.skipped for d in deltas) == report.skipped
-        after = REGISTRY.value("repro_store_merge_keys_total", outcome="copied")
-        assert after - before == 6
-
-    def test_transfer_line_renders_keys_bytes_eta(self):
-        import io
-
-        from repro.obs import TransferLine
-
-        stream = io.StringIO()
-        line = TransferLine(10, stream=stream, label="transfer")
-        line.advance(keys=4, nbytes=2_000_000)
-        text = stream.getvalue()
-        assert "transfer: 4/10 keys" in text
-        assert "2.0 MB" in text
-        line.advance(keys=6, nbytes=500_000)
-        line.finish()
-        assert stream.getvalue().endswith("\n")

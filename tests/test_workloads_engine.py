@@ -1,8 +1,10 @@
 """Workload-source determinism, tagged-union specs, campaigns, cache GC."""
 
+import hashlib
 import json
 import random
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.engine import (
     workload_compare,
 )
 from repro.topos import make_network
-from repro.traffic import WORKLOADS, WorkloadSource
+from repro.traffic import WORKLOADS, WorkloadSource, workload_names
 
 #: Tiny but shape-preserving windows for the sn54/cm54 class.
 FAST = dict(warmup=100, measure=200, drain=300)
@@ -110,6 +112,17 @@ class TestTaggedUnionSpecs:
             assert retuned.content_hash() != before
         finally:
             WORKLOADS["barnes"] = original
+
+    @pytest.mark.parametrize("bench", workload_names())
+    def test_params_match_the_dataclass_copy(self, bench):
+        """The shallow field copy serializes exactly what ``asdict``
+        gave, so no workload spec hash moves."""
+        spec = ExperimentSpec.workload("sn54", bench, **FAST)
+        payload = spec.to_dict()
+        assert payload["source"]["params"] == asdict(WORKLOADS[bench])
+        payload["source"]["params"] = asdict(WORKLOADS[bench])
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert spec.content_hash() == hashlib.sha256(blob.encode()).hexdigest()
 
     def test_unknown_bench_rejected(self):
         with pytest.raises(ValueError):
