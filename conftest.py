@@ -9,12 +9,6 @@ the cache (``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``), point it at a
 session-private temp directory: caching and the engine path stay fully
 exercised (figures share identical points within the run) with no
 cross-run staleness.
-
-The measured-cost calibration table gets the same treatment: CLI tests
-run ``python -m repro`` commands that would otherwise write
-``.repro_calibration.json`` into the checkout (and read timings from
-previous runs), so ``REPRO_CALIBRATION`` is repointed at a
-session-private path unless the caller already set it.
 """
 
 import os
@@ -24,7 +18,3 @@ import tempfile
 def pytest_configure(config):
     if not (os.environ.get("REPRO_CACHE_DIR") or os.environ.get("REPRO_NO_CACHE")):
         os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-cache-")
-    if not os.environ.get("REPRO_CALIBRATION"):
-        os.environ["REPRO_CALIBRATION"] = os.path.join(
-            tempfile.mkdtemp(prefix="repro-calibration-"), "calibration.json"
-        )

@@ -74,17 +74,11 @@ from .engine import (
     ResultCache,
     build_sweep_specs,
     build_workload_specs,
+    predicted_cost,
     run_compare,
     run_sweep,
-    spec_load,
 )
-from .obs import (
-    ProgressLine,
-    configure_logging,
-    default_calibration,
-    format_duration,
-    get_logger,
-)
+from .obs import ProgressLine, configure_logging, format_duration
 from .power import TECH_45NM, network_area, static_power
 from .sim import BUFFERING_STRATEGIES, NoCSimulator, SimConfig
 from .topos import catalog_symbols
@@ -92,8 +86,6 @@ from .traffic import SyntheticSource, workload_names
 
 if TYPE_CHECKING:
     from .engine.queue import QueueClient
-
-_log = get_logger("cli")
 
 
 def parse_loads(text: str) -> list[float]:
@@ -139,25 +131,7 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
 
 def _build_engine(args: argparse.Namespace) -> ExperimentEngine:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    # CLI campaigns run calibrated: executed specs feed the measured-cost
-    # table, and queue job order / ETAs read it back.  Library users
-    # opt in explicitly (ExperimentEngine(calibration=...)).
-    return ExperimentEngine(
-        cache=cache, max_workers=args.workers, calibration=default_calibration()
-    )
-
-
-def _save_calibration(engine: ExperimentEngine) -> None:
-    """Persist the measured-cost table if this run taught it anything."""
-    calibration = engine.calibration
-    if calibration is None or not calibration.dirty:
-        return
-    try:
-        path = calibration.save()
-    except OSError as exc:
-        _log.warning("could not save the cost-calibration table: %s", exc)
-    else:
-        _log.debug("updated cost calibration at %s", path)
+    return ExperimentEngine(cache=cache, max_workers=args.workers)
 
 
 def _progress(done: int, total: int, spec, cached: bool) -> None:
@@ -233,31 +207,22 @@ def _workload_grid(
 
 
 def _campaign_progress(
-    args: argparse.Namespace,
-    engine: ExperimentEngine,
-    specs: list,
-    node_counts: dict[str, int],
+    args: argparse.Namespace, specs: list, node_counts: dict[str, int]
 ):
     """Progress reporting for a campaign: ``(callback, line_or_None)``.
 
     Default is the classic per-point stderr printer; ``--progress``
-    swaps in a live single-line display with hit counts and an ETA from
-    the calibrated cost table (falling back to observed pace until the
-    table covers the campaign); ``--quiet`` disables both.
+    swaps in a live single-line display with hit counts and an ETA that
+    weights each simulated spec by its ``predicted_cost``; ``--quiet``
+    disables both.
     """
     if args.quiet:
         return None, None
     if not getattr(args, "progress", False):
         return _progress, None
-    calibration = engine.calibration
 
-    def cost_fn(spec) -> float | None:
-        nodes = node_counts.get(spec.topology)
-        if nodes is None or calibration is None:
-            return None
-        return calibration.seconds_for(
-            nodes, spec.warmup + spec.measure + spec.drain, spec_load(spec)
-        )
+    def cost_fn(spec) -> float:
+        return predicted_cost(spec, node_counts.get(spec.topology))
 
     line = ProgressLine(total=len(specs), cost_fn=cost_fn)
     line.add_pending(specs)
@@ -324,8 +289,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--progress",
         action="store_true",
         help="live one-line progress on stderr (done/total, cache hits, "
-        "ETA from the measured-cost calibration table) instead of "
-        "per-point lines",
+        "ETA over the simulations left, weighted by predicted cost) "
+        "instead of per-point lines",
     )
     parser.add_argument(
         "--quiet",
@@ -708,7 +673,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     specs, node_counts, _symbols = grid
     curves = {}
     with _build_engine(args) as engine:
-        progress, line = _campaign_progress(args, engine, specs, node_counts)
+        progress, line = _campaign_progress(args, specs, node_counts)
         for pattern in patterns:
             before = engine.total_stats.snapshot()
             curve = run_sweep(
@@ -744,7 +709,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         total = engine.total_stats
         _print_stage_seconds(total)
-        _save_calibration(engine)
     if args.json_path:
         payload = {
             "network": args.network,
@@ -777,7 +741,7 @@ def _run_queued(args: argparse.Namespace, grid: tuple, command) -> int:
 
     specs, node_counts, symbols = grid
     url = args.queue
-    jobs = jobs_for_specs(specs, node_counts, default_calibration())
+    jobs = jobs_for_specs(specs, node_counts)
     client = QueueClient(url)
     reply = client.submit(jobs, symbols)
     if not args.quiet:
@@ -875,7 +839,6 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
             stop_after_saturation=not args.no_stop,
         )
         stats = engine.total_stats
-        _save_calibration(engine)
     print(study.format_table())
     print(
         f"  engine: {stats.cache_hits} cached, "
@@ -919,7 +882,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             specs, node_counts, _symbols = _synthetic_grid(
                 args, config, args.networks, [args.pattern]
             )
-            progress, line = _campaign_progress(args, engine, specs, node_counts)
+            progress, line = _campaign_progress(args, specs, node_counts)
             curves = run_compare(
                 engine,
                 {symbol: symbol for symbol in args.networks},
@@ -938,7 +901,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if line is not None:
                 line.finish()
         stats = engine.total_stats
-        _save_calibration(engine)
     rows = []
     for label in args.networks:
         curve = curves[label]
@@ -991,7 +953,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
         return _run_queued(args, grid, cmd_workloads)
     specs, node_counts, _symbols = grid
     with _build_engine(args) as engine:
-        progress, line = _campaign_progress(args, engine, specs, node_counts)
+        progress, line = _campaign_progress(args, specs, node_counts)
         table = workload_table(
             args.networks,
             benches,
@@ -1007,7 +969,6 @@ def cmd_workloads(args: argparse.Namespace) -> int:
         if line is not None:
             line.finish()
         stats = engine.total_stats
-        _save_calibration(engine)
     edp = edp_table(table, baseline)
     for bench in benches:
         rows = [

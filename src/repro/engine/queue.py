@@ -604,14 +604,12 @@ class QueueClient:
 def jobs_for_specs(
     specs: Iterable,
     node_counts: Mapping[str, int] | None = None,
-    calibration=None,
 ) -> list[dict]:
     """Wire-form jobs for a batch of :class:`ExperimentSpec`\\ s.
 
-    Costs come from :func:`~repro.engine.spec.predicted_cost` (upgraded
-    to measured seconds when the calibration table covers the spec), so
-    the queue hands out the heaviest specs first.  Duplicate specs
-    collapse to one job.
+    Costs come from :func:`~repro.engine.spec.predicted_cost`, so the
+    queue hands out the heaviest specs first.  Duplicate specs collapse
+    to one job.
     """
     from .spec import predicted_cost
 
@@ -624,8 +622,6 @@ def jobs_for_specs(
         jobs[key] = {
             "key": key,
             "spec": spec.to_dict(),
-            "cost": predicted_cost(
-                spec, nodes.get(spec.topology), calibration=calibration
-            ),
+            "cost": predicted_cost(spec, nodes.get(spec.topology)),
         }
     return list(jobs.values())

@@ -37,11 +37,10 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..obs import CostCalibration
 from ..obs.metrics import ENGINE_SPEC_SECONDS, ENGINE_SPECS, span
 from ..sim import SimResult
 from ..topos.base import Topology
-from .spec import FINGERPRINT_PREFIX, ExperimentSpec, resolve_topology, spec_load
+from .spec import FINGERPRINT_PREFIX, ExperimentSpec, resolve_topology
 from .store import ResultCache
 
 if TYPE_CHECKING:
@@ -68,13 +67,12 @@ def __getattr__(name: str):
 
 def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
     """Worker entry point: rebuild the spec, simulate, return the result
-    as a JSON dict plus its measured wall seconds and network size.
+    as a JSON dict plus its measured wall seconds.
 
     Returning the serialized form (not the ``SimResult``) keeps the
     transfer compact for large runs and guarantees parallel results pass
-    through exactly the codec the cache uses.  Seconds and node count
-    ride along so the parent can feed the cost-calibration table without
-    re-resolving the topology.
+    through exactly the codec the cache uses.  The seconds feed the
+    engine's ``simulate`` stage time.
     """
     spec_dict, topology = payload
     spec = ExperimentSpec.from_dict(spec_dict)
@@ -82,11 +80,7 @@ def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
         topology = resolve_topology(spec.topology, spec.layout)
     start = time.perf_counter()
     result = spec.execute(topology=topology)
-    return {
-        "result": result.to_dict(),
-        "seconds": time.perf_counter() - start,
-        "nodes": topology.num_nodes,
-    }
+    return {"result": result.to_dict(), "seconds": time.perf_counter() - start}
 
 
 @dataclass
@@ -164,11 +158,6 @@ class ExperimentEngine:
         serial_threshold: Batches with fewer misses than this run
             serially even when ``max_workers > 1`` (worker startup would
             dominate).
-        calibration: Optional :class:`~repro.obs.CostCalibration`; when
-            set, every executed spec's measured wall seconds are folded
-            into the table, and campaign-layer cost balancing / ETAs
-            read it back.  ``None`` (the default) keeps the engine — and
-            ``predicted_cost`` — on the pure deterministic heuristic.
     """
 
     def __init__(
@@ -176,14 +165,12 @@ class ExperimentEngine:
         cache: ResultCache | None = None,
         max_workers: int = 1,
         serial_threshold: int = 2,
-        calibration: CostCalibration | None = None,
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.cache = cache
         self.max_workers = max_workers
         self.serial_threshold = serial_threshold
-        self.calibration = calibration
         self.last_stats = RunStats()
         self.total_stats = RunStats(workers=max_workers)
         self._pool: ProcessPoolExecutor | None = None
@@ -286,7 +273,6 @@ class ExperimentEngine:
             spec: ExperimentSpec,
             result: SimResult,
             seconds: float = 0.0,
-            nodes: int | None = None,
         ) -> None:
             nonlocal done
             executed.append((spec, result))
@@ -297,13 +283,6 @@ class ExperimentEngine:
             ENGINE_SPECS.labels(outcome="executed").inc()
             if seconds > 0:
                 ENGINE_SPEC_SECONDS.observe(seconds)
-            if self.calibration is not None and seconds > 0 and nodes:
-                self.calibration.observe(
-                    nodes,
-                    spec.warmup + spec.measure + spec.drain,
-                    spec_load(spec),
-                    seconds,
-                )
             if progress is not None:
                 progress(done, len(unique), spec, False)
 
@@ -329,7 +308,6 @@ class ExperimentEngine:
                                     spec,
                                     SimResult.from_dict(reply["result"]),
                                     seconds=reply["seconds"],
-                                    nodes=reply["nodes"],
                                 )
                     else:
                         for key, spec in misses:
@@ -346,7 +324,6 @@ class ExperimentEngine:
                                 spec,
                                 SimResult.from_dict(raw.to_dict()),
                                 seconds=elapsed,
-                                nodes=topo.num_nodes,
                             )
                 stats.stage_seconds["dispatch"] = dispatch_span.seconds
             finally:

@@ -35,7 +35,6 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterable, Iterator, Union
 
-from ..obs.calibration import COST_BASE_ACTIVITY, CostCalibration
 from ..routing import (
     DeflectionRouting,
     DimensionOrderRouting,
@@ -564,9 +563,8 @@ def iter_spec_keys(specs: Iterable[ExperimentSpec]) -> Iterator[str]:
 
 #: Baseline activity of an idle-ish network relative to its offered load
 #: (router bookkeeping, warmup/drain overhead): keeps the predicted cost
-#: of near-zero-load points realistically non-zero.  Shared with the
-#: calibration table so heuristic and calibrated costs use one shape.
-_COST_BASE_ACTIVITY = COST_BASE_ACTIVITY
+#: of near-zero-load points realistically non-zero.
+COST_BASE_ACTIVITY = 0.25
 
 
 def spec_load(spec: ExperimentSpec) -> float:
@@ -574,8 +572,7 @@ def spec_load(spec: ExperimentSpec) -> float:
 
     Synthetic traffic carries its load directly; workload intensity is
     messages/node/100 cycles, scaled into the same ballpark.  This is
-    the load term of :func:`predicted_cost` and of the calibration
-    buckets, factored out so both sides agree.
+    the load term of :func:`predicted_cost`.
     """
     source = spec.source
     mean = getattr(source, "mean_load", None)
@@ -584,40 +581,27 @@ def spec_load(spec: ExperimentSpec) -> float:
     return WORKLOADS[source.bench].intensity * source.intensity_scale / 100.0
 
 
-def predicted_cost(
-    spec: ExperimentSpec,
-    num_nodes: int | None = None,
-    calibration: "CostCalibration | None" = None,
-) -> float:
+def predicted_cost(spec: ExperimentSpec, num_nodes: int | None = None) -> float:
     """Cost estimate for one simulation point.
 
-    Without ``calibration`` the model is deliberately crude — simulated
-    work scales with how many cycles run, how many nodes inject, and
-    how loaded the network is::
+    The model is deliberately crude — simulated work scales with how
+    many cycles run, how many nodes inject, and how loaded the network
+    is::
 
         cost = (warmup + measure + drain) * num_nodes * (base + load)
 
-    It exists for *ordering*, not prediction: the work queue hands out
-    the heaviest specs first (:func:`~repro.engine.queue.jobs_for_specs`)
-    so a 0.45-load point near saturation, which costs many times a
-    0.02-load one, does not start last and gate the whole campaign.
-    Only ratios between specs matter, so the units are arbitrary.
-
-    With a :class:`~repro.obs.calibration.CostCalibration` (and
-    ``num_nodes``), the estimate becomes **measured wall seconds**
-    whenever the spec's (network size, cycle budget) bucket has been
-    observed — the engine records every executed spec's wall time into
-    the table, so repeat campaigns converge toward real durations.
-    Specs whose bucket is missing fall back to the heuristic.
+    It exists for *ordering* and *weighting*, not prediction: the work
+    queue hands out the heaviest specs first
+    (:func:`~repro.engine.queue.jobs_for_specs`) so a 0.45-load point
+    near saturation, which costs many times a 0.02-load one, does not
+    start last and gate the whole campaign; the ``--progress`` ETA
+    weights done and pending specs by it.  Only ratios between specs
+    matter, so the units are arbitrary.
 
     ``num_nodes`` comes from the campaign layer, which holds the live
     topology objects; without it the model still orders same-network
     specs correctly (the common case — one campaign, one grid).
     """
     cycles = spec.warmup + spec.measure + spec.drain
-    load = spec_load(spec)
-    if calibration is not None and num_nodes is not None:
-        seconds = calibration.seconds_for(num_nodes, cycles, load)
-        if seconds is not None:
-            return seconds
-    return float(cycles) * float(num_nodes or 1) * (_COST_BASE_ACTIVITY + load)
+    activity = COST_BASE_ACTIVITY + spec_load(spec)
+    return float(cycles) * float(num_nodes or 1) * activity

@@ -658,12 +658,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
             return self._reply(
                 404, {"error": f"unknown endpoint {self.command} {path}"}
             )
-        try:
-            with self.server.lock:
-                result = route(self.server.backend, payload)
-        except Exception as exc:  # surface, don't kill the worker thread
-            return self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
-        self._reply(200, result)
+        self._run_route(route, self.server.backend, payload)
 
     def _handle_queue(self, path: str, payload: dict) -> None:
         queue = self.server.queue
@@ -678,14 +673,25 @@ class _StoreHandler(BaseHTTPRequestHandler):
             return self._reply(
                 404, {"error": f"unknown endpoint {self.command} {path}"}
             )
+        self._run_route(route, queue, payload)
+
+    def _run_route(self, route: Callable, target, payload: dict) -> None:
+        """Run one store or queue route under the server-wide lock.
+
+        Queue operations share the lock: they persist state and probe
+        caches through the same backing store the cache endpoints
+        serialize on.  A malformed request (a missing field, a value of
+        the wrong type or out of range) is the client's fault and gets
+        400, which :class:`RemoteStore` does not retry; anything else
+        is the server's and gets 500.
+        """
         try:
-            # The server-wide lock also covers queue operations: they
-            # persist state and probe caches through the same backing
-            # store the cache endpoints serialize on.
             with self.server.lock:
-                result = route(queue, payload)
+                result = route(target, payload)
         except KeyError as exc:
             return self._reply(400, {"error": f"missing field {exc}"})
+        except (ValueError, TypeError) as exc:
+            return self._reply(400, {"error": f"{type(exc).__name__}: {exc}"})
         except Exception as exc:  # surface, don't kill the worker thread
             return self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
         self._reply(200, result)

@@ -319,6 +319,15 @@ class SqlitePackStore:
         max_age_days: float | None = None,
         now: float | None = None,
     ) -> GCReport:
+        # The one place both `cache gc` and the served `POST /gc` reach;
+        # a negative limit would evict every entry.
+        for name, limit in (("max_bytes", max_bytes), ("max_age_days", max_age_days)):
+            if limit is None:
+                continue
+            if isinstance(limit, bool) or not isinstance(limit, (int, float)):
+                raise ValueError(f"{name} must be a number, got {limit!r}")
+            if not limit >= 0:
+                raise ValueError(f"{name} must be >= 0, got {limit!r}")
         with store_op(_BACKEND, "gc"):
             return self._gc(max_bytes=max_bytes, max_age_days=max_age_days, now=now)
 

@@ -38,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..obs import default_calibration, get_logger
+from ..obs import get_logger
 from .queue import QueueClient
 from .runner import ExperimentEngine
 from .spec import ExperimentSpec, resolve_topology
@@ -168,11 +168,7 @@ class QueueWorker:
         requested); returns the worker's tally."""
         _log.info("worker %s joining %s", self.worker_id, self.url)
         cache = ResultCache(backend=self.store)
-        with ExperimentEngine(
-            cache=cache,
-            max_workers=self.max_workers,
-            calibration=default_calibration(),
-        ) as engine:
+        with ExperimentEngine(cache=cache, max_workers=self.max_workers) as engine:
             while not self.stopping:
                 reply = self.client.claim(self.worker_id, self.max_specs)
                 state = reply["state"]

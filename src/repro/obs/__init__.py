@@ -1,4 +1,4 @@
-"""Campaign observability: metrics, spans, logging, calibration, progress.
+"""Campaign observability: metrics, spans, logging, progress.
 
 ``repro.obs`` is the cross-cutting telemetry layer under every hot path
 in the repo.  It deliberately imports nothing from :mod:`repro.engine`
@@ -14,26 +14,10 @@ registry without import cycles:
 * :mod:`~repro.obs.logs` — one ``repro.*`` logger hierarchy behind
   :func:`configure_logging` (text or JSON lines, selected by the
   ``REPRO_LOG`` / ``REPRO_LOG_FORMAT`` environment knobs);
-* :mod:`~repro.obs.calibration` — the measured-cost table
-  (:class:`CostCalibration`): per-spec wall seconds observed by the
-  engine accumulate into buckets keyed by (network size, simulated
-  cycles), so ``predicted_cost`` (the queue's heaviest-first order and
-  the ``--progress`` ETA) converges toward real wall times instead of
-  the load×size×cycles heuristic; a fresh checkout seeds the table from the committed perf baseline
-  (``benchmarks/BENCH_sim_core.json``);
 * :mod:`~repro.obs.progress` — the ``--progress`` live line
-  (done/total, hit rate, ETA from calibrated cost).
+  (done/total, hit count, ETA weighted by each spec's predicted cost).
 """
 
-from .calibration import (
-    CALIBRATION_ENV,
-    COST_BASE_ACTIVITY,
-    CostCalibration,
-    bucket_key,
-    default_calibration,
-    default_calibration_path,
-    seed_from_perf_baseline,
-)
 from .logs import (
     LOG_ENV,
     LOG_FORMAT_ENV,
@@ -54,25 +38,18 @@ from .metrics import (
 from .progress import ProgressLine, format_duration
 
 __all__ = [
-    "CALIBRATION_ENV",
-    "COST_BASE_ACTIVITY",
     "DEFAULT_BUCKETS",
     "LOG_ENV",
     "LOG_FORMAT_ENV",
     "REGISTRY",
-    "CostCalibration",
     "MetricsRegistry",
     "ProgressLine",
     "Span",
-    "bucket_key",
     "configure_logging",
-    "default_calibration",
-    "default_calibration_path",
     "format_duration",
     "get_logger",
     "get_registry",
     "render_prometheus",
-    "seed_from_perf_baseline",
     "span",
     "span_stack",
     "store_op",

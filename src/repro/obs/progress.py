@@ -1,11 +1,12 @@
 """The ``--progress`` live status line for campaign commands.
 
 One line, rewritten in place on a TTY-ish stream: done/total points,
-cache-hit count, executed count, and an ETA.  The ETA prefers the
-calibrated per-spec cost (``cost_fn`` returning predicted seconds for a
-pending spec); when no calibration is available it falls back to the
-observed pace of the run so far.  Writing goes to stderr by default so
-``--json`` output on stdout stays machine-clean.
+cache-hit count, executed count, and an ETA.  Each spec weighs
+``cost_fn(spec)`` (the CLI passes ``predicted_cost``; one unit per spec
+without it).  Cache hits are shown but not timed: the ETA is the time
+spent per unit of simulated cost so far, times the cost still pending.
+Writing goes to stderr by default so ``--json`` output on stdout stays
+machine-clean.
 """
 
 from __future__ import annotations
@@ -31,66 +32,56 @@ def format_duration(seconds: float) -> str:
 class ProgressLine:
     """Accumulates per-point completions and renders one ``\\r`` line.
 
-    ``update(spec, cached)`` is called once per finished point.  When a
-    ``cost_fn`` is given it is consulted for every spec (calibrated
-    seconds or None); the ETA scales remaining predicted seconds by the
-    observed predicted-vs-actual pace, or — with no cost data — by the
-    plain measured seconds-per-point so far.
+    ``update(spec, cached)`` is called once per finished point.  A hit
+    takes its cost off the pending total without adding to the timed
+    cost, so a warm prefix of the grid does not make the rest look
+    cheap.  The clock restarts on every hit until the first simulation
+    finishes: the runner reports all of a batch's hits before it
+    simulates anything.
     """
 
     def __init__(
         self,
         total: int,
         stream: IO[str] | None = None,
-        cost_fn: Callable[[object], float | None] | None = None,
+        cost_fn: Callable[[object], float] | None = None,
         label: str = "",
     ):
         import sys
 
         self.total = max(0, int(total))
         self.stream = stream if stream is not None else sys.stderr
-        self.cost_fn = cost_fn
+        self.cost_fn = cost_fn or (lambda spec: 1.0)
         self.label = label
         self.done = 0
         self.hits = 0
         self.executed = 0
-        self.calibrated = False
-        self._done_cost = 0.0
-        self._pending_cost = 0.0
-        self._start: float | None = None
+        self._executed_cost = 0.0
+        self._pending_cost = float(self.total)
+        self._start = time.perf_counter()
         self._wrote = False
 
     def add_pending(self, specs: list) -> None:
-        """Pre-compute the calibrated cost of the whole work list."""
-        if self.cost_fn is None:
-            return
-        costs = [self.cost_fn(spec) for spec in specs]
-        if any(cost is None for cost in costs):
-            return
-        self._pending_cost = float(sum(costs))
-        self.calibrated = self._pending_cost > 0
+        """Weigh the whole work list by ``cost_fn`` (default: one each)."""
+        self._pending_cost = float(sum(self.cost_fn(spec) for spec in specs))
 
     def eta_seconds(self) -> float | None:
-        if self._start is None or self.done == 0 or self.done >= self.total:
+        if self._executed_cost <= 0 or self.done >= self.total:
             return None
-        elapsed = time.perf_counter() - self._start
-        if self.calibrated and self._done_cost > 0:
-            pace = elapsed / self._done_cost
-            return pace * max(0.0, self._pending_cost - self._done_cost)
-        return elapsed / self.done * (self.total - self.done)
+        pace = (time.perf_counter() - self._start) / self._executed_cost
+        return pace * max(0.0, self._pending_cost)
 
     def update(self, spec: object = None, cached: bool = False) -> None:
-        if self._start is None:
-            self._start = time.perf_counter()
         self.done += 1
+        cost = self.cost_fn(spec)
+        self._pending_cost -= cost
         if cached:
             self.hits += 1
+            if not self.executed:
+                self._start = time.perf_counter()
         else:
             self.executed += 1
-        if self.calibrated and spec is not None and self.cost_fn is not None:
-            cost = self.cost_fn(spec)
-            if cost is not None:
-                self._done_cost += cost
+            self._executed_cost += cost
         self._render()
 
     def _render(self) -> None:
@@ -102,8 +93,7 @@ class ProgressLine:
         ]
         eta = self.eta_seconds()
         if eta is not None:
-            kind = "calibrated" if self.calibrated else "pace"
-            parts.append(f"eta ~{format_duration(eta)} ({kind})")
+            parts.append(f"eta ~{format_duration(eta)}")
         line = "  ".join(parts)
         self.stream.write(f"\r{line:<78}")
         self.stream.flush()

@@ -26,15 +26,12 @@ import sys
 import time
 from pathlib import Path
 
-from .obs import default_calibration, get_logger
 from .obs.metrics import REGISTRY
 from .sim import NoCSimulator, SimConfig, cbr, el_links
 from .topos import make_network
 from .traffic import SyntheticSource
 
 SCHEMA_VERSION = 1
-
-_log = get_logger("perf")
 
 #: Best-of wall seconds per harness case, labelled by case name — the
 #: perf run's timings land in the same registry campaign metrics use, so
@@ -144,40 +141,6 @@ def run_workload(mode: str, repeats: int = 2) -> dict:
         "cycles_per_sec": round(total_cycles / total_seconds, 1),
         "calibration_ops_per_sec": calibrate(),
     }
-
-
-def feed_cost_calibration(mode: str, report: dict) -> int:
-    """Fold a perf run's measured seconds into the cost-calibration table.
-
-    Each case is a known (topology, load, cycle-budget) point with a
-    fresh wall-seconds measurement — exactly what the ``--progress`` ETA
-    and the work queue's heaviest-first order read back.  Saves the table when
-    anything changed; returns the number of cases folded in.
-    """
-    calibration = default_calibration()
-    nodes_by_symbol: dict[str, int] = {}
-    fed = 0
-    for name, case in WORKLOADS.get(mode, {}).items():
-        measured = report["cases"].get(name)
-        if not measured or not measured.get("seconds"):
-            continue
-        symbol, _pattern, load, _cfg, _seed, warmup, measure, drain = case
-        num_nodes = nodes_by_symbol.get(symbol)
-        if num_nodes is None:
-            num_nodes = make_network(symbol).num_nodes
-            nodes_by_symbol[symbol] = num_nodes
-        calibration.observe(
-            num_nodes, warmup + measure + drain, load, float(measured["seconds"])
-        )
-        fed += 1
-    if calibration.dirty:
-        try:
-            path = calibration.save()
-        except OSError as exc:
-            _log.warning("could not save the cost-calibration table: %s", exc)
-        else:
-            _log.debug("updated cost calibration at %s", path)
-    return fed
 
 
 def load_report(path: Path) -> dict | None:
@@ -290,7 +253,6 @@ def main(argv: list[str]) -> int:
 
     merge_report(Path(args.output), mode, report)
     print(f"wrote {args.output}")
-    feed_cost_calibration(mode, report)
 
     baseline = load_report(Path(args.baseline))
     gate_ratio = None

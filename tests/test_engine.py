@@ -149,7 +149,6 @@ def _child_env(tmp_path, **extra) -> dict:
     env.update(
         PYTHONPATH=str(SRC),
         REPRO_CACHE_DIR=str(tmp_path),
-        REPRO_CALIBRATION=str(tmp_path / "calibration.json"),
         **extra,
     )
     return env

@@ -1,10 +1,11 @@
 """Observability layer: metrics registry, spans, Prometheus rendering,
-logging knobs, measured-cost calibration, progress line, /metrics scrape,
+logging knobs, the predicted-cost model, progress line, /metrics scrape,
 and engine stage timing."""
 
 import io
 import json
 import logging
+import types
 import urllib.request
 
 import pytest
@@ -20,13 +21,10 @@ from repro.engine import (
 from repro.engine.queue import JobQueue, jobs_for_specs
 from repro.engine.spec import predicted_cost
 from repro.obs import (
-    CostCalibration,
     ProgressLine,
-    bucket_key,
     configure_logging,
     format_duration,
     get_logger,
-    seed_from_perf_baseline,
     span,
     span_stack,
 )
@@ -195,97 +193,25 @@ class TestLogging:
             configure_logging(fmt="xml", stream=io.StringIO())
 
 
-class TestCalibration:
-    def test_bucket_key_rounds_cycles_to_power_of_two(self):
-        assert bucket_key(54, 600) == "n54|c512"
-        assert bucket_key(54, 2600) == "n54|c2048"
-        assert bucket_key(200, 1024) == "n200|c1024"
-
-    def test_observe_round_trip(self, tmp_path):
-        table = CostCalibration(path=tmp_path / "cal.json")
-        assert table.seconds_for(54, 600, 0.05) is None
-        table.observe(54, 600, 0.05, 2.0)
-        assert table.dirty
-        estimate = table.seconds_for(54, 600, 0.05)
-        assert estimate == pytest.approx(2.0)
-        # Same bucket, different load: scales with the unit cost.
-        heavier = table.seconds_for(54, 600, 0.30)
-        assert heavier > estimate
-
-        path = table.save()
-        assert not table.dirty
-        loaded = CostCalibration.load(path)
-        assert len(loaded) == 1
-        assert loaded.seconds_for(54, 600, 0.05) == pytest.approx(2.0)
-
-    def test_ewma_converges_toward_new_measurements(self, tmp_path):
-        table = CostCalibration(path=tmp_path / "cal.json")
-        table.observe(54, 600, 0.05, 1.0)
-        for _ in range(20):
-            table.observe(54, 600, 0.05, 3.0)
-        assert table.seconds_for(54, 600, 0.05) == pytest.approx(3.0, rel=0.05)
-
-    def test_load_missing_or_invalid_file_is_empty(self, tmp_path):
-        assert len(CostCalibration.load(tmp_path / "absent.json")) == 0
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert len(CostCalibration.load(bad)) == 0
-
-    def test_seed_from_perf_baseline(self, tmp_path):
-        table = CostCalibration(path=tmp_path / "cal.json")
-        seeded = seed_from_perf_baseline(table)
-        assert seeded > 0
-        assert len(table) > 0
-        # Seeding is derivable from the committed baseline — nothing to save.
-        assert not table.dirty
-
-    def test_zero_or_negative_observations_ignored(self, tmp_path):
-        table = CostCalibration(path=tmp_path / "cal.json")
-        table.observe(54, 600, 0.05, 0.0)
-        table.observe(54, 600, 0.05, -1.0)
-        assert len(table) == 0 and not table.dirty
-
-
-class TestCalibratedCosts:
-    def grids(self):
-        """Two light-cycle specs and one heavy-cycle spec: the heuristic
-        thinks the heavy one dominates (4x the cycles)."""
-        light = [fast_spec(load=0.02), fast_spec(load=0.04)]
-        heavy = [fast_spec(load=0.03, **SLOW)]
-        return light, heavy
-
-    def inverted_table(self):
-        """Calibration that inverts the heuristic: the small-cycle bucket
-        measures *slow* and the large-cycle bucket *fast*."""
-        table = CostCalibration()
-        table.observe(54, 600, 0.05, 10.0)
-        table.observe(54, 2600, 0.05, 0.01)
-        return table
-
-    def queue_order(self, path, specs, calibration):
+class TestCostModel:
+    def queue_order(self, path, specs):
         queue = JobQueue(SqlitePackStore(path))
-        queue.submit(jobs_for_specs(specs, NODES, calibration))
+        queue.submit(jobs_for_specs(specs, NODES))
         return list(queue.pending)
 
-    def test_calibrated_costs_invert_the_queue_order(self, tmp_path):
-        """The queue hands out the heaviest spec first; a calibration
-        table that measures the light bucket as the slow one puts the
-        light specs ahead of the heavy one, the reverse of the
-        heuristic order."""
-        light, heavy = self.grids()
-        specs = light + heavy
-        light_keys = {spec.content_hash() for spec in light}
-        heavy_key = heavy[0].content_hash()
-
-        heuristic = self.queue_order(tmp_path / "h.sqlite", specs, None)
-        assert heuristic[0] == heavy_key
-        assert set(heuristic[1:]) == light_keys
-
-        calibrated = self.queue_order(
-            tmp_path / "c.sqlite", specs, self.inverted_table()
+    def test_queue_hands_out_heaviest_predicted_cost_first(self, tmp_path):
+        specs = [
+            fast_spec(load=0.02),
+            fast_spec(load=0.30),
+            fast_spec(load=0.03, **SLOW),
+            fast_spec(load=0.10),
+        ]
+        by_cost = sorted(
+            specs, key=lambda spec: predicted_cost(spec, NODES["sn54"]), reverse=True
         )
-        assert set(calibrated[:2]) == light_keys
-        assert calibrated[-1] == heavy_key
+        assert self.queue_order(tmp_path / "q.sqlite", specs) == [
+            spec.content_hash() for spec in by_cost
+        ]
 
     def test_cost_model_orders_by_load_size_and_cycles(self):
         light = fast_spec(load=0.02)
@@ -297,21 +223,11 @@ class TestCalibratedCosts:
             light, num_nodes=54
         )
 
-    def test_predicted_cost_falls_back_without_bucket(self):
-        spec = fast_spec()
-        table = CostCalibration()  # empty
-        assert predicted_cost(spec, num_nodes=54, calibration=table) == (
-            predicted_cost(spec, num_nodes=54)
-        )
-
 
 class TestEngineTelemetry:
-    def test_stage_seconds_and_calibration_feedback(self, tmp_path):
-        table = CostCalibration(path=tmp_path / "cal.json")
+    def test_stage_seconds_cover_every_engine_stage(self, tmp_path):
         specs = [fast_spec(load=load) for load in (0.02, 0.05)]
-        with ExperimentEngine(
-            cache=ResultCache(tmp_path / "cache"), calibration=table
-        ) as engine:
+        with ExperimentEngine(cache=ResultCache(tmp_path / "cache")) as engine:
             engine.run(specs)
             stats = engine.total_stats
         stages = stats.stage_seconds
@@ -320,9 +236,6 @@ class TestEngineTelemetry:
         assert stages["total"] > 0
         assert stages["simulate"] > 0
         assert stats.to_dict()["stage_seconds"]["total"] > 0
-        # Executed specs fed the measured-cost table.
-        assert len(table) > 0 and table.dirty
-        assert table.seconds_for(54, 600, 0.02) is not None
 
     def test_cache_hit_run_measures_no_simulate_time(self, tmp_path):
         specs = [fast_spec(load=0.02)]
@@ -402,9 +315,9 @@ class TestProgressLine:
         stream = io.StringIO()
         line = ProgressLine(total=3, stream=stream)
         line.update(cached=True)
+        assert line.eta_seconds() is None  # hits alone give no pace
         line.update(cached=False)
         assert line.eta_seconds() is not None
-        assert not line.calibrated
         line.update(cached=False)
         assert line.eta_seconds() is None  # done == total
         out = stream.getvalue()
@@ -413,33 +326,54 @@ class TestProgressLine:
         line.finish()
         assert stream.getvalue().endswith("\n")
 
-    def test_calibrated_eta_scales_remaining_cost(self):
+    def test_eta_weights_remaining_specs_by_predicted_cost(self, monkeypatch):
+        clock = FakeClock(monkeypatch)
+        specs = [fast_spec(load=0.02), fast_spec(load=0.3), fast_spec(load=0.25)]
+        cost = {spec: predicted_cost(spec, 54) for spec in specs}
         stream = io.StringIO()
-        specs = ["a", "b", "c", "d"]
-        line = ProgressLine(total=4, stream=stream, cost_fn=lambda s: 1.0)
+        line = ProgressLine(total=3, stream=stream, cost_fn=cost.__getitem__)
         line.add_pending(specs)
-        assert line.calibrated
-        line.update("a")
-        eta = line.eta_seconds()
-        assert eta is not None and eta >= 0
-        rendered = stream.getvalue()
-        assert "calibrated" in rendered
+        clock.advance(2.0)
+        line.update(specs[0])
+        pace = 2.0 / cost[specs[0]]
+        expected = pace * (cost[specs[1]] + cost[specs[2]])
+        assert line.eta_seconds() == pytest.approx(expected)
+        # A heavy spec left behind a light one: more than 2 x its time.
+        assert line.eta_seconds() > 2 * 2.0
+        assert f"eta ~{format_duration(expected)}" in stream.getvalue()
 
-    def test_uncalibrated_when_any_cost_unknown(self):
-        line = ProgressLine(
-            total=2,
-            stream=io.StringIO(),
-            cost_fn=lambda s: None if s == "b" else 1.0,
-        )
-        line.add_pending(["a", "b"])
-        assert not line.calibrated
+    def test_eta_does_not_count_cache_hits_as_work(self, monkeypatch):
+        """The runner reports every hit before the first simulation, at
+        about zero elapsed; the pace comes from simulations alone."""
+        clock = FakeClock(monkeypatch)
+        line = ProgressLine(total=100, stream=io.StringIO())
+        clock.advance(0.05)  # the cache lookup: not simulation time
+        for _ in range(90):
+            line.update(cached=True)
+        clock.advance(0.2)
+        line.update(cached=False)
+        assert line.eta_seconds() == pytest.approx(9 * 0.2)
+
+
+class FakeClock:
+    """``time.perf_counter`` for the progress module, advanced by hand."""
+
+    def __init__(self, monkeypatch):
+        import repro.obs.progress as progress
+
+        self.now = 1000.0
+        clock = types.SimpleNamespace(perf_counter=lambda: self.now)
+        monkeypatch.setattr(progress, "time", clock)
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 class TestCliTelemetry:
     def run_cli(self, argv, tmp_path, monkeypatch):
         from repro.__main__ import main
 
-        monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "cal.json"))
+        monkeypatch.chdir(tmp_path)
         return main(argv + ["--cache-dir", str(tmp_path / "cache")])
 
     def test_progress_smoke(self, tmp_path, monkeypatch, capsys):
@@ -475,6 +409,6 @@ class TestCliTelemetry:
             "cache_lookup", "dispatch", "simulate", "write_back", "total",
         }
         assert stages["total"] > 0
-        # The campaign taught the calibration table and persisted it.
-        saved = CostCalibration.load(tmp_path / "cal.json")
-        assert len(saved) > 0
+        # The campaign wrote its cache and the requested report, nothing
+        # else into the working directory.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "sweep.json"]

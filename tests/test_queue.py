@@ -478,7 +478,6 @@ class TestChaosRecovery:
     def _spawn(self, argv, tmp_path, name):
         env = os.environ.copy()
         env["PYTHONPATH"] = str(SRC)
-        env["REPRO_CALIBRATION"] = str(tmp_path / "calibration.json")
         log = open(tmp_path / f"{name}.log", "w")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", *argv],

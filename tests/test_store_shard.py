@@ -5,6 +5,8 @@ import json
 import logging
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.engine.store import (
 )
 from repro.engine.store import http as http_module
 from repro.engine.store.sqlite import TOUCH_GRANULARITY_S
+from repro.obs.metrics import REGISTRY
 
 #: Tiny but shape-preserving windows for the sn54/cm54 class.
 FAST = dict(warmup=100, measure=200, drain=300)
@@ -148,6 +151,26 @@ class TestBackendEquivalence:
         assert report.removed_entries == 1
         assert backend.get_payload("bb" * 32, "sim") is not None
         assert backend.get_payload("aa" * 32, "sim") is None
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_age_days": -1},
+            {"max_bytes": -5},
+            {"max_bytes": "10"},
+            {"max_age_days": True},
+            {"max_age_days": float("nan")},
+        ],
+        ids=["age-negative", "bytes-negative", "bytes-str", "age-bool", "age-nan"],
+    )
+    def test_gc_rejects_negative_or_non_numeric_limits(self, backend, limits):
+        """A negative limit would evict every entry; the pack refuses it,
+        and the served store answers 400, which the client surfaces."""
+        backend.put_payload("aa" * 32, "sim", {"x": 1})
+        rejected = ValueError if isinstance(backend, SqlitePackStore) else OSError
+        with pytest.raises(rejected, match="must be"):
+            backend.gc(**limits)
+        assert backend.get_payload("aa" * 32, "sim") == {"x": 1}
 
     def test_hit_refreshes_lru_position(self, backend):
         now = time.time()
@@ -397,6 +420,42 @@ class TestRemoteStore:
         with pytest.raises(RemoteStoreError, match="unreachable after 2"):
             store.iter_keys()
 
+    @pytest.mark.parametrize(
+        "endpoint, body",
+        [
+            ("payloads/get", {}),  # KeyError
+            ("payloads/put", {"items": 5}),  # TypeError
+            ("gc", {"max_age_days": -1}),  # ValueError
+        ],
+        ids=["missing-field", "wrong-type", "out-of-range"],
+    )
+    def test_malformed_request_is_a_client_error(self, server, endpoint, body):
+        request = urllib.request.Request(
+            f"{server.url}/{endpoint}",
+            data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+
+    def test_client_error_is_not_retried(self, server):
+        store = remote_store(server, retries=4)
+        store.put_payload("aa" * 32, "sim", {"x": 1})
+        sleeps = []
+        store._sleep = sleeps.append
+        before = REGISTRY.value(
+            "repro_server_requests_total", endpoint="/gc", method="POST"
+        )
+        with pytest.raises(RemoteStoreError, match="HTTP 400"):
+            store.gc(max_age_days=-1)
+        after = REGISTRY.value(
+            "repro_server_requests_total", endpoint="/gc", method="POST"
+        )
+        assert after - before == 1 and sleeps == []
+        assert store.stats().entries == 1
+
     def test_offline_server_error_names_the_cure(self, tmp_path):
         server = StoreServer(SqlitePackStore(tmp_path / "s.sqlite"))
         url = server.url
@@ -469,8 +528,7 @@ class TestQueuedCampaignCli:
     local run's rows."""
 
     @pytest.fixture
-    def coordinator(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "cal.json"))
+    def coordinator(self, tmp_path):
         backend = SqlitePackStore(tmp_path / "coordinator.sqlite")
         with StoreServer(backend, quiet=True, queue=JobQueue(backend)) as server:
             worker = QueueWorker(server.url, worker_id="t1", sleep=0.05)
