@@ -2,8 +2,9 @@
 
 Latency curves are submitted through the shared experiment engine
 (:mod:`repro.engine`): re-running a figure serves every point from the
-content-addressed cache, and ``REPRO_WORKERS=N`` fans fresh points
-across N worker processes (``REPRO_NO_CACHE=1`` forces re-simulation).
+content-addressed cache, and fresh points fan out across one worker
+process per available CPU (``REPRO_WORKERS=N`` sets N instead;
+``REPRO_NO_CACHE=1`` forces re-simulation).
 """
 
 from __future__ import annotations

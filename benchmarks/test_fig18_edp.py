@@ -4,8 +4,9 @@ EDP normalised to FBF for each benchmark; the paper reports SN ~55%
 below FBF, ~29% below PFBF, and ~19% below CM on the geometric mean.
 
 The (network x benchmark) grid runs through the experiment engine:
-every point is content-addressed in the result cache and
-``REPRO_WORKERS=N`` fans fresh points across worker processes.
+every point is content-addressed in the result cache and fresh points
+fan out across one worker process per available CPU (``REPRO_WORKERS=N``
+sets N instead).
 """
 
 from repro.analysis import edp_gain, edp_table, workload_table

@@ -1,7 +1,8 @@
 """Command-line interface to the Slim NoC reproduction.
 
-Subcommands (all sharing the experiment engine — parallel workers and a
-content-addressed on-disk result cache):
+Subcommands (all sharing the experiment engine — parallel workers, one
+per available CPU unless ``--workers``/``REPRO_WORKERS`` says otherwise,
+and a content-addressed on-disk result cache):
 
 * ``info``    — configuration, cost profile, and a quick latency probe
   for a catalog symbol or node count (``python -m repro info sn1296``).
@@ -74,6 +75,7 @@ from .engine import (
     ResultCache,
     build_sweep_specs,
     build_workload_specs,
+    default_workers,
     predicted_cost,
     run_compare,
     run_sweep,
@@ -129,9 +131,14 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
     return config.with_smart() if args.smart else config
 
 
+def _workers(args: argparse.Namespace) -> int:
+    """``--workers``, or :func:`default_workers` when it is not given."""
+    return args.workers if args.workers is not None else default_workers()
+
+
 def _build_engine(args: argparse.Namespace) -> ExperimentEngine:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return ExperimentEngine(cache=cache, max_workers=args.workers)
+    return ExperimentEngine(cache=cache, max_workers=_workers(args))
 
 
 def _progress(done: int, total: int, spec, cached: bool) -> None:
@@ -212,9 +219,9 @@ def _campaign_progress(
     """Progress reporting for a campaign: ``(callback, line_or_None)``.
 
     Default is the classic per-point stderr printer; ``--progress``
-    swaps in a live single-line display with hit counts and an ETA that
-    weights each simulated spec by its ``predicted_cost``; ``--quiet``
-    disables both.
+    swaps in a live single-line display (the :class:`ProgressLine` is
+    itself the callback) with hit counts and an ETA that weights each
+    simulated spec by its ``predicted_cost``; ``--quiet`` disables both.
     """
     if args.quiet:
         return None, None
@@ -226,11 +233,7 @@ def _campaign_progress(
 
     line = ProgressLine(total=len(specs), cost_fn=cost_fn)
     line.add_pending(specs)
-
-    def callback(done: int, total: int, spec, cached: bool) -> None:
-        line.update(spec, cached)
-
-    return callback, line
+    return line, line
 
 
 def _print_stage_seconds(stats) -> None:
@@ -262,8 +265,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="simulation worker processes (default 1)",
+        default=None,
+        help="simulation worker processes (default: REPRO_WORKERS, else "
+        "every CPU this process may use)",
     )
     parser.add_argument(
         "--no-cache",
@@ -607,8 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="simulation worker processes for claimed batches (default 1)",
+        default=None,
+        help="simulation worker processes for claimed batches (default: "
+        "REPRO_WORKERS, else every CPU this process may use)",
     )
     work.add_argument(
         "--token",
@@ -672,43 +677,43 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _run_queued(args, grid, cmd_sweep)
     specs, node_counts, _symbols = grid
     curves = {}
-    with _build_engine(args) as engine:
-        progress, line = _campaign_progress(args, specs, node_counts)
-        for pattern in patterns:
-            before = engine.total_stats.snapshot()
-            curve = run_sweep(
-                engine,
-                args.network,
-                pattern,
-                args.loads,
-                config=config,
-                packet_flits=args.packet_flits,
-                routing=args.routing,
-                seed=args.seed,
-                warmup=args.warmup,
-                measure=args.measure,
-                drain=args.drain,
-                stop_after_saturation=not args.no_stop,
-                progress=progress,
+    engine = _build_engine(args)
+    progress, line = _campaign_progress(args, specs, node_counts)
+    for pattern in patterns:
+        before = engine.total_stats.snapshot()
+        curve = run_sweep(
+            engine,
+            args.network,
+            pattern,
+            args.loads,
+            config=config,
+            packet_flits=args.packet_flits,
+            routing=args.routing,
+            seed=args.seed,
+            warmup=args.warmup,
+            measure=args.measure,
+            drain=args.drain,
+            stop_after_saturation=not args.no_stop,
+            progress=progress,
+        )
+        curves[pattern] = curve
+        if line is not None:
+            line.finish()
+        stats = engine.total_stats.since(before)
+        print(
+            format_table(
+                ["load", "latency [cyc]", "throughput"],
+                _curve_rows(curve),
+                title=f"{args.network} / {pattern} (sat throughput "
+                f"{curve.saturation_throughput():.4f})",
             )
-            curves[pattern] = curve
-            if line is not None:
-                line.finish()
-            stats = engine.total_stats.since(before)
-            print(
-                format_table(
-                    ["load", "latency [cyc]", "throughput"],
-                    _curve_rows(curve),
-                    title=f"{args.network} / {pattern} (sat throughput "
-                    f"{curve.saturation_throughput():.4f})",
-                )
-            )
-            print(
-                f"  engine: {stats.cache_hits} cached, "
-                f"{stats.executed} simulated, {stats.workers} workers\n"
-            )
-        total = engine.total_stats
-        _print_stage_seconds(total)
+        )
+        print(
+            f"  engine: {stats.cache_hits} cached, "
+            f"{stats.executed} simulated, {stats.workers} workers\n"
+        )
+    total = engine.total_stats
+    _print_stage_seconds(total)
     if args.json_path:
         payload = {
             "network": args.network,
@@ -825,20 +830,20 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
         return 2
     routings = [r for r in args.routings.split(",") if r]
     traffic = [t for t in args.traffic.split(",") if t]
-    with _build_engine(args) as engine:
-        study = adaptive_study(
-            engine,
-            args.networks,
-            routings,
-            traffic,
-            args.loads,
-            seed=args.seed,
-            warmup=args.warmup,
-            measure=args.measure,
-            drain=args.drain,
-            stop_after_saturation=not args.no_stop,
-        )
-        stats = engine.total_stats
+    engine = _build_engine(args)
+    study = adaptive_study(
+        engine,
+        args.networks,
+        routings,
+        traffic,
+        args.loads,
+        seed=args.seed,
+        warmup=args.warmup,
+        measure=args.measure,
+        drain=args.drain,
+        stop_after_saturation=not args.no_stop,
+    )
+    stats = engine.total_stats
     print(study.format_table())
     print(
         f"  engine: {stats.cache_hits} cached, "
@@ -863,44 +868,44 @@ def cmd_compare(args: argparse.Namespace) -> int:
             _synthetic_grid(args, config, args.networks, [args.pattern]),
             cmd_compare,
         )
-    with _build_engine(args) as engine:
-        if args.model:
-            from dataclasses import replace
+    engine = _build_engine(args)
+    if args.model:
+        from dataclasses import replace
 
-            from .analysis import model_curves
-            from .engine import resolve_topology
+        from .analysis import model_curves
+        from .engine import resolve_topology
 
-            curves = model_curves(
-                {symbol: resolve_topology(symbol) for symbol in args.networks},
-                args.pattern,
-                args.loads,
-                config=replace(config, packet_flits=args.packet_flits),
-                cache=engine.cache if engine.cache is not None else False,
-                seed=args.seed,
-            )
-        else:
-            specs, node_counts, _symbols = _synthetic_grid(
-                args, config, args.networks, [args.pattern]
-            )
-            progress, line = _campaign_progress(args, specs, node_counts)
-            curves = run_compare(
-                engine,
-                {symbol: symbol for symbol in args.networks},
-                args.pattern,
-                args.loads,
-                config=config,
-                packet_flits=args.packet_flits,
-                routing=args.routing,
-                seed=args.seed,
-                warmup=args.warmup,
-                measure=args.measure,
-                drain=args.drain,
-                stop_after_saturation=not args.no_stop,
-                progress=progress,
-            )
-            if line is not None:
-                line.finish()
-        stats = engine.total_stats
+        curves = model_curves(
+            {symbol: resolve_topology(symbol) for symbol in args.networks},
+            args.pattern,
+            args.loads,
+            config=replace(config, packet_flits=args.packet_flits),
+            cache=engine.cache if engine.cache is not None else False,
+            seed=args.seed,
+        )
+    else:
+        specs, node_counts, _symbols = _synthetic_grid(
+            args, config, args.networks, [args.pattern]
+        )
+        progress, line = _campaign_progress(args, specs, node_counts)
+        curves = run_compare(
+            engine,
+            {symbol: symbol for symbol in args.networks},
+            args.pattern,
+            args.loads,
+            config=config,
+            packet_flits=args.packet_flits,
+            routing=args.routing,
+            seed=args.seed,
+            warmup=args.warmup,
+            measure=args.measure,
+            drain=args.drain,
+            stop_after_saturation=not args.no_stop,
+            progress=progress,
+        )
+        if line is not None:
+            line.finish()
+    stats = engine.total_stats
     rows = []
     for label in args.networks:
         curve = curves[label]
@@ -952,23 +957,23 @@ def cmd_workloads(args: argparse.Namespace) -> int:
     if args.queue is not None:
         return _run_queued(args, grid, cmd_workloads)
     specs, node_counts, _symbols = grid
-    with _build_engine(args) as engine:
-        progress, line = _campaign_progress(args, specs, node_counts)
-        table = workload_table(
-            args.networks,
-            benches,
-            smart=not args.no_smart,
-            intensity_scale=args.intensity_scale,
-            seed=args.seed,
-            warmup=args.warmup,
-            measure=args.measure,
-            drain=args.drain,
-            engine=engine,
-            progress=progress,
-        )
-        if line is not None:
-            line.finish()
-        stats = engine.total_stats
+    engine = _build_engine(args)
+    progress, line = _campaign_progress(args, specs, node_counts)
+    table = workload_table(
+        args.networks,
+        benches,
+        smart=not args.no_smart,
+        intensity_scale=args.intensity_scale,
+        seed=args.seed,
+        warmup=args.warmup,
+        measure=args.measure,
+        drain=args.drain,
+        engine=engine,
+        progress=progress,
+    )
+    if line is not None:
+        line.finish()
+    stats = engine.total_stats
     edp = edp_table(table, baseline)
     for bench in benches:
         rows = [
@@ -1102,7 +1107,7 @@ def cmd_work(args: argparse.Namespace) -> int:
         worker_id=args.worker_id,
         max_specs=args.max_specs,
         poll_seconds=args.poll,
-        max_workers=args.workers,
+        max_workers=_workers(args),
         token=args.token,
     )
     signals_seen = 0

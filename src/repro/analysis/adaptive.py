@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..engine.campaign import run_sweep
+from ..engine.campaign import CurveSpec, resolve_network, run_curves
 from ..engine.runner import ExperimentEngine
 from ..sim import SimConfig
 from .sweep import SweepResult
@@ -115,10 +115,12 @@ def adaptive_study(
 ) -> AdaptiveStudyResult:
     """Run the full (network x routing x traffic x load) adaptive grid.
 
-    Each (network, routing, traffic) triple is one engine-backed sweep
-    — cached, parallel, and identical to what ``python -m repro sweep
-    NETWORK --routing R --patterns T`` computes, so CLI runs and this
-    study share cache entries.  ``configs`` overrides the simulator
+    The grid is one staged campaign (:func:`~repro.engine.run_curves`):
+    each engine round takes the next loads of every unsaturated
+    (network, routing, traffic) curve, so a multi-worker engine fans out
+    across the whole study.  Every point is the spec ``python -m repro
+    sweep NETWORK --routing R --patterns T`` computes, so CLI runs and
+    this study share cache entries.  ``configs`` overrides the simulator
     config per network symbol (e.g. deeper buffers on the mesh).
     """
     study = AdaptiveStudyResult(
@@ -126,23 +128,27 @@ def adaptive_study(
         routings=tuple(routings),
         traffic=tuple(traffic),
     )
+    curves: dict[tuple[str, str, str], CurveSpec] = {}
+    topo_map = {}
     for network in study.networks:
+        token, topology = resolve_network(network, None)
+        topo_map[token] = topology
         network_config = (configs or {}).get(network, config)
         for routing in study.routings:
-            for token in study.traffic:
-                study.curves[(network, routing, token)] = run_sweep(
-                    engine,
-                    network,
-                    token,
-                    loads,
-                    config=network_config,
-                    routing=routing,
-                    seed=seed,
-                    warmup=warmup,
-                    measure=measure,
-                    drain=drain,
-                    stop_after_saturation=stop_after_saturation,
-                    name=network,
-                    progress=progress,
+            for pattern in study.traffic:
+                curves[(network, routing, pattern)] = CurveSpec(
+                    network, token, pattern, routing, network_config
                 )
+    study.curves = run_curves(
+        engine,
+        curves,
+        loads,
+        topo_map,
+        seed=seed,
+        warmup=warmup,
+        measure=measure,
+        drain=drain,
+        stop_after_saturation=stop_after_saturation,
+        progress=progress,
+    )
     return study

@@ -10,9 +10,9 @@ latency, saturation throughput).
 Sweeps are submitted through the experiment engine
 (:mod:`repro.engine`): every (topology, pattern, load, config, seed)
 point is content-addressed, so repeated figure reproduction is served
-from the on-disk cache, and setting ``REPRO_WORKERS`` (or passing an
-``engine`` with ``max_workers > 1``) fans the points across worker
-processes.
+from the on-disk cache, and the default engine fans the points across
+one worker process per available CPU (``REPRO_WORKERS`` sets the count;
+pass an ``engine`` to choose another).
 """
 
 from __future__ import annotations

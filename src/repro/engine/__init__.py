@@ -13,10 +13,11 @@ into an incremental, parallel pipeline:
   rendezvous endpoint), fronted by :class:`ResultCache` (codec, hit
   counters, batched lookups, ``REPRO_CACHE_MAX_BYTES`` auto-GC);
 * :mod:`~repro.engine.runner` — :class:`ExperimentEngine`, a batch
-  executor fanning cache misses across a process pool;
-* :mod:`~repro.engine.campaign` — sweep/compare grid builders with
-  staged early stop on saturation, (network × benchmark) workload
-  campaigns (:func:`workload_compare`);
+  executor fanning cache misses across a process pool of its own per
+  batch (every CPU by default, :func:`default_workers`);
+* :mod:`~repro.engine.campaign` — sweep/compare grid builders over one
+  staged early-stop-on-saturation loop (:func:`run_curves`), and
+  (network × benchmark) workload campaigns (:func:`workload_compare`);
 * :mod:`~repro.engine.queue` / :mod:`~repro.engine.worker` — the
   fault-tolerant work queue (:class:`JobQueue` behind ``repro serve
   --queue``) and the elastic :class:`QueueWorker` fleet loop
@@ -55,15 +56,17 @@ read of one of their names does.
 from importlib import import_module
 
 from .campaign import (
+    CurveSpec,
     assemble_curve,
     build_sweep_specs,
     build_workload_specs,
     run_compare,
+    run_curves,
     run_sweep,
     traffic_for_token,
     workload_compare,
 )
-from .runner import ExperimentEngine, RunStats, default_engine
+from .runner import ExperimentEngine, RunStats, default_engine, default_workers
 from .spec import (
     LIVE_SPEC_VERSIONS,
     ROUTING_BUILDERS,
@@ -159,6 +162,7 @@ __all__ = [
     "traffic_from_dict",
     "traffic_for_token",
     "default_engine",
+    "default_workers",
     "default_cache_dir",
     "open_backend",
     "build_routing",
@@ -173,6 +177,8 @@ __all__ = [
     "assemble_curve",
     "default_worker_id",
     "jobs_for_specs",
+    "CurveSpec",
+    "run_curves",
     "run_sweep",
     "run_compare",
     "workload_compare",

@@ -8,14 +8,16 @@ latency-load curves (:class:`~repro.analysis.sweep.SweepResult`) or
 per-benchmark result tables (Figure 18 / Table 6).
 
 Early stop on saturation ("we omit performance data for points after
-network saturation") is handled as *staged batches*: loads are submitted
-in chunks sized to the engine's worker count, each curve stops extending
-once a chunk contains a saturated point, and the assembled curve is
-truncated at the first saturated load.  Because every point is simulated
-deterministically from its spec, a staged parallel campaign is
-point-for-point identical to the serial sweep — parallelism can only
-compute (and cache) a few extra post-saturation points, never change the
-curve.
+network saturation") is handled as *staged batches* (:func:`run_curves`,
+the one loop behind every sweep, comparison and the adaptive study):
+each round submits the next loads of every still-unsaturated curve as
+one engine batch, chunked so a round is at least as wide as the
+engine's worker count; a curve stops extending once a chunk contains a
+saturated point, and the assembled curve is truncated at the first
+saturated load.  Because every point is simulated deterministically
+from its spec, a staged parallel campaign is point-for-point identical
+to the serial sweep — parallelism can only compute (and cache) a few
+extra post-saturation points, never change the curve.
 
 To spread one campaign across hosts, submit its grid to a work queue
 (:mod:`repro.engine.queue`) instead: workers on any host lease and
@@ -26,7 +28,8 @@ campaign against that store assembles the curves as a pure cache read.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from ..sim import SimConfig, SimResult
 from ..topos.base import Topology
@@ -44,7 +47,11 @@ from .spec import (
     topology_token,
 )
 
-def _resolve_entry(
+if TYPE_CHECKING:
+    from ..analysis.sweep import SweepResult
+
+
+def resolve_network(
     topology: Topology | str, layout: str | None
 ) -> tuple[str, Topology]:
     """Canonical (token, object) pair for a campaign network.
@@ -196,7 +203,7 @@ def build_sweep_specs(
 ) -> tuple[list[ExperimentSpec], dict[str, Topology]]:
     """Specs for one (network, pattern) sweep, plus the topology map the
     engine needs to hand the fingerprinted networks to workers."""
-    token, topology = _resolve_entry(topology, layout)
+    token, topology = resolve_network(topology, layout)
     topologies = {token: topology}
     # The fingerprint token already encodes the layout's wire lengths, so
     # the spec's layout field stays None — keeping cache keys identical no
@@ -290,6 +297,107 @@ def _label(name: str | None, topology: Topology | str) -> str:
     return topology if isinstance(topology, str) else topology.name
 
 
+@dataclass(frozen=True)
+class CurveSpec:
+    """One latency-load curve of a staged campaign: the network's
+    fingerprint token (see :func:`resolve_network`), the traffic token,
+    the routing and the simulator config (``None``: the default).
+    ``name`` labels the assembled :class:`SweepResult`."""
+
+    name: str
+    token: str
+    pattern: str
+    routing: str
+    config: SimConfig | None
+
+
+def run_curves(
+    engine: ExperimentEngine,
+    curves: Mapping[Hashable, CurveSpec],
+    loads: Sequence[float],
+    topologies: dict[str, Topology],
+    *,
+    packet_flits: int = 6,
+    seed: int = 1,
+    warmup: int = 300,
+    measure: int = 800,
+    drain: int = 1500,
+    stop_after_saturation: bool = True,
+    progress=None,
+) -> dict[Hashable, SweepResult]:
+    """Sweep every curve over ``loads`` as one staged campaign.
+
+    Each round submits the next chunk of loads of every still-active
+    curve as one engine batch; the chunk is sized so the round is at
+    least as wide as the engine's worker count.  A curve stops once a
+    chunk holds a saturated point.  ``topologies`` maps each curve's
+    token to its live network.  If ``progress`` has a ``skip(specs)``
+    method, it is told which specs a saturated curve will never run.
+
+    Returns ``{key: SweepResult}`` in the order of ``curves``.
+    """
+    loads = sorted(loads)
+
+    def spec(curve: CurveSpec, load: float) -> ExperimentSpec:
+        # Fingerprint-keyed specs carry layout=None so cache keys don't
+        # depend on how the network was named.
+        return _spec_for(
+            curve.token,
+            curve.pattern,
+            load,
+            config=curve.config,
+            packet_flits=packet_flits,
+            routing=curve.routing,
+            seed=seed,
+            warmup=warmup,
+            measure=measure,
+            drain=drain,
+            layout=None,
+            num_nodes=topologies[curve.token].num_nodes,
+        )
+
+    skip = getattr(progress, "skip", None)
+    results: dict[Hashable, list[SimResult]] = {key: [] for key in curves}
+    active = list(curves) if loads else []
+    while active:
+        if stop_after_saturation:
+            chunk = max(1, math.ceil(engine.max_workers / len(active)))
+        else:
+            chunk = len(loads)
+        batch = [
+            (key, load)
+            for key in active
+            for load in loads[len(results[key]) : len(results[key]) + chunk]
+        ]
+        outcomes = engine.run(
+            [spec(curves[key], load) for key, load in batch],
+            topologies=topologies,
+            progress=progress,
+        )
+        for (key, _load), outcome in zip(batch, outcomes):
+            results[key].append(outcome)
+        still_active = []
+        for key in active:
+            left = loads[len(results[key]) :]
+            if stop_after_saturation and any(r.saturated for r in results[key]):
+                if left and skip is not None:
+                    skip([spec(curves[key], load) for load in left])
+            elif left:
+                still_active.append(key)
+        active = still_active
+
+    return {
+        key: assemble_curve(
+            curve.name,
+            curve.pattern,
+            loads[: len(results[key])],
+            results[key],
+            stop_after_saturation,
+        )
+        for key, curve in curves.items()
+    }
+
+
 def run_compare(
     engine: ExperimentEngine,
     topologies: Mapping[str, Topology | str],
@@ -310,81 +418,32 @@ def run_compare(
 ):
     """Sweep several labeled networks under one pattern (Figures 12-14).
 
-    All still-unsaturated networks contribute their next chunk of loads
-    to each engine batch, so a multi-worker engine parallelizes across
-    networks *and* loads while preserving per-network early stop.
+    One staged campaign (:func:`run_curves`): all still-unsaturated
+    networks contribute their next chunk of loads to each engine batch,
+    so a multi-worker engine parallelizes across networks *and* loads
+    while preserving per-network early stop.
     """
-    loads = sorted(loads)
-    # layout is consumed by _resolve_entry; fingerprint-keyed specs carry
-    # layout=None so cache keys don't depend on how the network was named.
-    spec_kw = dict(
+    curves: dict[str, CurveSpec] = {}
+    topo_map: dict[str, Topology] = {}
+    for label, topology in topologies.items():
+        token, topology = resolve_network(topology, layout)
+        topo_map[token] = topology
+        curves[label] = CurveSpec(
+            label, token, pattern, routing, (configs or {}).get(label, config)
+        )
+    return run_curves(
+        engine,
+        curves,
+        loads,
+        topo_map,
         packet_flits=packet_flits,
-        routing=routing,
         seed=seed,
         warmup=warmup,
         measure=measure,
         drain=drain,
-        layout=None,
+        stop_after_saturation=stop_after_saturation,
+        progress=progress,
     )
-    per_label: dict[str, dict] = {}
-    topo_map: dict[str, Topology] = {}
-    for label, topology in topologies.items():
-        token, topology = _resolve_entry(topology, layout)
-        topo_map[token] = topology
-        per_label[label] = {
-            "token": token,
-            "nodes": topology.num_nodes,
-            "config": (configs or {}).get(label, config),
-            "results": [],
-            "next": 0,
-            "done": not loads,
-        }
-
-    active = [label for label, info in per_label.items() if not info["done"]]
-    while active:
-        if stop_after_saturation:
-            chunk = max(1, math.ceil(engine.max_workers / len(active)))
-        else:
-            chunk = len(loads)
-        batch: list[tuple[str, float]] = []
-        specs: list[ExperimentSpec] = []
-        for label in active:
-            info = per_label[label]
-            for load in loads[info["next"] : info["next"] + chunk]:
-                batch.append((label, load))
-                specs.append(
-                    _spec_for(
-                        info["token"],
-                        pattern,
-                        load,
-                        config=info["config"],
-                        num_nodes=info["nodes"],
-                        **spec_kw,
-                    )
-                )
-            info["next"] += chunk
-        results = engine.run(specs, topologies=topo_map, progress=progress)
-        for (label, _load), outcome in zip(batch, results):
-            per_label[label]["results"].append(outcome)
-        for label in active:
-            info = per_label[label]
-            saturated = stop_after_saturation and any(
-                r.saturated for r in info["results"]
-            )
-            if saturated or info["next"] >= len(loads):
-                info["done"] = True
-        active = [label for label, info in per_label.items() if not info["done"]]
-
-    return {
-        label: assemble_curve(
-            label,
-            pattern,
-            loads[: len(info["results"])],
-            info["results"],
-            stop_after_saturation,
-        )
-        for label, info in per_label.items()
-    }
 
 
 def _workload_spec_for(
@@ -432,7 +491,7 @@ def build_workload_specs(
 ) -> tuple[list[ExperimentSpec], dict[str, Topology]]:
     """Specs for one network across several benchmark models, plus the
     topology map the engine needs for the fingerprinted network."""
-    token, topology = _resolve_entry(topology, layout)
+    token, topology = resolve_network(topology, layout)
     specs = [
         _workload_spec_for(
             token,
@@ -479,7 +538,7 @@ def workload_compare(
     batch: list[tuple[str, str]] = []
     specs: list[ExperimentSpec] = []
     for label, topology in topologies.items():
-        token, topology = _resolve_entry(topology, layout)
+        token, topology = resolve_network(topology, layout)
         topo_map[token] = topology
         label_config = (configs or {}).get(label, config)
         for bench in benches:

@@ -7,14 +7,16 @@ returns one :class:`~repro.sim.SimResult` per spec, in order:
 2. the content-addressed cache is consulted for every unique spec in a
    *single* batched round trip (:meth:`ResultCache.get_many` — one
    indexed query on a SQLite pack, instead of per-spec file probes);
-3. misses are executed — on a ``ProcessPoolExecutor`` when the batch is
-   big enough to amortize worker startup, serially in-process otherwise —
+3. misses are executed — on a ``ProcessPoolExecutor`` when the batch has
+   at least ``serial_threshold`` of them, serially in-process otherwise —
    and written back through one batched :meth:`ResultCache.put_many`.
 
-A batch with zero misses never touches the process machinery at all:
-the worker pool is created lazily by the first miss that goes parallel,
-so a fully cached repeat run (e.g. replaying a campaign against the
-store a queue fleet filled) costs one cache query and no ``fork``/``spawn``.
+Each parallel batch gets its own pool, sized to its misses and joined
+before :meth:`ExperimentEngine.run` returns: the engine holds no process
+state between calls, no worker outlives a batch, and the workers' CPU
+time is in the parent's ``RUSAGE_CHILDREN`` as soon as ``run`` is done.
+A batch with zero misses (e.g. replaying a campaign against the store a
+queue fleet filled) or a single miss costs no ``fork``/``spawn`` at all.
 
 Results are *normalized* through the JSON codec in both paths, so a
 fresh simulation, a parallel run, and a cache hit are indistinguishable
@@ -24,27 +26,27 @@ meaningless per-packet latency ordering is canonicalized).
 Catalog-symbol specs ship only their token to workers (the topology is
 rebuilt there); fingerprint specs pickle the live topology object.
 
-Environment knobs: ``REPRO_WORKERS`` sets the default worker count and
-``REPRO_NO_CACHE=1`` disables the default on-disk cache.
+Environment knobs: ``REPRO_WORKERS=N`` (a positive integer) sets the
+default worker count, which is otherwise every CPU this process may run
+on (:func:`default_workers`), and ``REPRO_NO_CACHE=1`` disables the
+default on-disk cache.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..obs.metrics import ENGINE_SPEC_SECONDS, ENGINE_SPECS, span
 from ..sim import SimResult
 from ..topos.base import Topology
 from .spec import FINGERPRINT_PREFIX, ExperimentSpec, resolve_topology
 from .store import ResultCache
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 #: progress(done, total, spec, from_cache) — invoked once per unique spec.
 ProgressFn = Callable[[int, int, ExperimentSpec, bool], None]
@@ -56,8 +58,8 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 def __getattr__(name: str):
     # ``ProcessPoolExecutor`` (and with it ``multiprocessing``) loads when
     # the first parallel batch needs a pool, so a cache replay or a
-    # serial run never imports it.  Reading it as a module attribute lets
-    # a test replace the pool class for ``_ensure_pool``.
+    # serial run never imports it.  ``run`` reads it as a module
+    # attribute, so a test can replace the pool class.
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -81,6 +83,20 @@ def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
     start = time.perf_counter()
     result = spec.execute(topology=topology)
     return {"result": result.to_dict(), "seconds": time.perf_counter() - start}
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit as soon as the engine's process is
+    gone.  A parent killed outright cannot shut its pool down, and an
+    orphaned worker would finish its spec and then wait for work
+    forever."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 @dataclass
@@ -154,7 +170,8 @@ class ExperimentEngine:
     Args:
         cache: Result store; ``None`` disables caching entirely.
         max_workers: Process count for simulation fan-out; ``1`` (the
-            default) runs everything serially in-process.
+            default here) runs everything serially in-process.  The CLI
+            and :func:`default_engine` pass :func:`default_workers`.
         serial_threshold: Batches with fewer misses than this run
             serially even when ``max_workers > 1`` (worker startup would
             dominate).
@@ -173,38 +190,38 @@ class ExperimentEngine:
         self.serial_threshold = serial_threshold
         self.last_stats = RunStats()
         self.total_stats = RunStats(workers=max_workers)
-        self._pool: ProcessPoolExecutor | None = None
 
-    # ------------------------------------------------------------------
-
-    @property
-    def pool_active(self) -> bool:
-        """Whether a worker pool currently exists.  Pure cache replays
-        must leave this ``False`` — process startup is the one cost a
-        warm repeat run is supposed to skip."""
-        return self._pool is not None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Lazily create (and then reuse) the worker pool, so staged
-        campaigns don't pay process startup once per batch — and fully
-        cached runs never pay it at all."""
-        if self._pool is None:
-            pool_class = sys.modules[__name__].ProcessPoolExecutor
-            self._pool = pool_class(max_workers=self.max_workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool if one was ever started (idempotent;
-        a no-op for engines that only ever served cache hits)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ExperimentEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _dispatch_parallel(self, misses, topology_for, record) -> None:
+        """Simulate ``misses`` on a pool of their own.  The pool is shut
+        down before this returns, so no worker outlives the batch and
+        their CPU time is in ``RUSAGE_CHILDREN``; after an error the
+        specs still queued are dropped, not simulated."""
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        pool = pool_class(
+            max_workers=min(self.max_workers, len(misses)),
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
+        try:
+            pending = {
+                pool.submit(
+                    _execute_remote, (spec.to_dict(), topology_for(spec))
+                ): (key, spec)
+                for key, spec in misses
+            }
+            while pending:
+                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    key, spec = pending.pop(future)
+                    reply = future.result()
+                    record(
+                        key,
+                        spec,
+                        SimResult.from_dict(reply["result"]),
+                        seconds=reply["seconds"],
+                    )
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def run(
         self,
@@ -291,24 +308,7 @@ class ExperimentEngine:
             try:
                 with span("engine.dispatch") as dispatch_span:
                     if parallel:
-                        pool = self._ensure_pool()
-                        pending = {
-                            pool.submit(
-                                _execute_remote, (spec.to_dict(), topology_for(spec))
-                            ): (key, spec)
-                            for key, spec in misses
-                        }
-                        while pending:
-                            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                            for future in finished:
-                                key, spec = pending.pop(future)
-                                reply = future.result()
-                                record(
-                                    key,
-                                    spec,
-                                    SimResult.from_dict(reply["result"]),
-                                    seconds=reply["seconds"],
-                                )
+                        self._dispatch_parallel(misses, topology_for, record)
                     else:
                         for key, spec in misses:
                             topo = topology_for(spec)
@@ -346,22 +346,40 @@ class ExperimentEngine:
 _default_engines: dict[tuple, ExperimentEngine] = {}
 
 
+def default_workers() -> int:
+    """The default worker count: ``REPRO_WORKERS`` if set, otherwise
+    every CPU this process may run on (its scheduler affinity, which
+    honours ``taskset`` and container CPU sets, not the host's count).
+
+    Raises ``ValueError`` naming the variable when ``REPRO_WORKERS`` is
+    not a positive integer, rather than quietly running serially.
+    """
+    text = os.environ.get(WORKERS_ENV, "")
+    if not text:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1  # no affinity call on this platform
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
+    return workers
+
+
 def default_engine() -> ExperimentEngine:
     """Engine configured from the environment (used by the analysis layer).
 
-    ``REPRO_WORKERS=N`` enables N-process fan-out; ``REPRO_NO_CACHE=1``
+    It runs :func:`default_workers` processes; ``REPRO_NO_CACHE=1``
     turns off the on-disk cache (otherwise ``REPRO_CACHE_DIR`` or
     ``.repro_cache/``).  One engine is shared per environment
-    configuration so its worker pool and hit counters persist across
-    sweeps.
+    configuration so its hit counters persist across sweeps.
     """
     from .store import CACHE_DIR_ENV
 
     no_cache = bool(os.environ.get(NO_CACHE_ENV))
-    try:
-        workers = max(1, int(os.environ.get(WORKERS_ENV, "") or 1))
-    except ValueError:
-        workers = 1
+    workers = default_workers()
     signature = (no_cache, os.environ.get(CACHE_DIR_ENV), workers)
     engine = _default_engines.get(signature)
     if engine is None:

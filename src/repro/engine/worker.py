@@ -127,7 +127,9 @@ class QueueWorker:
         worker_id: Fleet-visible identity; defaults to ``host-pid``.
         max_specs: Specs to claim per lease.
         poll_seconds: Idle wait between claims when the queue is empty.
-        max_workers: Process pool size for the simulation fan-out.
+        max_workers: Process pool size for the simulation fan-out (one
+            pool per claimed batch; ``repro work`` passes
+            :func:`~repro.engine.default_workers`).
         token: Bearer token (defaults to ``REPRO_CACHE_TOKEN``).
         sleep: Injection point for the idle wait (tests).
     """
@@ -168,19 +170,19 @@ class QueueWorker:
         requested); returns the worker's tally."""
         _log.info("worker %s joining %s", self.worker_id, self.url)
         cache = ResultCache(backend=self.store)
-        with ExperimentEngine(cache=cache, max_workers=self.max_workers) as engine:
-            while not self.stopping:
-                reply = self.client.claim(self.worker_id, self.max_specs)
-                state = reply["state"]
-                if state == "drained":
-                    _log.info("queue drained; worker %s exiting", self.worker_id)
-                    break
-                if state == "empty":
-                    # Everything left is leased elsewhere; if a lease
-                    # expires, claiming resumes — poll, don't exit.
-                    self._stop.wait(self.poll_seconds)
-                    continue
-                self._run_lease(engine, reply["lease"])
+        engine = ExperimentEngine(cache=cache, max_workers=self.max_workers)
+        while not self.stopping:
+            reply = self.client.claim(self.worker_id, self.max_specs)
+            state = reply["state"]
+            if state == "drained":
+                _log.info("queue drained; worker %s exiting", self.worker_id)
+                break
+            if state == "empty":
+                # Everything left is leased elsewhere; if a lease
+                # expires, claiming resumes — poll, don't exit.
+                self._stop.wait(self.poll_seconds)
+                continue
+            self._run_lease(engine, reply["lease"])
         self.stats.cache_hits = engine.total_stats.cache_hits
         self.stats.executed = engine.total_stats.executed
         return self.stats

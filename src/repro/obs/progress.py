@@ -32,10 +32,12 @@ def format_duration(seconds: float) -> str:
 class ProgressLine:
     """Accumulates per-point completions and renders one ``\\r`` line.
 
-    ``update(spec, cached)`` is called once per finished point.  A hit
-    takes its cost off the pending total without adding to the timed
-    cost, so a warm prefix of the grid does not make the rest look
-    cheap.  The clock restarts on every hit until the first simulation
+    ``update(spec, cached)`` is called once per finished point (calling
+    the line itself with the engine's ``progress`` arguments does the
+    same), and ``skip(specs)`` once per curve cut short by saturation.
+    A hit takes its cost off the pending total without adding to the
+    timed cost, so a warm prefix of the grid does not make the rest
+    look cheap.  The clock restarts on every hit until the first simulation
     finishes: the runner reports all of a batch's hits before it
     simulates anything.
     """
@@ -70,6 +72,18 @@ class ProgressLine:
             return None
         pace = (time.perf_counter() - self._start) / self._executed_cost
         return pace * max(0.0, self._pending_cost)
+
+    def __call__(self, done: int, total: int, spec: object, cached: bool) -> None:
+        """The engine's ``progress`` callback signature."""
+        self.update(spec, cached)
+
+    def skip(self, specs: list) -> None:
+        """Drop ``specs`` from the work list: points a staged campaign
+        will never run because their curve saturated first.  They leave
+        the total and the pending cost, so the line can end at 100%."""
+        self.total -= len(specs)
+        self._pending_cost -= sum(self.cost_fn(spec) for spec in specs)
+        self._render()
 
     def update(self, spec: object = None, cached: bool = False) -> None:
         self.done += 1

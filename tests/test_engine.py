@@ -328,12 +328,10 @@ class TestCampaignParity:
             ExperimentEngine(cache=ResultCache(tmp_path / "serial")),
             topos, "RND", self.LOADS, **FAST,
         )
-        with ExperimentEngine(
-            cache=ResultCache(tmp_path / "par"), max_workers=2
-        ) as parallel_engine:
-            parallel = run_compare(
-                parallel_engine, topos, "RND", self.LOADS, **FAST
-            )
+        parallel = run_compare(
+            ExperimentEngine(cache=ResultCache(tmp_path / "par"), max_workers=2),
+            topos, "RND", self.LOADS, **FAST,
+        )
         assert set(serial) == set(parallel) == set(topos)
         for label in topos:
             assert serial[label].points == parallel[label].points
@@ -482,6 +480,87 @@ class TestAdaptiveStudy:
         assert engine.last_stats.executed == 0
         for key, curve in study.curves.items():
             assert again.curves[key].points == curve.points
+
+    def test_serial_and_parallel_study_match_in_few_rounds(self, tmp_path):
+        """The study is one staged campaign: a two-worker engine gives
+        the serial study's curves and store keys, and neither issues
+        more engine rounds than there are loads."""
+        from repro.analysis import adaptive_study
+        from repro.engine import build_sweep_specs
+
+        loads = [0.05, 0.15, 0.3, 0.45, 0.6]
+        kwargs = dict(
+            networks=("sn54",),
+            routings=("default", "ugal-l"),
+            traffic=("RND", "burst:ADV1:64+192"),
+            loads=loads,
+            **FAST,
+        )
+        studies, keys, rounds = {}, {}, {}
+        for workers in (1, 2):
+            cache = ResultCache(tmp_path / f"w{workers}")
+            engine = ExperimentEngine(cache=cache, max_workers=workers)
+            calls = []
+            run = engine.run
+
+            def counting_run(specs, **kw):
+                calls.append(len(specs))
+                return run(specs, **kw)
+
+            engine.run = counting_run
+            studies[workers] = adaptive_study(engine, **kwargs)
+            keys[workers] = set(cache.backend.iter_keys())
+            rounds[workers] = len(calls)
+        assert studies[1].to_dict() == studies[2].to_dict()
+        assert max(rounds.values()) <= len(loads)
+        kept = {
+            spec.content_hash()
+            for (network, routing, traffic), curve in studies[1].curves.items()
+            for spec in build_sweep_specs(
+                network,
+                traffic,
+                [point.load for point in curve.points],
+                routing=routing,
+                **FAST,
+            )[0]
+        }
+        assert any(len(c.points) < len(loads) for c in studies[1].curves.values())
+        assert keys[1] == kept  # serial: exactly the points it keeps
+        assert kept <= keys[2]  # parallel may add a post-saturation point
+
+
+class TestDefaultWorkers:
+    def test_follows_cpu_affinity_without_the_variable(self, monkeypatch):
+        from repro.engine import default_workers
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert default_workers() == 3
+
+    def test_variable_overrides_affinity(self, monkeypatch):
+        from repro.engine import default_engine, default_workers
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        assert default_workers() == 1
+        assert default_engine().max_workers == 1
+        monkeypatch.setenv("REPRO_WORKERS", "7")
+        assert default_workers() == 7
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_variable_is_an_error(self, value, monkeypatch, capsys):
+        from repro.engine import default_engine, default_workers
+
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        message = f"REPRO_WORKERS must be a positive integer, got '{value}'"
+        with pytest.raises(ValueError) as raised:
+            default_workers()
+        assert str(raised.value) == message
+        with pytest.raises(ValueError):
+            default_engine()
+        argv = ["sweep", "sn54", "--loads", "0.05", "--no-cache", "--quiet"]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestSerializationSatellites:

@@ -227,9 +227,9 @@ class TestCostModel:
 class TestEngineTelemetry:
     def test_stage_seconds_cover_every_engine_stage(self, tmp_path):
         specs = [fast_spec(load=load) for load in (0.02, 0.05)]
-        with ExperimentEngine(cache=ResultCache(tmp_path / "cache")) as engine:
-            engine.run(specs)
-            stats = engine.total_stats
+        engine = ExperimentEngine(cache=ResultCache(tmp_path / "cache"))
+        engine.run(specs)
+        stats = engine.total_stats
         stages = stats.stage_seconds
         for key in ("cache_lookup", "dispatch", "simulate", "write_back", "total"):
             assert key in stages
@@ -240,11 +240,10 @@ class TestEngineTelemetry:
     def test_cache_hit_run_measures_no_simulate_time(self, tmp_path):
         specs = [fast_spec(load=0.02)]
         cache = ResultCache(tmp_path / "cache")
-        with ExperimentEngine(cache=cache) as engine:
-            engine.run(specs)
-        with ExperimentEngine(cache=ResultCache(tmp_path / "cache")) as engine:
-            engine.run(specs)
-            stats = engine.total_stats
+        ExperimentEngine(cache=cache).run(specs)
+        engine = ExperimentEngine(cache=ResultCache(tmp_path / "cache"))
+        engine.run(specs)
+        stats = engine.total_stats
         assert stats.cache_hits == 1
         assert stats.stage_seconds["simulate"] == 0.0
         assert stats.stage_seconds["total"] > 0
@@ -354,6 +353,33 @@ class TestProgressLine:
         line.update(cached=False)
         assert line.eta_seconds() == pytest.approx(9 * 0.2)
 
+    def test_skipped_loads_leave_the_total_and_the_eta(self, monkeypatch):
+        """Loads a saturated curve never runs come off both the count
+        and the pending cost, so the line ends at 100% with no ETA."""
+        clock = FakeClock(monkeypatch)
+        specs = [fast_spec(load=x) for x in (0.02, 0.1, 0.3, 0.5)]
+        cost = {spec: predicted_cost(spec, 54) for spec in specs}
+        stream = io.StringIO()
+        line = ProgressLine(total=4, stream=stream, cost_fn=cost.__getitem__)
+        line.add_pending(specs)
+        for spec in specs[:2]:
+            clock.advance(1.0)
+            line.update(spec)
+        pace = 2.0 / (cost[specs[0]] + cost[specs[1]])
+        assert line.eta_seconds() == pytest.approx(
+            pace * (cost[specs[2]] + cost[specs[3]])
+        )
+        line.skip([specs[3]])
+        assert line.total == 3
+        assert line.eta_seconds() == pytest.approx(pace * cost[specs[2]])
+        last = stream.getvalue().rsplit("\r", 1)[-1]
+        assert last.startswith("2/3 (67%)")
+        assert f"eta ~{format_duration(pace * cost[specs[2]])}" in last
+        line.skip([specs[2]])
+        assert line.eta_seconds() is None
+        last = stream.getvalue().rsplit("\r", 1)[-1]
+        assert last.startswith("2/2 (100%)") and "eta" not in last
+
 
 class FakeClock:
     """``time.perf_counter`` for the progress module, advanced by hand."""
@@ -390,6 +416,27 @@ class TestCliTelemetry:
         assert "2/2 (100%)" in captured.err
         assert "sims" in captured.err
         assert "stages:" in captured.out
+
+    def test_progress_ends_at_100_percent_after_saturation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """15 offered loads, the curve saturates at the 13th: the line
+        counts the 2 loads the sweep drops as never due."""
+        FakeClock(monkeypatch)
+        rc = self.run_cli(
+            [
+                "sweep", "sn54", "--loads", "0.02:0.6:0.04", "--progress",
+                "--workers", "1",
+                "--warmup", "100", "--measure", "200", "--drain", "300",
+            ],
+            tmp_path,
+            monkeypatch,
+        )
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "13/15 (87%)" in captured.err
+        last = captured.err.rstrip("\n").rsplit("\r", 1)[-1]
+        assert last.startswith("13/13 (100%)") and "eta" not in last
 
     def test_sweep_json_carries_stage_seconds(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "sweep.json"

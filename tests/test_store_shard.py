@@ -3,10 +3,15 @@ auto-GC, pool lifecycle, and campaigns spread over the work queue."""
 
 import json
 import logging
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -495,14 +500,14 @@ class TestRemoteStore:
 
         def write(loads):
             try:
-                with ExperimentEngine(
+                engine = ExperimentEngine(
                     cache=ResultCache(backend=remote_store(server))
-                ) as engine:
-                    run_sweep(
-                        engine, "sn54", "RND", loads, **FAST,
-                        stop_after_saturation=False,
-                    )
-                    assert engine.total_stats.executed == len(loads)
+                )
+                run_sweep(
+                    engine, "sn54", "RND", loads, **FAST,
+                    stop_after_saturation=False,
+                )
+                assert engine.total_stats.executed == len(loads)
             except BaseException as exc:  # surfaced in the main thread
                 errors.append(exc)
 
@@ -512,12 +517,9 @@ class TestRemoteStore:
         for thread in writers:
             thread.join()
         assert not errors, errors
-        with ExperimentEngine(
-            cache=ResultCache(backend=remote_store(server))
-        ) as engine:
-            curve = run_sweep(engine, "sn54", "RND", LOADS, **FAST)
-            assert engine.total_stats.executed == 0
-            assert not engine.pool_active
+        engine = ExperimentEngine(cache=ResultCache(backend=remote_store(server)))
+        curve = run_sweep(engine, "sn54", "RND", LOADS, **FAST)
+        assert engine.total_stats.executed == 0
         assert [p.load for p in curve.points] == LOADS
 
 
@@ -644,34 +646,125 @@ class TestRunnerDurability:
 
 
 class TestPoolLifecycle:
-    def test_pure_cache_run_never_starts_pool(self, tmp_path, monkeypatch):
+    """A pool is built per parallel batch and joined before ``run``
+    returns; cache replays and one-miss batches build none."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Sizes of the pools the runner builds, counted through its
+        module attribute."""
+        import repro.engine.runner as runner_module
+
+        real = runner_module.ProcessPoolExecutor
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", counting)
+        return built
+
+    def test_pure_cache_run_builds_no_pool(self, tmp_path, pools):
         cache = ResultCache(tmp_path)
         specs = [fast_spec(load=x) for x in (0.02, 0.05, 0.08)]
         ExperimentEngine(cache=cache).run(specs)
-
-        import repro.engine.runner as runner_module
-
-        def poisoned(*args, **kwargs):
-            raise AssertionError("pool started on a pure cache read")
-
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", poisoned)
-        with ExperimentEngine(cache=cache, max_workers=4) as engine:
-            results = engine.run(specs)
-            assert engine.last_stats.cache_hits == len(specs)
-            assert not engine.pool_active
+        engine = ExperimentEngine(cache=cache, max_workers=4)
+        results = engine.run(specs)
+        assert engine.last_stats.cache_hits == len(specs)
         assert len(results) == len(specs)
+        assert pools == []
 
-    def test_close_is_idempotent_and_engine_reusable(self, tmp_path):
-        engine = ExperimentEngine(cache=ResultCache(tmp_path), max_workers=2)
+    def test_one_miss_batch_builds_no_pool(self, tmp_path, pools):
+        engine = ExperimentEngine(cache=ResultCache(tmp_path), max_workers=4)
+        engine.run([fast_spec()])
+        assert engine.last_stats.executed == 1
+        assert pools == []
+
+    def test_parallel_batch_reaps_its_workers(self, tmp_path, pools):
+        import multiprocessing
+        import resource
+
+        def children_cpu() -> float:
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        engine = ExperimentEngine(cache=ResultCache(tmp_path), max_workers=4)
         specs = [fast_spec(load=x) for x in (0.02, 0.05, 0.08)]
+        before = children_cpu()
         engine.run(specs)
-        assert engine.pool_active  # misses went parallel
-        engine.close()
-        engine.close()
-        assert not engine.pool_active
-        engine.run(specs)  # cache hits; must not resurrect the pool
-        assert not engine.pool_active
-        engine.close()
+        assert pools == [3]  # sized to the batch's misses
+        assert multiprocessing.active_children() == []
+        simulate = engine.last_stats.stage_seconds["simulate"]
+        assert children_cpu() - before >= 0.5 * simulate
+        engine.run(specs)  # all hits now
+        assert pools == [3]
+
+    def test_workers_exit_when_the_engine_process_is_killed(self):
+        """A SIGKILLed parent cannot shut its pool down; its workers
+        must not linger (one is mid-way through a long simulation)."""
+        long_specs = [fast_spec(load=x, measure=200_000) for x in (0.05, 0.06)]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(src)
+        parent = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                _ORPHANED_POOL_CHILD,
+                *(json.dumps(spec.to_dict()) for spec in long_specs),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        workers = []
+        try:
+            workers = json.loads(parent.stdout.readline())
+            assert len(workers) == 2
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 15
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_alive, workers))
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait()
+            parent.stdout.close()
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
+
+
+#: Starts a two-worker batch of long simulations on a background thread,
+#: prints the worker pids once both exist, then waits to be killed.
+_ORPHANED_POOL_CHILD = """
+import json, multiprocessing, sys, threading, time
+from repro.engine import ExperimentEngine, ExperimentSpec
+specs = [ExperimentSpec.from_dict(json.loads(arg)) for arg in sys.argv[1:]]
+engine = ExperimentEngine(max_workers=2)
+threading.Thread(target=engine.run, args=(specs,), daemon=True).start()
+deadline = time.monotonic() + 30
+while len(multiprocessing.active_children()) < 2 and time.monotonic() < deadline:
+    time.sleep(0.05)
+print(json.dumps([child.pid for child in multiprocessing.active_children()]))
+sys.stdout.flush()
+time.sleep(600)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not exited, not zombie) process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
 
 
 class TestCursoredIteration:
