@@ -110,13 +110,13 @@ def parse_loads(text: str) -> list[float]:
     return loads
 
 
-def _non_negative(convert):
-    """argparse type: ``convert(text)``, rejecting values below zero."""
+def _at_least(convert, low):
+    """argparse type: ``convert(text)``, rejecting values below ``low``."""
 
     def parse(text: str):
         value = convert(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
         return value
 
     parse.__name__ = convert.__name__
@@ -264,7 +264,7 @@ def _curve_rows(curve) -> list[list]:
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(int, 1),
         default=None,
         help="simulation worker processes (default: REPRO_WORKERS, else "
         "every CPU this process may use)",
@@ -488,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--max-bytes",
-        type=_non_negative(int),
+        type=_at_least(int, 0),
         default=None,
         help="gc: evict LRU entries until the store fits",
     )
     cache.add_argument(
         "--max-age",
-        type=_non_negative(float),
+        type=_at_least(float, 0),
         default=None,
         metavar="DAYS",
         help="gc: evict entries untouched for this many days",
@@ -610,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     work.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(int, 1),
         default=None,
         help="simulation worker processes for claimed batches (default: "
         "REPRO_WORKERS, else every CPU this process may use)",

@@ -115,7 +115,7 @@ def adaptive_study(
 ) -> AdaptiveStudyResult:
     """Run the full (network x routing x traffic x load) adaptive grid.
 
-    The grid is one staged campaign (:func:`~repro.engine.run_curves`):
+    The grid is one staged campaign (:func:`~repro.engine.campaign.run_curves`):
     each engine round takes the next loads of every unsaturated
     (network, routing, traffic) curve, so a multi-worker engine fans out
     across the whole study.  Every point is the spec ``python -m repro

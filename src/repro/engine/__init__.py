@@ -16,7 +16,7 @@ into an incremental, parallel pipeline:
   executor fanning cache misses across a process pool of its own per
   batch (every CPU by default, :func:`default_workers`);
 * :mod:`~repro.engine.campaign` — sweep/compare grid builders over one
-  staged early-stop-on-saturation loop (:func:`run_curves`), and
+  staged early-stop-on-saturation loop (``run_curves``), and
   (network × benchmark) workload campaigns (:func:`workload_compare`);
 * :mod:`~repro.engine.queue` / :mod:`~repro.engine.worker` — the
   fault-tolerant work queue (:class:`JobQueue` behind ``repro serve
@@ -56,12 +56,10 @@ read of one of their names does.
 from importlib import import_module
 
 from .campaign import (
-    CurveSpec,
     assemble_curve,
     build_sweep_specs,
     build_workload_specs,
     run_compare,
-    run_curves,
     run_sweep,
     traffic_for_token,
     workload_compare,
@@ -177,8 +175,6 @@ __all__ = [
     "assemble_curve",
     "default_worker_id",
     "jobs_for_specs",
-    "CurveSpec",
-    "run_curves",
     "run_sweep",
     "run_compare",
     "workload_compare",

@@ -331,8 +331,12 @@ def run_curves(
     curve as one engine batch; the chunk is sized so the round is at
     least as wide as the engine's worker count.  A curve stops once a
     chunk holds a saturated point.  ``topologies`` maps each curve's
-    token to its live network.  If ``progress`` has a ``skip(specs)``
-    method, it is told which specs a saturated curve will never run.
+    token to its live network.
+
+    ``progress`` is the engine's :data:`~repro.engine.runner.ProgressFn`.
+    If it also has a ``skip(specs)`` method (as
+    :class:`~repro.obs.progress.ProgressLine` does), that is called once
+    per curve cut short by saturation, with the specs it will never run.
 
     Returns ``{key: SweepResult}`` in the order of ``curves``.
     """

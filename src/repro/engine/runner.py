@@ -85,14 +85,29 @@ def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
     return {"result": result.to_dict(), "seconds": time.perf_counter() - start}
 
 
-def _exit_with_parent(parent: int) -> None:
+def _exit_with_engine(engine: int) -> None:
     """Pool-worker initializer: exit as soon as the engine's process is
     gone.  A parent killed outright cannot shut its pool down, and an
     orphaned worker would finish its spec and then wait for work
-    forever."""
+    forever.
+
+    Under ``fork``/``spawn`` the engine is the worker's parent, and a
+    change of parent means it died.  Under ``forkserver`` the parent is
+    the forkserver, which lives on while its workers do, so the engine's
+    pid is probed instead."""
+    parent = os.getppid()
+
+    def engine_alive() -> bool:
+        if parent == engine:
+            return os.getppid() == engine
+        try:
+            os.kill(engine, 0)
+        except ProcessLookupError:
+            return False
+        return True
 
     def watch() -> None:
-        while os.getppid() == parent:
+        while engine_alive():
             time.sleep(0.5)
         os._exit(1)
 
@@ -193,35 +208,50 @@ class ExperimentEngine:
 
     def _dispatch_parallel(self, misses, topology_for, record) -> None:
         """Simulate ``misses`` on a pool of their own.  The pool is shut
-        down before this returns, so no worker outlives the batch and
-        their CPU time is in ``RUSAGE_CHILDREN``; after an error the
-        specs still queued are dropped, not simulated."""
+        down before this returns, so no worker outlives the batch.  After
+        an error the specs still queued are dropped, not simulated, and
+        those the workers did finish are still recorded."""
+        import multiprocessing
+
         pool_class = sys.modules[__name__].ProcessPoolExecutor
+        # Fork on Linux whatever the interpreter's default (forkserver from
+        # Python 3.14): a forked worker inherits the loaded simulator, so a
+        # pool per batch costs no re-imports, and a direct child's CPU time
+        # is in ``RUSAGE_CHILDREN`` once it is joined.
+        context = multiprocessing.get_context(
+            "fork" if sys.platform == "linux" else None
+        )
         pool = pool_class(
             max_workers=min(self.max_workers, len(misses)),
-            initializer=_exit_with_parent,
+            mp_context=context,
+            initializer=_exit_with_engine,
             initargs=(os.getpid(),),
         )
+
+        def take(future, key: str, spec: ExperimentSpec) -> None:
+            reply = future.result()
+            record(
+                key,
+                spec,
+                SimResult.from_dict(reply["result"]),
+                seconds=reply["seconds"],
+            )
+
+        pending = {}
         try:
-            pending = {
-                pool.submit(
-                    _execute_remote, (spec.to_dict(), topology_for(spec))
-                ): (key, spec)
-                for key, spec in misses
-            }
+            for key, spec in misses:
+                payload = (spec.to_dict(), topology_for(spec))
+                pending[pool.submit(_execute_remote, payload)] = (key, spec)
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    key, spec = pending.pop(future)
-                    reply = future.result()
-                    record(
-                        key,
-                        spec,
-                        SimResult.from_dict(reply["result"]),
-                        seconds=reply["seconds"],
-                    )
+                    take(future, *pending.pop(future))
         finally:
             pool.shutdown(cancel_futures=True)
+            # Only after an error is anything left: keep what finished.
+            for future, (key, spec) in pending.items():
+                if not future.cancelled() and future.exception() is None:
+                    take(future, key, spec)
 
     def run(
         self,

@@ -32,9 +32,9 @@ def format_duration(seconds: float) -> str:
 class ProgressLine:
     """Accumulates per-point completions and renders one ``\\r`` line.
 
-    ``update(spec, cached)`` is called once per finished point (calling
-    the line itself with the engine's ``progress`` arguments does the
-    same), and ``skip(specs)`` once per curve cut short by saturation.
+    ``update(spec, cached)`` is called once per finished point; the line
+    itself is also a campaign's ``progress`` callback (the hooks are
+    described in :func:`~repro.engine.campaign.run_curves`).
     A hit takes its cost off the pending total without adding to the
     timed cost, so a warm prefix of the grid does not make the rest
     look cheap.  The clock restarts on every hit until the first simulation
@@ -78,9 +78,8 @@ class ProgressLine:
         self.update(spec, cached)
 
     def skip(self, specs: list) -> None:
-        """Drop ``specs`` from the work list: points a staged campaign
-        will never run because their curve saturated first.  They leave
-        the total and the pending cost, so the line can end at 100%."""
+        """Drop ``specs`` a staged campaign will never run from the total
+        and the pending cost, so the line can end at 100%."""
         self.total -= len(specs)
         self._pending_cost -= sum(self.cost_fn(spec) for spec in specs)
         self._render()

@@ -562,6 +562,23 @@ class TestDefaultWorkers:
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "sn54", "--loads", "0.05", "--no-cache", "--quiet"],
+            ["work", "http://localhost:1"],
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_flag_is_an_error(self, argv, value, capsys):
+        """``--workers`` rejects what ``REPRO_WORKERS`` rejects."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", value])
+        assert exc.value.code == 2
+        assert f"argument --workers: must be >= 1, got {value}" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSerializationSatellites:
     def test_sim_result_round_trip_small(self):

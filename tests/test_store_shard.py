@@ -700,9 +700,45 @@ class TestPoolLifecycle:
         engine.run(specs)  # all hits now
         assert pools == [3]
 
-    def test_workers_exit_when_the_engine_process_is_killed(self):
+    def test_parallel_batch_on_a_forkserver_pool(self, tmp_path, monkeypatch):
+        """A worker whose parent is a forkserver, not the engine, must
+        not take that for an orphaned pool (the default start method on
+        Linux from Python 3.14)."""
+        import multiprocessing
+
+        import repro.engine.runner as runner_module
+
+        real = runner_module.ProcessPoolExecutor
+
+        def forkserver_pool(**kwargs):
+            kwargs["mp_context"] = multiprocessing.get_context("forkserver")
+            return real(**kwargs)
+
+        specs = [fast_spec(load=x) for x in (0.02, 0.05, 0.08)]
+        serial = ExperimentEngine(cache=None).run(specs)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", forkserver_pool)
+        engine = ExperimentEngine(cache=ResultCache(tmp_path), max_workers=3)
+        parallel = engine.run(specs)
+        assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
+        assert engine.last_stats.executed == len(specs)
+        assert multiprocessing.active_children() == []
+
+    def test_failing_parallel_batch_keeps_what_finished(self, tmp_path):
+        """When one worker's spec raises, the specs other workers were
+        already running still reach the store."""
+        cache = ResultCache(tmp_path)
+        engine = ExperimentEngine(cache=cache, max_workers=3)
+        bad = fast_spec(topology="no-such-network")
+        good = [fast_spec(load=x) for x in (0.02, 0.05)]
+        with pytest.raises(ValueError, match="no-such-network"):
+            engine.run([bad, *good])
+        assert all(cache.get(spec) is not None for spec in good)
+
+    @pytest.mark.parametrize("start_method", ["default", "forkserver"])
+    def test_workers_exit_when_the_engine_process_is_killed(self, start_method):
         """A SIGKILLed parent cannot shut its pool down; its workers
-        must not linger (one is mid-way through a long simulation)."""
+        must not linger (one is mid-way through a long simulation),
+        whether they are its children or a forkserver's."""
         long_specs = [fast_spec(load=x, measure=200_000) for x in (0.05, 0.06)]
         src = Path(__file__).resolve().parents[1] / "src"
         env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
@@ -712,6 +748,7 @@ class TestPoolLifecycle:
                 sys.executable,
                 "-c",
                 _ORPHANED_POOL_CHILD,
+                start_method,
                 *(json.dumps(spec.to_dict()) for spec in long_specs),
             ],
             env=env,
@@ -737,12 +774,20 @@ class TestPoolLifecycle:
                 os.kill(pid, signal.SIGKILL)
 
 
-#: Starts a two-worker batch of long simulations on a background thread,
+#: Starts a two-worker batch of long simulations on a background thread
+#: (on a pool of the start method in argv[1], or the runner's own),
 #: prints the worker pids once both exist, then waits to be killed.
 _ORPHANED_POOL_CHILD = """
 import json, multiprocessing, sys, threading, time
+import repro.engine.runner as runner
 from repro.engine import ExperimentEngine, ExperimentSpec
-specs = [ExperimentSpec.from_dict(json.loads(arg)) for arg in sys.argv[1:]]
+if sys.argv[1] != "default":
+    real = runner.ProcessPoolExecutor
+    def pool(**kwargs):
+        kwargs["mp_context"] = multiprocessing.get_context(sys.argv[1])
+        return real(**kwargs)
+    runner.ProcessPoolExecutor = pool
+specs = [ExperimentSpec.from_dict(json.loads(arg)) for arg in sys.argv[2:]]
 engine = ExperimentEngine(max_workers=2)
 threading.Thread(target=engine.run, args=(specs,), daemon=True).start()
 deadline = time.monotonic() + 30
