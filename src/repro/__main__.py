@@ -151,9 +151,10 @@ def _progress(done: int, total: int, spec, cached: bool) -> None:
 
 def _synthetic_grid(
     args: argparse.Namespace,
-    config: SimConfig,
+    config: SimConfig | None,
     networks: list[str],
     patterns: list[str],
+    routings: list[str] | None = None,
 ) -> tuple[list, dict[str, int], dict[str, str]]:
     """The campaign's spec grid: ``(specs, node_counts, symbols)``.
 
@@ -162,28 +163,30 @@ def _synthetic_grid(
     rebuild topologies from.  Built with the same
     :func:`build_sweep_specs` the campaign layer uses, so content
     hashes — and therefore queue keys — match the real run exactly.
+    ``routings`` defaults to the command's one ``--routing``.
     """
     specs: list = []
     node_counts: dict[str, int] = {}
     symbols: dict[str, str] = {}
-    for pattern in patterns:
-        for network in networks:
-            grid, topo_map = build_sweep_specs(
-                network,
-                pattern,
-                args.loads,
-                config=config,
-                packet_flits=args.packet_flits,
-                routing=getattr(args, "routing", "default"),
-                seed=args.seed,
-                warmup=args.warmup,
-                measure=args.measure,
-                drain=args.drain,
-            )
-            specs.extend(grid)
-            for token, topo in topo_map.items():
-                node_counts[token] = topo.num_nodes
-                symbols[token] = network
+    for routing in routings or [getattr(args, "routing", "default")]:
+        for pattern in patterns:
+            for network in networks:
+                grid, topo_map = build_sweep_specs(
+                    network,
+                    pattern,
+                    args.loads,
+                    config=config,
+                    packet_flits=getattr(args, "packet_flits", 6),
+                    routing=routing,
+                    seed=args.seed,
+                    warmup=args.warmup,
+                    measure=args.measure,
+                    drain=args.drain,
+                )
+                specs.extend(grid)
+                for token, topo in topo_map.items():
+                    node_counts[token] = topo.num_nodes
+                    symbols[token] = network
     return specs, node_counts, symbols
 
 
@@ -261,7 +264,7 @@ def _curve_rows(curve) -> list[list]:
     ]
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+def _add_engine_options(parser: argparse.ArgumentParser, queue: bool = True) -> None:
     parser.add_argument(
         "--workers",
         type=_at_least(int, 1),
@@ -281,14 +284,15 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "(default .repro_cache), a sqlite:FILE pack file, or an "
         "http(s):// 'repro serve' endpoint",
     )
-    parser.add_argument(
-        "--queue",
-        default=None,
-        metavar="URL",
-        help="submit the grid to a 'repro serve --queue' coordinator, "
-        "wait for the worker fleet to drain it, then assemble the "
-        "results from the shared store (a pure cache read)",
-    )
+    if queue:
+        parser.add_argument(
+            "--queue",
+            default=None,
+            metavar="URL",
+            help="submit the grid to a 'repro serve --queue' coordinator, "
+            "wait for the worker fleet to drain it, then assemble the "
+            "results from the shared store (a pure cache read)",
+        )
     parser.add_argument(
         "--progress",
         action="store_true",
@@ -425,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write all curves + engine stats as JSON",
     )
-    _add_engine_options(adaptive)
+    _add_engine_options(adaptive, queue=False)
 
     workloads = sub.add_parser(
         "workloads",
@@ -825,12 +829,15 @@ def _wait_for_queue(args: argparse.Namespace, client: QueueClient) -> dict:
 def cmd_adaptive(args: argparse.Namespace) -> int:
     from .analysis import adaptive_study
 
-    if args.queue is not None:
-        print("error: adaptive does not support --queue", file=sys.stderr)
-        return 2
     routings = [r for r in args.routings.split(",") if r]
     traffic = [t for t in args.traffic.split(",") if t]
+    # The grid only sizes the progress line; adaptive_study runs the
+    # same specs (those of `sweep --routing R --patterns T`).
+    specs, node_counts, _symbols = _synthetic_grid(
+        args, None, args.networks, traffic, routings
+    )
     engine = _build_engine(args)
+    progress, line = _campaign_progress(args, specs, node_counts)
     study = adaptive_study(
         engine,
         args.networks,
@@ -842,7 +849,10 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
         measure=args.measure,
         drain=args.drain,
         stop_after_saturation=not args.no_stop,
+        progress=progress,
     )
+    if line is not None:
+        line.finish()
     stats = engine.total_stats
     print(study.format_table())
     print(

@@ -26,12 +26,11 @@ is imported the first time one of its names is read from this package.
 
 A location is ``sqlite:FILE`` (a pack file), ``http(s)://HOST:PORT``
 (a ``repro serve`` endpoint), or a plain path — a cache directory,
-opened as ``<dir>/results.sqlite``.  Iteration over any backend is
-**cursored**: ``iter_keys(start_after, limit)`` returns one bounded
-sorted page, and the maintenance paths (``stats``/``gc``) stream
-pages, so no store
-operation ever materializes a full key set — the property that lets a
-campaign cache grow past one process's memory.
+opened as ``<dir>/results.sqlite``.  The protocol carries payloads only
+(single and batched reads and writes) plus ``size_bytes``, ``stats``,
+``gc``, ``clear`` and ``close``; ``stats`` and ``gc`` scan the store one
+bounded page at a time, so a campaign cache can grow past one
+process's memory.
 """
 
 from importlib import import_module
@@ -39,19 +38,14 @@ from importlib import import_module
 from .base import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
-    DEFAULT_KEY_BATCH,
     MAX_BYTES_ENV,
-    SCHEME_REGISTRY,
     SCHEMA_VERSION,
     CacheBackend,
     CacheStats,
     GCReport,
-    RawEntry,
     default_cache_dir,
     encode_entry,
     entry_is_unreachable,
-    iter_all_keys,
-    iter_key_pages,
     open_backend,
 )
 from .frontend import ResultCache
@@ -87,19 +81,16 @@ __all__ = [
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_FAILABLE_OPS",
-    "DEFAULT_KEY_BATCH",
     "DEFAULT_PORT",
     "MAX_BYTES_ENV",
     "PROTOCOL_VERSION",
     "SCHEMA_VERSION",
-    "SCHEME_REGISTRY",
     "TOKEN_ENV",
     "CacheBackend",
     "CacheStats",
     "FaultyBackend",
     "GCReport",
     "InjectedFault",
-    "RawEntry",
     "RemoteAuthError",
     "RemoteStore",
     "RemoteStoreError",
@@ -109,7 +100,5 @@ __all__ = [
     "default_cache_dir",
     "encode_entry",
     "entry_is_unreachable",
-    "iter_all_keys",
-    "iter_key_pages",
     "open_backend",
 ]

@@ -11,12 +11,12 @@ cache its semantics — the canonical entry encoding, the
 schema/spec-version reachability rules, LRU-by-mtime eviction — lives
 here so the backends cannot drift apart.
 
-Backends store raw entries and know nothing about simulation results or
-hit counting; that is the job of the
-:class:`~repro.engine.store.frontend.ResultCache` front end.  Because
-every entry is encoded canonically, an entry read through one backend
-and written through another (the raw ``get_entry*``/``put_entry*``
-calls) keeps its exact bytes.
+Backends move JSON payloads and know nothing about simulation results
+or hit counting; that is the job of the
+:class:`~repro.engine.store.frontend.ResultCache` front end.  The
+protocol is exactly what the engine, the work queue and the ``cache``
+commands call: single and batched payload reads and writes,
+``size_bytes``, ``stats``, ``gc``, ``clear`` and ``close``.
 
 The backend contract
 --------------------
@@ -29,25 +29,21 @@ checks:
 * **Canonical bytes.**  Every stored entry is the output of
   :func:`encode_entry` (sorted keys, ``(",", ":")`` separators).
   Payload writes construct the entry dict themselves and *must* encode
-  it with this function; :meth:`CacheBackend.put_entry` stores the
-  caller's dict verbatim (re-encoded, never re-ordered or annotated).
-  This is what makes cross-backend copies byte-identical and lets
+  it with this function.  This is what makes the same campaign
+  byte-identical in every backend and lets
   :func:`entry_is_unreachable` test version markers on raw text.
 * **mtimes are the LRU clock.**  Each entry carries one last-use
   timestamp.  ``get_payload``/``get_payload_many`` refresh it on a hit
   ("touch on read") when it is more than one hour old
   (:data:`~repro.engine.store.sqlite.TOUCH_GRANULARITY_S`, the
   ``relatime`` rule), so a warm replay of fresh entries writes
-  nothing; ``put_payload*`` stamps "now"; ``put_entry*``
-  *preserves* a supplied ``mtime`` (so a copied entry keeps its
-  eviction order) and only defaults to "now" when none is given.
-  ``gc`` evicts strictly in mtime order, so recency is exact to within
-  that hour.
+  nothing; ``put_payload*`` stamps "now".  ``gc`` evicts strictly in
+  mtime order, so recency is exact to within that hour.
 * **Misses are silent, never errors.**  A missing, unreadable, corrupt,
   wrong-``kind``, or wrong-schema entry makes ``get_payload`` return
-  ``None`` (the engine recomputes and overwrites); raw ``get_entry``
-  skips undecodable entries.  Backends raise only for infrastructure
-  failures (e.g. an unreachable server), not for content.
+  ``None`` (the engine recomputes and overwrites).  Backends raise
+  only for infrastructure failures (e.g. an unreachable server), not
+  for content.
 * **Concurrent writers, last-writer-wins.**  Several engines or queue
   workers may write the same store at once.  Writers of the same key
   are racing to store *identical canonical bytes* (keys are content
@@ -60,21 +56,9 @@ checks:
   collapse the work into one round trip / transaction / fsync window.
   Callers bound request sizes with :func:`chunked`, so a backend may
   assume batches of at most a few hundred items.
-* **``iter_keys`` is a cursor, not a dump.**  One call returns one
-  *sorted page* of keys strictly greater than ``start_after``, at most
-  ``limit`` of them (:data:`DEFAULT_KEY_BATCH` when ``limit`` is
-  ``None`` — a page is always bounded; nothing may materialize the
-  whole key set).  Passing the last key of a page as the next call's
-  ``start_after`` resumes exactly where it left off, so iteration is
-  restartable across processes and survives pagination-sized stores.
-  Keyset semantics under concurrent writers: a key is never skipped or
-  re-served once the cursor has passed it; keys written behind an
-  in-flight cursor may be missed by that sweep (they are found by the
-  next one).  :func:`iter_all_keys` / :func:`iter_key_pages` wrap the
-  paging loop for callers that want a lazy stream.  Maintenance paths
-  (``stats``/``gc``) must stream over cursors — per-page content in
-  memory, never the whole store; the SQLite pack pages natively over
-  its primary-key index.
+* **Maintenance streams.**  ``stats`` and ``gc`` hold one bounded page
+  of entries in memory at a time, never the whole store; the SQLite
+  pack pages over its primary-key and ``(mtime, key)`` indexes.
 * **``stats`` counters stay zero.**  ``hits``/``misses`` belong to the
   :class:`~repro.engine.store.frontend.ResultCache` front end; backends
   report entry/byte totals only.  ``size_bytes`` must be cheap (no
@@ -93,7 +77,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 #: Bump when the encoded layout of cache entries changes; mismatched
 #: entries are ignored (recomputed and overwritten), never misread.
@@ -109,11 +93,6 @@ CACHE_PACK_NAME = "results.sqlite"
 #: When set, :class:`~repro.engine.store.frontend.ResultCache` runs the
 #: LRU ``gc`` automatically once writes push the store past this size.
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
-
-#: Default page size for cursored ``iter_keys`` calls: one page per
-#: backend round trip, small enough that no maintenance pass ever holds
-#: more than a few hundred keys (the acceptance bound is 512).
-DEFAULT_KEY_BATCH = 500
 
 
 def default_cache_dir() -> Path:
@@ -205,26 +184,12 @@ class GCReport:
     kept_bytes: int
 
 
-@dataclass(frozen=True)
-class RawEntry:
-    """One raw store entry: the decoded entry dict plus its last-use
-    timestamp (so a copy preserves LRU order)."""
-
-    key: str
-    entry: dict
-    mtime: float
-
-    def encoded(self) -> str:
-        return encode_entry(self.entry)
-
-
 @runtime_checkable
 class CacheBackend(Protocol):
     """What a result store must provide to back a ``ResultCache``.
 
     ``get_payload``/``put_payload`` move schema-checked payloads for one
-    ``kind``; ``get_entry``/``put_entry`` move raw entries with their
-    mtimes; ``iter_keys``/``stats``/``gc`` support
+    ``kind``; ``size_bytes``/``stats``/``gc``/``clear`` support
     maintenance.  Implementations must be safe for concurrent writers
     on one host: last-writer-wins on identical canonical bytes.
     """
@@ -257,38 +222,6 @@ class CacheBackend(Protocol):
         window); returns total bytes written."""
         ...
 
-    def iter_keys(
-        self, start_after: str | None = None, limit: int | None = None
-    ) -> list[str]:
-        """One sorted page of entry keys strictly after ``start_after``.
-
-        At most ``limit`` keys (:data:`DEFAULT_KEY_BATCH` when
-        ``None`` — a page is always bounded).  Resume by passing the
-        last key of a page as the next call's ``start_after``; a short
-        page means the key space is exhausted.  See the cursor bullet
-        of the backend contract for semantics under concurrent writers.
-        """
-        ...
-
-    def get_entry(self, key: str) -> RawEntry | None:
-        """Raw entry for ``key`` (no schema check, no LRU touch)."""
-        ...
-
-    def get_entry_many(self, keys: Iterable[str]) -> dict[str, RawEntry]:
-        """Batch form of :meth:`get_entry`: one backend round trip,
-        returning ``{key: entry}`` for the keys that exist."""
-        ...
-
-    def put_entry(self, key: str, entry: dict, mtime: float | None = None) -> int:
-        """Store a raw entry verbatim (optionally backdating its LRU
-        timestamp); returns bytes written."""
-        ...
-
-    def put_entry_many(self, entries: Iterable[RawEntry]) -> int:
-        """Batch form of :meth:`put_entry`, preserving each entry's
-        mtime (one transaction); returns total bytes written."""
-        ...
-
     def size_bytes(self) -> int:
         """Total stored bytes — cheap (no per-entry content scan), for
         the auto-GC size estimate."""
@@ -316,62 +249,6 @@ class CacheBackend(Protocol):
         """Release any handles (idempotent)."""
         ...
 
-
-def iter_key_pages(
-    backend: CacheBackend,
-    *,
-    batch: int = DEFAULT_KEY_BATCH,
-    start_after: str | None = None,
-) -> Iterator[list[str]]:
-    """Stream ``backend``'s key space as sorted pages of ≤ ``batch`` keys.
-
-    The cursored-iteration loop every maintenance path shares: each page
-    is one ``iter_keys`` call, resumed from the previous page's last
-    key, so memory is bounded by one page regardless of store size.
-    """
-    cursor = start_after
-    while True:
-        page = list(backend.iter_keys(start_after=cursor, limit=batch))
-        if not page:
-            return
-        yield page
-        if len(page) < batch:
-            return
-        cursor = page[-1]
-
-
-def iter_all_keys(
-    backend: CacheBackend,
-    *,
-    batch: int = DEFAULT_KEY_BATCH,
-    start_after: str | None = None,
-) -> Iterator[str]:
-    """Every key of ``backend`` in sorted order, lazily, one bounded
-    page per backend round trip (the flat form of :func:`iter_key_pages`)."""
-    for page in iter_key_pages(backend, batch=batch, start_after=start_after):
-        yield from page
-
-
-def _open_sqlite_scheme(text: str, rest: str) -> CacheBackend:
-    from .sqlite import SqlitePackStore
-
-    return SqlitePackStore(rest)
-
-
-def _open_remote_scheme(text: str, rest: str) -> CacheBackend:
-    from .http import RemoteStore
-
-    return RemoteStore(text)
-
-
-#: Location-scheme registry: ``<scheme>:`` prefix -> opener taking
-#: ``(full_location_text, text_after_colon)``.  A location without one
-#: of these prefixes is a plain cache-directory path.
-SCHEME_REGISTRY: dict[str, Callable[[str, str], CacheBackend]] = {
-    "sqlite": _open_sqlite_scheme,
-    "http": _open_remote_scheme,
-    "https": _open_remote_scheme,
-}
 
 #: A ``word:`` prefix that reads as a URL scheme.  Two characters at
 #: least, so a Windows drive letter (``C:``) stays a plain path.
@@ -403,8 +280,12 @@ def open_backend(location: str | os.PathLike | None = None) -> CacheBackend:
 
     text = os.fspath(default_cache_dir() if location is None else location)
     scheme, sep, rest = text.partition(":")
-    if sep and scheme.lower() in SCHEME_REGISTRY:
-        return SCHEME_REGISTRY[scheme.lower()](text, rest)
+    if sep and scheme.lower() == "sqlite":
+        return SqlitePackStore(rest)
+    if sep and scheme.lower() in ("http", "https"):
+        from .http import RemoteStore
+
+        return RemoteStore(text)
     if sep and _SCHEME_LIKE.fullmatch(scheme):
         raise ValueError(
             f"unknown store scheme {scheme + ':'!r} in {text!r}; {_LOCATION_FORMS}"

@@ -28,7 +28,7 @@ import threading
 from typing import Iterable
 
 from ...obs import get_logger
-from .base import CacheBackend, CacheStats, GCReport, RawEntry
+from .base import CacheBackend, CacheStats, GCReport
 
 _log = get_logger("store.faulty")
 
@@ -117,28 +117,6 @@ class FaultyBackend:
     ) -> int:
         self._maybe_fail("put_payload_many")
         return self.inner.put_payload_many(items)
-
-    def iter_keys(
-        self, start_after: str | None = None, limit: int | None = None
-    ) -> list[str]:
-        self._maybe_fail("iter_keys")
-        return list(self.inner.iter_keys(start_after=start_after, limit=limit))
-
-    def get_entry(self, key: str) -> RawEntry | None:
-        self._maybe_fail("get_entry")
-        return self.inner.get_entry(key)
-
-    def get_entry_many(self, keys: Iterable[str]) -> dict[str, RawEntry]:
-        self._maybe_fail("get_entry_many")
-        return self.inner.get_entry_many(keys)
-
-    def put_entry(self, key: str, entry: dict, mtime: float | None = None) -> int:
-        self._maybe_fail("put_entry")
-        return self.inner.put_entry(key, entry, mtime)
-
-    def put_entry_many(self, entries: Iterable[RawEntry]) -> int:
-        self._maybe_fail("put_entry_many")
-        return self.inner.put_entry_many(entries)
 
     def size_bytes(self) -> int:
         self._maybe_fail("size_bytes")

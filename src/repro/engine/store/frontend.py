@@ -20,15 +20,17 @@ ready-made backend object wires in anything else that satisfies the
 protocol.
 
 The front end relies on — and only on — the backend contract written
-down in :mod:`repro.engine.store.base`: it batches freely because
+down in :mod:`repro.engine.store.base`, and it calls every method of
+that protocol: the payload reads and writes, ``size_bytes``,
+``stats``, ``gc``, ``clear`` and ``close``.  It batches freely because
 ``*_many`` calls are plural-not-different, trusts mtime refresh on hits
 to keep its LRU ``gc`` meaningful (to a one-hour granularity: a hit on
 an entry stamped within the hour leaves the stamp as it is), treats
 every ``None`` payload as a recomputable miss, and assumes
-``size_bytes`` is cheap enough to call on the write path.  Code in this module must not depend on any behavior
-of a particular backend beyond that contract — it is the part that
-stays correct whether the backend is a local SQLite pack or a server
-on another machine.
+``size_bytes`` is cheap enough to call on the write path.  Code in this
+module must not depend on any behavior of a particular backend beyond
+that contract — it is the part that stays correct whether the backend
+is a local SQLite pack or a server on another machine.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class ResultCache:
     def __repr__(self) -> str:
         return f"ResultCache({self.backend!r})"
 
-    # -- raw keyed payloads -------------------------------------------------
+    # -- keyed payloads -----------------------------------------------------
 
     def get_payload(self, key: str, kind: str) -> dict | None:
         """Payload stored under ``key`` if present, readable, and current."""

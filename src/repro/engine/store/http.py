@@ -11,13 +11,12 @@ http://host:8123`` assembles the campaign as a pure cache read.
 Two halves, one wire protocol:
 
 * :class:`RemoteStore` — the client.  A full :class:`CacheBackend`
-  (single and batched payloads, raw entries with their mtimes,
-  ``iter_keys``/``stats``/``gc``/``clear``), so a URL is a first-class
-  store location everywhere a path is: engine caches, ``cache stats``
-  and ``cache gc``.  Transient
-  failures (connection refused, 5xx, timeouts) are retried with
-  exponential backoff; a dead server surfaces as a single clear
-  :class:`RemoteStoreError`, and a token mismatch as
+  (single and batched payloads, ``size_bytes``/``stats``/``gc``/
+  ``clear``), so a URL is a first-class store location everywhere a
+  path is: engine caches, queue workers, ``cache stats`` and ``cache
+  gc``.  Transient failures (connection refused, 5xx, timeouts) are
+  retried with exponential backoff; a dead server surfaces as a single
+  clear :class:`RemoteStoreError`, and a token mismatch as
   :class:`RemoteAuthError` (no retry — credentials do not heal).
 * :class:`StoreServer` — the server.  Every request holds one lock
   around the backing store, so concurrent writers serialize into
@@ -35,17 +34,11 @@ GET    ``/health``          -> ``{ok, protocol, schema, location}``
 GET    ``/metrics``         -> Prometheus text exposition (0.0.4) of
                             the server process's metrics registry;
                             unauthenticated read-only, like /health
-POST   ``/keys/list``       ``{start_after?, limit?}`` ->
-                            ``{keys, next}`` — one sorted page after
-                            the cursor; ``next`` is the resume cursor,
-                            ``null`` when the key space is exhausted
 GET    ``/stats``           -> ``CacheStats`` fields (counters zero)
 GET    ``/size``            -> ``{size_bytes}``
 POST   ``/payloads/get``    ``{keys, kind}`` -> ``{found: {key: payload}}``
 POST   ``/payloads/put``    ``{items: [[key, kind, result, spec]]}``
                             -> ``{written}``
-POST   ``/entries/get``     ``{keys}`` -> ``{entries: {key: {entry, mtime}}}``
-POST   ``/entries/put``     ``{entries: [{key, entry, mtime}]}`` -> ``{written}``
 POST   ``/gc``              ``{max_bytes?, max_age_days?, now?}``
                             -> ``GCReport`` fields
 POST   ``/clear``           ``{}`` -> ``{removed}``
@@ -63,6 +56,10 @@ The ``queue/*`` endpoints exist only when the server was started with a
 unlike the read-only ``/health`` and ``/metrics`` — always require the
 bearer token when one is configured: queue submissions carry arbitrary
 spec payloads that workers will execute.
+
+Any other path answers 404.  A ``POST`` whose ``Content-Length`` is
+not a non-negative integer, or whose body is not JSON, answers 400
+before auth or routing; a bad length reads nothing from the socket.
 
 Batched calls are chunked client-side with the same
 :func:`~repro.engine.store.base.chunked` bound the SQLite backend uses,
@@ -96,15 +93,7 @@ from ...obs.metrics import (
     SERVER_SECONDS,
     STORE_RETRIES,
 )
-from .base import (
-    DEFAULT_KEY_BATCH,
-    SCHEMA_VERSION,
-    CacheBackend,
-    CacheStats,
-    GCReport,
-    RawEntry,
-    chunked,
-)
+from .base import SCHEMA_VERSION, CacheBackend, CacheStats, GCReport, chunked
 
 _client_log = get_logger("store.remote")
 _serve_log = get_logger("serve")
@@ -114,12 +103,9 @@ _serve_log = get_logger("serve")
 TOKEN_ENV = "REPRO_CACHE_TOKEN"
 
 #: Bump when the endpoint set or body shapes change incompatibly.
-#: 2: cursored ``keys/list`` pagination.
-PROTOCOL_VERSION = 2
-
-#: Server-side clamp on one ``keys/list`` page: a client asking for the
-#: world still gets bounded responses and has to walk the cursor.
-MAX_KEYS_PAGE = 1000
+#: 2: cursored key-listing pagination.  3: the raw-entry and
+#: key-listing endpoints are gone; payloads are the only data path.
+PROTOCOL_VERSION = 3
 
 #: Default ``repro serve`` bind (the README's rendezvous examples).
 DEFAULT_PORT = 8123
@@ -338,51 +324,7 @@ class RemoteStore:
             written += self._call("payloads/put", {"items": rows})["written"]
         return written
 
-    # -- raw entries --------------------------------------------------------
-
-    def get_entry(self, key: str) -> RawEntry | None:
-        return self.get_entry_many([key]).get(key)
-
-    def get_entry_many(self, keys: Iterable[str]) -> dict[str, RawEntry]:
-        wanted = list(dict.fromkeys(keys))
-        found: dict[str, RawEntry] = {}
-        for chunk in chunked(wanted):
-            resp = self._call("entries/get", {"keys": chunk})
-            for key, raw in resp["entries"].items():
-                found[key] = RawEntry(key=key, entry=raw["entry"], mtime=raw["mtime"])
-        return found
-
-    def put_entry(self, key: str, entry: dict, mtime: float | None = None) -> int:
-        raw = RawEntry(
-            key=key, entry=entry, mtime=time.time() if mtime is None else mtime
-        )
-        return self.put_entry_many([raw])
-
-    def put_entry_many(self, entries: Iterable[RawEntry]) -> int:
-        written = 0
-        for chunk in chunked(list(entries)):
-            resp = self._call(
-                "entries/put",
-                {
-                    "entries": [
-                        {"key": raw.key, "entry": raw.entry, "mtime": raw.mtime}
-                        for raw in chunk
-                    ]
-                },
-            )
-            written += resp["written"]
-        return written
-
     # -- maintenance --------------------------------------------------------
-
-    def iter_keys(
-        self, start_after: str | None = None, limit: int | None = None
-    ) -> list[str]:
-        page = DEFAULT_KEY_BATCH if limit is None else max(0, int(limit))
-        if page == 0:
-            return []
-        resp = self._call("keys/list", {"start_after": start_after, "limit": page})
-        return list(resp["keys"])
 
     def size_bytes(self) -> int:
         return self._call("size")["size_bytes"]
@@ -428,24 +370,6 @@ def _route_payloads_put(backend: CacheBackend, payload: dict) -> dict:
     return {"written": backend.put_payload_many(items)}
 
 
-def _route_entries_get(backend: CacheBackend, payload: dict) -> dict:
-    found = backend.get_entry_many(payload["keys"])
-    return {
-        "entries": {
-            key: {"entry": raw.entry, "mtime": raw.mtime}
-            for key, raw in found.items()
-        }
-    }
-
-
-def _route_entries_put(backend: CacheBackend, payload: dict) -> dict:
-    entries = [
-        RawEntry(key=raw["key"], entry=raw["entry"], mtime=raw["mtime"])
-        for raw in payload["entries"]
-    ]
-    return {"written": backend.put_entry_many(entries)}
-
-
 def _route_gc(backend: CacheBackend, payload: dict) -> dict:
     report = backend.gc(
         max_bytes=payload.get("max_bytes"),
@@ -453,13 +377,6 @@ def _route_gc(backend: CacheBackend, payload: dict) -> dict:
         now=payload.get("now"),
     )
     return asdict(report)
-
-
-def _route_keys_list(backend: CacheBackend, payload: dict) -> dict:
-    limit = payload.get("limit") or DEFAULT_KEY_BATCH
-    limit = max(1, min(int(limit), MAX_KEYS_PAGE))
-    keys = list(backend.iter_keys(start_after=payload.get("start_after"), limit=limit))
-    return {"keys": keys, "next": keys[-1] if len(keys) == limit else None}
 
 
 def _route_stats(backend: CacheBackend, payload: dict) -> dict:
@@ -478,11 +395,8 @@ _GET_ROUTES: dict[str, Callable[[CacheBackend, dict], dict]] = {
 }
 
 _POST_ROUTES: dict[str, Callable[[CacheBackend, dict], dict]] = {
-    "/keys/list": _route_keys_list,
     "/payloads/get": _route_payloads_get,
     "/payloads/put": _route_payloads_put,
-    "/entries/get": _route_entries_get,
-    "/entries/put": _route_entries_put,
     "/gc": _route_gc,
     "/clear": lambda backend, payload: {"removed": backend.clear()},
 }
@@ -519,11 +433,11 @@ _QUEUE_POST_ROUTES: dict[str, Callable[["JobQueue", dict], dict]] = {
 class _StoreHandler(BaseHTTPRequestHandler):
     """One request against the server's backing store.
 
-    The body is always read before replying (keeps the socket in a sane
-    state on errors), auth is checked before any store access, and every
-    store call holds the server-wide lock — concurrent writers
-    serialize here, which is what makes a plain SQLite pack safe to
-    share over the network.
+    The body is read before replying (keeps the socket in a sane state
+    on errors) unless its length is invalid, auth is checked before any
+    store access, and every store call holds the server-wide lock —
+    concurrent writers serialize here, which is what makes a plain
+    SQLite pack safe to share over the network.
     """
 
     server_version = f"repro-store/{PROTOCOL_VERSION}"
@@ -576,13 +490,13 @@ class _StoreHandler(BaseHTTPRequestHandler):
             supplied.encode("utf-8", "surrogateescape"), expected
         )
 
-    def _dispatch(self, routes: dict, payload: dict) -> None:
+    def _dispatch(self, routes: dict) -> None:
         """Time and count every request around the actual handling."""
         start = time.perf_counter()
         path = "/" + self.path.strip("/")
         self._status = 500  # if _handle dies before replying
         try:
-            self._handle(routes, path, payload)
+            self._handle(routes, path)
         finally:
             known = (
                 path in _GET_ROUTES
@@ -623,7 +537,34 @@ class _StoreHandler(BaseHTTPRequestHandler):
                     return True
         return False
 
-    def _handle(self, routes: dict, path: str, payload: dict) -> None:
+    def _read_payload(self) -> dict:
+        """The request's JSON body; ``{}`` for a GET or an empty body.
+
+        Raises ``ValueError`` for a ``Content-Length`` that is not a
+        non-negative integer, before reading anything (``rfile.read(-1)``
+        would block until the client hangs up), and for a body that is
+        not JSON.
+        """
+        if self.command != "POST":
+            return {}
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ValueError(f"invalid Content-Length {header!r}")
+        body = self.rfile.read(length) if length else b""
+        try:
+            return json.loads(body.decode("utf-8")) if body else {}
+        except ValueError:
+            raise ValueError("request body is not valid JSON") from None
+
+    def _handle(self, routes: dict, path: str) -> None:
+        try:
+            payload = self._read_payload()
+        except ValueError as exc:
+            return self._reply(400, {"error": str(exc)})
         if self._fault_injected(path):
             headers = None
             if self.server.fail_retry_after is not None:
@@ -697,16 +638,10 @@ class _StoreHandler(BaseHTTPRequestHandler):
         self._reply(200, result)
 
     def do_GET(self) -> None:
-        self._dispatch(_GET_ROUTES, {})
+        self._dispatch(_GET_ROUTES)
 
     def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError:
-            return self._reply(400, {"error": "request body is not valid JSON"})
-        self._dispatch(_POST_ROUTES, payload)
+        self._dispatch(_POST_ROUTES)
 
 
 class StoreServer:

@@ -30,11 +30,9 @@ from typing import Iterable
 
 from ...obs import store_op
 from .base import (
-    DEFAULT_KEY_BATCH,
     SCHEMA_VERSION,
     CacheStats,
     GCReport,
-    RawEntry,
     chunked,
     encode_entry,
     entry_is_unreachable,
@@ -50,6 +48,10 @@ _BACKEND = "sqlite"
 #: within this granularity, and a batch whose hits are all fresh reads
 #: without opening a write transaction.
 TOUCH_GRANULARITY_S = 3600.0
+
+#: Rows per keyset page of the ``stats`` and ``gc`` scans: the most
+#: entries either pass holds in memory at once.
+_SCAN_PAGE = 500
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS entries (
@@ -208,73 +210,7 @@ class SqlitePackStore:
             op.add_bytes(written)
             return written
 
-    # -- raw entries --------------------------------------------------------
-
-    def get_entry(self, key: str) -> RawEntry | None:
-        return self.get_entry_many([key]).get(key)
-
-    def get_entry_many(self, keys: Iterable[str]) -> dict[str, RawEntry]:
-        wanted = list(dict.fromkeys(keys))
-        found: dict[str, RawEntry] = {}
-        if not wanted:
-            return found
-        with store_op(_BACKEND, "get_entry") as op:
-            conn = self._connect()
-            for chunk in chunked(wanted):
-                marks = ",".join("?" * len(chunk))
-                query = (
-                    f"SELECT key, entry, mtime FROM entries WHERE key IN ({marks})"
-                )
-                for key, text, mtime in conn.execute(query, chunk):
-                    try:
-                        entry = json.loads(text)
-                    except ValueError:
-                        continue
-                    if isinstance(entry, dict):
-                        found[key] = RawEntry(key=key, entry=entry, mtime=mtime)
-                        op.add_bytes(len(text))
-            return found
-
-    def put_entry(self, key: str, entry: dict, mtime: float | None = None) -> int:
-        raw = RawEntry(
-            key=key, entry=entry, mtime=time.time() if mtime is None else mtime
-        )
-        return self.put_entry_many([raw])
-
-    def put_entry_many(self, entries: Iterable[RawEntry]) -> int:
-        with store_op(_BACKEND, "put_entry") as op:
-            rows = []
-            written = 0
-            for raw in entries:
-                blob = encode_entry(raw.entry)
-                written += len(blob)
-                kind = str(raw.entry.get("kind", ""))
-                rows.append((raw.key, kind, blob, len(blob), raw.mtime))
-            if rows:
-                conn = self._connect()
-                conn.executemany(
-                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?)", rows
-                )
-                conn.commit()
-            op.add_bytes(written)
-            return written
-
     # -- maintenance --------------------------------------------------------
-
-    def iter_keys(
-        self, start_after: str | None = None, limit: int | None = None
-    ) -> list[str]:
-        page = DEFAULT_KEY_BATCH if limit is None else max(0, int(limit))
-        if page == 0:
-            return []
-        conn = self._connect()
-        # Keyset pagination: the primary-key index serves each page in
-        # O(log n + page) without ever materializing the full key set.
-        rows = conn.execute(
-            "SELECT key FROM entries WHERE key > ? ORDER BY key LIMIT ?",
-            ("" if start_after is None else start_after, page),
-        ).fetchall()
-        return [key for (key,) in rows]
 
     def size_bytes(self) -> int:
         conn = self._connect()
@@ -293,7 +229,7 @@ class SqlitePackStore:
             rows = conn.execute(
                 "SELECT key, entry, nbytes FROM entries WHERE key > ?"
                 " ORDER BY key LIMIT ?",
-                (cursor, DEFAULT_KEY_BATCH),
+                (cursor, _SCAN_PAGE),
             ).fetchall()
             if not rows:
                 break
@@ -302,7 +238,7 @@ class SqlitePackStore:
                     reclaimable_entries += 1
                     reclaimable_bytes += nbytes
             cursor = rows[-1][0]
-            if len(rows) < DEFAULT_KEY_BATCH:
+            if len(rows) < _SCAN_PAGE:
                 break
         return CacheStats(
             entries=entries,
@@ -351,7 +287,7 @@ class SqlitePackStore:
             rows = conn.execute(
                 "SELECT key, entry, nbytes, mtime FROM entries WHERE key > ?"
                 " ORDER BY key LIMIT ?",
-                (cursor, DEFAULT_KEY_BATCH),
+                (cursor, _SCAN_PAGE),
             ).fetchall()
             if not rows:
                 break
@@ -370,7 +306,7 @@ class SqlitePackStore:
                 conn.execute(f"DELETE FROM entries WHERE key IN ({marks})", doomed)
                 conn.commit()
             cursor = rows[-1][0]
-            if len(rows) < DEFAULT_KEY_BATCH:
+            if len(rows) < _SCAN_PAGE:
                 break
         # Pass 2: LRU eviction down to the byte budget.  The (mtime, key)
         # index hands back the oldest survivors page by page; no
@@ -382,7 +318,7 @@ class SqlitePackStore:
             while total > max_bytes:
                 rows = conn.execute(
                     "SELECT key, nbytes FROM entries ORDER BY mtime, key LIMIT ?",
-                    (DEFAULT_KEY_BATCH,),
+                    (_SCAN_PAGE,),
                 ).fetchall()
                 if not rows:
                     break

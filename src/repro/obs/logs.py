@@ -54,6 +54,19 @@ class JsonLineFormatter(logging.Formatter):
         return json.dumps(payload, sort_keys=True)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted, not
+    the stream it was at configuration time — that one may be closed by
+    then (a capture harness swapped it in and out again)."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> IO[str]:
+        return sys.stderr
+
+
 def get_logger(name: str = "") -> logging.Logger:
     """Logger under the ``repro.`` hierarchy (``get_logger("serve")`` →
     ``repro.serve``; an already-qualified ``repro...`` name passes
@@ -90,7 +103,9 @@ def configure_logging(
 
     Arguments override the ``REPRO_LOG`` / ``REPRO_LOG_FORMAT``
     environment knobs; idempotent, so tests and the CLI can call it
-    repeatedly with different settings.  Returns the root logger.
+    repeatedly with different settings.  Records go to ``stream`` when
+    one is given, else to the current ``sys.stderr`` at each emit.
+    Returns the root logger.
     """
     import os
 
@@ -105,7 +120,7 @@ def configure_logging(
         if getattr(handler, _HANDLER_TAG, False):
             root.removeHandler(handler)
 
-    handler = logging.StreamHandler(stream or sys.stderr)
+    handler = logging.StreamHandler(stream) if stream is not None else _StderrHandler()
     setattr(handler, _HANDLER_TAG, True)
     if fmt == "json":
         handler.setFormatter(JsonLineFormatter())

@@ -5,6 +5,7 @@ and engine stage timing."""
 import io
 import json
 import logging
+import sys
 import types
 import urllib.request
 
@@ -185,6 +186,21 @@ class TestLogging:
         # any embedder hooking the root logger) captures repro records
         # through it.
         assert root.propagate is True
+
+    def test_default_handler_writes_to_the_current_stderr(self, monkeypatch):
+        """Configured while a capture stream is ``sys.stderr``, the
+        handler must not keep it: a record logged after that stream was
+        closed and swapped out reaches the new ``sys.stderr``, with no
+        ``--- Logging error ---`` report."""
+        captured = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", captured)
+        configure_logging(level="info", fmt="text")
+        captured.close()
+        current = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", current)
+        get_logger("t").info("after the swap")
+        assert "I repro.t: after the swap" in current.getvalue()
+        assert "Logging error" not in current.getvalue()
 
     def test_bad_level_and_format_rejected(self):
         with pytest.raises(ValueError):
@@ -437,6 +453,28 @@ class TestCliTelemetry:
         assert "13/15 (87%)" in captured.err
         last = captured.err.rstrip("\n").rsplit("\r", 1)[-1]
         assert last.startswith("13/13 (100%)") and "eta" not in last
+
+    def test_adaptive_progress_and_quiet(self, tmp_path, monkeypatch, capsys):
+        """``adaptive`` honours the engine options' progress flags:
+        ``--progress`` draws the live line over the whole study grid,
+        ``--quiet`` prints nothing, and the default prints per-point
+        lines."""
+        argv = [
+            "adaptive", "sn54", "--routings", "default,ugal-l",
+            "--traffic", "RND", "--loads", "0.05,0.1", "--workers", "1",
+            "--warmup", "50", "--measure", "100", "--drain", "200",
+        ]
+        assert self.run_cli(argv + ["--progress"], tmp_path, monkeypatch) == 0
+        err = capsys.readouterr().err
+        assert "4/4 (100%)" in err and "sims 4" in err
+        assert "[1/" not in err
+        assert self.run_cli(argv + ["--quiet"], tmp_path, monkeypatch) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "4 cached, 0 simulated" in captured.out
+        assert self.run_cli(argv, tmp_path, monkeypatch) == 0
+        err = capsys.readouterr().err
+        assert "(cache)" in err and "(100%)" not in err
 
     def test_sweep_json_carries_stage_seconds(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "sweep.json"

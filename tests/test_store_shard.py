@@ -1,6 +1,7 @@
-"""Pluggable result stores (local + remote HTTP), raw-entry transfer,
+"""Pluggable result stores (local + remote HTTP), the wire protocol,
 auto-GC, pool lifecycle, and campaigns spread over the work queue."""
 
+import http.client
 import json
 import logging
 import os
@@ -14,6 +15,7 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from pack_entries import PackEntries
 
 from repro.engine import (
     ExperimentEngine,
@@ -30,15 +32,9 @@ from repro.engine import (
     run_sweep,
 )
 from repro.engine.spec import iter_spec_keys
-from repro.engine.store import (
-    DEFAULT_KEY_BATCH,
-    SCHEMA_VERSION,
-    RawEntry,
-    encode_entry,
-    iter_all_keys,
-    iter_key_pages,
-)
+from repro.engine.store import SCHEMA_VERSION, encode_entry
 from repro.engine.store import http as http_module
+from repro.engine.store.base import chunked
 from repro.engine.store.sqlite import TOUCH_GRANULARITY_S
 from repro.obs.metrics import REGISTRY
 
@@ -71,7 +67,8 @@ def remote_store(server, **overrides):
 def backend(request, tmp_path):
     """Both store implementations: the local pack, and the HTTP client
     against a live ephemeral-port server — the wire protocol passes the
-    same equivalence suite the local backend does."""
+    same equivalence suite the local backend does.  Either way the data
+    lives in ``store.sqlite`` (see the ``pack`` fixture)."""
     if request.param == "sqlite":
         yield SqlitePackStore(tmp_path / "store.sqlite")
     else:
@@ -81,10 +78,10 @@ def backend(request, tmp_path):
             yield remote_store(server)
 
 
-def set_mtime(backend, key, mtime):
-    """Backdate one entry's LRU timestamp on either backend."""
-    raw = backend.get_entry(key)
-    backend.put_entry(key, raw.entry, mtime=mtime)
+@pytest.fixture
+def pack(tmp_path):
+    """The entries table under the ``backend`` fixture's store."""
+    return PackEntries(tmp_path / "store.sqlite")
 
 
 class TestBackendEquivalence:
@@ -95,12 +92,6 @@ class TestBackendEquivalence:
         assert backend.get_payload("ab" * 32, "sim") == {"x": 1}
         assert backend.get_payload("ab" * 32, "other") is None
         assert backend.get_payload("cd" * 32, "sim") is None
-
-    def test_iter_keys_sorted(self, backend):
-        keys = ["ff" * 32, "aa" * 32, "0b" * 32]
-        for key in keys:
-            backend.put_payload(key, "sim", {"k": key})
-        assert list(backend.iter_keys()) == sorted(keys)
 
     def test_stats_counts_entries_and_bytes(self, backend):
         assert backend.stats().entries == 0
@@ -122,12 +113,11 @@ class TestBackendEquivalence:
         found = backend.get_payload_many(["aa" * 32, "bb" * 32, "cc" * 32], "sim")
         assert found == {"aa" * 32: {"x": 1}}
 
-    def test_gc_unreachable_schema(self, backend):
+    def test_gc_unreachable_schema(self, backend, pack):
         backend.put_payload("aa" * 32, "sim", {"x": 1})
-        raw = backend.get_entry("aa" * 32)
-        entry = dict(raw.entry)
+        entry = pack.entry("aa" * 32)
         entry["schema"] = SCHEMA_VERSION + 1
-        backend.put_entry("aa" * 32, entry)
+        pack.write("aa" * 32, entry)
         backend.put_payload("bb" * 32, "sim", {"x": 2})
         stats = backend.stats()
         assert stats.reclaimable_entries == 1
@@ -135,23 +125,22 @@ class TestBackendEquivalence:
         assert report.removed_entries == 1
         assert backend.get_payload("bb" * 32, "sim") is not None
 
-    def test_gc_lru_order_and_max_bytes(self, backend):
+    def test_gc_lru_order_and_max_bytes(self, backend, pack):
         now = time.time()
         for i, key in enumerate(["aa" * 32, "bb" * 32, "cc" * 32]):
             backend.put_payload(key, "sim", {"x": i})
-            set_mtime(backend, key, now - 3600 + i)
-        keep = backend.get_entry("cc" * 32)
-        keep_bytes = len(encode_entry(keep.entry))
+            pack.set_mtime(key, now - 3600 + i)
+        keep_bytes = len(pack.text("cc" * 32))
         report = backend.gc(max_bytes=keep_bytes, now=now)
         assert report.removed_entries == 2
         assert backend.get_payload("cc" * 32, "sim") is not None
         assert backend.get_payload("aa" * 32, "sim") is None
 
-    def test_gc_max_age(self, backend):
+    def test_gc_max_age(self, backend, pack):
         now = time.time()
         backend.put_payload("aa" * 32, "sim", {"x": 1})
         backend.put_payload("bb" * 32, "sim", {"x": 2})
-        set_mtime(backend, "aa" * 32, now - 10 * 86400)
+        pack.set_mtime("aa" * 32, now - 10 * 86400)
         report = backend.gc(max_age_days=7, now=now)
         assert report.removed_entries == 1
         assert backend.get_payload("bb" * 32, "sim") is not None
@@ -177,12 +166,12 @@ class TestBackendEquivalence:
             backend.gc(**limits)
         assert backend.get_payload("aa" * 32, "sim") == {"x": 1}
 
-    def test_hit_refreshes_lru_position(self, backend):
+    def test_hit_refreshes_lru_position(self, backend, pack):
         now = time.time()
         backend.put_payload("aa" * 32, "sim", {"x": 1})
-        set_mtime(backend, "aa" * 32, now - 10 * 86400)
+        pack.set_mtime("aa" * 32, now - 10 * 86400)
         assert backend.get_payload("aa" * 32, "sim") is not None
-        assert backend.get_entry("aa" * 32).mtime > now - 86400
+        assert pack.mtime("aa" * 32) > now - 86400
 
     def test_size_bytes_matches_stats(self, backend):
         assert backend.size_bytes() == 0
@@ -212,29 +201,27 @@ class TestTouchGranularity:
     FRESH = "aa" * 32
     STALE = "bb" * 32
 
-    def seed(self, backend, now):
-        for i, key in enumerate((self.FRESH, self.STALE)):
-            backend.put_payload(key, "sim", {"x": i})
-        set_mtime(backend, self.FRESH, now - TOUCH_GRANULARITY_S / 2)
-        set_mtime(backend, self.STALE, now - 2 * TOUCH_GRANULARITY_S)
-
     def check(self, reader, pack):
         """``reader`` serves the gets; ``pack`` is the SQLite file under it."""
         now = time.time()
-        self.seed(reader, now)
+        rows = PackEntries(pack.path)
+        for i, key in enumerate((self.FRESH, self.STALE)):
+            reader.put_payload(key, "sim", {"x": i})
+        rows.set_mtime(self.FRESH, now - TOUCH_GRANULARITY_S / 2)
+        rows.set_mtime(self.STALE, now - 2 * TOUCH_GRANULARITY_S)
         conn = pack._connect()
         changes = conn.total_changes
         assert reader.get_payload_many([self.FRESH], "sim") == {self.FRESH: {"x": 0}}
         assert conn.total_changes == changes
         assert not conn.in_transaction
-        assert pack.get_entry(self.FRESH).mtime == now - TOUCH_GRANULARITY_S / 2
+        assert rows.mtime(self.FRESH) == now - TOUCH_GRANULARITY_S / 2
 
         found = reader.get_payload_many([self.FRESH, self.STALE], "sim")
         assert set(found) == {self.FRESH, self.STALE}
         assert conn.total_changes == changes + 1  # the stale row only
         assert not conn.in_transaction
-        assert pack.get_entry(self.FRESH).mtime == now - TOUCH_GRANULARITY_S / 2
-        assert pack.get_entry(self.STALE).mtime >= now
+        assert rows.mtime(self.FRESH) == now - TOUCH_GRANULARITY_S / 2
+        assert rows.mtime(self.STALE) >= now
 
     def test_local_pack(self, tmp_path):
         pack = SqlitePackStore(tmp_path / "store.sqlite")
@@ -245,21 +232,21 @@ class TestTouchGranularity:
         with StoreServer(pack, quiet=True) as server:
             self.check(remote_store(server), pack)
 
-    def test_gc_evicts_in_mtime_order_across_the_boundary(self, backend):
+    def test_gc_evicts_in_mtime_order_across_the_boundary(self, backend, pack):
         now = time.time()
         stale, fresh, newest = "aa" * 32, "bb" * 32, "cc" * 32
         ages = {stale: 2.0, fresh: 0.5, newest: 0.25}
         for i, (key, age) in enumerate(ages.items()):
             backend.put_payload(key, "sim", {"x": i})
-            set_mtime(backend, key, now - age * TOUCH_GRANULARITY_S)
+            pack.set_mtime(key, now - age * TOUCH_GRANULARITY_S)
         # One read: the stale entry jumps to "now", the fresh ones keep
         # their stamps, so the LRU order becomes fresh < newest < stale.
         assert len(backend.get_payload_many(list(ages), "sim")) == 3
-        size = len(encode_entry(backend.get_entry(stale).entry))
+        size = len(pack.text(stale))
         assert backend.gc(max_bytes=2 * size).removed_entries == 1
-        assert sorted(backend.iter_keys()) == [stale, newest]
+        assert pack.keys() == [stale, newest]
         assert backend.gc(max_bytes=size).removed_entries == 1
-        assert list(backend.iter_keys()) == [stale]
+        assert pack.keys() == [stale]
 
 
 class TestBackendCrossEquivalence:
@@ -275,13 +262,14 @@ class TestBackendCrossEquivalence:
             remote = remote_store(server)
             for store in (default, pack, remote):
                 ExperimentEngine(cache=ResultCache(backend=store)).run(specs)
-            keys = list(default.iter_keys())
-            assert keys == sorted(iter_spec_keys(specs))
-            assert list(pack.iter_keys()) == list(remote.iter_keys()) == keys
-            for key in keys:
-                encoded = default.get_entry(key).encoded()
-                assert pack.get_entry(key).encoded() == encoded
-                assert remote.get_entry(key).encoded() == encoded
+        rows = [PackEntries(store.path) for store in (default, pack, served)]
+        keys = rows[0].keys()
+        assert keys == sorted(iter_spec_keys(specs))
+        assert rows[1].keys() == rows[2].keys() == keys
+        for key in keys:
+            encoded = rows[0].text(key)
+            assert rows[1].text(key) == encoded
+            assert rows[2].text(key) == encoded
 
     def test_open_backend_dispatch(self, tmp_path):
         """Every accepted location form (the rejected ones are below)."""
@@ -332,7 +320,8 @@ class TestBackendCrossEquivalence:
         b = SqlitePackStore(tmp_path / "pack.sqlite")
         a.put_payload("aa" * 32, "sim", {"x": 1})
         b.put_payload("bb" * 32, "sim", {"x": 2})
-        assert list(a.iter_keys()) == list(b.iter_keys())
+        assert a.get_payload("bb" * 32, "sim") == {"x": 2}
+        assert b.get_payload("aa" * 32, "sim") == {"x": 1}
         report = a.gc(max_bytes=0)
         assert report.removed_entries == 2
         assert b.stats().entries == 0
@@ -352,12 +341,12 @@ class TestBackendCrossEquivalence:
         engine.run([spec])
         assert engine.last_stats.executed == 1
         assert cache.backend.path.is_file()
-        assert list(cache.backend.iter_keys()) == [key]
+        assert PackEntries(cache.backend.path).keys() == [key]
 
 
 class TestRemoteStore:
     """Wire-protocol behavior beyond the shared backend-equivalence
-    suite: auth, retry/backoff, offline errors, raw-entry transport."""
+    suite: auth, retry/backoff, malformed requests, offline errors."""
 
     @pytest.fixture
     def server(self, tmp_path):
@@ -423,7 +412,7 @@ class TestRemoteStore:
         server.inject_failures(10)
         store = remote_store(server, sleep=lambda _s: None)
         with pytest.raises(RemoteStoreError, match="unreachable after 2"):
-            store.iter_keys()
+            store.stats()
 
     @pytest.mark.parametrize(
         "endpoint, body",
@@ -444,6 +433,40 @@ class TestRemoteStore:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request)
         assert err.value.code == 400
+
+    def test_malformed_content_length_is_a_client_error(self, tmp_path):
+        """A ``Content-Length`` that is not a non-negative integer gets a
+        counted 400 and nothing is read: no handler thread is left
+        waiting on the socket, so ``close()`` returns promptly while the
+        client connections are still open."""
+        server = StoreServer(SqlitePackStore(tmp_path / "s.sqlite"), quiet=True)
+        server.start()
+        before = REGISTRY.value(
+            "repro_server_requests_total", endpoint="/stats", method="POST"
+        )
+        connections = []
+        try:
+            for length in ("abc", "-1"):
+                conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+                connections.append(conn)
+                conn.putrequest("POST", "/stats")
+                conn.putheader("Content-Length", length)
+                conn.endheaders()
+                response = conn.getresponse()
+                assert response.status == 400
+                error = json.loads(response.read())["error"]
+                assert error == f"invalid Content-Length {length!r}"
+        finally:
+            started = time.monotonic()
+            server.close()
+            closed_in = time.monotonic() - started
+            for conn in connections:
+                conn.close()
+        assert closed_in < 2.0
+        after = REGISTRY.value(
+            "repro_server_requests_total", endpoint="/stats", method="POST"
+        )
+        assert after - before == 2
 
     def test_client_error_is_not_retried(self, server):
         store = remote_store(server, retries=4)
@@ -468,27 +491,6 @@ class TestRemoteStore:
         store = RemoteStore(url, retries=2, backoff=0, sleep=lambda _s: None)
         with pytest.raises(RemoteStoreError, match="repro serve"):
             store.stats()
-
-    def test_entry_round_trip_is_byte_identical(self, tmp_path, server):
-        """local pack -> remote -> fresh local pack through the raw-entry
-        calls preserves canonical bytes and LRU timestamps: the network
-        is a transport, not a transform."""
-        source = SqlitePackStore(tmp_path / "src.sqlite")
-        ExperimentEngine(cache=ResultCache(backend=source)).run(
-            [fast_spec(), fast_spec(load=0.08)]
-        )
-        keys = source.iter_keys()
-        backdated = keys[0]
-        old = time.time() - 3 * 86400
-        source.put_entry(backdated, source.get_entry(backdated).entry, mtime=old)
-
-        remote = remote_store(server)
-        remote.put_entry_many(source.get_entry_many(keys).values())
-        out = SqlitePackStore(tmp_path / "out.sqlite")
-        out.put_entry_many(remote.get_entry_many(keys).values())
-        for key in keys:
-            assert out.get_entry(key).encoded() == source.get_entry(key).encoded()
-        assert abs(out.get_entry(backdated).mtime - old) < 2.0
 
     def test_concurrent_writers_share_one_live_endpoint(self, server):
         """Two engines write disjoint halves of one sweep into the same
@@ -812,171 +814,33 @@ def _alive(pid: int) -> bool:
         return True
 
 
-class TestCursoredIteration:
-    """The redesigned ``iter_keys`` contract on every backend: one
-    sorted bounded page per call, resumable via ``start_after``."""
-
-    def seed(self, backend, n=7):
-        keys = [f"{i:02d}" + "ab" * 31 for i in range(n)]
-        for key in keys:
-            backend.put_payload(key, "sim", {"k": key})
-        return keys
-
-    def test_empty_store_yields_empty_page(self, backend):
-        assert backend.iter_keys() == []
-        assert backend.iter_keys(start_after="zz" * 32, limit=5) == []
-        assert list(iter_all_keys(backend)) == []
-
-    def test_start_after_past_last_key(self, backend):
-        keys = self.seed(backend)
-        assert backend.iter_keys(start_after=keys[-1]) == []
-        assert backend.iter_keys(start_after="zz" * 32) == []
-
-    def test_limit_one_pages_through_everything(self, backend):
-        keys = self.seed(backend)
-        seen = []
-        cursor = None
-        for _ in range(len(keys) + 2):
-            page = backend.iter_keys(start_after=cursor, limit=1)
-            if not page:
-                break
-            assert len(page) == 1
-            seen.extend(page)
-            cursor = page[-1]
-        assert seen == sorted(keys)
-
-    def test_pages_partition_the_key_space(self, backend):
-        keys = self.seed(backend)
-        pages = list(iter_key_pages(backend, batch=3))
-        assert [len(p) for p in pages] == [3, 3, 1]
-        assert [k for page in pages for k in page] == sorted(keys)
-
-    def test_limit_zero_is_empty_not_unbounded(self, backend):
-        self.seed(backend)
-        assert backend.iter_keys(limit=0) == []
-
-    def test_cursor_survives_concurrent_writes(self, backend):
-        """Keyset semantics: entries added or removed behind an
-        in-flight cursor never make it skip or re-serve keys at or
-        before the cursor."""
-        keys = self.seed(backend, n=6)
-        first = backend.iter_keys(limit=3)
-        assert first == sorted(keys)[:3]
-        # A writer lands a key *behind* the cursor and one ahead of it.
-        behind = "00" + "ff" * 31
-        ahead = "98" + "ff" * 31
-        backend.put_payload(behind, "sim", {"k": "behind"})
-        backend.put_payload(ahead, "sim", {"k": "ahead"})
-        rest = []
-        cursor = first[-1]
-        while True:
-            page = backend.iter_keys(start_after=cursor, limit=3)
-            if not page:
-                break
-            rest.extend(page)
-            cursor = page[-1]
-        assert rest == sorted(keys)[3:] + [ahead]  # ahead seen, behind not
-        assert behind not in rest
-        full = list(iter_all_keys(backend))
-        assert full == sorted(keys + [behind, ahead])
-
-
-class CappedBackend:
-    """Delegating backend that fails the test on any single key fetch
-    larger than the cap — the store-level batch-size assertion."""
-
-    def __init__(self, inner, cap):
-        self.inner = inner
-        self.cap = cap
-        self.location = inner.location
-        self.max_seen = 0
-        self.pages = 0
-
-    def _check(self, n):
-        self.max_seen = max(self.max_seen, n)
-        assert n <= self.cap, f"key fetch of {n} keys exceeds cap {self.cap}"
-
-    def iter_keys(self, start_after=None, limit=None):
-        page = list(self.inner.iter_keys(start_after=start_after, limit=limit))
-        self._check(len(page))
-        self.pages += 1
-        return page
-
-    def get_entry_many(self, keys):
-        keys = list(keys)
-        self._check(len(keys))
-        return self.inner.get_entry_many(keys)
-
-    def get_payload_many(self, keys, kind):
-        keys = list(keys)
-        self._check(len(keys))
-        return self.inner.get_payload_many(keys, kind)
-
-    def put_entry_many(self, entries):
-        entries = list(entries)
-        self._check(len(entries))
-        return self.inner.put_entry_many(entries)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
 class TestBoundedIterationAt50k:
-    """The acceptance bound: a 50k-entry store's stats, gc, and a
-    page-by-page copy complete with every key fetch capped at 512 keys."""
+    """A 50k-entry pack, filled in batches of 500, reports its stats and
+    empties fully through gc; both page over the pack internally."""
 
-    CAP = 512
     N = 50_000
 
-    def entries(self):
-        now = time.time()
-        for i in range(self.N):
-            # No "spec" field: reachable under every schema check, and
-            # small enough that 50k of them build in a few seconds.
-            yield RawEntry(
-                key=f"{i:08x}" + "00" * 28,
-                entry={"schema": SCHEMA_VERSION, "kind": "sim", "result": {"i": i}},
-                mtime=now - (self.N - i),
-            )
-
-    def fill(self, backend):
-        chunk = []
-        for raw in self.entries():
-            chunk.append(raw)
-            if len(chunk) == 500:
-                backend.put_entry_many(chunk)
-                chunk = []
-        if chunk:
-            backend.put_entry_many(chunk)
-
-    def test_sqlite_stats_copy_gc_stay_bounded(self, tmp_path):
+    def test_sqlite_stats_gc_stay_bounded(self, tmp_path):
         pack = SqlitePackStore(tmp_path / "big.sqlite")
-        self.fill(pack)
+        # No "spec" field: reachable under every schema check, and small
+        # enough that 50k of them build in a few seconds.
+        items = [
+            (f"{i:08x}" + "00" * 28, "sim", {"i": i}, None) for i in range(self.N)
+        ]
+        for batch in chunked(items):
+            pack.put_payload_many(batch)
 
-        source = CappedBackend(pack, self.CAP)
-        stats = source.stats()
+        stats = pack.stats()
         assert stats.entries == self.N
         assert stats.reclaimable_entries == 0
-
-        # The flat key stream pages the source through capped cursors.
-        assert sum(1 for _ in iter_all_keys(source)) == self.N
-        assert source.pages >= self.N // DEFAULT_KEY_BATCH
-
-        # A raw-entry copy, one cursored page at a time, both sides capped.
-        destination = CappedBackend(SqlitePackStore(tmp_path / "dst.sqlite"), self.CAP)
-        for keys in iter_key_pages(source):
-            destination.put_entry_many(source.get_entry_many(keys).values())
-        assert destination.stats().entries == self.N
-
-        # SQLite gc pages internally; both packs still empty fully.
-        for store in (pack, destination):
-            assert store.gc(max_bytes=0).removed_entries == self.N
-            assert store.stats().entries == 0
-        assert source.max_seen <= self.CAP
-        assert destination.max_seen <= self.CAP
+        assert pack.gc(max_bytes=0).removed_entries == self.N
+        assert pack.stats().entries == 0
 
 
 class TestWireProtocolV2:
+    """The endpoint set: since protocol 2 there is no full key dump, and
+    since protocol 3 no key listing and no raw-entry calls."""
+
     @pytest.fixture
     def server(self, tmp_path):
         with StoreServer(
@@ -987,22 +851,18 @@ class TestWireProtocolV2:
     def test_health_advertises_protocol(self, server):
         health = remote_store(server).ping()
         assert health["protocol"] == http_module.PROTOCOL_VERSION
-        assert health["protocol"] >= 2
+        assert health["protocol"] == 3
 
-    def test_keys_list_pages_and_next_cursor(self, server):
+    def test_transfer_endpoints_are_gone(self, server):
+        """Protocol 3 dropped the key listing and the raw-entry calls."""
         store = remote_store(server)
-        keys = [f"{i:02d}" + "cd" * 31 for i in range(5)]
-        for key in keys:
-            store.put_payload(key, "sim", {"k": key})
-        first = store._call("keys/list", {"start_after": None, "limit": 2})
-        assert first["keys"] == keys[:2]
-        assert first["next"] == keys[1]
-        second = store._call("keys/list", {"start_after": first["next"], "limit": 9})
-        assert second["keys"] == keys[2:]
-        assert second["next"] is None
+        store.put_payload("aa" * 32, "sim", {"x": 1})
+        for endpoint in ("keys/list", "entries/get", "entries/put"):
+            with pytest.raises(RemoteStoreError, match="HTTP 404"):
+                store._call(endpoint, {"keys": ["aa" * 32]})
 
     def test_full_key_dump_endpoint_is_gone(self, server):
-        """Keys are served only a bounded page at a time."""
+        """No endpoint dumps the key set."""
         with pytest.raises(RemoteStoreError, match="HTTP 404"):
             remote_store(server)._call("keys")
 

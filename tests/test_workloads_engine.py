@@ -7,6 +7,7 @@ import time
 from dataclasses import asdict
 
 import pytest
+from pack_entries import PackEntries
 
 from repro.analysis import edp_table, workload_table
 from repro.engine import (
@@ -180,16 +181,15 @@ class TestCacheGC:
 
     @staticmethod
     def backdate(cache, spec, stamp):
-        """Set one entry's LRU timestamp through the raw-entry API."""
-        key = spec.content_hash()
-        cache.backend.put_entry(key, cache.backend.get_entry(key).entry, mtime=stamp)
+        """Set one entry's LRU timestamp in the pack under ``cache``."""
+        PackEntries(cache.backend.path).set_mtime(spec.content_hash(), stamp)
 
     def test_max_bytes_keeps_most_recent(self, tmp_path):
         cache, specs = self.fill(tmp_path)
         # Spread mtimes, oldest first, then re-read one to bump its LRU slot.
         for i, spec in enumerate(specs):
             self.backdate(cache, spec, time.time() - 3600 + i)
-        keep_size = len(cache.backend.get_entry(specs[-1].content_hash()).encoded())
+        keep_size = len(PackEntries(cache.backend.path).text(specs[-1].content_hash()))
         report = cache.gc(max_bytes=keep_size)
         assert report.removed_entries == len(specs) - 1
         assert cache.get(specs[-1]) is not None  # newest mtime survived
@@ -221,14 +221,16 @@ class TestCacheGC:
         old = time.time() - 10 * 86400
         self.backdate(cache, specs[0], old)
         assert cache.get(specs[0]) is not None  # hit refreshes LRU position
-        assert cache.backend.get_entry(specs[0].content_hash()).mtime > old + 86400
+        stamp = PackEntries(cache.backend.path).mtime(specs[0].content_hash())
+        assert stamp > old + 86400
 
     def test_unreachable_versions_reclaimable_and_collected(self, tmp_path):
         cache, specs = self.fill(tmp_path, n=2)
         key = specs[0].content_hash()
-        entry = cache.backend.get_entry(key).entry
+        rows = PackEntries(cache.backend.path)
+        entry = rows.entry(key)
         entry["spec"]["spec_version"] = 2  # superseded spec version
-        cache.backend.put_entry(key, entry)
+        rows.write(key, entry)
         stats = cache.stats()
         assert stats.reclaimable_entries == 1
         assert stats.reclaimable_bytes > 0
