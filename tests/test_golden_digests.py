@@ -24,13 +24,14 @@ from pathlib import Path
 import pytest
 
 from repro.engine.campaign import traffic_for_token
-from repro.engine.spec import ExperimentSpec, SyntheticTraffic
+from repro.engine.spec import ExperimentSpec, SyntheticTraffic, WorkloadTraffic
 from repro.sim import NoCSimulator, SimConfig, cbr, eb_var, el_links
 from repro.topos import make_network
 from repro.traffic import SyntheticSource
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "sim_digests.json"
 ADAPTIVE_GOLDEN_PATH = Path(__file__).parent / "golden" / "adaptive_digests.json"
+WORKLOAD_GOLDEN_PATH = Path(__file__).parent / "golden" / "workload_digests.json"
 SPEC_HASH_PATH = Path(__file__).parent / "golden" / "spec_hashes.json"
 
 CONFIGS = {
@@ -88,6 +89,20 @@ ADAPTIVE_MATRIX: list[tuple[str, str, str, str, float, int, int, int, int]] = [
 ]
 
 
+#: (topology, benchmark, intensity scale, config key, seed, warmup,
+#: measure, drain).  Request/reply traffic through ``ExperimentSpec.execute``:
+#: reads inject replies at their destination, so these rows pin reply
+#: injection and the ejection order of two packet kinds.  Every row tracks
+#: at most ``LATENCY_HISTOGRAM_THRESHOLD`` packets, so the raw latency list
+#: (ejection-FIFO order, not a histogram) is what gets hashed, and the
+#: scaled intensities make the CBR rows spill into the central buffer.
+WORKLOAD_MATRIX: list[tuple[str, str, float, str, int, int, int, int]] = [
+    (topo, bench, scale, cfg, 1, 80, 200, 600)
+    for topo, bench, scale in (("sn54", "radix", 4.0), ("fbf3", "radix", 1.3))
+    for cfg in ("eb", "el", "cbr12")
+]
+
+
 def case_id(case: tuple) -> str:
     topo, pattern, cfg, load, seed, warmup, measure, drain = case
     return f"{topo}/{pattern}/{cfg}/load={load:g}/seed={seed}/{warmup}+{measure}+{drain}"
@@ -114,6 +129,26 @@ def adaptive_spec(case: tuple) -> ExperimentSpec:
         measure=measure,
         drain=drain,
     )
+
+
+def workload_case_id(case: tuple) -> str:
+    topo, bench, scale, cfg, seed, warmup, measure, drain = case
+    return f"{topo}/{bench}:x{scale:g}/{cfg}/seed={seed}/{warmup}+{measure}+{drain}"
+
+
+def run_workload_case(case: tuple) -> dict:
+    topo, bench, scale, cfg, seed, warmup, measure, drain = case
+    spec = ExperimentSpec(
+        topology=topo,
+        source=WorkloadTraffic(bench, scale),
+        config=CONFIGS[cfg](),
+        routing="default",
+        seed=seed,
+        warmup=warmup,
+        measure=measure,
+        drain=drain,
+    )
+    return spec.execute().to_dict()
 
 
 def run_adaptive_case(case: tuple) -> dict:
@@ -173,6 +208,25 @@ def test_adaptive_case_matches_golden_digest(case):
 def test_adaptive_matrix_and_golden_file_agree():
     golden = load_adaptive_golden()
     assert sorted(golden) == sorted(adaptive_case_id(c) for c in ADAPTIVE_MATRIX)
+
+
+def load_workload_golden() -> dict[str, str]:
+    return json.loads(WORKLOAD_GOLDEN_PATH.read_text())["digests"]
+
+
+@pytest.mark.parametrize("case", WORKLOAD_MATRIX, ids=workload_case_id)
+def test_workload_case_matches_golden_digest(case):
+    golden = load_workload_golden()
+    cid = workload_case_id(case)
+    assert cid in golden, "regenerate tests/golden/workload_digests.json"
+    payload = run_workload_case(case)
+    assert "latencies" in payload, "row must hash the raw latency order"
+    assert digest(payload) == golden[cid]
+
+
+def test_workload_matrix_and_golden_file_agree():
+    golden = load_workload_golden()
+    assert sorted(golden) == sorted(workload_case_id(c) for c in WORKLOAD_MATRIX)
 
 
 def test_adaptive_specs_serialize_as_version_4():
@@ -256,15 +310,38 @@ def regenerate_adaptive() -> None:
     print(f"wrote {len(digests)} digests to {ADAPTIVE_GOLDEN_PATH}")
 
 
+def regenerate_workload() -> None:
+    digests = {}
+    for case in WORKLOAD_MATRIX:
+        payload = run_workload_case(case)
+        digests[workload_case_id(case)] = digest(payload)
+        print(f"{workload_case_id(case)}  cycles={payload['cycles']}"
+              f" delivered={payload['delivered_packets']}")
+    WORKLOAD_GOLDEN_PATH.write_text(json.dumps(
+        {"note": "sha256 over canonical SimResult.to_dict() JSON for "
+                 "request/reply workload traffic (run via "
+                 "ExperimentSpec.execute, raw latency order); regenerate "
+                 "only on intentional semantic changes",
+         "digests": digests},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {WORKLOAD_GOLDEN_PATH}")
+
+
 if __name__ == "__main__":
     import sys
 
-    if "--regen-adaptive" in sys.argv:
+    if "--regen-workload" in sys.argv:
+        # New rows only: the classic and adaptive files stay as recorded.
+        regenerate_workload()
+    elif "--regen-adaptive" in sys.argv:
         # The adaptive corpus alone — the classic 28-case file is append-
         # only history and must stay byte-identical across spec versions.
         regenerate_adaptive()
     elif "--regen" in sys.argv:
         regenerate()
         regenerate_adaptive()
+        regenerate_workload()
     else:
-        raise SystemExit("refusing to run without --regen / --regen-adaptive")
+        raise SystemExit(
+            "refusing to run without --regen / --regen-adaptive / --regen-workload"
+        )
