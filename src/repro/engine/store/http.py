@@ -110,6 +110,13 @@ PROTOCOL_VERSION = 3
 #: Default ``repro serve`` bind (the README's rendezvous examples).
 DEFAULT_PORT = 8123
 
+#: Seconds a served-store handler waits on any one socket read or write.
+#: Well under the client's 30 s request timeout: a POST that declares more
+#: body than it sends gets 408 after this long instead of pinning its
+#: handler thread (and ``StoreServer.close()``, which joins it) until the
+#: client hangs up.
+HANDLER_SOCKET_TIMEOUT_S = 5.0
+
 #: Transient HTTP statuses worth retrying: timeouts, throttling, and
 #: server-side 5xx.  Auth failures and client errors are permanent.
 _RETRY_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
@@ -441,6 +448,8 @@ class _StoreHandler(BaseHTTPRequestHandler):
     """
 
     server_version = f"repro-store/{PROTOCOL_VERSION}"
+    # StreamRequestHandler applies this to the connection socket.
+    timeout = HANDLER_SOCKET_TIMEOUT_S
 
     def log_message(self, fmt: str, *args) -> None:
         # Request lines ride the repro.* logger hierarchy (visible once
@@ -543,7 +552,8 @@ class _StoreHandler(BaseHTTPRequestHandler):
         Raises ``ValueError`` for a ``Content-Length`` that is not a
         non-negative integer, before reading anything (``rfile.read(-1)``
         would block until the client hangs up), and for a body that is
-        not JSON.
+        not JSON; ``TimeoutError`` when the declared body does not arrive
+        within :data:`HANDLER_SOCKET_TIMEOUT_S`.
         """
         if self.command != "POST":
             return {}
@@ -565,6 +575,9 @@ class _StoreHandler(BaseHTTPRequestHandler):
             payload = self._read_payload()
         except ValueError as exc:
             return self._reply(400, {"error": str(exc)})
+        except TimeoutError:
+            self.close_connection = True
+            return self._reply(408, {"error": "request body timed out"})
         if self._fault_injected(path):
             headers = None
             if self.server.fail_retry_after is not None:
@@ -669,8 +682,9 @@ class StoreServer:
         # Non-daemon + block_on_close: server_close() joins in-flight
         # request threads, so close() really does drain before it
         # persists queue state and closes the backend.  Handler threads
-        # are short-lived (HTTP/1.0, one request per connection), so
-        # the join is bounded by one request's service time.
+        # are short-lived (HTTP/1.0, one request per connection) and
+        # every socket wait is capped at HANDLER_SOCKET_TIMEOUT_S, so the
+        # join is bounded by one request's service time plus that cap.
         self._httpd.daemon_threads = False
         self._httpd.backend = backend
         self._httpd.token = token

@@ -75,9 +75,14 @@ class CreditLink:
 class ElasticLink:
     """Pipeline of elastic stages; per-VC slots, one advance per stage/cycle.
 
-    The downstream router drains stage ``latency - 1`` through
-    :meth:`pop_ready`; the upstream router offers flits via
-    :meth:`can_accept` / :meth:`push`.
+    ``stages[s]`` maps a VC to the flit in stage ``s``'s slave latch and
+    ``rr[s]`` is that stage's master-latch round-robin pointer.  ``busy``
+    lists the indices of the non-empty stages in descending order, so a
+    cycle of motion walks only the stages that hold flits.  The upstream
+    router offers flits via :meth:`can_accept` / :meth:`push`; the
+    downstream router drains stage ``latency - 1`` inside :meth:`advance`.
+    :class:`~repro.sim.NoCSimulator` open-codes :meth:`advance` over this
+    same state, so the two must move flits identically.
     """
 
     def __init__(self, latency: int, num_vcs: int):
@@ -85,26 +90,32 @@ class ElasticLink:
             raise ValueError("link latency must be >= 1")
         self.latency = latency
         self.num_vcs = num_vcs
-        # stages[s][vc] is the flit in stage s's slave latch for vc.
         self.stages: list[dict[int, Flit]] = [{} for _ in range(latency)]
-        self._rr = [0] * latency  # round-robin pointer per stage's master latch
-        self._in_flight = 0  # incrementally maintained across push/advance
+        self.rr = [0] * latency
+        self.busy: list[int] = []
+        #: ``orders[p]``: the VCs in round-robin order from pointer ``p``.
+        self.orders = _vc_orders(num_vcs)
 
     def can_accept(self, vc: int) -> bool:
         return vc not in self.stages[0]
 
     def push(self, flit: Flit, vc: int) -> None:
-        if vc in self.stages[0]:
+        stage = self.stages[0]
+        if vc in stage:
             raise RuntimeError("elastic stage 0 busy for this VC")
-        self.stages[0][vc] = flit
-        self._in_flight += 1
+        if not stage:
+            self.busy.append(0)  # the lowest index: ``busy`` stays descending
+        stage[vc] = flit
 
     def advance(self, downstream_free) -> list[tuple[Flit, int]]:
-        """One cycle of pipeline motion, last stage first.
+        """One cycle of pipeline motion over the occupied stages, last first.
 
-        Each non-empty stage round-robins over the VCs whose flit can move
-        forward (inlined here — this runs once per in-flight link per
-        cycle, the elastic hot path).
+        Each occupied stage moves at most one flit (the shared master
+        latch): the first VC in round-robin order whose flit can go
+        forward.  A stage's content is unchanged until it is visited
+        (only stage ``s`` and ``s + 1`` change while ``s`` is visited), so
+        walking the stages occupied at the start of the cycle is the
+        same as walking all of them.
 
         Args:
             downstream_free: callable ``(vc) -> bool`` — can the router's
@@ -115,34 +126,40 @@ class ElasticLink:
         """
         delivered: list[tuple[Flit, int]] = []
         stages = self.stages
-        rr = self._rr
-        num_vcs = self.num_vcs
+        rr = self.rr
         last = self.latency - 1
-        for stage_index in range(last, -1, -1):
-            stage = stages[stage_index]
-            if not stage:
-                continue
-            next_stage = stages[stage_index + 1] if stage_index != last else None
-            start = rr[stage_index]
-            for offset in range(num_vcs):
-                vc = (start + offset) % num_vcs
-                if vc not in stage:
-                    continue
-                if next_stage is None:
-                    if not downstream_free(vc):
-                        continue
-                    rr[stage_index] = (vc + 1) % num_vcs
-                    delivered.append((stage.pop(vc), vc))
-                    self._in_flight -= 1
-                    break
-                if vc not in next_stage:
-                    rr[stage_index] = (vc + 1) % num_vcs
-                    next_stage[vc] = stage.pop(vc)
-                    break
+        busy: list[int] = []
+        for s in self.busy:
+            stage = stages[s]
+            order = self.orders[rr[s]]
+            if s == last:
+                for vc in order:
+                    if vc in stage and downstream_free(vc):
+                        delivered.append((stage.pop(vc), vc))
+                        rr[s] = (vc + 1) % self.num_vcs
+                        break
+            else:
+                forward = stages[s + 1]
+                for vc in order:
+                    if vc in stage and vc not in forward:
+                        forward[vc] = stage.pop(vc)
+                        rr[s] = (vc + 1) % self.num_vcs
+                        if not busy or busy[-1] != s + 1:
+                            busy.append(s + 1)
+                        break
+            if stage:
+                busy.append(s)
+        self.busy = busy
         return delivered
 
     @property
     def in_flight(self) -> int:
-        """Flits anywhere in the pipeline — an O(1) counter, not a scan
-        (the simulator polls this per active link per cycle)."""
-        return self._in_flight
+        """Flits anywhere in the pipeline (a sum over the occupied stages)."""
+        stages = self.stages
+        return sum(len(stages[s]) for s in self.busy)
+
+
+def _vc_orders(num_vcs: int) -> tuple[tuple[int, ...], ...]:
+    """Every round-robin visiting order of ``num_vcs`` VCs, by start VC."""
+    vcs = range(num_vcs)
+    return tuple(tuple((start + k) % num_vcs for k in vcs) for start in vcs)

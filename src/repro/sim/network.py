@@ -35,6 +35,18 @@ order the naive lockstep core used, and skipped cycles consume the
 injection RNG identically, so results are bit-identical to the
 pre-optimization core (pinned by ``tests/test_golden_digests.py``).
 
+**Flit hops.**  Each route's per-hop *grant records* are resolved once
+per route per simulation, at injection (:meth:`NoCSimulator._hop_records`):
+output slot, credit/owner index, VC, link ordinal and latency, with
+``None`` marking the ejection hop.  Switch allocation
+(:meth:`NoCSimulator._arbitrate`) is one pass per router: it walks the
+occupied input units once, tests each eligible head flit's viability
+through its record while bucketing it by output slot, and grants one
+winner per non-empty bucket; no request table of blocked candidates is
+built and filtered a second time.  Elastic links keep the indices of
+their occupied stages, so a cycle of pipeline motion visits only stages
+that hold flits.
+
 Adaptive routings observe live channel occupancy through
 :class:`LiveQueues`, a :class:`~repro.routing.algorithms.QueueOracle`
 view over the simulator's occupancy counters that holds no reference
@@ -55,9 +67,6 @@ from .config import SimConfig
 from .links import CreditLink, ElasticLink, link_latency
 from .packet import Flit, Packet
 
-# Out-port keys: ints address neighbor routers; ("ej", node) tuples address
-# the per-node ejection ports.
-
 
 class _InputUnit:
     """One (input port, VC) FIFO, with its identity resolved at build time.
@@ -68,34 +77,20 @@ class _InputUnit:
     (the router's ``in_index`` keeps each unit's (upstream, VC) identity).
     ``index`` is the unit's position in the router's build order; the
     router's ``occupied`` set tracks these indices so arbitration visits
-    only non-empty units.
+    only non-empty units.  Depth is not stored: credits bound a credit
+    link's buffer, and an elastic link's staging buffer holds one flit.
     """
 
-    __slots__ = ("capacity", "buffer", "index", "node", "credit_entry",
-                 "credit_latency")
+    __slots__ = ("buffer", "index", "node", "credit_entry", "credit_latency")
 
-    def __init__(
-        self,
-        capacity: int,
-        index: int,
-        node: int | None = None,
-        credit_latency: int = 0,
-    ):
-        self.capacity = capacity
+    def __init__(self, index: int, node: int | None = None, credit_latency: int = 0):
         self.buffer: deque = deque()
         self.index = index
         self.node = node
-        # (None, upstream credits, credit index, link ordinal): appended to
-        # the event wheel as is when a flit leaves this unit (credit links).
+        # (upstream credits, credit index, link ordinal): appended to the
+        # credit wheel as is when a flit leaves this unit (credit links).
         self.credit_entry: tuple | None = None
         self.credit_latency = credit_latency
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.buffer)
-
-    def has_space(self) -> bool:
-        return len(self.buffer) < self.capacity
 
 
 class _Router:
@@ -104,18 +99,27 @@ class _Router:
     Input units live in ``in_units`` in a fixed build order (sorted
     neighbors x VCs, then injection ports) and credits/ownership are flat
     lists indexed by ``out_base[neighbor] + vc`` — no tuple-keyed dicts on
-    the hot path.  ``buffered``/``cb_flits`` are incrementally maintained
-    occupancy counters driving the simulator's active-router set.
+    the hot path.  Output ports are numbered by *slot*: neighbor ``k`` of
+    the sorted ``neighbors`` is slot ``k``, and the ejection ports of the
+    attached nodes follow; ``rr`` holds one round-robin pointer per slot.
+    ``buffered``/``cb_flits`` are incrementally maintained occupancy
+    counters driving the simulator's active-router set.
     """
 
     __slots__ = (
         "index", "neighbors", "config", "in_units", "in_index", "occupied",
-        "out_base", "out_info", "credits", "owner", "rr",
+        "out_base", "credits", "owner", "rr",
         "buffered",
         "cb_free", "cb_flits", "cb_queues", "cb_committed", "cb_stream_owner",
     )
 
-    def __init__(self, index: int, neighbors: tuple[int, ...], config: SimConfig):
+    def __init__(
+        self,
+        index: int,
+        neighbors: tuple[int, ...],
+        num_nodes: int,
+        config: SimConfig,
+    ):
         self.index = index
         self.neighbors = neighbors
         self.config = config
@@ -127,24 +131,18 @@ class _Router:
         self.out_base: dict[int, int] = {
             nbr: pos * config.num_vcs for pos, nbr in enumerate(neighbors)
         }
-        # neighbor -> (credit/owner base, link, latency, downstream [vc] ->
-        # input unit, link ordinal, round-robin slot); one lookup serves a
-        # grant.  Never a router: that would make router <-> router cycles.
-        self.out_info: dict[int, tuple] = {}
         size = len(neighbors) * config.num_vcs
         self.credits: list[int] = [0] * size
         self.owner: list[int | None] = [None] * size
-        # Round-robin pointers, flat per output port (ejection ports use
-        # the simulator's per-node table).
-        self.rr: list[int] = [0] * len(neighbors)
+        self.rr: list[int] = [0] * (len(neighbors) + num_nodes)
         self.buffered = 0  # flits across all input units
-        # Central buffer.
+        # Central buffer, its queues keyed by (output slot, VC).
         self.cb_free = config.central_buffer_flits
         self.cb_flits = 0  # flits across all CB queues
         self.cb_queues: dict[tuple[int, int], deque] = {}
         self.cb_committed: dict[int, int] = {}  # pid -> flits still to enter CB
-        # Per (out_port, vc): packet whose flits currently stream through the
-        # CB queue.  A CB queue is "part of the output buffer of the
+        # Per (output slot, vc): packet whose flits currently stream through
+        # the CB queue.  A CB queue is "part of the output buffer of the
         # corresponding port and VC" (section 4.3), so it is wormhole-owned —
         # interleaving two packets in one FIFO would deadlock on ownership.
         self.cb_stream_owner: dict[tuple[int, int], int] = {}
@@ -339,7 +337,12 @@ class NoCSimulator:
         self._eligible_at = cfg.router_delay - 1
         self._node_router = [topo.node_router(n) for n in range(topo.num_nodes)]
         self.routers = [
-            _Router(r, tuple(sorted(topo.router_neighbors(r))), cfg)
+            _Router(
+                r,
+                tuple(sorted(topo.router_neighbors(r))),
+                len(topo.router_nodes(r)),
+                cfg,
+            )
             for r in range(topo.num_routers)
         ]
         self.links: dict[tuple[int, int], CreditLink | ElasticLink] = {}
@@ -353,21 +356,21 @@ class NoCSimulator:
                 else:
                     self.links[(a, b)] = CreditLink(lat)
         self._inj_units: list[_InputUnit] = [None] * topo.num_nodes  # type: ignore
+        # Node -> the router output slot of its ejection port.
+        self._ej_slot: list[int] = [0] * topo.num_nodes
         for router in self.routers:
             for neighbor in router.neighbors:
                 lat = self.link_cycles[(neighbor, router.index)]
-                depth = cfg.buffer_depth_for(lat)
                 for vc in range(cfg.num_vcs):
-                    unit = _InputUnit(
-                        depth, len(router.in_units), credit_latency=lat
-                    )
+                    unit = _InputUnit(len(router.in_units), credit_latency=lat)
                     router.in_units.append(unit)
                     router.in_index[(neighbor, vc)] = unit
-            for node in topo.router_nodes(router.index):
-                unit = _InputUnit(10**9, len(router.in_units), node=node)
+            for pos, node in enumerate(topo.router_nodes(router.index)):
+                unit = _InputUnit(len(router.in_units), node=node)
                 router.in_units.append(unit)
                 router.in_index[(("inj", node), 0)] = unit
                 self._inj_units[node] = unit
+                self._ej_slot[node] = len(router.neighbors) + pos
             for neighbor in router.neighbors:
                 out_lat = self.link_cycles[(router.index, neighbor)]
                 peer_depth = cfg.buffer_depth_for(out_lat)
@@ -381,58 +384,67 @@ class NoCSimulator:
         self._occ_ordinal: dict[tuple[int, int], int] = {}
         self._occupancy: list[int] = [0] * len(self.links)
         self.queues = LiveQueues(self._occupancy, self._occ_ordinal)
-        # Destination router per link ordinal (credit-link flit delivery).
-        # Kept here rather than in ``out_info`` so no router references
-        # another.  Elastic links are cycle-driven instead:
-        # ``_elastic_info`` carries their per-advance state.
+        # Per link ordinal: the destination router and its [vc] -> input
+        # unit (flit delivery); for elastic links also the link and its
+        # stage 0, which the allocation pass tests directly.
         self._link_dst: list[_Router] = []
-        self._elastic_info: dict[tuple[int, int], tuple] = {}
+        self._link_units: list[list[_InputUnit]] = []
+        # (src, dst) -> (output slot, credit/owner base, ordinal, latency):
+        # what a hop's grant record is built from.
+        self._out_ports: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        self._elastic_links: list[ElasticLink] = []
+        self._stage0: list[dict] | None = [] if cfg.elastic_links else None
         for ordinal, (src, dst) in enumerate(self.links):
             dst_router = self.routers[dst]
             units = [dst_router.in_index[(src, vc)] for vc in range(cfg.num_vcs)]
             self._occ_ordinal[(src, dst)] = ordinal
             self._link_dst.append(dst_router)
+            self._link_units.append(units)
             link = self.links[(src, dst)]
             src_router = self.routers[src]
-            base = src_router.out_base[dst]
-            if cfg.elastic_links:
-                self._elastic_info[(src, dst)] = (link, units, dst_router, ordinal)
-            else:
-                for vc in range(cfg.num_vcs):
-                    units[vc].credit_entry = (
-                        None, src_router.credits, base + vc, ordinal
-                    )
-            # One consolidated grant-time record per output port: a grant
-            # resolves everything it touches with a single dict hit.
-            src_router.out_info[dst] = (
-                base, link, link.latency, units, ordinal,
+            self._out_ports[(src, dst)] = (
                 src_router.neighbors.index(dst),
+                src_router.out_base[dst],
+                ordinal,
+                link.latency,
             )
+            if cfg.elastic_links:
+                self._elastic_links.append(link)
+                self._stage0.append(link.stages[0])
+            else:
+                base = src_router.out_base[dst]
+                for vc in range(cfg.num_vcs):
+                    units[vc].credit_entry = (src_router.credits, base + vc, ordinal)
+        # Route -> its per-hop grant records (see :meth:`_hop_records`),
+        # keyed by ``id(route)`` with the route held alive in the value.
+        self._route_hops: dict[int, tuple] = {}
         # Activity tracking: components that can make progress this cycle.
-        # Credit links are event-scheduled on a calendar wheel (arrival
+        # Credit links are event-scheduled on two calendar wheels (arrival
         # cycle -> events; cheaper than a heap since any cycle's events
         # are processed together and order within a cycle is immaterial);
         # elastic links advance every cycle while they hold flits, so
-        # they live in an active set.
+        # their ordinals live in an active set.
         self._active_routers: set[int] = set()
-        # Wheel slots carry pre-resolved entries — the wheel *is* the
+        # Wheel slots carry pre-resolved entries — the wheels *are* the
         # credit-link transport (CreditLink objects remain as the
         # standalone/unit-tested model):
-        #   (flit, destination input unit, link ordinal)  a flit on a wire;
-        #   (None, upstream credits, credit index, link ordinal)  a credit
-        #       return, the input unit's ``credit_entry`` appended as is.
+        #   event wheel: (flit, destination input unit, link ordinal), a
+        #       flit on a wire;
+        #   credit wheel: (upstream credits, credit index, link ordinal),
+        #       a credit return, the input unit's ``credit_entry`` as is.
         # Per-wire in-flight counts are only maintained when the CBR spill
         # heuristic needs them.
         self._event_wheel: dict[int, list[tuple]] = {}
+        self._credit_wheel: dict[int, list[tuple]] = {}
         self._track_inflight = self._uses_cb and not cfg.elastic_links
         self._credit_inflight: list[int] = [0] * len(self.links)
-        self._active_elastic_links: set[tuple[int, int]] = set()
-        # Hoisted per-cycle scratch (cleared after use, never reallocated).
-        self._requests: dict[object, list] = {}
-        self._viable: list = []
+        self._active_elastic_links: set[int] = set()
+        self._vc_succ = tuple((vc + 1) % cfg.num_vcs for vc in range(cfg.num_vcs))
+        # CBR switch-allocation scratch, cleared after each router: output
+        # slot -> blocked input candidates.
+        self._blocked: dict[int, list] = {}
         # NIC state.
         self.eject_credits = [cfg.ejection_queue_flits] * topo.num_nodes
-        self._ej_rr = [0] * topo.num_nodes  # ejection-port round-robin
         self.eject_pipe: deque[tuple[int, Flit]] = deque()
         self.injection_backlog = [0] * topo.num_nodes
         self._nonzero_backlogs: dict[int, int] = {}
@@ -440,6 +452,27 @@ class NoCSimulator:
         self._backlog_dirty = False
         self._live_packets: set[int] = set()
         self._pending_replies: list[tuple[int, int, int]] = []
+
+    def _hop_records(self, route) -> tuple:
+        """The grant record of every hop of ``route``, built once per route.
+
+        Entry ``h`` serves a flit at ``route.path[h]`` that has made ``h``
+        hops: ``(slot, index, vc, ordinal, latency)`` — the output slot,
+        the credit/owner index ``slot * num_vcs + vc``, the hop's VC, the
+        link ordinal and the link latency.  The final entry is ``None``:
+        the flit ejects there.  Records hold only ints, so packets that
+        carry them form no reference cycle with the buffers they sit in.
+        """
+        path, vcs = route.path, route.vcs
+        ports = self._out_ports
+        records = []
+        for hop, vc in enumerate(vcs):
+            slot, base, ordinal, latency = ports[(path[hop], path[hop + 1])]
+            records.append((slot, base + vc, vc, ordinal, latency))
+        records.append(None)
+        hops = tuple(records)
+        self._route_hops[id(route)] = (route, hops)
+        return hops
 
     # ------------------------------------------------------------------
     # Packet creation
@@ -463,6 +496,8 @@ class NoCSimulator:
         src_router = node_router[src_node]
         now = self.now
         route = self.routing.route(src_router, node_router[dst_node])
+        known = self._route_hops.get(id(route))
+        hops = known[1] if known is not None else self._hop_records(route)
         packet = Packet(
             src=src_node,
             dst=dst_node,
@@ -472,6 +507,7 @@ class NoCSimulator:
             kind=kind,
             wants_reply=wants_reply,
             reply_size=reply_size,
+            hops=hops,
         )
         unit = self._inj_units[src_node]
         buffer = unit.buffer
@@ -521,107 +557,123 @@ class NoCSimulator:
         else:
             self._deliver_credit_links()
         delivered = self._drain_ejection()
-        active = self._active_routers
-        if active:
-            routers = self.routers
-            for index in sorted(active):
-                router = routers[index]
-                self._arbitrate(router)
-                if not router.buffered and not router.cb_flits:
-                    active.discard(index)
+        if self._active_routers:
+            self._arbitrate()
         return delivered
 
     def _deliver_credit_links(self) -> None:
         """Pop this cycle's link events and apply them.
 
         One entry is scheduled per sent flit or returned credit, already
-        resolved to what its delivery touches: ``(flit, destination input
-        unit, link ordinal)`` buffers a flit at the router the ordinal
-        names in ``_link_dst``; ``(None, credits, index, ordinal)`` (an
-        input unit's prebuilt ``credit_entry``) returns one credit
-        upstream.  Cross-link delivery order is immaterial (each link
-        feeds its own per-(port, VC) staging buffers and credit
-        counters), so wheel order and the lockstep core's dict order
-        produce identical state.
+        resolved to what its delivery touches: a credit-wheel entry
+        ``(credits, index, ordinal)`` (an input unit's prebuilt
+        ``credit_entry``) returns one credit upstream; an event-wheel
+        entry ``(flit, destination input unit, link ordinal)`` buffers a
+        flit at the router the ordinal names in ``_link_dst``.  Cross-link
+        delivery order is immaterial (each link feeds its own per-(port,
+        VC) staging buffers and credit counters), so wheel order and the
+        lockstep core's dict order produce identical state.
         """
         now = self.now
+        occupancy = self._occupancy
+        credits_back = self._credit_wheel.pop(now, None)
+        if credits_back is not None:
+            for credits, index, ordinal in credits_back:
+                credits[index] += 1
+                occupancy[ordinal] -= 1
         entries = self._event_wheel.pop(now, None)
         if entries is None:
             return
-        occupancy = self._occupancy
         active = self._active_routers
         link_dst = self._link_dst
         track = self._track_inflight
-        for entry in entries:
-            flit = entry[0]
-            if flit is None:
-                _, credits, index, ordinal = entry
-                credits[index] += 1
-                occupancy[ordinal] -= 1
-            else:
-                _, unit, ordinal = entry
-                router = link_dst[ordinal]
-                flit.arrival = now
-                buffer = unit.buffer
-                if not buffer:
-                    router.occupied.add(unit.index)
-                buffer.append(flit)
-                router.buffered += 1
-                active.add(router.index)
-                if track:
-                    self._credit_inflight[ordinal] -= 1
+        for flit, unit, ordinal in entries:
+            router = link_dst[ordinal]
+            flit.arrival = now
+            buffer = unit.buffer
+            if not buffer:
+                router.occupied.add(unit.index)
+            buffer.append(flit)
+            router.buffered += 1
+            active.add(router.index)
+            if track:
+                self._credit_inflight[ordinal] -= 1
 
     def _advance_elastic_links(self) -> None:
         """One cycle of elastic pipeline motion for every in-flight link.
 
-        This open-codes :meth:`ElasticLink.advance` (which remains the
-        standalone model) and fuses last-stage delivery into the walk:
-        per active link per cycle there are no method or closure calls,
+        This open-codes :meth:`ElasticLink.advance` over the link's own
+        state (which therefore remains the standalone model) and fuses
+        last-stage delivery into the walk: per active link per cycle only
+        the occupied stages are visited, with no method or closure calls,
         and a delivered flit lands in its staging buffer directly.
         """
         now = self.now
         occupancy = self._occupancy
-        info = self._elastic_info
+        links = self._elastic_links
+        link_units = self._link_units
+        link_dst = self._link_dst
         active = self._active_elastic_links
         active_routers = self._active_routers
-        for key in list(active):
-            link, units, router, ordinal = info[key]
+        succ = self._vc_succ
+        for ordinal in list(active):
+            link = links[ordinal]
             stages = link.stages
-            rr = link._rr
-            num_vcs = link.num_vcs
+            rr = link.rr
             last = link.latency - 1
-            for stage_index in range(last, -1, -1):
-                stage = stages[stage_index]
-                if not stage:
-                    continue
-                next_stage = stages[stage_index + 1] if stage_index != last else None
-                start = rr[stage_index]
-                for offset in range(num_vcs):
-                    vc = (start + offset) % num_vcs
-                    if vc not in stage:
-                        continue
-                    if next_stage is None:
+            busy: list[int] = []
+            for s in link.busy:
+                stage = stages[s]
+                if s == last:
+                    # Elastic staging buffers hold one flit
+                    # (SimConfig.buffer_depth_for), so "room" is "empty".
+                    units = link_units[ordinal]
+                    for vc in stage if len(stage) == 1 else link.orders[rr[s]]:
+                        if vc not in stage:
+                            continue
                         unit = units[vc]
                         buffer = unit.buffer
-                        if len(buffer) >= unit.capacity:
+                        if buffer:
                             continue  # staging full: this VC stalls
-                        rr[stage_index] = (vc + 1) % num_vcs
+                        rr[s] = succ[vc]
                         flit = stage.pop(vc)
                         flit.arrival = now
-                        if not buffer:
-                            router.occupied.add(unit.index)
+                        router = link_dst[ordinal]
+                        router.occupied.add(unit.index)
                         buffer.append(flit)
                         router.buffered += 1
                         occupancy[ordinal] -= 1
-                        link._in_flight -= 1
                         active_routers.add(router.index)
                         break
-                    if vc not in next_stage:
-                        rr[stage_index] = (vc + 1) % num_vcs
-                        next_stage[vc] = stage.pop(vc)
+                    if stage:
+                        busy.append(s)
+                    continue
+                # Moving into stage s + 1 (visited before s if it held a
+                # flit) makes it busy unless it already was: then it
+                # holds another flit besides the one moved in.
+                forward = stages[s + 1]
+                if len(stage) == 1:  # a lone flit needs no round robin
+                    vc, flit = stage.popitem()
+                    if vc in forward:
+                        stage[vc] = flit  # stalled behind its own VC
+                        busy.append(s)
+                        continue
+                    forward[vc] = flit
+                    rr[s] = succ[vc]
+                    if len(forward) == 1:
+                        busy.append(s + 1)
+                    continue
+                for vc in link.orders[rr[s]]:
+                    if vc in stage and vc not in forward:
+                        rr[s] = succ[vc]
+                        forward[vc] = stage.pop(vc)
+                        if len(forward) == 1:
+                            busy.append(s + 1)
                         break
-            if not link._in_flight:
-                active.discard(key)
+                busy.append(s)  # two or more flits: one is left
+            link.busy = busy
+            if not busy:
+                active.discard(ordinal)
 
     def _drain_ejection(self) -> list[Packet]:
         """Flits reaching NICs this cycle; NICs drain one flit per cycle."""
@@ -657,279 +709,161 @@ class NoCSimulator:
     # Switch allocation
     # ------------------------------------------------------------------
 
-    def _arbitrate(self, router: _Router) -> None:
-        """Switch allocation for one router-cycle, fully inlined.
+    def _arbitrate(self) -> None:
+        """Switch allocation for one cycle: every active router, one pass each.
 
-        This is the single hottest function in the repository, so the
-        viability test (the old ``_can_traverse``), round-robin pick, and
-        winner traversal are spelled out inline: per-``out_key`` state
-        (owner/credit base index, outbound link, ejection credit) is
-        resolved once instead of once per candidate, and no per-candidate
-        function calls remain.  Request-table insertion order, round-robin
-        pointer updates, and grant side effects replicate the lockstep
-        core operation for operation.
+        This is the single hottest function in the repository, so it is
+        spelled out inline, and per-cycle state is loaded once for all
+        routers.  Routers are visited in ascending index (the order the
+        lockstep core used) and leave the active set once empty.  Per
+        router, the pass walks the occupied input units once, in ascending
+        index (build order, the order the lockstep core walked its (port,
+        VC) dict), then the CB queues.  Each head flit whose pipeline wait
+        is over is tested for viability as it is bucketed by output slot —
+        VC owner, credit or elastic stage-0 slot, ejection credit, CB
+        commitment — through its packet's per-hop grant record
+        (:meth:`_hop_records`), and only viable candidates enter a bucket.
+        Each non-empty bucket then grants one winner by its slot's
+        round-robin pointer.
+
+        Buckets are granted in first-candidate order, which fixes the two
+        places where grant order across output ports shows: ejection FIFO
+        appends (the latency-list order) and CB spills.  A CBR router
+        therefore also opens a bucket for a blocked candidate and keeps
+        the blocked input candidates of each slot, so a slot with no
+        viable candidate can spill one into the central buffer
+        (:meth:`_try_central_buffer`) at its place in that order.  Grant
+        side effects replicate the lockstep core operation for operation.
         """
         now = self.now
         eligible_at = self._eligible_at
-        occupied = router.occupied
-        requests = None
-
-        # Fast paths for the by-far most common sub-saturation shapes.
-        # One occupied unit and nothing in the CB: a single candidate with
-        # no possible output conflict — grant (or CB-spill) directly, with
-        # no request table, viable list, or loop.  The side effects (round
-        # robin advance on viability, pop/credit/owner/wheel updates)
-        # mirror the general path below operation for operation.
-        n_occupied = len(occupied)
-        if not router.cb_flits and n_occupied == 1:
-            unit = router.in_units[next(iter(occupied))]
-            flit: Flit = unit.buffer[0]
-            hop = flit.hop
-            packet = flit.packet
-            if flit.is_head:
-                if now < flit.arrival + eligible_at:
-                    return
-            cb_committed = router.cb_committed
-            if hop == packet.last_hop:  # ejection port
-                dst = packet.dst
-                if self.eject_credits[dst] <= 0 or (
-                    cb_committed and packet.pid in cb_committed
-                ):
-                    return
-                self._ej_rr[dst] += 1
-                buffer = unit.buffer
-                buffer.popleft()
-                if not buffer:
-                    occupied.discard(unit.index)
-                router.buffered -= 1
-                node = unit.node
-                if node is not None:
-                    value = len(buffer)
-                    self.injection_backlog[node] = value
-                    if value:
-                        self._nonzero_backlogs[node] = value
-                    else:
-                        self._nonzero_backlogs.pop(node, None)
-                    self._backlog_dirty = True
-                elif (credit := unit.credit_entry) is not None:
-                    when = now + unit.credit_latency
-                    wheel = self._event_wheel
-                    try:
-                        wheel[when].append(credit)
-                    except KeyError:
-                        wheel[when] = [credit]
-                self.eject_credits[dst] -= 1
-                self.eject_pipe.append((now + 1, flit))
-                if flit.is_head and packet.injected < 0:
-                    packet.injected = now
-                return
-            out_key = packet.path[hop + 1]
-            base, link, latency, dest_units, ordinal, rr_slot = (
-                router.out_info[out_key]
-            )
-            vc = packet.vcs[hop]
-            index = base + vc
-            owner_list = router.owner
-            owner = owner_list[index]
-            if owner is None:
-                viable_one = flit.is_head
-            else:
-                viable_one = owner == packet.pid
-            if viable_one:
-                if self._elastic:
-                    viable_one = vc not in link.stages[0]
-                else:
-                    viable_one = router.credits[index] > 0
-                if viable_one and cb_committed and packet.pid in cb_committed:
-                    viable_one = False
-            if not viable_one:
-                if self._uses_cb:
-                    self._try_central_buffer(router, out_key, [(unit, flit, True)])
-                return
-            router.rr[rr_slot] += 1
-            buffer = unit.buffer
-            buffer.popleft()
-            if not buffer:
-                occupied.discard(unit.index)
-            router.buffered -= 1
-            node = unit.node
-            if node is not None:
-                value = len(buffer)
-                self.injection_backlog[node] = value
-                if value:
-                    self._nonzero_backlogs[node] = value
-                else:
-                    self._nonzero_backlogs.pop(node, None)
-                self._backlog_dirty = True
-            elif (credit := unit.credit_entry) is not None:
-                when = now + unit.credit_latency
-                wheel = self._event_wheel
-                try:
-                    wheel[when].append(credit)
-                except KeyError:
-                    wheel[when] = [credit]
-            if flit.is_head:
-                owner_list[index] = packet.pid
-                if packet.injected < 0:
-                    packet.injected = now
-            if flit.is_tail:
-                owner_list[index] = None
-            flit.hop = hop + 1
-            if self._elastic:
-                link.push(flit, vc)
-                self._active_elastic_links.add((router.index, out_key))
-            else:
-                router.credits[index] -= 1
-                when = now + latency
-                wheel = self._event_wheel
-                try:
-                    wheel[when].append((flit, dest_units[vc], ordinal))
-                except KeyError:
-                    wheel[when] = [(flit, dest_units[vc], ordinal)]
-                if self._track_inflight:
-                    self._credit_inflight[ordinal] += 1
-            self._occupancy[ordinal] += 1
-            return
-
-        # Two occupied units, CB empty: the potential conflict (same
-        # out_key) is one direct comparison; the request table degenerates
-        # to literal tuples feeding the general grant loop.
-        if not router.cb_flits and n_occupied == 2:
+        stage0 = self._stage0
+        uses_cb = self._uses_cb
+        ej_slot = self._ej_slot
+        eject_credits = self.eject_credits
+        blocked = self._blocked
+        wheel = self._event_wheel
+        credit_wheel = self._credit_wheel
+        occupancy = self._occupancy
+        link_units = self._link_units
+        elastic_links = self._elastic_links
+        active_links = self._active_elastic_links
+        eject_pipe = self.eject_pipe
+        routers = self.routers
+        active = self._active_routers
+        for router_index in sorted(active):
+            router = routers[router_index]
+            occupied = router.occupied
             units = router.in_units
-            first, second = occupied
-            if first > second:
-                first, second = second, first
-            unit = units[first]
-            flit = unit.buffer[0]
-            cand1 = cand2 = None
-            if not (flit.is_head and now < flit.arrival + eligible_at):
+            owner_list = router.owner
+            credits = router.credits
+            cb_committed = router.cb_committed
+            buckets: dict[int, list] = {}  # output slot -> viable candidates
+            for unit_index in sorted(occupied) if len(occupied) > 1 else occupied:
+                unit = units[unit_index]
+                flit: Flit = unit.buffer[0]
+                # Head flits pay the pipeline (route computation +
+                # allocation); body flits inherit the head's state and
+                # stream at link rate.
+                if flit.is_head and now < flit.arrival + eligible_at:
+                    continue
                 packet = flit.packet
-                if flit.hop == packet.last_hop:
-                    out_key: object = packet.ej_key
+                hop = packet.hops[flit.hop]
+                if hop is None:  # ejection port
+                    dst = packet.dst
+                    slot = ej_slot[dst]
+                    viable = eject_credits[dst] > 0
                 else:
-                    out_key = packet.path[flit.hop + 1]
-                cand1 = (unit, flit, True)
-            unit = units[second]
-            flit = unit.buffer[0]
-            if not (flit.is_head and now < flit.arrival + eligible_at):
-                packet = flit.packet
-                if flit.hop == packet.last_hop:
-                    out_key2: object = packet.ej_key
-                else:
-                    out_key2 = packet.path[flit.hop + 1]
-                cand2 = (unit, flit, True)
-            if cand1 is None:
-                if cand2 is None:
-                    return
-                grants = ((out_key2, (cand2,)),)
-            elif cand2 is None:
-                grants = ((out_key, (cand1,)),)
-            elif out_key == out_key2:
-                grants = ((out_key, (cand1, cand2)),)
-            else:
-                grants = ((out_key, (cand1,)), (out_key2, (cand2,)))
-        else:
-            requests = self._requests  # hoisted: cleared after use
-            if router.buffered:
-                units = router.in_units
-                # Ascending index order == build order == the order the
-                # lockstep core walked the full (port, VC) dict, which
-                # fixes the requests ordering the CB spill path depends on.
-                for index in sorted(occupied):
-                    unit = units[index]
-                    flit = unit.buffer[0]
-                    # Head flits pay the pipeline (route computation +
-                    # allocation); body flits inherit the head's state and
-                    # stream at link rate.
-                    if flit.is_head and now < flit.arrival + eligible_at:
-                        continue
-                    packet = flit.packet
-                    if flit.hop == packet.last_hop:
-                        out_key = packet.ej_key
+                    slot, index, vc, ordinal, _ = hop
+                    owner = owner_list[index]
+                    if owner is None:
+                        viable = flit.is_head  # body flits follow their head
                     else:
-                        out_key = packet.path[flit.hop + 1]
-                    candidates = requests.get(out_key)
-                    if candidates is None:
-                        requests[out_key] = [(unit, flit, True)]
+                        viable = owner == packet.pid
+                    if viable:
+                        if stage0 is None:
+                            viable = credits[index] > 0
+                        else:
+                            viable = vc not in stage0[ordinal]
+                if viable and cb_committed and packet.pid in cb_committed:
+                    viable = False  # committed packets re-arbitrate from the CB
+                if viable:
+                    bucket = buckets.get(slot)
+                    if bucket is None:
+                        buckets[slot] = [(unit, flit, hop)]
                     else:
-                        candidates.append((unit, flit, True))
+                        bucket.append((unit, flit, hop))
+                elif uses_cb:
+                    if slot not in buckets:
+                        buckets[slot] = []
+                    if hop is not None:
+                        spill = blocked.get(slot)
+                        if spill is None:
+                            blocked[slot] = [(unit, flit)]
+                        else:
+                            spill.append((unit, flit))
 
             # CB queues re-arbitrate alongside staged flits.  The CB is
             # modeled as per-output FIFOs: each output port can drain one
             # CB flit per cycle (the mux/demux sharing of Figure 8), while
-            # CB *writes* stay limited to one per cycle.
+            # CB *writes* stay limited to one per blocked staging buffer
+            # per cycle.  A CB flit's packet is committed by construction.
             if router.cb_flits:
-                for (out_port, _vc), queue in router.cb_queues.items():
+                for queue in router.cb_queues.values():
                     if not queue:
                         continue
                     flit = queue[0]
                     if now < flit.arrival:
                         continue
-                    candidates = requests.get(out_port)
-                    if candidates is None:
-                        requests[out_port] = [(queue, flit, False)]
-                    else:
-                        candidates.append((queue, flit, False))
-
-            if not requests:
-                return
-            grants = requests.items()
-
-        elastic = self._elastic
-        uses_cb = self._uses_cb
-        cb_committed = router.cb_committed
-        viable = self._viable  # hoisted: cleared before each use
-        router_index = router.index
-        wheel = self._event_wheel
-        track_inflight = self._track_inflight
-        for out_key, candidates in grants:
-            winner = None
-            if type(out_key) is int:
-                base, link, latency, dest_units, ordinal, rr_slot = (
-                    router.out_info[out_key]
-                )
-                owner_list = router.owner
-                credits_list = router.credits
-                viable.clear()
-                for candidate in candidates:
-                    flit = candidate[1]
                     packet = flit.packet
-                    vc = packet.vcs[flit.hop]
-                    owner = owner_list[base + vc]
-                    if owner is not None:
-                        if owner != packet.pid:
+                    hop = packet.hops[flit.hop]
+                    slot, index, vc, ordinal, _ = hop
+                    owner = owner_list[index]
+                    if owner is None:
+                        if not flit.is_head:
                             continue
-                    elif not flit.is_head:
-                        continue  # body flits only follow their own head
-                    if elastic:
-                        if vc in link.stages[0]:  # inline can_accept
-                            continue
-                    elif credits_list[base + vc] <= 0:
+                    elif owner != packet.pid:
                         continue
-                    if candidate[2] and cb_committed and packet.pid in cb_committed:
-                        continue  # committed packets re-arbitrate from the CB
-                    viable.append(candidate)
-                if viable:
-                    rr = router.rr
-                    pointer = rr[rr_slot]
-                    rr[rr_slot] = pointer + 1
-                    if len(viable) == 1:
-                        winner = viable[0]
+                    if stage0 is None:
+                        if credits[index] <= 0:
+                            continue
+                    elif vc in stage0[ordinal]:
+                        continue
+                    bucket = buckets.get(slot)
+                    if bucket is None:
+                        buckets[slot] = [(queue, flit, hop)]
                     else:
-                        winner = viable[pointer % len(viable)]
-                    container, flit, from_input = winner
-                    packet = flit.packet
-                    vc = packet.vcs[flit.hop]
-                    index = base + vc
-                    if from_input:  # inline input-unit pop
-                        unit_buffer = container.buffer
-                        unit_buffer.popleft()
-                        if not unit_buffer:
+                        bucket.append((queue, flit, hop))
+
+            if buckets:
+                rr = router.rr
+                for slot, viable in buckets.items():
+                    if not viable:
+                        # CBR: losing head flits (and flits of CB-committed
+                        # packets) fall into the central buffer when a
+                        # whole-packet reservation fits.
+                        spill = blocked.get(slot)
+                        if spill is not None:
+                            self._try_central_buffer(router, slot, spill)
+                        continue
+                    pointer = rr[slot]
+                    rr[slot] = pointer + 1
+                    container, flit, hop = viable[pointer % len(viable)]
+                    if uses_cb and container.__class__ is deque:  # CB queue pop
+                        container.popleft()
+                        router.cb_free += 1
+                        router.cb_flits -= 1
+                        if flit.is_tail:
+                            router.cb_stream_owner.pop((slot, hop[2]), None)
+                    else:  # input-unit pop
+                        buffer = container.buffer
+                        buffer.popleft()
+                        if not buffer:
                             occupied.discard(container.index)
                         router.buffered -= 1
                         node = container.node
                         if node is not None:
-                            value = len(unit_buffer)
+                            value = len(buffer)
                             self.injection_backlog[node] = value
                             if value:
                                 self._nonzero_backlogs[node] = value
@@ -939,15 +873,17 @@ class NoCSimulator:
                         elif (credit := container.credit_entry) is not None:
                             when = now + container.credit_latency
                             try:
-                                wheel[when].append(credit)
+                                credit_wheel[when].append(credit)
                             except KeyError:
-                                wheel[when] = [credit]
-                    else:  # CB queue pop
-                        container.popleft()
-                        router.cb_free += 1
-                        router.cb_flits -= 1
-                        if flit.is_tail:
-                            router.cb_stream_owner.pop((out_key, vc), None)
+                                credit_wheel[when] = [credit]
+                    packet = flit.packet
+                    if hop is None:  # ejection: the CB only fronts router ports
+                        eject_credits[packet.dst] -= 1
+                        eject_pipe.append((now + 1, flit))
+                        if flit.is_head and packet.injected < 0:
+                            packet.injected = now
+                        continue
+                    _, index, vc, ordinal, latency = hop
                     if flit.is_head:
                         owner_list[index] = packet.pid
                         if packet.injected < 0:
@@ -955,82 +891,31 @@ class NoCSimulator:
                     if flit.is_tail:
                         owner_list[index] = None
                     flit.hop += 1
-                    if elastic:
-                        link.push(flit, vc)
-                        self._active_elastic_links.add((router_index, out_key))
-                    else:
-                        credits_list[index] -= 1
+                    if stage0 is None:
+                        credits[index] -= 1
                         when = now + latency
+                        entry = (flit, link_units[ordinal][vc], ordinal)
                         try:
-                            wheel[when].append((flit, dest_units[vc], ordinal))
+                            wheel[when].append(entry)
                         except KeyError:
-                            wheel[when] = [(flit, dest_units[vc], ordinal)]
-                        if track_inflight:
+                            wheel[when] = [entry]
+                        if self._track_inflight:
                             self._credit_inflight[ordinal] += 1
-                    self._occupancy[ordinal] += 1
-                # CBR: losing head flits (and flits of CB-committed
-                # packets) fall into the central buffer when a
-                # whole-packet reservation fits.  Writes are
-                # per-input-port (banked SRAM / demux sharing): each
-                # blocked staging buffer may spill at most one flit/cycle.
-                if winner is None and uses_cb:
-                    self._try_central_buffer(router, out_key, candidates)
-            else:
-                # ("ej", node) ejection port: one shared viability test.
-                dst = out_key[1]
-                if self.eject_credits[dst] > 0:
-                    viable.clear()
-                    for candidate in candidates:
-                        flit = candidate[1]
-                        if (
-                            candidate[2]
-                            and cb_committed
-                            and flit.packet.pid in cb_committed
-                        ):
-                            continue
-                        viable.append(candidate)
-                    if viable:
-                        ej_rr = self._ej_rr
-                        pointer = ej_rr[dst]
-                        ej_rr[dst] = pointer + 1
-                        if len(viable) == 1:
-                            container, flit, from_input = viable[0]
-                        else:
-                            container, flit, from_input = viable[pointer % len(viable)]
-                        packet = flit.packet
-                        # Ejecting candidates always come from input units
-                        # (the CB only fronts router-to-router ports), so
-                        # the inline pop handles just that shape.
-                        unit_buffer = container.buffer
-                        unit_buffer.popleft()
-                        if not unit_buffer:
-                            occupied.discard(container.index)
-                        router.buffered -= 1
-                        node = container.node
-                        if node is not None:
-                            value = len(unit_buffer)
-                            self.injection_backlog[node] = value
-                            if value:
-                                self._nonzero_backlogs[node] = value
-                            else:
-                                self._nonzero_backlogs.pop(node, None)
-                            self._backlog_dirty = True
-                        elif (credit := container.credit_entry) is not None:
-                            when = now + container.credit_latency
-                            try:
-                                wheel[when].append(credit)
-                            except KeyError:
-                                wheel[when] = [credit]
-                        self.eject_credits[dst] -= 1
-                        self.eject_pipe.append((now + 1, flit))
-                        if flit.is_head and packet.injected < 0:
-                            packet.injected = now
-        if requests is not None:
-            requests.clear()
+                    else:  # inline ElasticLink.push (stage 0 was tested free)
+                        stage = stage0[ordinal]
+                        if not stage:
+                            elastic_links[ordinal].busy.append(0)
+                        stage[vc] = flit
+                        active_links.add(ordinal)
+                    occupancy[ordinal] += 1
+                if blocked:
+                    blocked.clear()
+            if not router.buffered and not router.cb_flits:
+                active.discard(router_index)
 
     def _pop_input(self, router: _Router, unit: _InputUnit) -> None:
         """Dequeue the head flit of an input unit (CB spill path; the
-        arbitration grant paths inline this same bookkeeping)."""
+        grant loop inlines this same bookkeeping)."""
         unit.buffer.popleft()
         if not unit.buffer:
             router.occupied.discard(unit.index)
@@ -1039,60 +924,59 @@ class NoCSimulator:
             self._set_backlog(unit.node, len(unit.buffer))
         elif unit.credit_entry is not None:
             when = self.now + unit.credit_latency
-            wheel = self._event_wheel
+            wheel = self._credit_wheel
             slot = wheel.get(when)
             if slot is None:
                 wheel[when] = [unit.credit_entry]
             else:
                 slot.append(unit.credit_entry)
 
-    def _upstream_pressure(self, router: _Router, flit: Flit) -> bool:
+    def _upstream_pressure(self, flit: Flit) -> bool:
         """Is a flit stuck in the incoming link right behind this one?"""
         if flit.hop == 0:
             return False  # injection conflicts wait in the (deep) NIC queue
-        upstream = flit.packet.path[flit.hop - 1]
-        vc = flit.packet.vcs[flit.hop - 1]
-        link = self.links[(upstream, router.index)]
-        if isinstance(link, ElasticLink):
-            return vc in link.stages[-1]
+        _, _, vc, ordinal, _ = flit.packet.hops[flit.hop - 1]
+        if self._elastic:
+            return vc in self._elastic_links[ordinal].stages[-1]
         # Credit-mode flits ride the event wheel; the per-wire counter is
         # maintained exactly for this query (CBR + credit links only).
-        return self._credit_inflight[self._occ_ordinal[(upstream, router.index)]] > 0
+        return self._credit_inflight[ordinal] > 0
 
-    def _try_central_buffer(self, router: _Router, out_key, candidates: list[tuple]) -> bool:
-        """Move one losing staged flit into the CB (atomic per packet).
+    def _try_central_buffer(self, router: _Router, slot: int, blocked: list) -> bool:
+        """Move one blocked staged flit bound for ``slot`` into the CB.
 
-        A packet only *opens* a CB reservation when its blocked head is
-        holding up traffic — a flit is waiting in the link's final stage
-        behind it — so the CB acts as a conflict overflow (its single
+        ``blocked`` holds the slot's eligible input candidates ``(unit,
+        flit)`` in ascending unit order; at most one of them spills (CB
+        writes are per input port, one flit per cycle), atomically per
+        packet.  A packet only *opens* a CB reservation when its blocked
+        head is holding up traffic — a flit is waiting in the link's final
+        stage behind it — so the CB acts as a conflict overflow (its single
         R/W port would otherwise serialise the whole router).
         """
-        for unit, flit, from_input in candidates:
-            if not from_input:
-                continue
+        for unit, flit in blocked:
             packet = flit.packet
             pid = packet.pid
-            vc = packet.vcs[flit.hop]
+            key = (slot, packet.hops[flit.hop][2])
             committed = router.cb_committed.get(pid)
             if committed is None:
                 if not flit.is_head:
                     continue  # only heads open a CB reservation
-                if router.cb_stream_owner.get((out_key, vc)) is not None:
+                if router.cb_stream_owner.get(key) is not None:
                     continue  # another packet streams through this CB queue
                 if self.now - flit.arrival < self.config.cbr_patience:
                     continue  # transient conflict: keep retrying the bypass
-                if not self._upstream_pressure(router, flit):
+                if not self._upstream_pressure(flit):
                     continue  # nothing waiting behind: stay on the bypass path
                 if router.cb_free < packet.size:
                     continue  # atomic allocation: all-or-nothing
                 router.cb_free -= packet.size
                 router.cb_committed[pid] = packet.size
-                router.cb_stream_owner[(out_key, vc)] = pid
+                router.cb_stream_owner[key] = pid
             self._pop_input(router, unit)
             flit.arrival = self.now + self.config.cbr_penalty
-            queue = router.cb_queues.get((out_key, vc))
+            queue = router.cb_queues.get(key)
             if queue is None:
-                queue = router.cb_queues[(out_key, vc)] = deque()
+                queue = router.cb_queues[key] = deque()
             queue.append(flit)
             router.cb_flits += 1
             router.cb_committed[pid] -= 1
@@ -1127,12 +1011,13 @@ class NoCSimulator:
             best = t
         if self._active_elastic_links:
             return floor  # elastic stages advance every cycle
-        if self._event_wheel:
-            t = min(self._event_wheel)
-            if t <= floor:
-                return floor
-            if best is None or t < best:
-                best = t
+        for wheel in (self._event_wheel, self._credit_wheel):
+            if wheel:
+                t = min(wheel)
+                if t <= floor:
+                    return floor
+                if best is None or t < best:
+                    best = t
         eligible_at = self._eligible_at
         for index in self._active_routers:
             router = self.routers[index]

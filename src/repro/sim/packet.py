@@ -29,6 +29,9 @@ class Packet:
         ejected: Cycle the tail flit reached the destination NIC.
         kind: Free-form tag used by trace traffic ("read", "write", "reply").
         wants_reply: Trace traffic: destination generates a reply on arrival.
+        hops: The simulator's per-hop grant records for ``route``, resolved
+            once per route at injection (see
+            :meth:`~repro.sim.NoCSimulator._hop_records`).
     """
 
     src: int
@@ -42,18 +45,7 @@ class Packet:
     pid: int = field(default_factory=_packet_ids.__next__)
     injected: int = -1
     ejected: int = -1
-
-    def __post_init__(self) -> None:
-        # Hot-path aliases: the simulator indexes the route's path/VC
-        # schedule once per flit per cycle, and ``route.path`` costs two
-        # attribute hops where ``path`` costs one.  ``last_hop`` is the
-        # hop index at which a flit has reached its destination router;
-        # ``ej_key`` is the ejection out-port key — both built once here
-        # instead of once per arbitration attempt.
-        self.path = self.route.path
-        self.vcs = self.route.vcs
-        self.last_hop = len(self.route.path) - 1
-        self.ej_key = ("ej", self.dst)
+    hops: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def latency(self) -> int:
@@ -65,7 +57,8 @@ class Packet:
 
 class Flit:
     """One flow-control unit.  ``hop`` counts router-to-router traversals
-    completed, indexing into the packet's route and VC schedule."""
+    completed, indexing into the packet's route, VC schedule and grant
+    records."""
 
     __slots__ = ("packet", "index", "is_head", "is_tail", "hop", "arrival")
 
@@ -83,23 +76,6 @@ class Flit:
         self.is_tail = is_tail
         self.hop = 0
         self.arrival = arrival  # cycle the flit entered its current buffer
-
-    @property
-    def current_router(self) -> int:
-        return self.packet.route.path[self.hop]
-
-    @property
-    def at_destination(self) -> bool:
-        return self.hop == len(self.packet.route.path) - 1
-
-    @property
-    def next_router(self) -> int:
-        return self.packet.route.path[self.hop + 1]
-
-    @property
-    def next_vc(self) -> int:
-        """VC the flit must use on its next link (fixed by the schedule)."""
-        return self.packet.route.vcs[self.hop]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Flit(p{self.packet.pid}#{self.index} hop={self.hop})"

@@ -8,10 +8,12 @@ import pytest
 from dataclasses import replace
 
 from repro.engine import ROUTING_BUILDERS, build_routing
-from repro.routing import StaticMinimalRouting, UGALRouting
+from repro.routing import RoutingAlgorithm, StaticMinimalRouting, UGALRouting
+from repro.routing.algorithms import Route
 from repro.sim import NoCSimulator, SimConfig, cbr, eb_var, el_links, link_latency
 from repro.sim.links import CreditLink, ElasticLink
 from repro.topos import make_network
+from repro.topos.base import Topology
 from repro.traffic import SyntheticSource
 
 
@@ -74,6 +76,95 @@ class TestLinkModels:
         link.push("x", 0)
         with pytest.raises(RuntimeError):
             link.push("y", 0)
+
+
+class _Line(Topology):
+    """Two routers four grid hops apart: one latency-4 link each way."""
+
+    name = "line2"
+
+    def _build_adjacency(self):
+        return [(1,), (0,)]
+
+    def _build_coordinates(self):
+        return {0: (1, 1), 1: (5, 1)}
+
+
+class _AlternatingVCs(RoutingAlgorithm):
+    """Minimal routes whose one link hop alternates VC 0 / VC 1 per packet."""
+
+    name = "alternating"
+
+    def __init__(self, topology):
+        super().__init__(topology, num_vcs=2)
+        self._calls = 0
+
+    def route(self, src, dst, packet_id=0):
+        if src == dst:
+            return self._route_for((src,))
+        self._calls += 1
+        return Route((src, dst), (self._calls % 2,))
+
+
+class TestElasticDifferential:
+    """The simulator open-codes ``ElasticLink.advance`` over the link's own
+    state; both must move every flit identically.
+
+    The core drives a congested 2-router line: two sources behind router 0
+    send to one node behind router 1, on alternating VCs, so the latency-4
+    link backs up from the 1-flit staging buffers and stages hold flits of
+    both VCs (the round-robin path).  A standalone :class:`ElasticLink`
+    replays the core's pushes and staging-buffer drains cycle by cycle and
+    must deliver each flit in the same cycle, with equal stage contents
+    and round-robin pointers after every cycle.
+    """
+
+    def test_core_walk_matches_standalone_advance(self):
+        topo = _Line(concentration=2)
+        sim = NoCSimulator(topo, el_links(), routing=_AlternatingVCs(topo))
+        core_link = sim.links[(0, 1)]
+        assert core_link.latency >= 4 and core_link.num_vcs == 2
+        for _ in range(6):
+            for src in (0, 1):
+                sim.inject_packet(src, 2, size=4)
+        staging = [sim.routers[1].in_index[(0, vc)] for vc in range(2)]
+
+        shadow = ElasticLink(core_link.latency, core_link.num_vcs)
+        shadow_staging: list[list] = [[], []]
+        seen_pushed: dict[int, object] = {}  # id -> flit, held alive
+        core_delivered: dict[int, int] = {}
+        shadow_delivered: dict[int, int] = {}
+        mixed_stages = 0
+        for _ in range(400):
+            sim.step()
+            now = sim.now
+            # The same cycle on the standalone link: advance first...
+            for flit, vc in shadow.advance(lambda vc: not shadow_staging[vc]):
+                shadow_staging[vc].append(flit)
+                shadow_delivered[id(flit)] = now
+            # ...then the downstream router drains, the upstream one pushes.
+            on_link = {id(f) for stage in core_link.stages for f in stage.values()}
+            for flit_id in seen_pushed.keys() - on_link - core_delivered.keys():
+                core_delivered[flit_id] = now
+            staged = {id(f) for unit in staging for f in unit.buffer}
+            for queue in shadow_staging:
+                queue[:] = [f for f in queue if id(f) in staged]
+            for vc, flit in core_link.stages[0].items():
+                if id(flit) not in seen_pushed:
+                    seen_pushed[id(flit)] = flit
+                    shadow.push(flit, vc)
+            assert shadow_delivered == core_delivered, f"cycle {now}"
+            assert shadow.rr == core_link.rr, f"cycle {now}"
+            assert shadow.busy == core_link.busy, f"cycle {now}"
+            assert [dict(s) for s in shadow.stages] == [
+                dict(s) for s in core_link.stages
+            ], f"cycle {now}"
+            mixed_stages += sum(len(s) > 1 for s in core_link.stages)
+            if not sim._live_packets:
+                break
+        assert not sim._live_packets
+        assert len(core_delivered) == 12 * 4
+        assert mixed_stages > 0, "no stage ever held two VCs"
 
 
 class TestSinglePacket:

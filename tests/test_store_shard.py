@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -468,6 +469,34 @@ class TestRemoteStore:
         )
         assert after - before == 2
 
+    def test_truncated_body_cannot_pin_close(self, tmp_path, monkeypatch):
+        """A POST that declares more body than it sends times out: the
+        handler answers 408 after its socket timeout, so ``close()``
+        returns within that bound while the client socket is still open."""
+        handler = http_module._StoreHandler
+        assert handler.timeout == http_module.HANDLER_SOCKET_TIMEOUT_S
+        assert handler.timeout < RemoteStore("http://127.0.0.1:1").timeout / 2
+        bound = 0.5  # the same mechanism, faster than the real 5 s
+        monkeypatch.setattr(handler, "timeout", bound)
+        server = StoreServer(SqlitePackStore(tmp_path / "s.sqlite"), quiet=True)
+        server.start()
+        sock = socket.create_connection((server.host, server.port), timeout=5)
+        closer = threading.Thread(target=server.close)
+        try:
+            sock.sendall(
+                b"POST /stats HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
+            )
+            time.sleep(0.1)  # the handler is now blocked reading the body
+            closer.start()
+            closer.join(timeout=bound + 1.5)
+            closed = not closer.is_alive()
+            reply = sock.recv(4096) if closed else b""
+        finally:
+            sock.close()  # releases a pinned handler if the timeout failed
+            closer.join()
+        assert closed, "close() waited on the truncated request"
+        assert reply.startswith(b"HTTP/1.0 408")
+
     def test_client_error_is_not_retried(self, server):
         store = remote_store(server, retries=4)
         store.put_payload("aa" * 32, "sim", {"x": 1})
@@ -478,9 +507,16 @@ class TestRemoteStore:
         )
         with pytest.raises(RemoteStoreError, match="HTTP 400"):
             store.gc(max_age_days=-1)
-        after = REGISTRY.value(
-            "repro_server_requests_total", endpoint="/gc", method="POST"
-        )
+        # The handler counts a request after its reply is sent, so the
+        # client can get here first: wait (bounded) for the count to land.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            after = REGISTRY.value(
+                "repro_server_requests_total", endpoint="/gc", method="POST"
+            )
+            if after != before:
+                break
+            time.sleep(0.01)
         assert after - before == 1 and sleeps == []
         assert store.stats().entries == 1
 
