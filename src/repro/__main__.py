@@ -6,11 +6,15 @@ and a content-addressed on-disk result cache):
 
 * ``info``    — configuration, cost profile, and a quick latency probe
   for a catalog symbol or node count (``python -m repro info sn1296``).
+  The probe is one spec through the environment-configured engine and
+  store (``REPRO_NO_CACHE``, ``REPRO_CACHE_DIR``).
 * ``sweep``   — latency-load curves for one network under one or more
   patterns: ``python -m repro sweep sn200 --patterns RND,ADV2
   --loads 0.02:0.5:0.04 --workers 8``.
 * ``compare`` — several networks under one pattern (the Figure 12-14
   layout): ``python -m repro compare sn200 fbf4 t2d4 --pattern RND``.
+* ``adaptive`` — the Figure 20-style routing x traffic x load study:
+  ``python -m repro adaptive sn200 cm4 --routings default,ugal-l``.
 * ``workloads`` — PARSEC/SPLASH benchmark models across networks with
   the power/EDP join (the Figure 18 layout): ``python -m repro
   workloads sn200 fbf3 --benches barnes,fft,ocean-c --workers 8``.
@@ -34,12 +38,18 @@ and a content-addressed on-disk result cache):
   committed ``benchmarks/BENCH_sim_core.json`` baseline and the pre-
   optimization reference (see :mod:`repro.perf`).
 
-Repeating a ``sweep``/``compare`` with identical parameters performs
-zero new simulations — every point is served from the cache.  A
-``--cache-dir`` location takes one of three forms: a plain directory
-path holds its store in ``<dir>/results.sqlite`` (the default is
-``.repro_cache/``), ``sqlite:FILE`` names a WAL-mode SQLite pack file
-directly, and ``http://host:port`` talks to a ``repro serve`` endpoint
+``sweep``, ``compare``, ``adaptive`` and ``workloads`` are campaigns,
+and one runner (:func:`run_campaign`) runs them all: each command hands
+it its spec grid, a run function and a renderer.  The runner submits the
+grid to ``--queue`` if asked, runs it with progress on stderr, prints the
+command's tables and one ``  engine:`` line, and writes the ``--json``
+envelope ``{"command", "engine", ...results}``.  Repeating a campaign
+with identical parameters performs zero new simulations — every point
+is served from the cache.  A ``--cache-dir`` location takes one of three
+forms: a plain directory path holds its store in
+``<dir>/results.sqlite`` (the default is ``.repro_cache/``),
+``sqlite:FILE`` names a WAL-mode SQLite pack file directly, and
+``http://host:port`` talks to a ``repro serve`` endpoint
 (``REPRO_CACHE_TOKEN`` supplies the bearer token when required).
 
 A campaign too large for one machine is spread across hosts by the work
@@ -61,12 +71,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import signal
 import sys
 import threading
 import time
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from .analysis import format_table
 from .engine import (
@@ -75,29 +86,33 @@ from .engine import (
     ResultCache,
     build_sweep_specs,
     build_workload_specs,
+    default_engine,
     default_workers,
     predicted_cost,
-    run_compare,
-    run_sweep,
+    resolve_topology,
 )
+from .engine.campaign import curve_specs, run_curves, study_curves
 from .obs import ProgressLine, configure_logging, format_duration
 from .power import TECH_45NM, network_area, static_power
-from .sim import BUFFERING_STRATEGIES, NoCSimulator, SimConfig
+from .sim import BUFFERING_STRATEGIES, SimConfig
 from .topos import catalog_symbols
-from .traffic import SyntheticSource, workload_names
+from .traffic import workload_names
 
 if TYPE_CHECKING:
+    from .engine import ExperimentSpec
     from .engine.queue import QueueClient
 
 
 def parse_loads(text: str) -> list[float]:
-    """``"0.02:0.5:0.04"`` (start:stop:step, stop-inclusive) or a comma list."""
+    """``"0.02:0.5:0.04"`` (start:stop:step, stop-inclusive) or a comma list
+    of finite, non-negative loads."""
     if ":" in text:
         parts = [float(x) for x in text.split(":")]
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("range loads must be start:stop:step")
         start, stop, step = parts
-        if step <= 0 or stop < start:
+        _check_loads([start, stop])
+        if not step > 0 or math.isinf(step) or stop < start:
             raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
         loads, value = [], start
         while value <= stop + 1e-9:
@@ -107,7 +122,16 @@ def parse_loads(text: str) -> list[float]:
     loads = [float(x) for x in text.split(",") if x]
     if not loads:
         raise argparse.ArgumentTypeError("need at least one load")
+    _check_loads(loads)
     return loads
+
+
+def _check_loads(values: list[float]) -> None:
+    for value in values:
+        if not math.isfinite(value) or value < 0:
+            raise argparse.ArgumentTypeError(
+                f"loads must be finite and >= 0, got {value:g}"
+            )
 
 
 def _at_least(convert, low):
@@ -123,6 +147,11 @@ def _at_least(convert, low):
     return parse
 
 
+def _names(text: str) -> list[str]:
+    """A comma list, empty items dropped."""
+    return [name for name in text.split(",") if name]
+
+
 def _build_config(args: argparse.Namespace) -> SimConfig:
     if args.preset is not None:
         config = BUFFERING_STRATEGIES[args.preset]()
@@ -136,107 +165,12 @@ def _workers(args: argparse.Namespace) -> int:
     return args.workers if args.workers is not None else default_workers()
 
 
-def _build_engine(args: argparse.Namespace) -> ExperimentEngine:
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return ExperimentEngine(cache=cache, max_workers=_workers(args))
-
-
 def _progress(done: int, total: int, spec, cached: bool) -> None:
     tag = "cache" if cached else "sim"
     print(
         f"  [{done}/{total}] {spec.topology} {spec.source.label} ({tag})",
         file=sys.stderr,
     )
-
-
-def _synthetic_grid(
-    args: argparse.Namespace,
-    config: SimConfig | None,
-    networks: list[str],
-    patterns: list[str],
-    routings: list[str] | None = None,
-) -> tuple[list, dict[str, int], dict[str, str]]:
-    """The campaign's spec grid: ``(specs, node_counts, symbols)``.
-
-    ``node_counts`` maps topology tokens to node counts (the cost
-    model), ``symbols`` maps them to the catalog symbols queue workers
-    rebuild topologies from.  Built with the same
-    :func:`build_sweep_specs` the campaign layer uses, so content
-    hashes — and therefore queue keys — match the real run exactly.
-    ``routings`` defaults to the command's one ``--routing``.
-    """
-    specs: list = []
-    node_counts: dict[str, int] = {}
-    symbols: dict[str, str] = {}
-    for routing in routings or [getattr(args, "routing", "default")]:
-        for pattern in patterns:
-            for network in networks:
-                grid, topo_map = build_sweep_specs(
-                    network,
-                    pattern,
-                    args.loads,
-                    config=config,
-                    packet_flits=getattr(args, "packet_flits", 6),
-                    routing=routing,
-                    seed=args.seed,
-                    warmup=args.warmup,
-                    measure=args.measure,
-                    drain=args.drain,
-                )
-                specs.extend(grid)
-                for token, topo in topo_map.items():
-                    node_counts[token] = topo.num_nodes
-                    symbols[token] = network
-    return specs, node_counts, symbols
-
-
-def _workload_grid(
-    args: argparse.Namespace, benches: list[str]
-) -> tuple[list, dict[str, int], dict[str, str]]:
-    """Spec grid for a workload campaign, shaped like :func:`_synthetic_grid`."""
-    config = SimConfig().with_smart(not args.no_smart)
-    specs: list = []
-    node_counts: dict[str, int] = {}
-    symbols: dict[str, str] = {}
-    for network in args.networks:
-        grid, topo_map = build_workload_specs(
-            network,
-            benches,
-            config=config,
-            intensity_scale=args.intensity_scale,
-            seed=args.seed,
-            warmup=args.warmup,
-            measure=args.measure,
-            drain=args.drain,
-        )
-        specs.extend(grid)
-        for token, topo in topo_map.items():
-            node_counts[token] = topo.num_nodes
-            symbols[token] = network
-    return specs, node_counts, symbols
-
-
-def _campaign_progress(
-    args: argparse.Namespace, specs: list, node_counts: dict[str, int]
-):
-    """Progress reporting for a campaign: ``(callback, line_or_None)``.
-
-    Default is the classic per-point stderr printer; ``--progress``
-    swaps in a live single-line display (the :class:`ProgressLine` is
-    itself the callback) with hit counts and an ETA that weights each
-    simulated spec by its ``predicted_cost``; ``--quiet`` disables both.
-    """
-    if args.quiet:
-        return None, None
-    if not getattr(args, "progress", False):
-        return _progress, None
-
-    def cost_fn(spec) -> float:
-        return predicted_cost(spec, node_counts.get(spec.topology))
-
-    line = ProgressLine(total=len(specs), cost_fn=cost_fn)
-    line.add_pending(specs)
-    return line, line
 
 
 def _print_stage_seconds(stats) -> None:
@@ -264,7 +198,67 @@ def _curve_rows(curve) -> list[list]:
     ]
 
 
-def _add_engine_options(parser: argparse.ArgumentParser, queue: bool = True) -> None:
+def _add_campaign_options(
+    parser: argparse.ArgumentParser,
+    *,
+    loads: list[float] | None,
+    seed: int = 1,
+    warmup: int = 300,
+    measure: int = 800,
+    drain: int = 1500,
+    config: bool = False,
+    queue: bool = True,
+) -> None:
+    """The options the campaign commands share, checked at parse time.
+
+    ``loads`` is the ``--loads`` default; ``None`` means the command has
+    no load axis, so no ``--loads`` and no ``--no-stop``.  ``config``
+    adds the simulator-config options (``--preset``, ``--smart``,
+    ``--routing``, ``--packet-flits``) and ``queue`` adds ``--queue``.
+    """
+    if loads is not None:
+        parser.add_argument(
+            "--loads",
+            type=parse_loads,
+            default=loads,
+            help="comma list or start:stop:step range (flits/node/cycle)",
+        )
+    if config:
+        parser.add_argument(
+            "--preset",
+            choices=sorted(BUFFERING_STRATEGIES),
+            default=None,
+            help="buffering strategy preset",
+        )
+        parser.add_argument(
+            "--smart",
+            action="store_true",
+            help="enable SMART links (H=9)",
+        )
+        parser.add_argument(
+            "--routing",
+            default="default",
+            choices=sorted(ROUTING_BUILDERS),
+            help="routing scheme (default: per-topology paper default; "
+            "ugal-l/ugal-g/deflect/xy-adapt read live congestion state)",
+        )
+        parser.add_argument("--packet-flits", type=_at_least(int, 1), default=6)
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument("--warmup", type=_at_least(int, 0), default=warmup)
+    parser.add_argument("--measure", type=_at_least(int, 1), default=measure)
+    parser.add_argument("--drain", type=_at_least(int, 0), default=drain)
+    if loads is not None:
+        parser.add_argument(
+            "--no-stop",
+            action="store_true",
+            help="simulate every load, even past saturation",
+        )
+    parser.add_argument(
+        "--json",
+        dest="json_path",
+        default=None,
+        help="also write the results and engine stats as JSON to this path",
+    )
     parser.add_argument(
         "--workers",
         type=_at_least(int, 1),
@@ -307,41 +301,9 @@ def _add_engine_options(parser: argparse.ArgumentParser, queue: bool = True) -> 
     )
 
 
-def _add_sim_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--loads",
-        type=parse_loads,
-        default=[0.008, 0.06, 0.16, 0.30],
-        help="comma list or start:stop:step range (flits/node/cycle)",
-    )
-    parser.add_argument(
-        "--preset",
-        choices=sorted(BUFFERING_STRATEGIES),
-        default=None,
-        help="buffering strategy preset",
-    )
-    parser.add_argument(
-        "--smart",
-        action="store_true",
-        help="enable SMART links (H=9)",
-    )
-    parser.add_argument(
-        "--routing",
-        default="default",
-        choices=sorted(ROUTING_BUILDERS),
-        help="routing scheme (default: per-topology paper default; "
-        "ugal-l/ugal-g/deflect/xy-adapt read live congestion state)",
-    )
-    parser.add_argument("--packet-flits", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--warmup", type=int, default=300)
-    parser.add_argument("--measure", type=int, default=800)
-    parser.add_argument("--drain", type=int, default=1500)
-    parser.add_argument(
-        "--no-stop",
-        action="store_true",
-        help="simulate every load, even past saturation",
-    )
+#: Default ``--loads`` of ``sweep``/``compare`` and of ``adaptive``.
+SWEEP_LOADS = [0.008, 0.06, 0.16, 0.30]
+ADAPTIVE_LOADS = [0.02, 0.06, 0.10, 0.14, 0.18, 0.22]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,14 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="RND",
         help="comma list of pattern acronyms (default RND)",
     )
-    sweep.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        help="also write curves + engine stats as JSON",
-    )
-    _add_sim_options(sweep)
-    _add_engine_options(sweep)
+    _add_campaign_options(sweep, loads=SWEEP_LOADS, config=True)
 
     compare = sub.add_parser("compare", help="several networks, one pattern")
     compare.add_argument(
@@ -383,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the analytical large-scale model instead of "
         "cycle-accurate simulation (for N=1296)",
     )
-    _add_sim_options(compare)
-    _add_engine_options(compare)
+    _add_campaign_options(compare, loads=SWEEP_LOADS, config=True)
 
     adaptive = sub.add_parser(
         "adaptive",
@@ -408,28 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of traffic tokens — pattern acronyms or "
         "burst:/hotspot:/transient: variants (default: ADV1 steady + bursty)",
     )
-    adaptive.add_argument(
-        "--loads",
-        type=parse_loads,
-        default=[0.02, 0.06, 0.10, 0.14, 0.18, 0.22],
-        help="comma list or start:stop:step range (flits/node/cycle)",
-    )
-    adaptive.add_argument("--seed", type=int, default=1)
-    adaptive.add_argument("--warmup", type=int, default=300)
-    adaptive.add_argument("--measure", type=int, default=800)
-    adaptive.add_argument("--drain", type=int, default=1500)
-    adaptive.add_argument(
-        "--no-stop",
-        action="store_true",
-        help="simulate every load, even past saturation",
-    )
-    adaptive.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        help="also write all curves + engine stats as JSON",
-    )
-    _add_engine_options(adaptive, queue=False)
+    _add_campaign_options(adaptive, loads=ADAPTIVE_LOADS, queue=False)
 
     workloads = sub.add_parser(
         "workloads",
@@ -462,17 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable SMART links (Figure 18 uses SMART)",
     )
-    workloads.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        help="also write rows as JSON to this path",
-    )
-    workloads.add_argument("--seed", type=int, default=3)
-    workloads.add_argument("--warmup", type=int, default=300)
-    workloads.add_argument("--measure", type=int, default=600)
-    workloads.add_argument("--drain", type=int, default=1200)
-    _add_engine_options(workloads)
+    _add_campaign_options(workloads, loads=None, seed=3, measure=600, drain=1200)
 
     cache = sub.add_parser(
         "cache",
@@ -642,15 +565,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    from .engine import resolve_topology
-
     topology = resolve_topology(args.network)
     area = network_area(topology, TECH_45NM, edge_buffer_flits=None)
     power = static_power(topology, TECH_45NM, edge_buffer_flits=None)
-    sim = NoCSimulator(topology, SimConfig().with_smart(), seed=1)
-    probe = sim.run(
-        SyntheticSource(topology, "RND", 0.05), warmup=200, measure=500, drain=1000
+    specs, topologies = build_sweep_specs(
+        topology,
+        "RND",
+        [0.05],
+        config=SimConfig().with_smart(),
+        seed=1,
+        warmup=200,
+        measure=500,
+        drain=1000,
     )
+    (probe,) = default_engine().run(specs, topologies=topologies)
     print(
         format_table(
             ["property", "value"],
@@ -673,73 +601,309 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    patterns = [p for p in args.patterns.split(",") if p]
-    grid = _synthetic_grid(args, config, [args.network], patterns)
-    if args.queue is not None:
-        return _run_queued(args, grid, cmd_sweep)
-    specs, node_counts, _symbols = grid
-    curves = {}
-    engine = _build_engine(args)
-    progress, line = _campaign_progress(args, specs, node_counts)
-    for pattern in patterns:
-        before = engine.total_stats.snapshot()
-        curve = run_sweep(
-            engine,
-            args.network,
-            pattern,
-            args.loads,
-            config=config,
-            packet_flits=args.packet_flits,
-            routing=args.routing,
-            seed=args.seed,
-            warmup=args.warmup,
-            measure=args.measure,
-            drain=args.drain,
-            stop_after_saturation=not args.no_stop,
-            progress=progress,
-        )
-        curves[pattern] = curve
-        if line is not None:
-            line.finish()
-        stats = engine.total_stats.since(before)
-        print(
-            format_table(
-                ["load", "latency [cyc]", "throughput"],
-                _curve_rows(curve),
-                title=f"{args.network} / {pattern} (sat throughput "
-                f"{curve.saturation_throughput():.4f})",
-            )
-        )
-        print(
-            f"  engine: {stats.cache_hits} cached, "
-            f"{stats.executed} simulated, {stats.workers} workers\n"
-        )
-    total = engine.total_stats
-    _print_stage_seconds(total)
+@dataclass
+class Campaign:
+    """What a campaign command hands :func:`run_campaign`.
+
+    ``specs`` is the whole grid the run may simulate: what ``--queue``
+    submits and what the progress line counts.  ``node_counts`` and
+    ``symbols`` map its topology tokens to node counts (the cost model)
+    and to the catalog symbols queue workers rebuild networks from.
+    ``run(engine, progress)`` computes the result; ``render(result)``
+    prints its tables and returns the command's ``--json`` keys.
+    """
+
+    specs: list[ExperimentSpec]
+    node_counts: dict[str, int]
+    symbols: dict[str, str]
+    run: Callable[[ExperimentEngine, Any], Any]
+    render: Callable[[Any], dict]
+
+
+def run_campaign(args: argparse.Namespace, campaign: Campaign) -> int:
+    """The steps every campaign command shares: ``--queue`` submit and
+    wait, the engine and its progress display, the run, the tables, one
+    ``  engine:`` line, the stage seconds and the ``--json`` envelope
+    ``{"command", "engine", **render(result)}``."""
+    if getattr(args, "queue", None) is not None:
+        _submit_and_wait(args, campaign)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    engine = ExperimentEngine(cache=cache, max_workers=_workers(args))
+    progress, line = None, None
+    if args.progress and not args.quiet:
+        # The line is itself the callback; its ETA weights each spec
+        # left to simulate by its predicted cost.
+        def cost(spec) -> float:
+            return predicted_cost(spec, campaign.node_counts.get(spec.topology))
+
+        progress = line = ProgressLine(total=len(campaign.specs), cost_fn=cost)
+        line.add_pending(campaign.specs)
+    elif not args.quiet:
+        progress = _progress
+    result = campaign.run(engine, progress)
+    if line is not None:
+        line.finish()
+    payload = campaign.render(result)
+    stats = engine.total_stats
+    print(
+        f"  engine: {stats.cache_hits} cached, {stats.executed} simulated, "
+        f"{stats.workers} workers"
+    )
+    _print_stage_seconds(stats)
     if args.json_path:
-        payload = {
-            "network": args.network,
-            "curves": {p: c.to_dict() for p, c in curves.items()},
-            "engine": total.to_dict(),
-        }
+        envelope = {"command": args.command, "engine": stats.to_dict(), **payload}
         with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(envelope, handle, indent=2, sort_keys=True)
         print(f"  wrote {args.json_path}")
     return 0
 
 
-def _run_queued(args: argparse.Namespace, grid: tuple, command) -> int:
-    """``<command> --queue URL``: submit the grid, wait for the fleet,
-    then rerun ``command`` against the coordinator's store.
+def _curve_campaign(
+    args: argparse.Namespace,
+    networks: list[str],
+    routings: list[str],
+    patterns: list[str],
+    config: SimConfig | None,
+    render: Callable[[dict], dict],
+) -> Campaign:
+    """A campaign of latency-load curves, one per (network, routing,
+    pattern), run as one staged :func:`~repro.engine.campaign.run_curves`
+    campaign; ``render`` gets the curves keyed by that triple."""
+    curves, topologies = study_curves(networks, routings, patterns, config=config)
+    window = dict(
+        packet_flits=getattr(args, "packet_flits", 6),
+        seed=args.seed,
+        warmup=args.warmup,
+        measure=args.measure,
+        drain=args.drain,
+    )
 
-    ``grid`` is ``(specs, node_counts, symbols)`` as the ``*_grid``
-    helpers build it.  The submit is idempotent (keys are content
-    hashes), so rerunning a crashed submit-and-wait is safe; specs whose
-    results are already in the store are marked done at submit time and
-    never re-issued.  The final run is the ordinary command pointed at
-    the coordinator URL — a pure cache read once the queue drains.
+    def run(engine: ExperimentEngine, progress) -> dict:
+        return run_curves(
+            engine,
+            curves,
+            args.loads,
+            topologies,
+            stop_after_saturation=not args.no_stop,
+            progress=progress,
+            **window,
+        )
+
+    return Campaign(
+        curve_specs(curves.values(), args.loads, topologies, **window),
+        {token: topology.num_nodes for token, topology in topologies.items()},
+        {curve.token: curve.name for curve in curves.values()},
+        run,
+        render,
+    )
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    patterns = _names(args.patterns)
+
+    def render(curves: dict) -> dict:
+        by_pattern = {p: curves[(args.network, args.routing, p)] for p in patterns}
+        for pattern in patterns:
+            curve = by_pattern[pattern]
+            print(
+                format_table(
+                    ["load", "latency [cyc]", "throughput"],
+                    _curve_rows(curve),
+                    title=f"{args.network} / {pattern} (sat throughput "
+                    f"{curve.saturation_throughput():.4f})",
+                )
+            )
+            print()
+        return {
+            "network": args.network,
+            "curves": {p: curve.to_dict() for p, curve in by_pattern.items()},
+        }
+
+    campaign = _curve_campaign(
+        args, [args.network], [args.routing], patterns, _build_config(args), render
+    )
+    return run_campaign(args, campaign)
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    config = _build_config(args)
+
+    def render(curves: dict) -> dict:
+        by_network = {n: curves[(n, args.routing, args.pattern)] for n in args.networks}
+        rows = [
+            [
+                label,
+                round(by_network[label].zero_load_latency(), 2),
+                f"{by_network[label].saturation_throughput():.4f}",
+                len(by_network[label].points),
+            ]
+            for label in args.networks
+        ]
+        print(
+            format_table(
+                ["network", "zero-load latency", "sat throughput", "points"],
+                rows,
+                title=f"Pattern {args.pattern} over "
+                f"{min(args.loads):g}..{max(args.loads):g}",
+            )
+        )
+        print()
+        for label in args.networks:
+            print(
+                format_table(
+                    ["load", "latency [cyc]", "throughput"],
+                    _curve_rows(by_network[label]),
+                    title=f"{label} / {args.pattern}",
+                )
+            )
+        return {"curves": {n: curve.to_dict() for n, curve in by_network.items()}}
+
+    if not args.model:
+        campaign = _curve_campaign(
+            args, args.networks, [args.routing], [args.pattern], config, render
+        )
+        return run_campaign(args, campaign)
+    if args.queue is not None:
+        raise ValueError("--queue applies to simulation campaigns, not --model")
+    from dataclasses import replace
+
+    from .analysis import model_curves
+
+    def run_model(engine: ExperimentEngine, progress) -> dict:
+        curves = model_curves(
+            {symbol: resolve_topology(symbol) for symbol in args.networks},
+            args.pattern,
+            args.loads,
+            config=replace(config, packet_flits=args.packet_flits),
+            cache=engine.cache if engine.cache is not None else False,
+            seed=args.seed,
+        )
+        return {(n, args.routing, args.pattern): c for n, c in curves.items()}
+
+    return run_campaign(args, Campaign([], {}, {}, run_model, render))
+
+
+def cmd_adaptive(args: argparse.Namespace) -> int:
+    from .analysis import AdaptiveStudyResult
+
+    routings = _names(args.routings)
+    traffic = _names(args.traffic)
+
+    def render(curves: dict) -> dict:
+        study = AdaptiveStudyResult(
+            tuple(args.networks), tuple(routings), tuple(traffic), curves
+        )
+        print(study.format_table())
+        print()
+        return {"study": study.to_dict()}
+
+    # Every point is the spec `sweep NETWORK --routing R --patterns T`
+    # computes, so the study and single sweeps share cache entries.
+    campaign = _curve_campaign(args, args.networks, routings, traffic, None, render)
+    return run_campaign(args, campaign)
+
+
+def cmd_workloads(args: argparse.Namespace) -> int:
+    from .analysis import edp_gain, edp_table, workload_table
+
+    benches = _names(args.benches)
+    unknown = set(benches) - set(workload_names())
+    if unknown:
+        raise ValueError(
+            f"unknown benchmarks {sorted(unknown)}; options: {workload_names()}"
+        )
+    baseline = args.baseline or args.networks[0]
+    if baseline not in args.networks:
+        raise ValueError(f"baseline {baseline!r} is not among the networks")
+    window = dict(
+        intensity_scale=args.intensity_scale,
+        seed=args.seed,
+        warmup=args.warmup,
+        measure=args.measure,
+        drain=args.drain,
+    )
+    config = SimConfig().with_smart(not args.no_smart)
+    specs: list[ExperimentSpec] = []
+    node_counts: dict[str, int] = {}
+    symbols: dict[str, str] = {}
+    for network in args.networks:
+        grid, topologies = build_workload_specs(
+            network, benches, config=config, **window
+        )
+        specs.extend(grid)
+        for token, topology in topologies.items():
+            node_counts[token] = topology.num_nodes
+            symbols[token] = network
+
+    def run(engine: ExperimentEngine, progress) -> dict:
+        return workload_table(
+            args.networks,
+            benches,
+            smart=not args.no_smart,
+            engine=engine,
+            progress=progress,
+            **window,
+        )
+
+    def render(table: dict) -> dict:
+        edp = edp_table(table, baseline)
+        for bench in benches:
+            rows = []
+            for symbol in args.networks:
+                row = table[symbol][bench]
+                rows.append(
+                    [
+                        symbol,
+                        round(row.avg_latency, 1),
+                        round(row.throughput, 4),
+                        round(row.total_power_w, 2),
+                        f"{row.energy_delay_product:.3e}",
+                        round(edp[bench][symbol], 3),
+                    ]
+                )
+            print(
+                format_table(
+                    [
+                        "network",
+                        "latency [cyc]",
+                        "thr [f/n/c]",
+                        "power [W]",
+                        "EDP [Js]",
+                        f"EDP/{baseline}",
+                    ],
+                    rows,
+                    title=f"Workload '{bench}' "
+                    f"({'no SMART' if args.no_smart else 'SMART'}, 45nm)",
+                )
+            )
+            print()
+        others = [sym for sym in args.networks if sym != baseline]
+        if others and len(benches) > 1:
+            gains = "  ".join(
+                f"{sym}: {edp_gain(edp, sym, baseline):+.0%}" for sym in others
+            )
+            print(f"  EDP gain vs {baseline} (geomean): {gains}")
+        return {
+            "baseline": baseline,
+            "rows": [
+                table[symbol][bench].to_dict()
+                for symbol in args.networks
+                for bench in benches
+            ],
+            "edp_normalized": edp,
+        }
+
+    return run_campaign(args, Campaign(specs, node_counts, symbols, run, render))
+
+
+def _submit_and_wait(args: argparse.Namespace, campaign: Campaign) -> None:
+    """``--queue URL``: submit the grid, wait for the fleet to drain it,
+    then point ``--cache-dir`` at the coordinator's store, so the run
+    that follows is a pure cache read.
+
+    The submit is idempotent (keys are content hashes), so rerunning a
+    crashed submit-and-wait is safe; specs whose results are already in
+    the store are marked done at submit time and never re-issued.
     """
     if args.no_cache:
         raise ValueError(
@@ -748,11 +912,10 @@ def _run_queued(args: argparse.Namespace, grid: tuple, command) -> int:
         )
     from .engine.queue import QueueClient, jobs_for_specs
 
-    specs, node_counts, symbols = grid
     url = args.queue
-    jobs = jobs_for_specs(specs, node_counts)
+    jobs = jobs_for_specs(campaign.specs, campaign.node_counts)
     client = QueueClient(url)
-    reply = client.submit(jobs, symbols)
+    reply = client.submit(jobs, campaign.symbols)
     if not args.quiet:
         print(
             f"  queue: submitted {len(jobs)} specs to {url} "
@@ -761,16 +924,11 @@ def _run_queued(args: argparse.Namespace, grid: tuple, command) -> int:
             file=sys.stderr,
         )
     _wait_for_queue(args, client)
-    # The queue is drained: every result is in the coordinator's store.
-    # Rerun the command (saturation staging, power join and all) pointed
-    # at that store — zero simulations by construction.
-    args.queue = None
     args.cache_dir = url
-    return command(args)
 
 
 def _wait_for_queue(args: argparse.Namespace, client: QueueClient) -> dict:
-    """Poll ``queue/status`` until the campaign drains.
+    """Poll ``queue/status`` every second until the campaign drains.
 
     Shows a live progress line (unless ``--quiet``) with claimed-vs-done
     counts and an ETA extrapolated from the fleet's observed completion
@@ -778,7 +936,6 @@ def _wait_for_queue(args: argparse.Namespace, client: QueueClient) -> dict:
     never arrive, so assembling curves would silently re-simulate them
     locally — surfacing the poison is the better failure.
     """
-    poll = max(0.2, getattr(args, "poll", 1.0) or 1.0)
     started = time.monotonic()
     base_done: int | None = None
     status: dict = {}
@@ -807,7 +964,7 @@ def _wait_for_queue(args: argparse.Namespace, client: QueueClient) -> dict:
                 )
             if status["drained"]:
                 break
-            time.sleep(poll)
+            time.sleep(1.0)
     finally:
         if not args.quiet:
             print(file=sys.stderr)
@@ -824,224 +981,6 @@ def _wait_for_queue(args: argparse.Namespace, client: QueueClient) -> dict:
             "queue; fix the poison specs (or the workers) and resubmit"
         )
     return status
-
-
-def cmd_adaptive(args: argparse.Namespace) -> int:
-    from .analysis import adaptive_study
-
-    routings = [r for r in args.routings.split(",") if r]
-    traffic = [t for t in args.traffic.split(",") if t]
-    # The grid only sizes the progress line; adaptive_study runs the
-    # same specs (those of `sweep --routing R --patterns T`).
-    specs, node_counts, _symbols = _synthetic_grid(
-        args, None, args.networks, traffic, routings
-    )
-    engine = _build_engine(args)
-    progress, line = _campaign_progress(args, specs, node_counts)
-    study = adaptive_study(
-        engine,
-        args.networks,
-        routings,
-        traffic,
-        args.loads,
-        seed=args.seed,
-        warmup=args.warmup,
-        measure=args.measure,
-        drain=args.drain,
-        stop_after_saturation=not args.no_stop,
-        progress=progress,
-    )
-    if line is not None:
-        line.finish()
-    stats = engine.total_stats
-    print(study.format_table())
-    print(
-        f"  engine: {stats.cache_hits} cached, "
-        f"{stats.executed} simulated, {stats.workers} workers\n"
-    )
-    _print_stage_seconds(stats)
-    if args.json_path:
-        payload = {"study": study.to_dict(), "engine": stats.to_dict()}
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"  wrote {args.json_path}")
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if args.model and args.queue is not None:
-        raise ValueError("--queue applies to simulation campaigns, not --model")
-    if args.queue is not None:
-        return _run_queued(
-            args,
-            _synthetic_grid(args, config, args.networks, [args.pattern]),
-            cmd_compare,
-        )
-    engine = _build_engine(args)
-    if args.model:
-        from dataclasses import replace
-
-        from .analysis import model_curves
-        from .engine import resolve_topology
-
-        curves = model_curves(
-            {symbol: resolve_topology(symbol) for symbol in args.networks},
-            args.pattern,
-            args.loads,
-            config=replace(config, packet_flits=args.packet_flits),
-            cache=engine.cache if engine.cache is not None else False,
-            seed=args.seed,
-        )
-    else:
-        specs, node_counts, _symbols = _synthetic_grid(
-            args, config, args.networks, [args.pattern]
-        )
-        progress, line = _campaign_progress(args, specs, node_counts)
-        curves = run_compare(
-            engine,
-            {symbol: symbol for symbol in args.networks},
-            args.pattern,
-            args.loads,
-            config=config,
-            packet_flits=args.packet_flits,
-            routing=args.routing,
-            seed=args.seed,
-            warmup=args.warmup,
-            measure=args.measure,
-            drain=args.drain,
-            stop_after_saturation=not args.no_stop,
-            progress=progress,
-        )
-        if line is not None:
-            line.finish()
-    stats = engine.total_stats
-    rows = []
-    for label in args.networks:
-        curve = curves[label]
-        rows.append(
-            [
-                label,
-                round(curve.zero_load_latency(), 2),
-                f"{curve.saturation_throughput():.4f}",
-                len(curve.points),
-            ]
-        )
-    print(
-        format_table(
-            ["network", "zero-load latency", "sat throughput", "points"],
-            rows,
-            title=f"Pattern {args.pattern} over "
-            f"{min(args.loads):g}..{max(args.loads):g}",
-        )
-    )
-    print(
-        f"  engine: {stats.cache_hits} cached, {stats.executed} simulated, "
-        f"{stats.workers} workers\n"
-    )
-    _print_stage_seconds(stats)
-    for label in args.networks:
-        print(
-            format_table(
-                ["load", "latency [cyc]", "throughput"],
-                _curve_rows(curves[label]),
-                title=f"{label} / {args.pattern}",
-            )
-        )
-    return 0
-
-
-def cmd_workloads(args: argparse.Namespace) -> int:
-    from .analysis import edp_gain, edp_table, workload_table
-
-    benches = [b for b in args.benches.split(",") if b]
-    unknown = set(benches) - set(workload_names())
-    if unknown:
-        raise ValueError(
-            f"unknown benchmarks {sorted(unknown)}; options: {workload_names()}"
-        )
-    baseline = args.baseline or args.networks[0]
-    if baseline not in args.networks:
-        raise ValueError(f"baseline {baseline!r} is not among the networks")
-    grid = _workload_grid(args, benches)
-    if args.queue is not None:
-        return _run_queued(args, grid, cmd_workloads)
-    specs, node_counts, _symbols = grid
-    engine = _build_engine(args)
-    progress, line = _campaign_progress(args, specs, node_counts)
-    table = workload_table(
-        args.networks,
-        benches,
-        smart=not args.no_smart,
-        intensity_scale=args.intensity_scale,
-        seed=args.seed,
-        warmup=args.warmup,
-        measure=args.measure,
-        drain=args.drain,
-        engine=engine,
-        progress=progress,
-    )
-    if line is not None:
-        line.finish()
-    stats = engine.total_stats
-    edp = edp_table(table, baseline)
-    for bench in benches:
-        rows = [
-            [
-                symbol,
-                round(table[symbol][bench].avg_latency, 1),
-                round(table[symbol][bench].throughput, 4),
-                round(table[symbol][bench].total_power_w, 2),
-                f"{table[symbol][bench].energy_delay_product:.3e}",
-                round(edp[bench][symbol], 3),
-            ]
-            for symbol in args.networks
-        ]
-        print(
-            format_table(
-                [
-                    "network",
-                    "latency [cyc]",
-                    "thr [f/n/c]",
-                    "power [W]",
-                    "EDP [Js]",
-                    f"EDP/{baseline}",
-                ],
-                rows,
-                title=f"Workload '{bench}' "
-                f"({'no SMART' if args.no_smart else 'SMART'}, 45nm)",
-            )
-        )
-        print()
-    others = [sym for sym in args.networks if sym != baseline]
-    if others and len(benches) > 1:
-        gains = "  ".join(
-            f"{sym}: {edp_gain(edp, sym, baseline):+.0%}" for sym in others
-        )
-        print(f"  EDP gain vs {baseline} (geomean): {gains}")
-    print(
-        f"  engine: {stats.cache_hits} cached, {stats.executed} simulated, "
-        f"{stats.workers} workers"
-    )
-    _print_stage_seconds(stats)
-    if args.json_path:
-        payload = {
-            "baseline": baseline,
-            "rows": [
-                table[symbol][bench].to_dict()
-                for symbol in args.networks
-                for bench in benches
-            ],
-            "edp_normalized": edp,
-            "engine": {
-                "cache_hits": stats.cache_hits,
-                "simulated": stats.executed,
-            },
-        }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"  wrote {args.json_path}")
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..engine.campaign import CurveSpec, resolve_network, run_curves
+from ..engine.campaign import run_curves, study_curves
 from ..engine.runner import ExperimentEngine
 from ..sim import SimConfig
 from .sweep import SweepResult
@@ -128,17 +128,9 @@ def adaptive_study(
         routings=tuple(routings),
         traffic=tuple(traffic),
     )
-    curves: dict[tuple[str, str, str], CurveSpec] = {}
-    topo_map = {}
-    for network in study.networks:
-        token, topology = resolve_network(network, None)
-        topo_map[token] = topology
-        network_config = (configs or {}).get(network, config)
-        for routing in study.routings:
-            for pattern in study.traffic:
-                curves[(network, routing, pattern)] = CurveSpec(
-                    network, token, pattern, routing, network_config
-                )
+    curves, topo_map = study_curves(
+        study.networks, study.routings, study.traffic, config=config, configs=configs
+    )
     study.curves = run_curves(
         engine,
         curves,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from ..sim import SimConfig, SimResult
 from ..topos.base import Topology
@@ -158,35 +158,6 @@ def _require_pattern(pattern: str, token: str) -> None:
         )
 
 
-def _spec_for(
-    token: str,
-    pattern: str,
-    load: float,
-    *,
-    config: SimConfig | None,
-    packet_flits: int,
-    routing: str,
-    seed: int,
-    warmup: int,
-    measure: int,
-    drain: int,
-    layout: str | None,
-    num_nodes: int,
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        topology=token,
-        source=traffic_for_token(pattern, load, num_nodes),
-        packet_flits=packet_flits,
-        config=config if config is not None else SimConfig(),
-        routing=routing,
-        seed=seed,
-        warmup=warmup,
-        measure=measure,
-        drain=drain,
-        layout=layout,
-    )
-
-
 def build_sweep_specs(
     topology: Topology | str,
     pattern: str,
@@ -205,26 +176,16 @@ def build_sweep_specs(
     engine needs to hand the fingerprinted networks to workers."""
     token, topology = resolve_network(topology, layout)
     topologies = {token: topology}
-    # The fingerprint token already encodes the layout's wire lengths, so
-    # the spec's layout field stays None — keeping cache keys identical no
-    # matter how the caller named the network.
-    specs = [
-        _spec_for(
-            token,
-            pattern,
-            load,
-            config=config,
-            packet_flits=packet_flits,
-            routing=routing,
-            seed=seed,
-            warmup=warmup,
-            measure=measure,
-            drain=drain,
-            layout=None,
-            num_nodes=topology.num_nodes,
-        )
-        for load in sorted(loads)
-    ]
+    specs = curve_specs(
+        [CurveSpec(token, token, pattern, routing, config)],
+        loads,
+        topologies,
+        packet_flits=packet_flits,
+        seed=seed,
+        warmup=warmup,
+        measure=measure,
+        drain=drain,
+    )
     return specs, topologies
 
 
@@ -311,6 +272,81 @@ class CurveSpec:
     config: SimConfig | None
 
 
+def study_curves(
+    networks: Sequence[str],
+    routings: Sequence[str],
+    patterns: Sequence[str],
+    *,
+    config: SimConfig | None = None,
+    configs: Mapping[str, SimConfig] | None = None,
+) -> tuple[dict[tuple[str, str, str], CurveSpec], dict[str, Topology]]:
+    """One curve per (network, routing, pattern), keyed by that triple,
+    plus the topology map :func:`run_curves` takes.  ``networks`` are
+    catalog symbols, which also name the curves; ``configs`` overrides
+    ``config`` per symbol."""
+    curves: dict[tuple[str, str, str], CurveSpec] = {}
+    topologies: dict[str, Topology] = {}
+    for network in networks:
+        token, topology = resolve_network(network, None)
+        topologies[token] = topology
+        network_config = (configs or {}).get(network, config)
+        for routing in routings:
+            for pattern in patterns:
+                curves[(network, routing, pattern)] = CurveSpec(
+                    network, token, pattern, routing, network_config
+                )
+    return curves, topologies
+
+
+def curve_spec(
+    curve: CurveSpec,
+    load: float,
+    topologies: dict[str, Topology],
+    *,
+    packet_flits: int,
+    seed: int,
+    warmup: int,
+    measure: int,
+    drain: int,
+) -> ExperimentSpec:
+    """The spec of ``curve`` at ``load``: the one place a curve point's
+    spec is built.  ``topologies`` maps the curve's token to its network."""
+    # The fingerprint token already encodes the layout's wire lengths, so
+    # the spec's layout field stays None — keeping cache keys identical no
+    # matter how the caller named the network.
+    return ExperimentSpec(
+        topology=curve.token,
+        source=traffic_for_token(
+            curve.pattern, load, topologies[curve.token].num_nodes
+        ),
+        packet_flits=packet_flits,
+        config=curve.config if curve.config is not None else SimConfig(),
+        routing=curve.routing,
+        seed=seed,
+        warmup=warmup,
+        measure=measure,
+        drain=drain,
+        layout=None,
+    )
+
+
+def curve_specs(
+    curves: Iterable[CurveSpec],
+    loads: Sequence[float],
+    topologies: dict[str, Topology],
+    **window: int,
+) -> list[ExperimentSpec]:
+    """Every spec of every curve, curve by curve in ascending load: the
+    whole grid a :func:`run_curves` campaign may run, which a work queue
+    or a progress line over the campaign is sized by.  ``window`` is the
+    keyword arguments of :func:`curve_spec`."""
+    return [
+        curve_spec(curve, load, topologies, **window)
+        for curve in curves
+        for load in sorted(loads)
+    ]
+
+
 def run_curves(
     engine: ExperimentEngine,
     curves: Mapping[Hashable, CurveSpec],
@@ -343,21 +379,15 @@ def run_curves(
     loads = sorted(loads)
 
     def spec(curve: CurveSpec, load: float) -> ExperimentSpec:
-        # Fingerprint-keyed specs carry layout=None so cache keys don't
-        # depend on how the network was named.
-        return _spec_for(
-            curve.token,
-            curve.pattern,
+        return curve_spec(
+            curve,
             load,
-            config=curve.config,
+            topologies,
             packet_flits=packet_flits,
-            routing=curve.routing,
             seed=seed,
             warmup=warmup,
             measure=measure,
             drain=drain,
-            layout=None,
-            num_nodes=topologies[curve.token].num_nodes,
         )
 
     skip = getattr(progress, "skip", None)

@@ -9,7 +9,7 @@ from .config import (
     eb_var,
     el_links,
 )
-from .links import CreditLink, ElasticLink, link_latency
+from .links import ElasticLink, link_latency
 from .network import NoCSimulator, SimResult
 from .packet import Flit, Packet
 
@@ -25,7 +25,6 @@ __all__ = [
     "SimResult",
     "Packet",
     "Flit",
-    "CreditLink",
     "ElasticLink",
     "link_latency",
 ]

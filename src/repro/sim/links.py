@@ -1,9 +1,11 @@
 """Link models: credit-based pipelined wires and elastic (EB/ElastiStore) links.
 
-* :class:`CreditLink` — a fixed-latency pipe.  Flits sent at cycle ``t``
+* A credit link is a fixed-latency pipe.  Flits sent at cycle ``t``
   arrive at ``t + latency``; the upstream router only sends with a credit
   in hand, and credits return with the same wire latency.  This is the
-  conventional edge-buffer design whose buffers must cover the RTT.
+  conventional edge-buffer design whose buffers must cover the RTT.  It
+  has no object: :class:`~repro.sim.NoCSimulator`'s event wheels carry
+  its flits and credits.
 
 * :class:`ElasticLink` — the paper's EB/ElastiStore wire (section 4.1):
   the repeaters themselves become master-slave latches, one slave latch
@@ -20,7 +22,6 @@ With SMART (section 3.2.2) a wire of physical length ``d`` hops has
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .packet import Flit
 
@@ -28,48 +29,6 @@ from .packet import Flit
 def link_latency(distance_hops: int, hops_per_cycle: int = 1) -> int:
     """Cycles to traverse a wire of the given physical length (>= 1)."""
     return max(1, math.ceil(max(distance_hops, 1) / hops_per_cycle))
-
-
-class CreditLink:
-    """Fixed-latency flit pipe with symmetric credit return path.
-
-    This is the standalone (unit-tested) wire model.  The simulator's
-    event wheel carries credit-link flits and credits itself — it only
-    reads ``latency`` from these objects at build time — so the transit
-    queues here are exercised by direct users and tests, not by
-    :class:`~repro.sim.NoCSimulator`.
-    """
-
-    def __init__(self, latency: int):
-        if latency < 1:
-            raise ValueError("link latency must be >= 1")
-        self.latency = latency
-        self.flits: deque[tuple[int, Flit, int]] = deque()
-        self.credits: deque[tuple[int, int]] = deque()
-
-    def send_flit(self, flit: Flit, vc: int, now: int) -> None:
-        self.flits.append((now + self.latency, flit, vc))
-
-    def send_credit(self, vc: int, now: int) -> None:
-        self.credits.append((now + self.latency, vc))
-
-    def arrivals(self, now: int) -> list[tuple[Flit, int]]:
-        """Flits whose transit completes at ``now`` (FIFO per link)."""
-        out = []
-        while self.flits and self.flits[0][0] <= now:
-            _, flit, vc = self.flits.popleft()
-            out.append((flit, vc))
-        return out
-
-    def credit_arrivals(self, now: int) -> list[int]:
-        out = []
-        while self.credits and self.credits[0][0] <= now:
-            out.append(self.credits.popleft()[1])
-        return out
-
-    @property
-    def in_flight(self) -> int:
-        return len(self.flits)
 
 
 class ElasticLink:

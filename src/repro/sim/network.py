@@ -64,7 +64,7 @@ from functools import cached_property
 from ..routing import QueueOracle, RoutingAlgorithm, ZeroQueues, default_routing
 from ..topos.base import Topology
 from .config import SimConfig
-from .links import CreditLink, ElasticLink, link_latency
+from .links import ElasticLink, link_latency
 from .packet import Flit, Packet
 
 
@@ -345,16 +345,17 @@ class NoCSimulator:
             )
             for r in range(topo.num_routers)
         ]
-        self.links: dict[tuple[int, int], CreditLink | ElasticLink] = {}
+        # Link ordinals are the insertion order of ``link_cycles`` (edges
+        # x both directions).  Only elastic links are objects: credit
+        # links are carried by the event wheels below.
         self.link_cycles: dict[tuple[int, int], int] = {}
+        self.links: dict[tuple[int, int], ElasticLink] = {}
         for i, j in topo.edges():
             lat = link_latency(topo.link_length_hops(i, j), cfg.hops_per_cycle)
             for a, b in ((i, j), (j, i)):
                 self.link_cycles[(a, b)] = lat
                 if cfg.elastic_links:
                     self.links[(a, b)] = ElasticLink(lat, cfg.num_vcs)
-                else:
-                    self.links[(a, b)] = CreditLink(lat)
         self._inj_units: list[_InputUnit] = [None] * topo.num_nodes  # type: ignore
         # Node -> the router output slot of its ejection port.
         self._ej_slot: list[int] = [0] * topo.num_nodes
@@ -382,7 +383,7 @@ class NoCSimulator:
         # for the cold QueueOracle lookup.  ``queues`` is the oracle view
         # over both that adaptive routings read.
         self._occ_ordinal: dict[tuple[int, int], int] = {}
-        self._occupancy: list[int] = [0] * len(self.links)
+        self._occupancy: list[int] = [0] * len(self.link_cycles)
         self.queues = LiveQueues(self._occupancy, self._occ_ordinal)
         # Per link ordinal: the destination router and its [vc] -> input
         # unit (flit delivery); for elastic links also the link and its
@@ -394,21 +395,21 @@ class NoCSimulator:
         self._out_ports: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._elastic_links: list[ElasticLink] = []
         self._stage0: list[dict] | None = [] if cfg.elastic_links else None
-        for ordinal, (src, dst) in enumerate(self.links):
+        for ordinal, ((src, dst), latency) in enumerate(self.link_cycles.items()):
             dst_router = self.routers[dst]
             units = [dst_router.in_index[(src, vc)] for vc in range(cfg.num_vcs)]
             self._occ_ordinal[(src, dst)] = ordinal
             self._link_dst.append(dst_router)
             self._link_units.append(units)
-            link = self.links[(src, dst)]
             src_router = self.routers[src]
             self._out_ports[(src, dst)] = (
                 src_router.neighbors.index(dst),
                 src_router.out_base[dst],
                 ordinal,
-                link.latency,
+                latency,
             )
             if cfg.elastic_links:
+                link = self.links[(src, dst)]
                 self._elastic_links.append(link)
                 self._stage0.append(link.stages[0])
             else:
@@ -426,8 +427,7 @@ class NoCSimulator:
         # their ordinals live in an active set.
         self._active_routers: set[int] = set()
         # Wheel slots carry pre-resolved entries — the wheels *are* the
-        # credit-link transport (CreditLink objects remain as the
-        # standalone/unit-tested model):
+        # credit-link transport:
         #   event wheel: (flit, destination input unit, link ordinal), a
         #       flit on a wire;
         #   credit wheel: (upstream credits, credit index, link ordinal),
@@ -437,7 +437,7 @@ class NoCSimulator:
         self._event_wheel: dict[int, list[tuple]] = {}
         self._credit_wheel: dict[int, list[tuple]] = {}
         self._track_inflight = self._uses_cb and not cfg.elastic_links
-        self._credit_inflight: list[int] = [0] * len(self.links)
+        self._credit_inflight: list[int] = [0] * len(self.link_cycles)
         self._active_elastic_links: set[int] = set()
         self._vc_succ = tuple((vc + 1) % cfg.num_vcs for vc in range(cfg.num_vcs))
         # CBR switch-allocation scratch, cleared after each router: output

@@ -11,7 +11,7 @@ from repro.engine import ROUTING_BUILDERS, build_routing
 from repro.routing import RoutingAlgorithm, StaticMinimalRouting, UGALRouting
 from repro.routing.algorithms import Route
 from repro.sim import NoCSimulator, SimConfig, cbr, eb_var, el_links, link_latency
-from repro.sim.links import CreditLink, ElasticLink
+from repro.sim.links import ElasticLink
 from repro.topos import make_network
 from repro.topos.base import Topology
 from repro.traffic import SyntheticSource
@@ -35,24 +35,6 @@ class TestLinkModels:
         assert link_latency(5) == 5
         assert link_latency(5, hops_per_cycle=9) == 1
         assert link_latency(10, hops_per_cycle=9) == 2
-
-    def test_credit_link_delivers_in_order_after_latency(self):
-        link = CreditLink(3)
-        link.send_flit("a", 0, now=10)
-        link.send_flit("b", 0, now=11)
-        assert link.arrivals(12) == []
-        assert link.arrivals(13) == [("a", 0)]
-        assert link.arrivals(14) == [("b", 0)]
-
-    def test_credit_link_credits_round_trip(self):
-        link = CreditLink(2)
-        link.send_credit(1, now=5)
-        assert link.credit_arrivals(6) == []
-        assert link.credit_arrivals(7) == [1]
-
-    def test_credit_link_rejects_zero_latency(self):
-        with pytest.raises(ValueError):
-            CreditLink(0)
 
     def test_elastic_link_advances_one_per_stage(self):
         link = ElasticLink(latency=2, num_vcs=2)

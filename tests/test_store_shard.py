@@ -627,8 +627,8 @@ class TestQueuedCampaignCli:
         )
         queued = json.loads(queued_json.read_text())
         local = json.loads(local_json.read_text())
-        assert queued["engine"]["simulated"] == 0
-        assert local["engine"]["simulated"] == 4
+        assert queued["engine"]["executed"] == 0
+        assert local["engine"]["executed"] == 4
         assert queued["rows"] == local["rows"]
         assert queued["edp_normalized"] == local["edp_normalized"]
         assert worker.stats.done == 4
