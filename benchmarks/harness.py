@@ -1,43 +1,42 @@
 """Common utilities for the figure/table benchmarks.
 
-Latency curves are submitted through the shared experiment engine
-(:mod:`repro.engine`): re-running a figure serves every point from the
-content-addressed cache, and fresh points fan out across one worker
+Each figure's latency curves are submitted together through the shared
+experiment engine (:mod:`repro.engine`) as one staged campaign:
+re-running a figure serves every point from the content-addressed
+cache, and fresh points of all its curves fan out across one worker
 process per available CPU (``REPRO_WORKERS=N`` sets N instead;
 ``REPRO_NO_CACHE=1`` forces re-simulation).
 """
 
 from __future__ import annotations
 
-from repro.analysis import format_table, sweep_loads
+from repro.analysis import format_table
 from repro.engine import default_engine
+from repro.engine.campaign import CurveSpec, resolve_network, run_curves
 from repro.sim import SimConfig
-from repro.topos import make_network
 
 #: Short windows keep the full harness fast while preserving curve shapes.
 SIM_KW = dict(warmup=200, measure=500, drain=1200)
-
-#: Load points used by most latency figures (flits/node/cycle).
-FIGURE_LOADS = [0.008, 0.06, 0.16, 0.30]
 
 
 def smart_config(**kw) -> SimConfig:
     return SimConfig(**kw).with_smart()
 
 
-def latency_curve(symbol, pattern, loads=None, config=None, layout=None, **kw):
-    """Sweep one catalog network through the engine; returns a SweepResult."""
-    params = dict(SIM_KW)
-    params.update(kw)
-    params.setdefault("engine", default_engine())
-    return sweep_loads(
-        make_network(symbol, layout),
-        pattern,
-        list(loads or FIGURE_LOADS),
-        config=config,
-        name=symbol if layout is None else layout,
-        **params,
-    )
+def latency_curves(grid, loads):
+    """Sweep a figure's whole grid of catalog networks as one campaign.
+
+    ``grid`` maps each key to ``(symbol, pattern, config, layout)``;
+    ``config`` ``None`` is the default router and ``layout`` ``None`` the
+    symbol's default layout.  Each curve is named by its layout, else by
+    its symbol.  Returns ``{key: SweepResult}`` in the order of ``grid``.
+    """
+    curves, topologies = {}, {}
+    for key, (symbol, pattern, config, layout) in grid.items():
+        token, topology = resolve_network(symbol, layout)
+        topologies[token] = topology
+        curves[key] = CurveSpec(layout or symbol, token, pattern, "default", config)
+    return run_curves(default_engine(), curves, loads, topologies, **SIM_KW)
 
 
 def print_series(title: str, headers, rows) -> None:

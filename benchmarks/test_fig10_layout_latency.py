@@ -9,7 +9,7 @@ from repro.analysis import geometric_mean
 from repro.engine import default_engine, workload_compare
 from repro.topos import make_network
 
-from harness import SIM_KW, latency_curve, print_series
+from harness import SIM_KW, latency_curves, print_series
 
 LAYOUTS = ["sn_basic", "sn_gr", "sn_rand", "sn_subgr"]
 PATTERNS = ["REV", "RND", "SHF"]
@@ -17,13 +17,12 @@ WORKLOADS_10B = ["barnes", "canneal", "fft", "ocean-c", "radix", "volrend"]
 
 
 def figure_10a():
-    curves = {}
-    for layout in LAYOUTS:
-        for pattern in PATTERNS:
-            curves[(layout, pattern)] = latency_curve(
-                "sn200", pattern, loads=[0.008, 0.04, 0.16], layout=layout
-            )
-    return curves
+    grid = {
+        (layout, pattern): ("sn200", pattern, None, layout)
+        for layout in LAYOUTS
+        for pattern in PATTERNS
+    }
+    return latency_curves(grid, [0.008, 0.04, 0.16])
 
 
 def figure_10b():

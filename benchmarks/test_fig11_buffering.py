@@ -11,18 +11,18 @@ and without SMART links.  Paper findings checked:
 
 from repro.sim import BUFFERING_STRATEGIES
 
-from harness import latency_curve, print_series
+from harness import latency_curves, print_series
 
 LOADS = [0.008, 0.04, 0.16]
 STRATEGIES = ["EB-Small", "EB-Large", "EB-Var", "EL-Links", "CBR-6", "CBR-40"]
 
 
 def run_strategies(smart: bool):
-    curves = {}
-    for name in STRATEGIES:
-        config = BUFFERING_STRATEGIES[name]().with_smart(smart)
-        curves[name] = latency_curve("sn200", "RND", loads=LOADS, config=config)
-    return curves
+    grid = {
+        name: ("sn200", "RND", BUFFERING_STRATEGIES[name]().with_smart(smart), None)
+        for name in STRATEGIES
+    }
+    return latency_curves(grid, LOADS)
 
 
 def test_fig11_no_smart(benchmark):

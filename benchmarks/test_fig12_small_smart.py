@@ -7,7 +7,7 @@ times (0.4/0.5/0.6 ns), so assertions are on nanosecond latency.
 
 from repro.topos import cycle_time_ns
 
-from harness import latency_curve, print_series, smart_config
+from harness import latency_curves, print_series, smart_config
 
 NETWORKS = ["cm3", "t2d3", "pfbf3", "pfbf4", "sn200", "fbf3"]
 PATTERNS = ["ADV1", "REV", "RND", "SHF"]
@@ -15,13 +15,12 @@ LOADS = [0.008, 0.06]
 
 
 def run_comparison():
-    curves = {}
-    for sym in NETWORKS:
-        for pattern in PATTERNS:
-            curves[(sym, pattern)] = latency_curve(
-                sym, pattern, loads=LOADS, config=smart_config()
-            )
-    return curves
+    grid = {
+        (sym, pattern): (sym, pattern, smart_config(), None)
+        for sym in NETWORKS
+        for pattern in PATTERNS
+    }
+    return latency_curves(grid, LOADS)
 
 
 def test_fig12(benchmark):

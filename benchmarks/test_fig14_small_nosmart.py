@@ -7,7 +7,7 @@ SN/fbf3 ratios of 81-115% — while SN keeps beating the low-radix nets.
 
 from repro.topos import cycle_time_ns
 
-from harness import latency_curve, print_series
+from harness import latency_curves, print_series, smart_config
 
 NETWORKS = ["cm3", "t2d3", "pfbf3", "sn200", "fbf3"]
 PATTERNS = ["ADV1", "RND"]
@@ -15,11 +15,12 @@ LOADS = [0.008, 0.06, 0.16]
 
 
 def run_comparison():
-    return {
-        (sym, pattern): latency_curve(sym, pattern, loads=LOADS)
+    grid = {
+        (sym, pattern): (sym, pattern, None, None)
         for sym in NETWORKS
         for pattern in PATTERNS
     }
+    return latency_curves(grid, LOADS)
 
 
 def test_fig14(benchmark):
@@ -54,10 +55,11 @@ def test_fig14(benchmark):
     assert not sn_rnd.points[-1].saturated
     assert sn_rnd.latency_at(0.16) < 2 * sn_rnd.zero_load_latency()
     # SMART matters more for SN than for the single-cycle-wire mesh:
-    from harness import smart_config
-
-    sn_smart = latency_curve("sn200", "RND", loads=[0.008], config=smart_config())
-    cm_smart = latency_curve("cm3", "RND", loads=[0.008], config=smart_config())
+    smart = latency_curves(
+        {sym: (sym, "RND", smart_config(), None) for sym in ("sn200", "cm3")},
+        [0.008],
+    )
+    sn_smart, cm_smart = smart["sn200"], smart["cm3"]
     sn_gain = 1 - sn_smart.zero_load_latency() / curves[("sn200", "RND")].zero_load_latency()
     cm_gain = 1 - cm_smart.zero_load_latency() / curves[("cm3", "RND")].zero_load_latency()
     print(f"\nSMART gain: SN {sn_gain:.1%} vs CM {cm_gain:.1%} (paper: ~11.3% vs ~0%)")

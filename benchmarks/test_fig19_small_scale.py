@@ -8,17 +8,16 @@
 from repro.power import TECH_45NM, dynamic_power, network_area
 from repro.topos import cycle_time_ns, make_network
 
-from harness import latency_curve, print_series, smart_config
+from harness import latency_curves, print_series, smart_config
 
 NETWORKS = ["sn54", "fbf54", "pfbf54", "t2d54"]
 LOADS = [0.008, 0.06, 0.16]
 
 
 def figure_19():
-    curves = {
-        sym: latency_curve(sym, "RND", loads=LOADS, config=smart_config())
-        for sym in NETWORKS
-    }
+    curves = latency_curves(
+        {sym: (sym, "RND", smart_config(), None) for sym in NETWORKS}, LOADS
+    )
     area = {
         sym: network_area(
             make_network(sym), TECH_45NM, hops_per_cycle=9, edge_buffer_flits=None

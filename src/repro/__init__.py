@@ -25,7 +25,6 @@ from .analysis import (
     format_table,
     geometric_mean,
     relative_improvement,
-    sweep_loads,
 )
 from .core import (
     SlimNoC,
@@ -112,7 +111,6 @@ __all__ = [
     "make_metrics",
     "TECH_45NM",
     "TECH_22NM",
-    "sweep_loads",
     "compare_networks",
     "SweepResult",
     "LargeScaleModel",

@@ -84,14 +84,20 @@ from .engine import (
     ROUTING_BUILDERS,
     ExperimentEngine,
     ResultCache,
-    build_sweep_specs,
     build_workload_specs,
     default_engine,
     default_workers,
     predicted_cost,
     resolve_topology,
 )
-from .engine.campaign import curve_specs, run_curves, study_curves
+from .engine.campaign import (
+    CurveSpec,
+    curve_spec,
+    curve_specs,
+    resolve_network,
+    run_curves,
+    study_curves,
+)
 from .obs import ProgressLine, configure_logging, format_duration
 from .power import TECH_45NM, network_area, static_power
 from .sim import BUFFERING_STRATEGIES, SimConfig
@@ -107,31 +113,32 @@ def parse_loads(text: str) -> list[float]:
     """``"0.02:0.5:0.04"`` (start:stop:step, stop-inclusive) or a comma list
     of finite, non-negative loads."""
     if ":" in text:
-        parts = [float(x) for x in text.split(":")]
+        parts = [_non_negative_float(x) for x in text.split(":")]
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("range loads must be start:stop:step")
         start, stop, step = parts
-        _check_loads([start, stop])
-        if not step > 0 or math.isinf(step) or stop < start:
+        if not step > 0 or stop < start:
             raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
         loads, value = [], start
         while value <= stop + 1e-9:
             loads.append(round(value, 10))
             value += step
         return loads
-    loads = [float(x) for x in text.split(",") if x]
+    loads = [_non_negative_float(x) for x in text.split(",") if x]
     if not loads:
         raise argparse.ArgumentTypeError("need at least one load")
-    _check_loads(loads)
     return loads
 
 
-def _check_loads(values: list[float]) -> None:
-    for value in values:
-        if not math.isfinite(value) or value < 0:
-            raise argparse.ArgumentTypeError(
-                f"loads must be finite and >= 0, got {value:g}"
-            )
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite float >= 0 (a load or an intensity scale)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+_non_negative_float.__name__ = "float"  # argparse: "invalid float value: ..."
 
 
 def _at_least(convert, low):
@@ -386,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workloads.add_argument(
         "--intensity-scale",
-        type=float,
+        type=_non_negative_float,
         default=1.0,
         help="multiply each benchmark's injection intensity",
     )
@@ -565,20 +572,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    topology = resolve_topology(args.network)
+    token, topology = resolve_network(args.network, None)
     area = network_area(topology, TECH_45NM, edge_buffer_flits=None)
     power = static_power(topology, TECH_45NM, edge_buffer_flits=None)
-    specs, topologies = build_sweep_specs(
-        topology,
-        "RND",
-        [0.05],
-        config=SimConfig().with_smart(),
+    topologies = {token: topology}
+    spec = curve_spec(
+        CurveSpec(args.network, token, "RND", "default", SimConfig().with_smart()),
+        0.05,
+        topologies,
+        packet_flits=6,
         seed=1,
         warmup=200,
         measure=500,
         drain=1000,
     )
-    (probe,) = default_engine().run(specs, topologies=topologies)
+    (probe,) = default_engine().run([spec], topologies=topologies)
     print(
         format_table(
             ["property", "value"],

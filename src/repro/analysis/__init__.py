@@ -4,7 +4,7 @@ from .adaptive import AdaptiveStudyResult, adaptive_study
 from .largescale import LargeScaleModel, model_curves
 from .metrics import format_table, geometric_mean, relative_improvement
 from .resilience import ResilienceReport, degrade, resilience_curve
-from .sweep import SweepPoint, SweepResult, compare_networks, sweep_loads
+from .sweep import SweepPoint, SweepResult, compare_networks
 from .workloads import (
     WorkloadRow,
     edp_gain,
@@ -18,7 +18,6 @@ __all__ = [
     "adaptive_study",
     "SweepPoint",
     "SweepResult",
-    "sweep_loads",
     "compare_networks",
     "LargeScaleModel",
     "model_curves",

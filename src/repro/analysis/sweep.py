@@ -1,18 +1,19 @@
-"""Load sweeps and saturation analysis over the cycle-accurate simulator.
+"""Latency-load curves and saturation analysis over the cycle-accurate simulator.
 
 The paper's latency-load figures (10-14, 19) sweep injection rate and
 plot average packet latency until the network saturates ("we omit
 performance data for points after network saturation").  This module
-reproduces that methodology: simulate a list of loads, stop at the first
-saturated point, and report the curve plus derived metrics (zero-load
-latency, saturation throughput).
+holds that curve (:class:`SweepResult`: the points up to and including
+the first saturated one, plus the derived zero-load latency and
+saturation throughput) and :func:`compare_networks`, the analysis entry
+point for a grid of curves.
 
-Sweeps are submitted through the experiment engine
-(:mod:`repro.engine`): every (topology, pattern, load, config, seed)
-point is content-addressed, so repeated figure reproduction is served
-from the on-disk cache, and the default engine fans the points across
-one worker process per available CPU (``REPRO_WORKERS`` sets the count;
-pass an ``engine`` to choose another).
+Every curve is computed by the engine's one staged loop,
+:func:`repro.engine.campaign.run_curves`: each (topology, pattern, load,
+config, seed) point is content-addressed, so repeated figure
+reproduction is served from the store, and the default engine fans the
+points of all curves across one worker process per available CPU
+(``REPRO_WORKERS`` sets the count; pass an ``engine`` to choose another).
 """
 
 from __future__ import annotations
@@ -37,15 +38,6 @@ class SweepPoint:
             "throughput": self.throughput,
             "saturated": self.saturated,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SweepPoint":
-        return cls(
-            load=payload["load"],
-            latency=payload["latency"],
-            throughput=payload["throughput"],
-            saturated=payload["saturated"],
-        )
 
 
 @dataclass
@@ -87,54 +79,6 @@ class SweepResult:
             "pattern": self.pattern,
             "points": [p.to_dict() for p in self.points],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SweepResult":
-        return cls(
-            network=payload["network"],
-            pattern=payload["pattern"],
-            points=[SweepPoint.from_dict(p) for p in payload["points"]],
-        )
-
-
-def sweep_loads(
-    topology: Topology | str,
-    pattern: str,
-    loads: list[float],
-    config: SimConfig | None = None,
-    routing: str = "default",
-    packet_flits: int = 6,
-    warmup: int = 300,
-    measure: int = 800,
-    drain: int = 1500,
-    seed: int = 1,
-    stop_after_saturation: bool = True,
-    name: str | None = None,
-    engine=None,
-) -> SweepResult:
-    """Run the simulator across ``loads`` (flits/node/cycle), low to high.
-
-    ``topology`` may be a live :class:`Topology` or a catalog symbol;
-    ``routing`` names a scheme in :data:`repro.engine.ROUTING_BUILDERS`;
-    ``engine`` overrides the default (env-configured) experiment engine.
-    """
-    from ..engine import default_engine, run_sweep
-
-    return run_sweep(
-        engine if engine is not None else default_engine(),
-        topology,
-        pattern,
-        loads,
-        config=config,
-        packet_flits=packet_flits,
-        routing=routing,
-        seed=seed,
-        warmup=warmup,
-        measure=measure,
-        drain=drain,
-        stop_after_saturation=stop_after_saturation,
-        name=name,
-    )
 
 
 def compare_networks(

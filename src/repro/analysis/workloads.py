@@ -180,11 +180,16 @@ def smart_latency_gains(
     progress=None,
 ) -> dict[tuple[str, str], float]:
     """Percentage latency decrease from SMART links per (network, bench)
-    — Table 6.  Both configurations run through one engine campaign."""
+    — Table 6.  Both configurations of every network run as one engine
+    batch: one label per (network, SMART off/on)."""
     from ..engine import default_engine, workload_compare
 
-    engine = engine if engine is not None else default_engine()
-    kw = dict(
+    labels = [(symbol, smart) for smart in (False, True) for symbol in networks]
+    results = workload_compare(
+        engine if engine is not None else default_engine(),
+        {label: label[0] for label in labels},
+        benches,
+        configs={label: SimConfig().with_smart(label[1]) for label in labels},
         intensity_scale=intensity_scale,
         seed=seed,
         warmup=warmup,
@@ -192,24 +197,13 @@ def smart_latency_gains(
         drain=drain,
         progress=progress,
     )
-    topologies = {symbol: symbol for symbol in networks}
-    baseline = workload_compare(
-        engine,
-        topologies,
-        benches,
-        config=SimConfig().with_smart(False),
-        **kw,
-    )
-    smart = workload_compare(
-        engine,
-        topologies,
-        benches,
-        config=SimConfig().with_smart(True),
-        **kw,
-    )
     return {
         (symbol, bench): 100.0
-        * (1 - smart[symbol][bench].avg_latency / baseline[symbol][bench].avg_latency)
+        * (
+            1
+            - results[symbol, True][bench].avg_latency
+            / results[symbol, False][bench].avg_latency
+        )
         for symbol in networks
         for bench in benches
     }

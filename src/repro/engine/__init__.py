@@ -15,9 +15,12 @@ into an incremental, parallel pipeline:
 * :mod:`~repro.engine.runner` — :class:`ExperimentEngine`, a batch
   executor fanning cache misses across a process pool of its own per
   batch (every CPU by default, :func:`default_workers`);
-* :mod:`~repro.engine.campaign` — sweep/compare grid builders over one
-  staged early-stop-on-saturation loop (``run_curves``), and
-  (network × benchmark) workload campaigns (:func:`workload_compare`);
+* :mod:`~repro.engine.campaign` — latency curves, each a
+  :class:`~repro.engine.campaign.CurveSpec`, swept as one staged
+  early-stop-on-saturation campaign (``run_curves``: the CLI, the
+  figures, :func:`run_compare` and the adaptive study all go through
+  it), and (network × benchmark) workload campaigns
+  (:func:`workload_compare`);
 * :mod:`~repro.engine.queue` / :mod:`~repro.engine.worker` — the
   fault-tolerant work queue (:class:`JobQueue` behind ``repro serve
   --queue``) and the elastic :class:`QueueWorker` fleet loop
@@ -56,11 +59,8 @@ read of one of their names does.
 from importlib import import_module
 
 from .campaign import (
-    assemble_curve,
-    build_sweep_specs,
     build_workload_specs,
     run_compare,
-    run_sweep,
     traffic_for_token,
     workload_compare,
 )
@@ -170,12 +170,9 @@ __all__ = [
     "topology_fingerprint",
     "topology_token",
     "iter_spec_keys",
-    "build_sweep_specs",
     "build_workload_specs",
-    "assemble_curve",
     "default_worker_id",
     "jobs_for_specs",
-    "run_sweep",
     "run_compare",
     "workload_compare",
 ]

@@ -1,4 +1,4 @@
-"""Sweep/compare/workload campaign builders on top of the experiment engine.
+"""Latency-curve and workload campaigns on top of the experiment engine.
 
 A *campaign* expands a grid — (network × pattern × load) for synthetic
 sweeps, (network × benchmark) for workload runs — into
@@ -9,7 +9,8 @@ per-benchmark result tables (Figure 18 / Table 6).
 
 Early stop on saturation ("we omit performance data for points after
 network saturation") is handled as *staged batches* (:func:`run_curves`,
-the one loop behind every sweep, comparison and the adaptive study):
+the one loop behind every latency curve: the CLI's campaigns,
+:func:`run_compare`, the adaptive study and each figure's grid):
 each round submits the next loads of every still-unsaturated curve as
 one engine batch, chunked so a round is at least as wide as the
 engine's worker count; a curve stops extending once a chunk contains a
@@ -158,106 +159,6 @@ def _require_pattern(pattern: str, token: str) -> None:
         )
 
 
-def build_sweep_specs(
-    topology: Topology | str,
-    pattern: str,
-    loads: Sequence[float],
-    *,
-    config: SimConfig | None = None,
-    packet_flits: int = 6,
-    routing: str = "default",
-    seed: int = 1,
-    warmup: int = 300,
-    measure: int = 800,
-    drain: int = 1500,
-    layout: str | None = None,
-) -> tuple[list[ExperimentSpec], dict[str, Topology]]:
-    """Specs for one (network, pattern) sweep, plus the topology map the
-    engine needs to hand the fingerprinted networks to workers."""
-    token, topology = resolve_network(topology, layout)
-    topologies = {token: topology}
-    specs = curve_specs(
-        [CurveSpec(token, token, pattern, routing, config)],
-        loads,
-        topologies,
-        packet_flits=packet_flits,
-        seed=seed,
-        warmup=warmup,
-        measure=measure,
-        drain=drain,
-    )
-    return specs, topologies
-
-
-def assemble_curve(
-    name: str,
-    pattern: str,
-    loads: Sequence[float],
-    results: Sequence[SimResult],
-    stop_after_saturation: bool = True,
-):
-    """Fold per-load results into a :class:`SweepResult`, truncating after
-    the first saturated point when early stop is requested."""
-    from ..analysis.sweep import SweepPoint, SweepResult
-
-    curve = SweepResult(network=name, pattern=pattern)
-    for load, outcome in zip(loads, results):
-        point = SweepPoint(
-            load=load,
-            latency=outcome.avg_latency,
-            throughput=outcome.throughput,
-            saturated=outcome.saturated,
-        )
-        curve.points.append(point)
-        if point.saturated and stop_after_saturation:
-            break
-    return curve
-
-
-def run_sweep(
-    engine: ExperimentEngine,
-    topology: Topology | str,
-    pattern: str,
-    loads: Sequence[float],
-    *,
-    config: SimConfig | None = None,
-    packet_flits: int = 6,
-    routing: str = "default",
-    seed: int = 1,
-    warmup: int = 300,
-    measure: int = 800,
-    drain: int = 1500,
-    layout: str | None = None,
-    stop_after_saturation: bool = True,
-    name: str | None = None,
-    progress=None,
-):
-    """One latency-load curve through the engine (cached + parallel)."""
-    curves = run_compare(
-        engine,
-        {_label(name, topology): topology},
-        pattern,
-        loads,
-        config=config,
-        packet_flits=packet_flits,
-        routing=routing,
-        seed=seed,
-        warmup=warmup,
-        measure=measure,
-        drain=drain,
-        layout=layout,
-        stop_after_saturation=stop_after_saturation,
-        progress=progress,
-    )
-    return next(iter(curves.values()))
-
-
-def _label(name: str | None, topology: Topology | str) -> str:
-    if name is not None:
-        return name
-    return topology if isinstance(topology, str) else topology.name
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     """One latency-load curve of a staged campaign: the network's
@@ -376,6 +277,8 @@ def run_curves(
 
     Returns ``{key: SweepResult}`` in the order of ``curves``.
     """
+    from ..analysis.sweep import SweepPoint, SweepResult
+
     loads = sorted(loads)
 
     def spec(curve: CurveSpec, load: float) -> ExperimentSpec:
@@ -420,16 +323,20 @@ def run_curves(
                 still_active.append(key)
         active = still_active
 
-    return {
-        key: assemble_curve(
-            curve.name,
-            curve.pattern,
-            loads[: len(results[key])],
-            results[key],
-            stop_after_saturation,
-        )
-        for key, curve in curves.items()
-    }
+    # With early stop, a curve ends at its first saturated point; the
+    # points its last chunk ran past it stay cached but out of the curve.
+    assembled: dict[Hashable, SweepResult] = {}
+    for key, curve in curves.items():
+        assembled[key] = sweep = SweepResult(curve.name, curve.pattern)
+        for load, outcome in zip(loads, results[key]):
+            sweep.points.append(
+                SweepPoint(
+                    load, outcome.avg_latency, outcome.throughput, outcome.saturated
+                )
+            )
+            if outcome.saturated and stop_after_saturation:
+                break
+    return assembled
 
 
 def run_compare(
@@ -446,7 +353,6 @@ def run_compare(
     warmup: int = 300,
     measure: int = 800,
     drain: int = 1500,
-    layout: str | None = None,
     stop_after_saturation: bool = True,
     progress=None,
 ):
@@ -460,7 +366,7 @@ def run_compare(
     curves: dict[str, CurveSpec] = {}
     topo_map: dict[str, Topology] = {}
     for label, topology in topologies.items():
-        token, topology = resolve_network(topology, layout)
+        token, topology = resolve_network(topology, None)
         topo_map[token] = topology
         curves[label] = CurveSpec(
             label, token, pattern, routing, (configs or {}).get(label, config)
@@ -493,7 +399,7 @@ def _workload_spec_for(
     measure: int,
     drain: int,
 ) -> ExperimentSpec:
-    # Like the sweep builders, fingerprint-keyed specs carry layout=None
+    # Like :func:`curve_spec`, fingerprint-keyed specs carry layout=None
     # so cache keys don't depend on how the network was named.
     return ExperimentSpec(
         topology=token,
@@ -521,11 +427,10 @@ def build_workload_specs(
     warmup: int = 300,
     measure: int = 800,
     drain: int = 1500,
-    layout: str | None = None,
 ) -> tuple[list[ExperimentSpec], dict[str, Topology]]:
     """Specs for one network across several benchmark models, plus the
     topology map the engine needs for the fingerprinted network."""
-    token, topology = resolve_network(topology, layout)
+    token, topology = resolve_network(topology, None)
     specs = [
         _workload_spec_for(
             token,
@@ -546,10 +451,10 @@ def build_workload_specs(
 
 def workload_compare(
     engine: ExperimentEngine,
-    topologies: Mapping[str, Topology | str],
+    topologies: Mapping[Hashable, Topology | str],
     benches: Sequence[str],
     *,
-    configs: Mapping[str, SimConfig] | None = None,
+    configs: Mapping[Hashable, SimConfig] | None = None,
     config: SimConfig | None = None,
     intensity_scale: float = 1.0,
     packet_flits: int = 6,
@@ -558,9 +463,8 @@ def workload_compare(
     warmup: int = 300,
     measure: int = 800,
     drain: int = 1500,
-    layout: str | None = None,
     progress=None,
-) -> dict[str, dict[str, SimResult]]:
+) -> dict[Hashable, dict[str, SimResult]]:
     """Run every (network × benchmark) point as one engine batch.
 
     Returns ``{label: {bench: SimResult}}``.  Unlike load sweeps there is
@@ -569,10 +473,10 @@ def workload_compare(
     and every point is individually content-addressed in the cache.
     """
     topo_map: dict[str, Topology] = {}
-    batch: list[tuple[str, str]] = []
+    batch: list[tuple[Hashable, str]] = []
     specs: list[ExperimentSpec] = []
     for label, topology in topologies.items():
-        token, topology = resolve_network(topology, layout)
+        token, topology = resolve_network(topology, None)
         topo_map[token] = topology
         label_config = (configs or {}).get(label, config)
         for bench in benches:
@@ -592,7 +496,7 @@ def workload_compare(
                 )
             )
     results = engine.run(specs, topologies=topo_map, progress=progress)
-    table: dict[str, dict[str, SimResult]] = {label: {} for label in topologies}
+    table: dict[Hashable, dict[str, SimResult]] = {label: {} for label in topologies}
     for (label, bench), outcome in zip(batch, results):
         table[label][bench] = outcome
     return table

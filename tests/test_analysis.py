@@ -15,7 +15,6 @@ from repro.analysis import (
     format_table,
     geometric_mean,
     relative_improvement,
-    sweep_loads,
 )
 from repro.engine import ExperimentEngine, ExperimentSpec, ResultCache
 from repro.routing import RoutingAlgorithm, StaticMinimalRouting, UGALRouting
@@ -28,23 +27,25 @@ from repro.traffic import SyntheticSource
 class TestSweep:
     def test_latency_rises_with_load(self):
         topo = make_network("sn54")
-        result = sweep_loads(
-            topo, "RND", [0.02, 0.2], warmup=200, measure=400, drain=800
-        )
+        result = compare_networks(
+            {"sn54": topo}, "RND", [0.02, 0.2], warmup=200, measure=400, drain=800
+        )["sn54"]
         assert result.latencies[0] < result.latencies[-1] * 1.5 + 5
 
     def test_stops_after_saturation(self):
         topo = make_network("cm54")  # low-radix: saturates early
-        result = sweep_loads(
-            topo, "RND", [0.05, 0.6, 0.8], warmup=200, measure=300, drain=600
-        )
+        result = compare_networks(
+            {"cm54": topo}, "RND", [0.05, 0.6, 0.8], warmup=200, measure=300, drain=600
+        )["cm54"]
         assert result.points[-1].saturated or len(result.points) == 3
         if result.points[-1].saturated:
             assert len(result.points) < 3
 
     def test_zero_load_and_lookup(self):
         topo = make_network("sn54")
-        result = sweep_loads(topo, "RND", [0.02, 0.1], warmup=200, measure=300, drain=600)
+        result = compare_networks(
+            {"sn54": topo}, "RND", [0.02, 0.1], warmup=200, measure=300, drain=600
+        )["sn54"]
         assert result.zero_load_latency() == result.points[0].latency
         assert result.latency_at(0.02) == result.points[0].latency
         assert result.saturation_throughput() > 0
@@ -133,7 +134,9 @@ class TestLargeScaleModel:
         """Cross-check: analytical zero-load within ~40% of cycle-accurate."""
         topo = make_network("sn200")
         model = LargeScaleModel.build(topo, "RND")
-        simulated = sweep_loads(topo, "RND", [0.01], warmup=200, measure=400, drain=600)
+        simulated = compare_networks(
+            {"sn200": topo}, "RND", [0.01], warmup=200, measure=400, drain=600
+        )["sn200"]
         ratio = model.zero_load_latency() / simulated.zero_load_latency()
         assert 0.6 < ratio < 1.4
 
@@ -189,9 +192,9 @@ class TestRoutingNames:
         engine = ExperimentEngine(cache=ResultCache(tmp_path))
         topo = make_network("sn54")
         with pytest.raises(ValueError, match="unknown routing"):
-            sweep_loads(
-                topo, "RND", [0.05], routing=UGALRouting(topo), engine=engine,
-                **FAST,
+            compare_networks(
+                {"sn54": topo}, "RND", [0.05], routing=UGALRouting(topo),
+                engine=engine, **FAST,
             )
 
 
@@ -202,10 +205,10 @@ class TestOneSimulationPath:
 
     def test_named_adaptive_sweep_matches_spec_execute(self, tmp_path):
         engine = ExperimentEngine(cache=ResultCache(tmp_path))
-        curve = sweep_loads(
-            "sn54", "ADV1", self.LOADS, routing="ugal-l", engine=engine,
+        curve = compare_networks(
+            {"sn54": "sn54"}, "ADV1", self.LOADS, routing="ugal-l", engine=engine,
             stop_after_saturation=False, **FAST,
-        )
+        )["sn54"]
         assert engine.last_stats.executed == len(self.LOADS)
         for point in curve.points:
             spec = ExperimentSpec.synthetic(
@@ -215,10 +218,10 @@ class TestOneSimulationPath:
             assert point.latency == direct.avg_latency
             assert point.throughput == direct.throughput
             assert point.saturated == direct.saturated
-        again = sweep_loads(
-            "sn54", "ADV1", self.LOADS, routing="ugal-l", engine=engine,
+        again = compare_networks(
+            {"sn54": "sn54"}, "ADV1", self.LOADS, routing="ugal-l", engine=engine,
             stop_after_saturation=False, **FAST,
-        )
+        )["sn54"]
         assert engine.last_stats.executed == 0
         assert again.points == curve.points
 

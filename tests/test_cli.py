@@ -169,6 +169,9 @@ BAD_OPTIONS = [
     ("--loads", "inf", ("sweep", "compare", "adaptive")),
     ("--loads", "-0.1", ("sweep", "compare", "adaptive")),
     ("--loads", "0.1:inf:0.1", ("sweep", "compare", "adaptive")),
+    ("--intensity-scale", "nan", ("workloads",)),
+    ("--intensity-scale", "inf", ("workloads",)),
+    ("--intensity-scale", "-1", ("workloads",)),
 ]
 
 

@@ -11,7 +11,7 @@ import pytest
 from pack_entries import PackEntries
 
 from repro.__main__ import main
-from repro.analysis import compare_networks, sweep_loads
+from repro.analysis import compare_networks
 from repro.engine import (
     BurstTraffic,
     ExperimentEngine,
@@ -339,24 +339,24 @@ class TestCampaignParity:
             assert serial[label].points[-1].saturated
             assert len(serial[label].points) <= len(self.LOADS)
 
-    def test_repeated_sweep_loads_serves_from_cache(self, tmp_path):
+    def test_repeated_compare_serves_from_cache(self, tmp_path):
         engine = ExperimentEngine(cache=ResultCache(tmp_path))
-        topo = make_network("sn54")
-        first = sweep_loads(topo, "RND", [0.02, 0.1], engine=engine, **FAST)
+        topos = {"sn54": make_network("sn54")}
+        first = run_compare(engine, topos, "RND", [0.02, 0.1], **FAST)
         assert engine.last_stats.executed > 0
-        again = sweep_loads(topo, "RND", [0.02, 0.1], engine=engine, **FAST)
+        again = run_compare(engine, topos, "RND", [0.02, 0.1], **FAST)
         assert engine.last_stats.executed == 0  # zero new simulations
-        assert first.points == again.points
+        assert first["sn54"].points == again["sn54"].points
 
     def test_symbol_and_object_sweeps_share_cache(self, tmp_path):
         engine = ExperimentEngine(cache=ResultCache(tmp_path))
-        by_symbol = sweep_loads("sn54", "RND", [0.02], engine=engine, **FAST)
+        by_symbol = run_compare(engine, {"sn54": "sn54"}, "RND", [0.02], **FAST)
         assert engine.last_stats.executed == 1
-        by_object = sweep_loads(
-            make_network("sn54"), "RND", [0.02], engine=engine, **FAST
+        by_object = run_compare(
+            engine, {"sn54": make_network("sn54")}, "RND", [0.02], **FAST
         )
         assert engine.last_stats.executed == 0  # same fingerprint, same key
-        assert by_symbol.points == by_object.points
+        assert by_symbol["sn54"].points == by_object["sn54"].points
 
     def test_compare_networks_accepts_symbols(self, tmp_path):
         engine = ExperimentEngine(cache=ResultCache(tmp_path))
@@ -487,7 +487,7 @@ class TestAdaptiveStudy:
         the serial study's curves and store keys, and neither issues
         more engine rounds than there are loads."""
         from repro.analysis import adaptive_study
-        from repro.engine import build_sweep_specs
+        from repro.engine.campaign import curve_specs, study_curves
 
         loads = [0.05, 0.15, 0.3, 0.45, 0.6]
         kwargs = dict(
@@ -514,16 +514,20 @@ class TestAdaptiveStudy:
             rounds[workers] = len(calls)
         assert studies[1].to_dict() == studies[2].to_dict()
         assert max(rounds.values()) <= len(loads)
+        curves, topologies = study_curves(
+            kwargs["networks"], kwargs["routings"], kwargs["traffic"]
+        )
         kept = {
             spec.content_hash()
-            for (network, routing, traffic), curve in studies[1].curves.items()
-            for spec in build_sweep_specs(
-                network,
-                traffic,
+            for key, curve in studies[1].curves.items()
+            for spec in curve_specs(
+                [curves[key]],
                 [point.load for point in curve.points],
-                routing=routing,
+                topologies,
+                packet_flits=6,
+                seed=1,
                 **FAST,
-            )[0]
+            )
         }
         assert any(len(c.points) < len(loads) for c in studies[1].curves.values())
         assert keys[1] == kept  # serial: exactly the points it keeps
@@ -601,11 +605,18 @@ class TestSerializationSatellites:
         assert clone.p99_latency == result.p99_latency
 
     def test_sweep_result_round_trip(self):
-        curve = sweep_loads(make_network("sn54"), "RND", [0.02],
-                            engine=ExperimentEngine(), **FAST)
-        from repro.analysis import SweepResult
+        """``SweepResult.to_dict`` survives JSON with nothing lost."""
+        from repro.analysis import SweepPoint, SweepResult
 
-        clone = SweepResult.from_dict(json.loads(json.dumps(curve.to_dict())))
+        (curve,) = run_compare(
+            ExperimentEngine(), {"sn54": make_network("sn54")}, "RND", [0.02], **FAST
+        ).values()
+        payload = json.loads(json.dumps(curve.to_dict()))
+        clone = SweepResult(
+            payload["network"],
+            payload["pattern"],
+            [SweepPoint(**point) for point in payload["points"]],
+        )
         assert clone.points == curve.points
         assert clone.network == curve.network
 

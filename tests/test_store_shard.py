@@ -30,7 +30,7 @@ from repro.engine import (
     QueueWorker,
     StoreServer,
     open_backend,
-    run_sweep,
+    run_compare,
 )
 from repro.engine.spec import iter_spec_keys
 from repro.engine.store import SCHEMA_VERSION, encode_entry
@@ -541,8 +541,8 @@ class TestRemoteStore:
                 engine = ExperimentEngine(
                     cache=ResultCache(backend=remote_store(server))
                 )
-                run_sweep(
-                    engine, "sn54", "RND", loads, **FAST,
+                run_compare(
+                    engine, {"sn54": "sn54"}, "RND", loads, **FAST,
                     stop_after_saturation=False,
                 )
                 assert engine.total_stats.executed == len(loads)
@@ -556,9 +556,9 @@ class TestRemoteStore:
             thread.join()
         assert not errors, errors
         engine = ExperimentEngine(cache=ResultCache(backend=remote_store(server)))
-        curve = run_sweep(engine, "sn54", "RND", LOADS, **FAST)
+        curves = run_compare(engine, {"sn54": "sn54"}, "RND", LOADS, **FAST)
         assert engine.total_stats.executed == 0
-        assert [p.load for p in curve.points] == LOADS
+        assert [p.load for p in curves["sn54"].points] == LOADS
 
 
 class TestQueuedCampaignCli:

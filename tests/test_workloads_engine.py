@@ -9,7 +9,7 @@ from dataclasses import asdict
 import pytest
 from pack_entries import PackEntries
 
-from repro.analysis import edp_table, workload_table
+from repro.analysis import edp_table, smart_latency_gains, workload_table
 from repro.engine import (
     ExperimentEngine,
     ExperimentSpec,
@@ -19,6 +19,7 @@ from repro.engine import (
     traffic_from_dict,
     workload_compare,
 )
+from repro.sim import SimConfig
 from repro.topos import make_network
 from repro.traffic import WORKLOADS, WorkloadSource, workload_names
 
@@ -166,6 +167,41 @@ class TestWorkloadCampaigns:
         assert row.energy_delay_product > 0
         edp = edp_table(table, "cm54")
         assert edp["barnes"]["cm54"] == 1.0
+
+    def test_smart_gains_run_as_one_batch(self, tmp_path):
+        """Table 6: both SMART settings of every network are one engine
+        batch, with the gains of two separate per-setting campaigns."""
+        networks, benches = ["sn54", "cm54"], ["barnes", "fft"]
+        engine = ExperimentEngine(cache=ResultCache(tmp_path / "one"))
+        batches = []
+        run = engine.run
+
+        def counting_run(specs, **kw):
+            batches.append(len(specs))
+            return run(specs, **kw)
+
+        engine.run = counting_run
+        gains = smart_latency_gains(networks, benches, engine=engine, **FAST)
+        assert batches == [2 * len(networks) * len(benches)]
+
+        engine = ExperimentEngine(cache=ResultCache(tmp_path / "two"))
+        off, on = (
+            workload_compare(
+                engine,
+                {symbol: symbol for symbol in networks},
+                benches,
+                config=SimConfig().with_smart(smart),
+                seed=4,
+                **FAST,
+            )
+            for smart in (False, True)
+        )
+        assert gains == {
+            (symbol, bench): 100.0
+            * (1 - on[symbol][bench].avg_latency / off[symbol][bench].avg_latency)
+            for symbol in networks
+            for bench in benches
+        }
 
 
 class TestCacheGC:
