@@ -136,9 +136,9 @@ def workload_case_id(case: tuple) -> str:
     return f"{topo}/{bench}:x{scale:g}/{cfg}/seed={seed}/{warmup}+{measure}+{drain}"
 
 
-def run_workload_case(case: tuple) -> dict:
+def workload_spec(case: tuple) -> ExperimentSpec:
     topo, bench, scale, cfg, seed, warmup, measure, drain = case
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         topology=topo,
         source=WorkloadTraffic(bench, scale),
         config=CONFIGS[cfg](),
@@ -148,7 +148,10 @@ def run_workload_case(case: tuple) -> dict:
         measure=measure,
         drain=drain,
     )
-    return spec.execute().to_dict()
+
+
+def run_workload_case(case: tuple) -> dict:
+    return workload_spec(case).execute().to_dict()
 
 
 def run_adaptive_case(case: tuple) -> dict:
@@ -272,6 +275,23 @@ def test_legacy_spec_hashes_unchanged_by_version_bump():
         )
         assert spec.to_dict()["spec_version"] == 3, case_id(case)
         assert spec.content_hash() == golden[case_id(case)], case_id(case)
+
+
+def test_adaptive_and_workload_spec_hashes_unchanged():
+    """The cache keys of every adaptive and workload case are pinned too.
+
+    ``tests/golden/spec_hashes.json`` also holds the ``content_hash()`` of
+    the 13 adaptive and 6 workload cases, so a change to the traffic
+    codec cannot silently move a burst, hotspot, transient or workload
+    cache key.
+    """
+    golden = json.loads(SPEC_HASH_PATH.read_text())
+    adaptive = {adaptive_case_id(c): adaptive_spec(c) for c in ADAPTIVE_MATRIX}
+    workload = {workload_case_id(c): workload_spec(c) for c in WORKLOAD_MATRIX}
+    for section, specs in (("adaptive", adaptive), ("workload", workload)):
+        assert sorted(golden[section]) == sorted(specs)
+        for cid, spec in specs.items():
+            assert spec.content_hash() == golden[section][cid], cid
 
 
 def regenerate() -> None:

@@ -7,7 +7,10 @@ import pytest
 from repro.topos import make_network
 from repro.traffic import (
     PATTERNS,
+    BurstSource,
+    HotspotSource,
     SyntheticSource,
+    TransientSource,
     WORKLOADS,
     WorkloadSource,
     make_pattern,
@@ -131,6 +134,97 @@ class TestSyntheticSource:
         topo = make_network("sn54")
         flows = SyntheticSource(topo, "ADV1", 0.2).flows()
         assert sum(flows.values()) == pytest.approx(0.2 * 54, rel=0.01)
+
+
+def reference_synthetic(source, cycle, rng):
+    """Per-kind Bernoulli loops as each source kind once wrote its own.
+
+    The sources now share one loop in ``SyntheticSource.packets_at``;
+    these copies pin that every kind still draws exactly as before.
+    """
+    for src in range(source.topology.num_nodes):
+        if rng.random() < source._packet_probability:
+            dst = source.pattern(src, rng)
+            if dst != src:
+                yield (src, dst, source.packet_flits, "data", False, 0)
+
+
+def reference_burst(source, cycle, rng):
+    probability = (
+        source._on_probability if source.in_burst(cycle) else source._off_probability
+    )
+    for src in range(source.topology.num_nodes):
+        if rng.random() < probability:
+            dst = source.pattern(src, rng)
+            if dst != src:
+                yield (src, dst, source.packet_flits, "data", False, 0)
+
+
+def reference_hotspot(source, cycle, rng):
+    for src in range(source.topology.num_nodes):
+        if rng.random() < source._packet_probability:
+            if rng.random() < source.fraction:
+                dst = source.hotspots[rng.randrange(len(source.hotspots))]
+            else:
+                dst = source.pattern(src, rng)
+            if dst != src:
+                yield (src, dst, source.packet_flits, "data", False, 0)
+
+
+def reference_transient(source, cycle, rng):
+    pattern = make_pattern(
+        source.patterns[source.active_index(cycle)], source.topology
+    )
+    for src in range(source.topology.num_nodes):
+        if rng.random() < source._packet_probability:
+            dst = pattern(src, rng)
+            if dst != src:
+                yield (src, dst, source.packet_flits, "data", False, 0)
+
+
+#: kind -> (source factory over (topology, load), reference loop, the
+#: kind's load ceiling: one packet per node per cycle, for a burst in
+#: its on-phase).
+SOURCE_KINDS = {
+    "synthetic": (
+        lambda topo, load: SyntheticSource(topo, "RND", load),
+        reference_synthetic,
+        6.0,
+    ),
+    "burst": (
+        lambda topo, load: BurstSource(
+            topo, "ADV1", load, on_cycles=16, off_cycles=48
+        ),
+        reference_burst,
+        6.0 * 16 / 64,
+    ),
+    "hotspot": (
+        lambda topo, load: HotspotSource(
+            topo, "RND", load, hotspots=(0, 18, 36), fraction=0.3
+        ),
+        reference_hotspot,
+        6.0,
+    ),
+    "transient": (
+        lambda topo, load: TransientSource(topo, ("ADV1", "RND"), load, period=64),
+        reference_transient,
+        6.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCE_KINDS))
+@pytest.mark.parametrize("load", [0.0, 0.008, 0.16, "ceiling"])
+def test_sources_draw_like_their_reference_loops(kind, load):
+    """Same packets and the same RNG state after 2,000 cycles."""
+    factory, reference, ceiling = SOURCE_KINDS[kind]
+    topo = make_network("sn54")
+    source = factory(topo, ceiling if load == "ceiling" else load)
+    rng, expected_rng = random.Random(7), random.Random(7)
+    for cycle in range(2000):
+        got = list(source.packets_at(cycle, rng))
+        assert got == list(reference(source, cycle, expected_rng)), cycle
+    assert rng.getstate() == expected_rng.getstate()
 
 
 class TestWorkloads:
