@@ -67,22 +67,26 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
-    """Worker entry point: rebuild the spec, simulate, return the result
-    as a JSON dict plus its measured wall seconds.
+def _simulate(spec: ExperimentSpec, topology: Topology | None) -> dict:
+    """Simulate ``spec`` and return its result as a JSON dict plus its
+    measured wall seconds — the one simulate path of both dispatch modes.
 
-    Returning the serialized form (not the ``SimResult``) keeps the
-    transfer compact for large runs and guarantees parallel results pass
-    through exactly the codec the cache uses.  The seconds feed the
-    engine's ``simulate`` stage time.
+    Returning the serialized form (not the ``SimResult``) keeps a
+    worker's transfer compact for large runs and guarantees every result
+    passes through exactly the codec the cache uses.  The seconds feed
+    the engine's ``simulate`` stage time.
     """
-    spec_dict, topology = payload
-    spec = ExperimentSpec.from_dict(spec_dict)
     if topology is None:
         topology = resolve_topology(spec.topology, spec.layout)
     start = time.perf_counter()
     result = spec.execute(topology=topology)
     return {"result": result.to_dict(), "seconds": time.perf_counter() - start}
+
+
+def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
+    """Worker entry point: rebuild the spec, then :func:`_simulate` it."""
+    spec_dict, topology = payload
+    return _simulate(ExperimentSpec.from_dict(spec_dict), topology)
 
 
 def _exit_with_engine(engine: int) -> None:
@@ -229,13 +233,7 @@ class ExperimentEngine:
         )
 
         def take(future, key: str, spec: ExperimentSpec) -> None:
-            reply = future.result()
-            record(
-                key,
-                spec,
-                SimResult.from_dict(reply["result"]),
-                seconds=reply["seconds"],
-            )
+            record(key, spec, future.result())
 
         pending = {}
         try:
@@ -315,13 +313,11 @@ class ExperimentEngine:
 
         executed: list[tuple[ExperimentSpec, SimResult]] = []
 
-        def record(
-            key: str,
-            spec: ExperimentSpec,
-            result: SimResult,
-            seconds: float = 0.0,
-        ) -> None:
+        def record(key: str, spec: ExperimentSpec, reply: dict) -> None:
+            """Take one :func:`_simulate` reply, from a worker or not."""
             nonlocal done
+            result = SimResult.from_dict(reply["result"])
+            seconds = reply["seconds"]
             executed.append((spec, result))
             results[key] = result
             stats.executed += 1
@@ -341,20 +337,7 @@ class ExperimentEngine:
                         self._dispatch_parallel(misses, topology_for, record)
                     else:
                         for key, spec in misses:
-                            topo = topology_for(spec)
-                            if topo is None:
-                                topo = resolve_topology(spec.topology, spec.layout)
-                            start = time.perf_counter()
-                            raw = spec.execute(topology=topo)
-                            elapsed = time.perf_counter() - start
-                            # Normalize through the codec so serial results
-                            # match cached/parallel ones byte-for-byte.
-                            record(
-                                key,
-                                spec,
-                                SimResult.from_dict(raw.to_dict()),
-                                seconds=elapsed,
-                            )
+                            record(key, spec, _simulate(spec, topology_for(spec)))
                 stats.stage_seconds["dispatch"] = dispatch_span.seconds
             finally:
                 # One batched write-back per engine batch (a single

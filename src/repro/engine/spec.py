@@ -7,14 +7,23 @@ node-count request, or a structural fingerprint of an ad-hoc
 size, the full :class:`~repro.sim.SimConfig`, the routing scheme, the
 RNG seed, and the warmup/measure/drain windows.
 
-The traffic source is a tagged union: :class:`SyntheticTraffic` (a
-pattern acronym plus an offered load, Figures 10-14/19) or
+The traffic source is a tagged union of five kinds:
+:class:`SyntheticTraffic` (a pattern acronym plus an offered load,
+Figures 10-14/19), its non-stationary variants :class:`BurstTraffic`,
+:class:`HotspotTraffic` and :class:`TransientTraffic` (Figure 20), and
 :class:`WorkloadTraffic` (a PARSEC/SPLASH benchmark model, Figure 18 /
-Table 6).  Workload specs hash the *full* parameter set of the
-benchmark's :class:`~repro.traffic.workloads.WorkloadSpec` — retuning a
-benchmark in :data:`~repro.traffic.workloads.WORKLOADS` invalidates its
-cache entries, exactly like editing a synthetic pattern's code would
-require a :data:`SPEC_VERSION` bump.
+Table 6).  The kinds share one codec: a source serializes as its
+``kind`` followed by its dataclass fields, and
+:func:`traffic_from_dict` reads any kind back by that tag, so a new
+kind declares its fields and nothing else.  The codec also holds the
+one load check: ``load``, ``off_load`` and ``intensity_scale`` must be
+finite and non-negative, so a NaN or negative load fails where the spec
+is built or decoded, never in a worker or the store.  Workload specs
+hash the *full* parameter set of the benchmark's
+:class:`~repro.traffic.workloads.WorkloadSpec` — retuning a benchmark
+in :data:`~repro.traffic.workloads.WORKLOADS` invalidates its cache
+entries, exactly like editing a synthetic pattern's code would require
+a :data:`SPEC_VERSION` bump.
 
 Because the simulator is deterministic given these inputs, the spec's
 :meth:`~ExperimentSpec.content_hash` is a *content address* for its
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterable, Iterator, Union
 
@@ -152,8 +162,55 @@ def resolve_topology(token: str, layout: str | None = None) -> Topology:
     return make_network(token, layout=layout)
 
 
+#: Traffic kind -> its spec class, filled by :func:`_traffic_kind`.
+_TRAFFIC_KINDS: dict[str, type] = {}
+
+#: Load fields that must be finite and non-negative in every kind.
+_LOAD_FIELDS = ("load", "off_load", "intensity_scale")
+
+
+class _TrafficCodec:
+    """The one codec and load check of every traffic spec kind.
+
+    A spec serializes as ``kind`` followed by every dataclass field in
+    declaration order, tuples as lists; :func:`traffic_from_dict` reads
+    that form back through :data:`_TRAFFIC_KINDS`.
+    """
+
+    kind: ClassVar[str]
+    #: Dataclass field names, precomputed: ``to_dict`` runs once per
+    #: spec hash.
+    _field_names: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        for name in _LOAD_FIELDS:
+            value = getattr(self, name, 0.0)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+    @property
+    def mean_load(self) -> float:
+        """Mean offered load in flits/node/cycle."""
+        return self.load
+
+    def to_dict(self) -> dict:
+        payload = {"kind": self.kind}
+        for name in self._field_names:
+            value = getattr(self, name)
+            payload[name] = list(value) if isinstance(value, tuple) else value
+        return payload
+
+
+def _traffic_kind(cls: type) -> type:
+    """Register a traffic spec dataclass under its ``kind``."""
+    cls._field_names = tuple(f.name for f in fields(cls))
+    _TRAFFIC_KINDS[cls.kind] = cls
+    return cls
+
+
+@_traffic_kind
 @dataclass(frozen=True)
-class SyntheticTraffic:
+class SyntheticTraffic(_TrafficCodec):
     """Synthetic-pattern traffic: a pattern acronym at one offered load."""
 
     kind: ClassVar[str] = "synthetic"
@@ -166,21 +223,15 @@ class SyntheticTraffic:
     def label(self) -> str:
         return f"{self.pattern} load={self.load:g}"
 
-    @property
-    def mean_load(self) -> float:
-        return self.load
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "pattern": self.pattern, "load": self.load}
-
     def build(self, topology: Topology, packet_flits: int, seed: int):
         return SyntheticSource(
             topology, self.pattern, self.load, packet_flits, seed=seed
         )
 
 
+@_traffic_kind
 @dataclass(frozen=True)
-class BurstTraffic:
+class BurstTraffic(_TrafficCodec):
     """Bursty on/off traffic: ``load`` is the *mean* offered load, so a
     burst curve shares its x-axis with the steady curve it stresses; the
     on-phase rate is scaled up by the duty cycle (see
@@ -196,10 +247,9 @@ class BurstTraffic:
     off_load: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.on_cycles < 1 or self.off_cycles < 0:
             raise ValueError("need on_cycles >= 1 and off_cycles >= 0")
-        if self.off_load < 0:
-            raise ValueError("off_load must be non-negative")
 
     @property
     def label(self) -> str:
@@ -207,20 +257,6 @@ class BurstTraffic:
             f"burst:{self.pattern}:{self.on_cycles}+{self.off_cycles} "
             f"load={self.load:g}"
         )
-
-    @property
-    def mean_load(self) -> float:
-        return self.load
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pattern": self.pattern,
-            "load": self.load,
-            "on_cycles": self.on_cycles,
-            "off_cycles": self.off_cycles,
-            "off_load": self.off_load,
-        }
 
     def build(self, topology: Topology, packet_flits: int, seed: int):
         return BurstSource(
@@ -235,8 +271,9 @@ class BurstTraffic:
         )
 
 
+@_traffic_kind
 @dataclass(frozen=True)
-class HotspotTraffic:
+class HotspotTraffic(_TrafficCodec):
     """Hotspot-concentrated traffic: a ``fraction`` of the destination
     mass goes to a fixed hotspot node set, the rest to ``pattern``."""
 
@@ -249,6 +286,7 @@ class HotspotTraffic:
     fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         object.__setattr__(self, "hotspots", tuple(self.hotspots))
         if not self.hotspots:
             raise ValueError("need at least one hotspot node")
@@ -262,19 +300,6 @@ class HotspotTraffic:
             f"load={self.load:g}"
         )
 
-    @property
-    def mean_load(self) -> float:
-        return self.load
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pattern": self.pattern,
-            "load": self.load,
-            "hotspots": list(self.hotspots),
-            "fraction": self.fraction,
-        }
-
     def build(self, topology: Topology, packet_flits: int, seed: int):
         return HotspotSource(
             topology,
@@ -287,8 +312,9 @@ class HotspotTraffic:
         )
 
 
+@_traffic_kind
 @dataclass(frozen=True)
-class TransientTraffic:
+class TransientTraffic(_TrafficCodec):
     """Transient permutation swaps: ``patterns[k]`` is active for cycles
     ``[k*period, (k+1)*period)``, cycling through the tuple."""
 
@@ -300,6 +326,7 @@ class TransientTraffic:
     period: int = 256
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         object.__setattr__(self, "patterns", tuple(self.patterns))
         if not self.patterns:
             raise ValueError("need at least one pattern")
@@ -313,18 +340,6 @@ class TransientTraffic:
             f"load={self.load:g}"
         )
 
-    @property
-    def mean_load(self) -> float:
-        return self.load
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "patterns": list(self.patterns),
-            "load": self.load,
-            "period": self.period,
-        }
-
     def build(self, topology: Topology, packet_flits: int, seed: int):
         return TransientSource(
             topology,
@@ -336,8 +351,9 @@ class TransientTraffic:
         )
 
 
+@_traffic_kind
 @dataclass(frozen=True)
-class WorkloadTraffic:
+class WorkloadTraffic(_TrafficCodec):
     """Trace-substitute traffic: one PARSEC/SPLASH benchmark model.
 
     ``intensity_scale`` multiplies the benchmark's injection intensity
@@ -352,6 +368,7 @@ class WorkloadTraffic:
     intensity_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.bench not in WORKLOADS:
             raise ValueError(
                 f"unknown benchmark {self.bench!r}; options: {sorted(WORKLOADS)}"
@@ -363,17 +380,21 @@ class WorkloadTraffic:
             return self.bench
         return f"{self.bench} x{self.intensity_scale:g}"
 
+    @property
+    def mean_load(self) -> float:
+        """Intensity (messages/node/100 cycles) scaled into the same
+        ballpark as a synthetic load."""
+        return WORKLOADS[self.bench].intensity * self.intensity_scale / 100.0
+
     def to_dict(self) -> dict:
         # The benchmark's full parameter set rides along so the content
         # hash covers it: retuning a WorkloadSpec in WORKLOADS moves every
         # affected cache key instead of silently serving stale results.
+        # It is never read back: the local table is the source of truth.
+        payload = super().to_dict()
         params = WORKLOADS[self.bench]
-        return {
-            "kind": self.kind,
-            "bench": self.bench,
-            "intensity_scale": self.intensity_scale,
-            "params": {name: getattr(params, name) for name in _WORKLOAD_FIELDS},
-        }
+        payload["params"] = {name: getattr(params, name) for name in _WORKLOAD_FIELDS}
+        return payload
 
     def build(self, topology: Topology, packet_flits: int, seed: int):
         return WorkloadSource(
@@ -387,39 +408,16 @@ TrafficSpec = Union[
 
 
 def traffic_from_dict(payload: dict) -> TrafficSpec:
-    """Rebuild a traffic source from its tagged-union dict form."""
-    kind = payload.get("kind")
-    if kind == SyntheticTraffic.kind:
-        return SyntheticTraffic(pattern=payload["pattern"], load=payload["load"])
-    if kind == BurstTraffic.kind:
-        return BurstTraffic(
-            pattern=payload["pattern"],
-            load=payload["load"],
-            on_cycles=payload.get("on_cycles", 64),
-            off_cycles=payload.get("off_cycles", 192),
-            off_load=payload.get("off_load", 0.0),
-        )
-    if kind == HotspotTraffic.kind:
-        return HotspotTraffic(
-            pattern=payload["pattern"],
-            load=payload["load"],
-            hotspots=tuple(payload.get("hotspots", (0,))),
-            fraction=payload.get("fraction", 0.25),
-        )
-    if kind == TransientTraffic.kind:
-        return TransientTraffic(
-            patterns=tuple(payload["patterns"]),
-            load=payload["load"],
-            period=payload.get("period", 256),
-        )
-    if kind == WorkloadTraffic.kind:
-        # ``params`` is derived from WORKLOADS at serialization time, never
-        # read back — the local table is the single source of truth.
-        return WorkloadTraffic(
-            bench=payload["bench"],
-            intensity_scale=payload.get("intensity_scale", 1.0),
-        )
-    raise ValueError(f"unknown traffic source kind {kind!r}")
+    """Rebuild a traffic source from its tagged-union dict form; absent
+    fields take their defaults and unknown keys are ignored."""
+    cls = _TRAFFIC_KINDS.get(payload.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown traffic source kind {payload.get('kind')!r}")
+    kwargs = {name: payload[name] for name in cls._field_names if name in payload}
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a required field is missing or mistyped
+        raise ValueError(f"bad {cls.kind} traffic source: {exc}") from None
 
 
 #: ``SimConfig``'s and ``WorkloadSpec``'s field names in declaration
@@ -574,11 +572,7 @@ def spec_load(spec: ExperimentSpec) -> float:
     messages/node/100 cycles, scaled into the same ballpark.  This is
     the load term of :func:`predicted_cost`.
     """
-    source = spec.source
-    mean = getattr(source, "mean_load", None)
-    if mean is not None:  # the whole synthetic family, bursty or not
-        return mean
-    return WORKLOADS[source.bench].intensity * source.intensity_scale / 100.0
+    return spec.source.mean_load
 
 
 def predicted_cost(spec: ExperimentSpec, num_nodes: int | None = None) -> float:

@@ -14,11 +14,14 @@ apart when the offered load moves — which is exactly what these model.
   ``period`` cycles (e.g. ``ADV1`` then ``ADV2``), so any routing state
   tuned to one permutation goes stale on a schedule.
 
-Every variant keeps the base source's draw discipline — one
+No variant has an injection loop of its own.  Each overrides one
+per-cycle hook of :meth:`SyntheticSource.packets_at` — the burst its
+injection probability, the hotspot and transient sources their
+destination function — so the draw discipline is structural: one
 ``rng.random()`` per node per cycle, in node order, extra draws only
-inside the injection branch — so injection decisions are reproducible
-and burst phase boundaries are *exact*: an off-phase with
-``off_load=0`` injects nothing, ever, not merely rarely.
+inside the injection branch.  Injection decisions are reproducible and
+burst phase boundaries are *exact*: an off-phase with ``off_load=0``
+injects nothing, ever, not merely rarely.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import random
 
 from ..topos.base import Topology
-from .synthetic import RANDOMIZED_PATTERNS, SyntheticSource, make_pattern
+from .synthetic import RANDOMIZED_PATTERNS, PatternFn, SyntheticSource, make_pattern
 
 
 class BurstSource(SyntheticSource):
@@ -93,18 +96,8 @@ class BurstSource(SyntheticSource):
         """Exact phase predicate: True iff ``cycle`` is in an on-phase."""
         return (cycle + self.phase) % self.period < self.on_cycles
 
-    def packets_at(self, cycle: int, rng: random.Random):
-        probability = (
-            self._on_probability if self.in_burst(cycle) else self._off_probability
-        )
-        pattern = self.pattern
-        size = self.packet_flits
-        draw = rng.random
-        for src in range(self.topology.num_nodes):
-            if draw() < probability:
-                dst = pattern(src, rng)
-                if dst != src:
-                    yield (src, dst, size, "data", False, 0)
+    def _probability_at(self, cycle: int) -> float:
+        return self._on_probability if self.in_burst(cycle) else self._off_probability
 
 
 class HotspotSource(SyntheticSource):
@@ -154,15 +147,8 @@ class HotspotSource(SyntheticSource):
             return self.hotspots[rng.randrange(len(self.hotspots))]
         return self.pattern(src, rng)
 
-    def packets_at(self, cycle: int, rng: random.Random):
-        probability = self._packet_probability
-        size = self.packet_flits
-        draw = rng.random
-        for src in range(self.topology.num_nodes):
-            if draw() < probability:
-                dst = self._draw_destination(src, rng)
-                if dst != src:
-                    yield (src, dst, size, "data", False, 0)
+    def _destination_at(self, cycle: int) -> PatternFn:
+        return self._draw_destination
 
     def default_flow_samples(self) -> int:
         if self.fraction == 0.0:
@@ -224,16 +210,8 @@ class TransientSource(SyntheticSource):
         """Index into :attr:`patterns` of the pattern active at ``cycle``."""
         return (cycle + self.phase) // self.period % len(self.patterns)
 
-    def packets_at(self, cycle: int, rng: random.Random):
-        probability = self._packet_probability
-        pattern = self._pattern_fns[self.active_index(cycle)]
-        size = self.packet_flits
-        draw = rng.random
-        for src in range(self.topology.num_nodes):
-            if draw() < probability:
-                dst = pattern(src, rng)
-                if dst != src:
-                    yield (src, dst, size, "data", False, 0)
+    def _destination_at(self, cycle: int) -> PatternFn:
+        return self._pattern_fns[self.active_index(cycle)]
 
     def default_flow_samples(self) -> int:
         if not any(name in RANDOMIZED_PATTERNS for name in self.patterns):

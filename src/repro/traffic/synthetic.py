@@ -165,15 +165,27 @@ class SyntheticSource:
         self.seed = seed
         self._packet_probability = rate / packet_flits
 
+    def _probability_at(self, cycle: int) -> float:
+        """Per-node packet probability at ``cycle`` (a per-cycle hook)."""
+        return self._packet_probability
+
+    def _destination_at(self, cycle: int) -> PatternFn:
+        """Destination function at ``cycle`` (a per-cycle hook)."""
+        return self.pattern
+
     def packets_at(self, cycle: int, rng: random.Random):
         """Packet specs for this cycle: (src, dst, size, kind, reply?, reply_size).
 
-        Called once per simulated cycle, so the per-node Bernoulli loop is
-        hot: attribute lookups are hoisted out of it (the draw sequence is
-        untouched — one ``rng.random()`` per node, in node order).
+        The one Bernoulli loop of the synthetic family: a variant changes
+        the injection probability or the destination function per cycle
+        through the two hooks above, never the loop.  Called once per
+        simulated cycle, so the per-node loop is hot: the hooks and
+        attribute lookups run before it, and the draw sequence is one
+        ``rng.random()`` per node, in node order, with extra draws only
+        inside the injection branch.
         """
-        probability = self._packet_probability
-        pattern = self.pattern
+        probability = self._probability_at(cycle)
+        pattern = self._destination_at(cycle)
         size = self.packet_flits
         draw = rng.random
         for src in range(self.topology.num_nodes):

@@ -443,6 +443,74 @@ class TestTrafficTokens:
             assert clone == spec
 
 
+class TestTrafficCodec:
+    """One codec for every traffic kind, one load check in it."""
+
+    KINDS = {
+        "synthetic": {"pattern": "RND", "load": 0.1},
+        "burst": {"pattern": "ADV1", "load": 0.1, "off_load": 0.01},
+        "hotspot": {"pattern": "RND", "load": 0.1},
+        "transient": {"patterns": ["ADV1", "ADV2"], "load": 0.1},
+        "workload": {"bench": "barnes", "intensity_scale": 2.0},
+    }
+
+    def test_every_kind_serializes_kind_then_fields(self):
+        from repro.engine import traffic_from_dict
+
+        for kind, fields in self.KINDS.items():
+            spec = traffic_from_dict({"kind": kind, **fields})
+            payload = spec.to_dict()
+            names = [f.name for f in dataclasses.fields(spec)]
+            assert list(payload)[: len(names) + 1] == ["kind", *names]
+            assert not any(isinstance(v, tuple) for v in payload.values())
+            assert traffic_from_dict(payload) == spec
+
+    def test_absent_fields_take_defaults(self):
+        from repro.engine import traffic_from_dict
+
+        spec = traffic_from_dict({"kind": "burst", "pattern": "RND", "load": 0.1})
+        assert spec == BurstTraffic("RND", 0.1, on_cycles=64, off_cycles=192)
+        spec = traffic_from_dict({"kind": "hotspot", "pattern": "RND", "load": 0.1})
+        assert spec == HotspotTraffic("RND", 0.1, hotspots=(0,), fraction=0.25)
+
+    def test_malformed_payloads_raise_value_error(self):
+        from repro.engine import traffic_from_dict
+
+        with pytest.raises(ValueError, match="unknown traffic source kind"):
+            traffic_from_dict({"pattern": "RND", "load": 0.1})
+        with pytest.raises(ValueError, match="bad synthetic traffic source"):
+            traffic_from_dict({"kind": "synthetic", "load": 0.1})
+
+    @pytest.mark.parametrize(
+        "kind,field",
+        [
+            ("synthetic", "load"),
+            ("burst", "load"),
+            ("burst", "off_load"),
+            ("hotspot", "load"),
+            ("transient", "load"),
+            ("workload", "intensity_scale"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01])
+    def test_loads_must_be_finite_and_non_negative(self, kind, field, bad):
+        from repro.engine import traffic_from_dict
+
+        payload = {"kind": kind, **self.KINDS[kind], field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            traffic_from_dict(payload)
+
+    def test_spec_constructors_reject_nan(self):
+        with pytest.raises(ValueError, match="load must be finite"):
+            ExperimentSpec.synthetic("sn54", "RND", float("nan"))
+        with pytest.raises(ValueError, match="intensity_scale must be finite"):
+            ExperimentSpec.workload("sn54", "barnes", float("nan"))
+
+    def test_zero_load_is_valid(self):
+        spec = ExperimentSpec.synthetic("sn54", "RND", 0.0, **FAST)
+        assert spec.execute().delivered_packets == 0
+
+
 class TestAdaptiveStudy:
     def test_study_structure_and_cache_reuse(self, tmp_path):
         from repro.analysis import adaptive_study

@@ -428,21 +428,31 @@ class TestQueueWorker:
         good = fast_spec()
         poison = fast_spec(load=0.08).to_dict()
         poison["topology"] = "no-such-network"
+        # Non-finite loads fail when the worker rebuilds the spec.
+        nan_load = fast_spec(load=0.08).to_dict()
+        nan_load["source"]["load"] = float("nan")
+        nan_scale = ExperimentSpec.workload("sn54", "barnes", **FAST).to_dict()
+        nan_scale["source"]["intensity_scale"] = float("nan")
+        bad = {"ee" * 32: poison, "ef" * 32: nan_load, "fe" * 32: nan_scale}
         jobs = jobs_for_specs([good]) + [
-            {"key": "ee" * 32, "spec": poison, "cost": 99.0}
+            {"key": key, "spec": spec, "cost": 99.0} for key, spec in bad.items()
         ]
         queue.submit(jobs)
         with StoreServer(backend, quiet=True, queue=queue) as server:
             worker = QueueWorker(
-                server.url, worker_id="t1", max_specs=2, sleep=0.05
+                server.url, worker_id="t1", max_specs=4, sleep=0.05
             )
             stats = worker.run()
-            assert stats.done == 1 and stats.failed == 1
+            assert stats.done == 1 and stats.failed == 3
             status = QueueClient(server.url).status()
-            assert status["drained"] and status["quarantined"] == 1
-            report = status["quarantine"][0]
-            assert report["key"] == "ee" * 32
-            assert "no-such-network" in report["error"]
+            assert status["drained"] and status["quarantined"] == 3
+            errors = {r["key"]: r["error"] for r in status["quarantine"]}
+            assert sorted(errors) == sorted(bad)
+            assert "no-such-network" in errors["ee" * 32]
+            assert "load must be finite" in errors["ef" * 32]
+            assert "intensity_scale must be finite" in errors["fe" * 32]
+        assert backend.get_payload_many(bad, kind="sim") == {}
+        assert list(backend.get_payload_many([good.content_hash()], kind="sim"))
 
     def test_request_stop_before_run_exits_immediately(self, backend):
         queue = make_queue(backend)
