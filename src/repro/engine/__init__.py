@@ -79,7 +79,6 @@ from .spec import (
     iter_spec_keys,
     predicted_cost,
     resolve_topology,
-    spec_load,
     topology_fingerprint,
     topology_token,
     traffic_from_dict,
@@ -166,7 +165,6 @@ __all__ = [
     "build_routing",
     "predicted_cost",
     "resolve_topology",
-    "spec_load",
     "topology_fingerprint",
     "topology_token",
     "iter_spec_keys",

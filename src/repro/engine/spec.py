@@ -190,7 +190,8 @@ class _TrafficCodec:
 
     @property
     def mean_load(self) -> float:
-        """Mean offered load in flits/node/cycle."""
+        """Mean offered load in flits/node/cycle: the load term of
+        :func:`predicted_cost`."""
         return self.load
 
     def to_dict(self) -> dict:
@@ -565,16 +566,6 @@ def iter_spec_keys(specs: Iterable[ExperimentSpec]) -> Iterator[str]:
 COST_BASE_ACTIVITY = 0.25
 
 
-def spec_load(spec: ExperimentSpec) -> float:
-    """Effective injected load of a spec in flits/node/cycle units.
-
-    Synthetic traffic carries its load directly; workload intensity is
-    messages/node/100 cycles, scaled into the same ballpark.  This is
-    the load term of :func:`predicted_cost`.
-    """
-    return spec.source.mean_load
-
-
 def predicted_cost(spec: ExperimentSpec, num_nodes: int | None = None) -> float:
     """Cost estimate for one simulation point.
 
@@ -597,5 +588,5 @@ def predicted_cost(spec: ExperimentSpec, num_nodes: int | None = None) -> float:
     specs correctly (the common case — one campaign, one grid).
     """
     cycles = spec.warmup + spec.measure + spec.drain
-    activity = COST_BASE_ACTIVITY + spec_load(spec)
+    activity = COST_BASE_ACTIVITY + spec.source.mean_load
     return float(cycles) * float(num_nodes or 1) * activity
