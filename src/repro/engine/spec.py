@@ -56,6 +56,7 @@ from ..routing import (
     default_routing,
 )
 from ..sim import NoCSimulator, SimConfig, SimResult
+from ..sim.config import FIELD_CHECKS, check_fields
 from ..topos.base import Topology, topology_fingerprint
 from ..traffic import (
     WORKLOADS,
@@ -71,6 +72,10 @@ from ..traffic import (
 #: alters results for identical inputs) so stale cache entries miss.
 #: Version 2: ``SimConfig`` grew the ``fast_forward`` knob (results are
 #: unchanged, but the serialized config — and thus every hash — moved).
+#: The knob is gone (the simulator always steps every cycle), but every
+#: serialized config still carries ``"fast_forward": true`` and
+#: :meth:`ExperimentSpec.from_dict` accepts and drops it, so no hash and
+#: no store entry moved.
 #: Version 3: the traffic source became a tagged union (``source``
 #: replaces the top-level ``pattern``/``load`` fields) so trace-driven
 #: ``WorkloadSource`` experiments flow through the engine; synthetic
@@ -168,6 +173,20 @@ _TRAFFIC_KINDS: dict[str, type] = {}
 #: Load fields that must be finite and non-negative in every kind.
 _LOAD_FIELDS = ("load", "off_load", "intensity_scale")
 
+#: Field annotations that serialize as another JSON type.
+_WIRE_TYPES = {
+    "tuple[int, ...]": "list[int]",
+    "tuple[str, ...]": "list[str]",
+    "TrafficSpec": "dict",
+    "SimConfig": "dict",
+}
+
+
+def _wire_types(cls: type) -> dict[str, str]:
+    """Each dataclass field of ``cls``, in order, with its wire type (a
+    :data:`~repro.sim.config.FIELD_CHECKS` key)."""
+    return {f.name: _WIRE_TYPES.get(f.type, f.type) for f in fields(cls)}
+
 
 class _TrafficCodec:
     """The one codec and load check of every traffic spec kind.
@@ -178,9 +197,9 @@ class _TrafficCodec:
     """
 
     kind: ClassVar[str]
-    #: Dataclass field names, precomputed: ``to_dict`` runs once per
-    #: spec hash.
-    _field_names: ClassVar[tuple[str, ...]]
+    #: :func:`_wire_types`, precomputed: ``to_dict`` runs once per spec
+    #: hash.
+    _field_types: ClassVar[dict[str, str]]
 
     def __post_init__(self) -> None:
         for name in _LOAD_FIELDS:
@@ -196,7 +215,7 @@ class _TrafficCodec:
 
     def to_dict(self) -> dict:
         payload = {"kind": self.kind}
-        for name in self._field_names:
+        for name in self._field_types:
             value = getattr(self, name)
             payload[name] = list(value) if isinstance(value, tuple) else value
         return payload
@@ -204,7 +223,7 @@ class _TrafficCodec:
 
 def _traffic_kind(cls: type) -> type:
     """Register a traffic spec dataclass under its ``kind``."""
-    cls._field_names = tuple(f.name for f in fields(cls))
+    cls._field_types = _wire_types(cls)
     _TRAFFIC_KINDS[cls.kind] = cls
     return cls
 
@@ -410,23 +429,34 @@ TrafficSpec = Union[
 
 def traffic_from_dict(payload: dict) -> TrafficSpec:
     """Rebuild a traffic source from its tagged-union dict form; absent
-    fields take their defaults and unknown keys are ignored."""
-    cls = _TRAFFIC_KINDS.get(payload.get("kind"))
+    fields take their defaults and unknown keys are ignored.  A missing
+    required field or a present one of the wrong type raises
+    ``ValueError``."""
+    kind = payload.get("kind") if type(payload) is dict else None
+    cls = _TRAFFIC_KINDS.get(kind) if type(kind) is str else None
     if cls is None:
-        raise ValueError(f"unknown traffic source kind {payload.get('kind')!r}")
-    kwargs = {name: payload[name] for name in cls._field_names if name in payload}
+        raise ValueError(f"unknown traffic source kind {kind!r}")
+    kwargs = {name: payload[name] for name in cls._field_types if name in payload}
     try:
-        return cls(**kwargs)
+        spec = cls(**kwargs)
     except TypeError as exc:  # a required field is missing or mistyped
         raise ValueError(f"bad {cls.kind} traffic source: {exc}") from None
+    for name, value in kwargs.items():
+        wire = cls._field_types[name]
+        if not FIELD_CHECKS[wire](value):
+            raise ValueError(f"source.{name} must be {wire}, got {value!r}")
+    return spec
 
 
-#: ``SimConfig``'s and ``WorkloadSpec``'s field names in declaration
-#: order.  Every field is a scalar (int, float, bool or str), so reading
-#: them one by one gives the same dict as the recursive ``asdict`` copy,
-#: for a fraction of the cost — ``to_dict`` runs once per spec hash.
-_CONFIG_FIELDS = tuple(f.name for f in fields(SimConfig))
+#: ``SimConfig``'s and ``WorkloadSpec``'s fields in declaration order.
+#: Every field is a scalar (int, float, bool or str), so reading them one
+#: by one gives the same dict as the recursive ``asdict`` copy, for a
+#: fraction of the cost — ``to_dict`` runs once per spec hash.
+_CONFIG_TYPES = _wire_types(SimConfig)
 _WORKLOAD_FIELDS = tuple(f.name for f in fields(WorkloadSpec))
+
+#: Integer spec fields and their lower bounds (``None``: any int).
+_INT_BOUNDS = {"packet_flits": 1, "seed": None, "warmup": 0, "measure": 1, "drain": 0}
 
 
 @dataclass(frozen=True)
@@ -461,8 +491,15 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         # Fail at construction, before the spec is hashed or looked up:
-        # only a routing name can be rebuilt in a worker or cached.
+        # only a routing name can be rebuilt in a worker or cached, and a
+        # window or packet size out of range would simulate, then fail
+        # or return a result no figure can use.
         _require_routing_name(self.routing)
+        for name, low in _INT_BOUNDS.items():
+            value = getattr(self, name)
+            if type(value) is not int or (low is not None and value < low):
+                bound = "an int" if low is None else f"an int >= {low}"
+                raise ValueError(f"{name} must be {bound}, got {value!r}")
 
     @classmethod
     def synthetic(
@@ -497,11 +534,13 @@ class ExperimentSpec:
         return version
 
     def to_dict(self) -> dict:
+        config = {name: getattr(self.config, name) for name in _CONFIG_TYPES}
+        config["fast_forward"] = True  # the retired knob; see SPEC_VERSION
         return {
             "topology": self.topology,
             "source": self.source.to_dict(),
             "packet_flits": self.packet_flits,
-            "config": {name: getattr(self.config, name) for name in _CONFIG_FIELDS},
+            "config": config,
             "routing": self.routing,
             "seed": self.seed,
             "warmup": self.warmup,
@@ -513,16 +552,30 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
-        payload = dict(payload)
-        payload.pop("spec_version", None)
-        payload["config"] = SimConfig(**payload["config"])
-        if "source" in payload:
-            payload["source"] = traffic_from_dict(payload["source"])
-        else:  # pre-version-3 payload with top-level pattern/load
-            payload["source"] = SyntheticTraffic(
-                pattern=payload.pop("pattern"), load=payload.pop("load")
-            )
-        return cls(**payload)
+        """Rebuild a spec from its :meth:`to_dict` form.
+
+        Every top-level and config field must be present with its wire
+        type, and no other key may appear; anything else raises
+        ``ValueError``, so a malformed queue job fails on its own.  Two
+        legacy forms still decode: a config carrying the retired
+        ``"fast_forward": true`` (see :data:`SPEC_VERSION`), and a
+        pre-version-3 payload with top-level ``pattern``/``load``.
+        """
+        if type(payload) is dict and "source" not in payload and "pattern" in payload:
+            payload = dict(payload)  # pre-version-3: top-level pattern/load
+            payload["source"] = {
+                "kind": "synthetic",
+                "pattern": payload.pop("pattern"),
+                "load": payload.pop("load", None),
+            }
+        check_fields("spec", payload, _SPEC_TYPES)
+        config = dict(payload["config"])
+        if config.pop("fast_forward", True) is not True:
+            raise ValueError("config.fast_forward is retired; it can only be true")
+        kwargs = {name: payload[name] for name in _SPEC_TYPES if name != "spec_version"}
+        kwargs["source"] = traffic_from_dict(payload["source"])
+        kwargs["config"] = SimConfig(**check_fields("config", config, _CONFIG_TYPES))
+        return cls(**kwargs)
 
     def content_hash(self) -> str:
         """Stable SHA-256 over the canonical JSON form (the cache key).
@@ -552,6 +605,11 @@ class ExperimentSpec:
         return sim.run(
             source, warmup=self.warmup, measure=self.measure, drain=self.drain
         )
+
+
+#: The wire type of every top-level field :meth:`ExperimentSpec.to_dict`
+#: writes.
+_SPEC_TYPES = {**_wire_types(ExperimentSpec), "spec_version": "int"}
 
 
 def iter_spec_keys(specs: Iterable[ExperimentSpec]) -> Iterator[str]:

@@ -120,25 +120,34 @@ class ResultCache:
     # -- simulation results -------------------------------------------------
 
     def get(self, spec: ExperimentSpec) -> SimResult | None:
-        """Cached result for ``spec``, or ``None`` (miss / schema change)."""
-        payload = self.get_payload(spec.content_hash(), kind="sim")
-        if payload is None:
-            return None
-        return SimResult.from_dict(payload)
+        """Cached result for ``spec``, or ``None`` (miss / schema change /
+        an entry that does not decode)."""
+        return self.get_many([spec]).get(spec.content_hash())
 
     def get_many(self, specs: Iterable[ExperimentSpec]) -> dict[str, SimResult]:
         """Batch lookup: ``{content_hash: result}`` for the hits, in one
-        backend round trip (the engine's cache-first pass)."""
+        backend round trip (the engine's cache-first pass).
+
+        An entry whose payload does not decode as a :class:`SimResult`
+        (valid JSON that lacks or mistypes a field) counts as a miss and
+        is logged once here, so the engine re-simulates the spec and its
+        write-back overwrites the entry.
+        """
         specs = list(specs)
         by_key = dict(zip(iter_spec_keys(specs), specs))
-        found = self.backend.get_payload_many(by_key, kind="sim")
-        self.hits += len(found)
-        self.misses += len(by_key) - len(found)
-        if found:
-            CACHE_REQUESTS.labels(outcome="hit").inc(len(found))
-        if len(by_key) > len(found):
-            CACHE_REQUESTS.labels(outcome="miss").inc(len(by_key) - len(found))
-        return {key: SimResult.from_dict(payload) for key, payload in found.items()}
+        results: dict[str, SimResult] = {}
+        for key, payload in self.backend.get_payload_many(by_key, kind="sim").items():
+            try:
+                results[key] = SimResult.from_dict(payload)
+            except ValueError as exc:
+                logger.warning("store entry %s does not decode; a miss: %s", key, exc)
+        self.hits += len(results)
+        self.misses += len(by_key) - len(results)
+        if results:
+            CACHE_REQUESTS.labels(outcome="hit").inc(len(results))
+        if len(by_key) > len(results):
+            CACHE_REQUESTS.labels(outcome="miss").inc(len(by_key) - len(results))
+        return results
 
     def put(self, spec: ExperimentSpec, result: SimResult) -> int:
         return self.put_payload(

@@ -17,12 +17,48 @@ CBR-x      central-buffer router, CB capacity x flits
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 #: Paper defaults (section 5.1).
 PACKET_FLITS = 6
 LINK_WIDTH_BITS = 128
 SMART_H = 9
+
+#: The test for each field annotation a decoded payload may carry.  A
+#: ``bool`` is not an ``int`` here, an ``int`` is a ``float``, and a
+#: ``float`` must be finite.
+FIELD_CHECKS = {
+    "int": lambda value: type(value) is int,
+    "bool": lambda value: type(value) is bool,
+    "float": lambda value: type(value) in (int, float) and math.isfinite(value),
+    "str": lambda value: type(value) is str,
+    "str | None": lambda value: value is None or type(value) is str,
+    "dict": lambda value: type(value) is dict,
+    "list": lambda value: type(value) is list,
+    "list[int]": lambda value: type(value) is list and set(map(type, value)) <= {int},
+    "list[str]": lambda value: type(value) is list and set(map(type, value)) <= {str},
+}
+
+
+def check_fields(what: str, payload: object, types: dict[str, str]) -> dict:
+    """Return ``payload`` if it is a dict holding exactly the keys of
+    ``types``, each passing :data:`FIELD_CHECKS` for its annotation.
+
+    Anything else raises ``ValueError`` naming ``what``: decoders of
+    wire or store payloads call this so that a malformed payload fails
+    as bad input, never as a ``KeyError`` or ``TypeError`` further on.
+    """
+    if type(payload) is not dict:
+        raise ValueError(f"{what} must be an object, got {type(payload).__name__}")
+    if payload.keys() != types.keys():
+        missing = sorted(types.keys() - payload.keys())
+        unknown = sorted(payload.keys() - types.keys())
+        raise ValueError(f"{what}: missing fields {missing}, unknown fields {unknown}")
+    for name, value in payload.items():
+        if not FIELD_CHECKS[types[name]](value):
+            raise ValueError(f"{what}.{name} must be {types[name]}, got {value!r}")
+    return payload
 
 
 @dataclass(frozen=True)
@@ -57,12 +93,9 @@ class SimConfig:
         saturation_backlog: A run is saturated when any NIC's standing
             injection backlog exceeds this many flits (offered load
             persistently above accepted load).
-        fast_forward: Let :meth:`~repro.sim.NoCSimulator.run` jump ``now``
-            across cycles in which no component can make progress (all
-            buffered flits waiting out pipeline/CB delays, all link and
-            ejection events scheduled later).  The jump is exact — results
-            are bit-identical either way — so this exists purely as a
-            debugging escape hatch for stepping the idle cycles manually.
+
+    Every field is a scalar whose annotation is a key of
+    :data:`FIELD_CHECKS`, so a decoded config is checked field by field.
     """
 
     num_vcs: int = 2
@@ -79,7 +112,6 @@ class SimConfig:
     injection_queue_flits: int = 20
     saturation_delivery_fraction: float = 0.90
     saturation_backlog: int = 120
-    fast_forward: bool = True
 
     @property
     def uses_central_buffer(self) -> bool:

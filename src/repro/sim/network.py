@@ -18,22 +18,17 @@ elastic flow control over any :class:`~repro.topos.base.Topology`:
   is acyclic by construction.
 * **SMART links** — wire latency ``ceil(distance / H)`` cycles.
 
-**Scheduling.**  The core is *activity-tracked*: routers join an active
-set when a flit is buffered in one of their input units or CB queues and
-leave it once empty, and links are tracked while they carry in-flight
-flits or credits, so :meth:`NoCSimulator.step` visits only components
-that can make progress (below saturation almost everything is idle almost
-always).  On top of that, :meth:`NoCSimulator.run` *fast-forwards*: when
-no router can act before some future cycle — every buffered head flit is
-still in its pipeline or CB-penalty wait and all link/ejection events are
-scheduled later — ``now`` jumps straight to the next scheduled event
-(link or credit arrival, pipeline-eligibility time, next injection),
-skipping warmup gaps, drain tails, and low-load injection gaps.  Both
-optimizations are exact: per-router state is resolved to port-indexed
-lists once at build time, active components are visited in the same
-order the naive lockstep core used, and skipped cycles consume the
-injection RNG identically, so results are bit-identical to the
-pre-optimization core (pinned by ``tests/test_golden_digests.py``).
+**Scheduling.**  :meth:`NoCSimulator.run` is a lockstep loop: it draws
+each cycle's injections and then steps every cycle.  Within a step the
+core is *activity-tracked*: routers join an active set when a flit is
+buffered in one of their input units or CB queues and leave it once
+empty, and links are tracked while they carry in-flight flits or
+credits, so :meth:`NoCSimulator.step` visits only components that can
+make progress (below saturation almost everything is idle almost
+always).  This is exact: per-router state is resolved to port-indexed
+lists once at build time and active components are visited in the same
+order the naive core used, so results are bit-identical to it (pinned by
+``tests/test_golden_digests.py``).
 
 **Flit hops.**  Each route's per-hop *grant records* are resolved once
 per route per simulation, at injection (:meth:`NoCSimulator._hop_records`):
@@ -58,12 +53,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 from ..routing import QueueOracle, RoutingAlgorithm, ZeroQueues, default_routing
 from ..topos.base import Topology
-from .config import SimConfig
+from .config import SimConfig, check_fields
 from .links import ElasticLink, link_latency
 from .packet import Flit, Packet
 
@@ -102,14 +97,13 @@ class _Router:
     the hot path.  Output ports are numbered by *slot*: neighbor ``k`` of
     the sorted ``neighbors`` is slot ``k``, and the ejection ports of the
     attached nodes follow; ``rr`` holds one round-robin pointer per slot.
-    ``buffered``/``cb_flits`` are incrementally maintained occupancy
-    counters driving the simulator's active-router set.
+    ``occupied`` and ``cb_flits`` are incrementally maintained occupancy
+    state driving the simulator's active-router set.
     """
 
     __slots__ = (
         "index", "neighbors", "config", "in_units", "in_index", "occupied",
         "out_base", "credits", "owner", "rr",
-        "buffered",
         "cb_free", "cb_flits", "cb_queues", "cb_committed", "cb_stream_owner",
     )
 
@@ -135,7 +129,6 @@ class _Router:
         self.credits: list[int] = [0] * size
         self.owner: list[int | None] = [None] * size
         self.rr: list[int] = [0] * (len(neighbors) + num_nodes)
-        self.buffered = 0  # flits across all input units
         # Central buffer, its queues keyed by (output slot, VC).
         self.cb_free = config.central_buffer_flits
         self.cb_flits = 0  # flits across all CB queues
@@ -236,27 +229,32 @@ class SimResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimResult":
-        if "latency_hist" in payload:
-            latencies = []
-            for value, count in payload["latency_hist"]:
+        """Inverse of :meth:`to_dict`.  A payload that lacks a field, has
+        an unknown one, or has one of the wrong type raises ``ValueError``
+        (the store treats such an entry as a miss)."""
+        hist = type(payload) is dict and "latency_hist" in payload
+        types = _HIST_FIELDS if hist else _RESULT_FIELDS
+        payload = dict(check_fields("result", payload, types))
+        if not hist:
+            return cls(**payload)
+        latencies = []
+        try:
+            for value, count in payload.pop("latency_hist"):
+                if type(value) is not int or type(count) is not int or count < 1:
+                    raise TypeError
                 latencies += [value] * count
-        else:
-            latencies = list(payload["latencies"])
-        return cls(
-            injection_rate=payload["injection_rate"],
-            cycles=payload["cycles"],
-            created_packets=payload["created_packets"],
-            delivered_packets=payload["delivered_packets"],
-            delivered_flits=payload["delivered_flits"],
-            latencies=latencies,
-            num_nodes=payload["num_nodes"],
-            measure_cycles=payload["measure_cycles"],
-            max_injection_backlog=payload["max_injection_backlog"],
-            saturation_delivery_fraction=payload.get(
-                "saturation_delivery_fraction", 0.90
-            ),
-            saturation_backlog=payload.get("saturation_backlog", 120),
-        )
+        except (TypeError, ValueError):  # not a list of [int, int > 0] pairs
+            raise ValueError("result.latency_hist must hold [latency, count] pairs")
+        return cls(latencies=latencies, **payload)
+
+
+#: The field annotations of a :meth:`SimResult.to_dict` payload: with the
+#: raw latency list, or with the histogram in its place.
+_RESULT_FIELDS = {f.name: f.type for f in fields(SimResult)}
+_HIST_FIELDS = {
+    **{name: kind for name, kind in _RESULT_FIELDS.items() if name != "latencies"},
+    "latency_hist": "list",
+}
 
 
 class LiveQueues(QueueOracle):
@@ -446,11 +444,9 @@ class NoCSimulator:
         # NIC state.
         self.eject_credits = [cfg.ejection_queue_flits] * topo.num_nodes
         self.eject_pipe: deque[tuple[int, Flit]] = deque()
-        self.injection_backlog = [0] * topo.num_nodes
         self._nonzero_backlogs: dict[int, int] = {}
         self._backlog_current = 0
         self._backlog_dirty = False
-        self._live_packets: set[int] = set()
         self._pending_replies: list[tuple[int, int, int]] = []
 
     def _hop_records(self, route) -> tuple:
@@ -517,14 +513,11 @@ class NoCSimulator:
         last = size - 1
         for index in range(size):
             buffer.append(Flit(packet, index, index == 0, index == last, now))
-        router.buffered += size
         self._active_routers.add(src_router)
         self._set_backlog(src_node, len(buffer))
-        self._live_packets.add(packet.pid)
         return packet
 
     def _set_backlog(self, node: int, value: int) -> None:
-        self.injection_backlog[node] = value
         if value:
             self._nonzero_backlogs[node] = value
         else:
@@ -594,7 +587,6 @@ class NoCSimulator:
             if not buffer:
                 router.occupied.add(unit.index)
             buffer.append(flit)
-            router.buffered += 1
             active.add(router.index)
             if track:
                 self._credit_inflight[ordinal] -= 1
@@ -641,7 +633,6 @@ class NoCSimulator:
                         router = link_dst[ordinal]
                         router.occupied.add(unit.index)
                         buffer.append(flit)
-                        router.buffered += 1
                         occupancy[ordinal] -= 1
                         active_routers.add(router.index)
                         break
@@ -689,7 +680,6 @@ class NoCSimulator:
             eject_credits[packet.dst] += 1  # NIC consumes immediately
             if flit.is_tail:
                 packet.ejected = now
-                self._live_packets.discard(packet.pid)
                 finished.append(packet)
                 if packet.wants_reply:
                     self._pending_replies.append(
@@ -860,11 +850,9 @@ class NoCSimulator:
                         buffer.popleft()
                         if not buffer:
                             occupied.discard(container.index)
-                        router.buffered -= 1
                         node = container.node
                         if node is not None:
                             value = len(buffer)
-                            self.injection_backlog[node] = value
                             if value:
                                 self._nonzero_backlogs[node] = value
                             else:
@@ -910,7 +898,7 @@ class NoCSimulator:
                     occupancy[ordinal] += 1
                 if blocked:
                     blocked.clear()
-            if not router.buffered and not router.cb_flits:
+            if not occupied and not router.cb_flits:
                 active.discard(router_index)
 
     def _pop_input(self, router: _Router, unit: _InputUnit) -> None:
@@ -919,7 +907,6 @@ class NoCSimulator:
         unit.buffer.popleft()
         if not unit.buffer:
             router.occupied.discard(unit.index)
-        router.buffered -= 1
         if unit.node is not None:
             self._set_backlog(unit.node, len(unit.buffer))
         elif unit.credit_entry is not None:
@@ -986,64 +973,6 @@ class NoCSimulator:
         return False
 
     # ------------------------------------------------------------------
-    # Fast-forward support
-    # ------------------------------------------------------------------
-
-    def _next_event_time(self) -> int | None:
-        """Earliest future ``now`` at which network state can change.
-
-        Returns ``self.now + 1`` whenever anything could act next cycle
-        (eligible or blocked flits, elastic pipelines, pending replies);
-        a later cycle when everything buffered is waiting out a pipeline
-        or CB delay and all link/ejection events are scheduled beyond the
-        next cycle; ``None`` when the network holds no state at all.
-        Conservative by construction — fast-forwarding to the returned
-        cycle is exact, never an approximation.
-        """
-        floor = self.now + 1
-        best: int | None = None
-        if self._pending_replies:
-            return floor
-        if self.eject_pipe:
-            t = self.eject_pipe[0][0]
-            if t <= floor:
-                return floor
-            best = t
-        if self._active_elastic_links:
-            return floor  # elastic stages advance every cycle
-        for wheel in (self._event_wheel, self._credit_wheel):
-            if wheel:
-                t = min(wheel)
-                if t <= floor:
-                    return floor
-                if best is None or t < best:
-                    best = t
-        eligible_at = self._eligible_at
-        for index in self._active_routers:
-            router = self.routers[index]
-            if router.buffered:
-                units = router.in_units
-                for unit_index in router.occupied:
-                    flit = units[unit_index].buffer[0]
-                    if not flit.is_head:
-                        return floor  # a body flit can stream immediately
-                    t = flit.arrival + eligible_at
-                    if t <= floor:
-                        return floor  # eligible (possibly blocked): retry
-                    if best is None or t < best:
-                        best = t
-            if router.cb_flits:
-                for queue in router.cb_queues.values():
-                    if not queue:
-                        continue
-                    t = queue[0].arrival
-                    if t <= floor:
-                        return floor
-                    if best is None or t < best:
-                        best = t
-        return best
-
-    # ------------------------------------------------------------------
     # Top-level run loop
     # ------------------------------------------------------------------
 
@@ -1062,13 +991,6 @@ class NoCSimulator:
         latency; injection stops after the window and the drain phase lets
         in-flight packets finish (undelivered tracked packets after the
         drain flag saturation).
-
-        When the network cannot act before the next scheduled event, the
-        loop fast-forwards ``now`` to it instead of idling cycle by cycle.
-        Skipped injection cycles still consume ``packets_at`` in order (a
-        cycle that turns out to inject becomes the jump target), so the
-        RNG stream — and therefore the result — is identical to the
-        lockstep loop's.  Disable via ``SimConfig(fast_forward=False)``.
         """
         tracked: dict[int, Packet] = {}
         latencies: list[int] = []
@@ -1077,21 +999,10 @@ class NoCSimulator:
         max_backlog = 0
         measure_end = warmup + measure
         end_now = self.now + warmup + measure + drain
-        fast_forward = self.config.fast_forward
-        pending: tuple[int, list] | None = None  # pre-drawn injection cycle
-        next_draw = self.now  # first cycle whose packets_at is unconsumed
         while self.now < end_now:
             cycle = self.now  # packets for the upcoming cycle
             if cycle < measure_end:
-                if pending is not None and pending[0] == cycle:
-                    specs = pending[1]
-                    pending = None
-                elif cycle >= next_draw:
-                    specs = source.packets_at(cycle, self.rng)
-                    next_draw = cycle + 1
-                else:
-                    specs = ()  # drawn empty during a fast-forward scan
-                for spec in specs:
+                for spec in source.packets_at(cycle, self.rng):
                     packet = self.inject_packet(*spec)
                     if warmup <= cycle:
                         created += 1
@@ -1109,37 +1020,6 @@ class NoCSimulator:
                 max_backlog = backlog
             if self.now >= measure_end and not tracked:
                 break
-            if not fast_forward:
-                continue
-            next_event = self._next_event_time()
-            if next_event == self.now + 1:
-                continue
-            limit = end_now
-            if not tracked and measure_end < limit:
-                # The lockstep loop would break the moment ``now`` reaches
-                # the end of the measurement window with nothing tracked.
-                limit = measure_end
-            target = next_event if next_event is not None else limit
-            if target > limit:
-                target = limit
-            jump = target - 1  # pre-step cycle of the next event
-            # The jump would skip every injection cycle in [now, jump - 1]
-            # (the *current* ``now`` is itself the next unprocessed
-            # injection cycle), so their ``packets_at`` draws must still
-            # be consumed, in order.  A cycle that turns out to inject
-            # becomes the jump target instead.
-            scan = self.now
-            while scan <= jump and scan < measure_end:
-                if scan >= next_draw:
-                    specs = list(source.packets_at(scan, self.rng))
-                    next_draw = scan + 1
-                    if specs:
-                        pending = (scan, specs)
-                        jump = scan  # injection is the earlier event
-                        break
-                scan += 1
-            if jump > self.now:
-                self.now = jump
         return SimResult(
             injection_rate=getattr(source, "rate", 0.0),
             cycles=self.now,

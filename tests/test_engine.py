@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pack_entries import PackEntries
 
 from repro.__main__ import main
@@ -78,6 +82,29 @@ class TestExperimentSpec:
         assert direct.avg_latency == rebuilt.avg_latency
         assert direct.throughput == rebuilt.throughput
 
+    @pytest.mark.parametrize(
+        "field,bad,message",
+        [
+            ("warmup", -5, "warmup must be an int >= 0, got -5"),
+            ("measure", 0, "measure must be an int >= 1, got 0"),
+            ("drain", -1, "drain must be an int >= 0, got -1"),
+            ("packet_flits", 0, "packet_flits must be an int >= 1, got 0"),
+            ("measure", 200.0, "measure must be an int >= 1, got 200.0"),
+            ("seed", True, "seed must be an int, got True"),
+            ("seed", 1.5, "seed must be an int, got 1.5"),
+            ("seed", None, "seed must be an int, got None"),
+        ],
+    )
+    def test_windows_are_checked_at_construction(self, field, bad, message):
+        """A spec that could only simulate into a ZeroDivisionError, or
+        into a result no figure can use, never exists."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fast_spec(**{field: bad})
+
+    def test_smallest_valid_windows_construct(self):
+        spec = fast_spec(warmup=0, measure=1, drain=0, packet_flits=1, seed=-3)
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
 
 #: The configs the figures run: the default, SMART, every Fig 11
 #: buffering strategy, and the CBR sizes of Figs 12-13.
@@ -92,19 +119,42 @@ FIGURE_CONFIGS = {
 
 class TestSpecConfigDict:
     """``to_dict`` reads ``SimConfig``'s fields one by one instead of the
-    recursive ``asdict`` copy; the dict, and so every hash, must match."""
+    recursive ``asdict`` copy, then appends the retired ``fast_forward``
+    knob as the constant ``true``; the dict, and so every hash, must
+    match the one the knob's config wrote."""
 
     @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
     def test_config_dict_equals_asdict(self, name):
         config = FIGURE_CONFIGS[name]
         spec = fast_spec(config=config)
         payload = spec.to_dict()
-        assert payload["config"] == dataclasses.asdict(config)
-        assert list(payload["config"]) == list(dataclasses.asdict(config))
+        legacy = {**dataclasses.asdict(config), "fast_forward": True}
+        assert payload["config"] == legacy
+        assert list(payload["config"]) == list(legacy)
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(payload)))
         assert clone == spec
         assert clone.to_dict() == payload
         assert clone.content_hash() == spec.content_hash()
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
+    def test_serialized_config_carries_retired_fast_forward(self, name):
+        """Every spec config still serializes ``"fast_forward": true``, so
+        no content hash moved when the knob went; decoding drops it, and
+        any other value cannot be written back and is refused."""
+        specs = [
+            fast_spec(config=FIGURE_CONFIGS[name]),
+            ExperimentSpec.workload("sn54", "barnes", config=FIGURE_CONFIGS[name]),
+            fast_spec(config=FIGURE_CONFIGS[name], routing="deflect"),
+        ]
+        for spec in specs:
+            payload = json.loads(json.dumps(spec.to_dict()))
+            assert payload["config"]["fast_forward"] is True
+            assert ExperimentSpec.from_dict(payload) == spec
+            del payload["config"]["fast_forward"]
+            assert ExperimentSpec.from_dict(payload).to_dict() == spec.to_dict()
+            payload["config"]["fast_forward"] = False
+            with pytest.raises(ValueError, match="fast_forward is retired"):
+                ExperimentSpec.from_dict(payload)
 
     def test_every_config_field_is_a_scalar(self):
         # A nested field would make the shallow walk share (and the hash
@@ -258,6 +308,26 @@ class TestResultCache:
         rows.write(key, "{not json")
         assert cache.get(spec) is None
         assert cache.stats().reclaimable_entries == 1  # gc would drop it
+
+    def test_undecodable_result_is_resimulated_once(self, tmp_path, caplog):
+        """A stored result that is valid JSON but lacks fields is a miss,
+        logged once: the rerun simulates exactly that spec, returns the
+        same result, and its write-back overwrites the entry."""
+        cache = ResultCache(tmp_path)
+        engine = ExperimentEngine(cache=cache)
+        specs = [fast_spec(load=load) for load in (0.02, 0.05, 0.08)]
+        before = [result.to_dict() for result in engine.run(specs)]
+        key = specs[1].content_hash()
+        cache.backend.put_payload(key, "sim", {"cycles": 5}, spec=specs[1].to_dict())
+        with caplog.at_level(logging.WARNING, logger="repro.engine.store"):
+            after = [result.to_dict() for result in engine.run(specs)]
+        assert (engine.last_stats.executed, engine.last_stats.cache_hits) == (1, 2)
+        assert after == before
+        warned = [r for r in caplog.records if key in r.getMessage()]
+        assert len(warned) == 1 and "missing fields" in warned[0].getMessage()
+        assert cache.backend.get_payload(key, "sim") == before[1]
+        engine.run(specs)
+        assert engine.last_stats.executed == 0
 
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -722,6 +792,124 @@ class TestSerializationSatellites:
         assert seeded.flows(samples=50) == seeded.flows(samples=50)
         other = SyntheticSource(make_network("sn54"), "RND", 0.1, seed=8)
         assert seeded.flows(samples=50) != other.flows(samples=50)
+
+
+#: Replacement values for the decoder fuzz: every JSON type, plus NaN
+#: and infinity; ``_DROP`` deletes the field instead.
+_DROP = object()
+_REPLACEMENTS = [
+    _DROP, None, True, False, 0, -1, 7, 2.5, float("nan"), float("inf"),
+    "", "x", [], [1, 2], ["RND"], {}, {"kind": "synthetic"},
+]
+
+
+def _key_paths(payload, prefix: tuple = ()):
+    """Every key and index path of a JSON value, nested values included."""
+    items = payload.items() if isinstance(payload, dict) else enumerate(payload)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _mutated(payload: dict, path: tuple, replacement) -> dict:
+    copy = json.loads(json.dumps(payload))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return copy
+
+
+def _spec_payloads() -> list[dict]:
+    from repro.engine import traffic_for_token
+
+    specs = [
+        fast_spec(config=cbr(20)),
+        ExperimentSpec.workload("sn54", "barnes", intensity_scale=1.5, **FAST),
+        ExperimentSpec.synthetic("sn200", "ADV1", 0.1, layout="sn_gr", **FAST),
+    ]
+    for token, routing in (
+        ("burst:ADV1:16+48", "ugal-l"),
+        ("hotspot:RND:0.3:2", "deflect"),
+        ("transient:ADV1+ADV2:32", "default"),
+    ):
+        source = traffic_for_token(token, 0.1, 54)
+        specs.append(ExperimentSpec("sn54", source, routing=routing, **FAST))
+    return [spec.to_dict() for spec in specs]
+
+
+def _result_payloads() -> list[dict]:
+    latencies = [20, 31, 22] * 9 + [40, 41]
+    small = SimResult(0.05, 610, 30, 29, 174, latencies, 54, 200, 6)
+    latencies = [10] * 400 + [20] * 400 + [30] * 10  # stored as a histogram
+    large = SimResult(0.3, 900, 810, 810, 4860, latencies, 54, 500, 130, 0.85, 100)
+    return [small.to_dict(), large.to_dict()]
+
+
+_SPEC_PAYLOADS = _spec_payloads()
+_RESULT_PAYLOADS = _result_payloads()
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestDecoderFuzz:
+    """Both wire decoders, fed valid payloads with one field or list
+    item dropped, retyped or set to NaN: each case decodes to a value
+    whose ``to_dict()`` round-trips byte-identically, or raises
+    ``ValueError`` (nothing else, so a queue worker or the store can
+    treat it as bad input).  Dropping a top-level, config or result field
+    always raises: only traffic fields have defaults, and only the
+    retired ``config.fast_forward`` may be absent."""
+
+    def test_valid_payloads_round_trip_byte_identically(self):
+        for payload in _SPEC_PAYLOADS:
+            clone = ExperimentSpec.from_dict(json.loads(json.dumps(payload)))
+            assert json.dumps(clone.to_dict()) == json.dumps(payload)
+        for payload in _RESULT_PAYLOADS:
+            clone = SimResult.from_dict(json.loads(json.dumps(payload)))
+            assert json.dumps(clone.to_dict()) == json.dumps(payload)
+
+    @staticmethod
+    def _check(decode, payload, path, replacement, optional) -> None:
+        mutated = _mutated(payload, path, replacement)
+        try:
+            value = decode(mutated)
+        except ValueError:
+            return
+        dropped_field = replacement is _DROP and isinstance(path[-1], str)
+        assert not dropped_field or path[0] in optional, path
+        blob = _dumps(value.to_dict())
+        assert _dumps(decode(json.loads(blob)).to_dict()) == blob
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_spec_from_dict(self, data):
+        payload = data.draw(st.sampled_from(_SPEC_PAYLOADS))
+        path = data.draw(st.sampled_from(list(_key_paths(payload))))
+        replacement = data.draw(st.sampled_from(_REPLACEMENTS))
+        optional = {"source"} if path != ("config", "fast_forward") else {"config"}
+        self._check(ExperimentSpec.from_dict, payload, path, replacement, optional)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_result_from_dict(self, data):
+        payload = data.draw(st.sampled_from(_RESULT_PAYLOADS))
+        path = data.draw(st.sampled_from(list(_key_paths(payload))))
+        replacement = data.draw(st.sampled_from(_REPLACEMENTS))
+        self._check(SimResult.from_dict, payload, path, replacement, set())
+
+    @pytest.mark.parametrize("payload", [None, [], "x", 5, {}])
+    def test_non_objects_raise_value_error(self, payload):
+        with pytest.raises(ValueError):
+            ExperimentSpec.from_dict(payload)
+        with pytest.raises(ValueError):
+            SimResult.from_dict(payload)
 
 
 class TestCliDispatch:

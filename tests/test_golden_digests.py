@@ -1,13 +1,14 @@
 """Golden-digest regression tests for the simulator core.
 
-The activity-tracked scheduler (active router/link sets + fast-forward,
-see :mod:`repro.sim.network`) is a pure performance optimization: for any
-(topology, pattern, flow control, seed) it must produce **bit-identical**
-``SimResult``\\ s to the naive lockstep core it replaced.  These tests pin
-that contract: every case in :data:`MATRIX` is simulated and its
-``SimResult.to_dict()`` is hashed; the digests were recorded *before* the
-refactor (``tests/golden/sim_digests.json``) and any drift — one cycle,
-one latency sample, one reordered packet — fails the suite.
+The activity-tracked step (active router/link sets inside the lockstep
+loop, see :mod:`repro.sim.network`) is a pure performance optimization:
+for any (topology, pattern, flow control, seed) it must produce
+**bit-identical** ``SimResult``\\ s to the naive lockstep core it
+replaced.  These tests pin that contract: every case in :data:`MATRIX`
+is simulated and its ``SimResult.to_dict()`` is hashed; the digests
+were recorded *before* the refactor (``tests/golden/sim_digests.json``)
+and any drift — one cycle, one latency sample, one reordered packet —
+fails the suite.
 
 Regenerate (only after an intentional, spec-version-bumping semantic
 change to the simulator)::
@@ -45,10 +46,10 @@ CONFIGS = {
 #: Covers both flow controls and the CBR across a low-diameter SN, a
 #: flattened butterfly, and a torus (dateline VCs), under a randomized and
 #: an adversarial pattern, at a sub-saturation and a contended load.  The
-#: very-low-load rows matter specifically for the fast-forward path: only
-#: when the network drains empty *inside* the measurement window do
-#: ``now`` jumps overlap live injection, which is where a skipped or
-#: double-consumed ``packets_at`` draw would desynchronize the RNG.
+#: very-low-load rows guard the idle path of the lockstep loop: the
+#: network drains empty *inside* the measurement window, so routers and
+#: links leave and rejoin the active sets while injection continues, and
+#: every idle cycle must still draw its ``packets_at`` injections.
 MATRIX: list[tuple[str, str, str, float, int, int, int, int]] = [
     (topo, pattern, cfg, 0.08, 1, 80, 200, 600)
     for topo in ("sn54", "fbf3", "t2d4")

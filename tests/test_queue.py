@@ -433,24 +433,41 @@ class TestQueueWorker:
         nan_load["source"]["load"] = float("nan")
         nan_scale = ExperimentSpec.workload("sn54", "barnes", **FAST).to_dict()
         nan_scale["source"]["intensity_scale"] = float("nan")
-        bad = {"ee" * 32: poison, "ef" * 32: nan_load, "fe" * 32: nan_scale}
+        # A spec dict that lacks a field, or names a window no run can
+        # measure, fails to decode as a ValueError, not a worker crash.
+        no_topology = fast_spec(load=0.08).to_dict()
+        del no_topology["topology"]
+        no_window = fast_spec(load=0.08).to_dict()
+        no_window["measure"] = 0
+        bad = {
+            "ee" * 32: poison,
+            "ef" * 32: nan_load,
+            "fe" * 32: nan_scale,
+            "ed" * 32: no_topology,
+            "de" * 32: no_window,
+        }
         jobs = jobs_for_specs([good]) + [
             {"key": key, "spec": spec, "cost": 99.0} for key, spec in bad.items()
         ]
         queue.submit(jobs)
         with StoreServer(backend, quiet=True, queue=queue) as server:
             worker = QueueWorker(
-                server.url, worker_id="t1", max_specs=4, sleep=0.05
+                server.url, worker_id="t1", max_specs=6, sleep=0.05
             )
             stats = worker.run()
-            assert stats.done == 1 and stats.failed == 3
+            assert stats.done == 1 and stats.failed == 5
             status = QueueClient(server.url).status()
-            assert status["drained"] and status["quarantined"] == 3
+            assert status["drained"] and status["quarantined"] == 5
             errors = {r["key"]: r["error"] for r in status["quarantine"]}
             assert sorted(errors) == sorted(bad)
             assert "no-such-network" in errors["ee" * 32]
             assert "load must be finite" in errors["ef" * 32]
             assert "intensity_scale must be finite" in errors["fe" * 32]
+            assert errors["ed" * 32].startswith("ValueError: ")
+            assert "missing fields ['topology']" in errors["ed" * 32]
+            assert errors["de" * 32] == (
+                "ValueError: measure must be an int >= 1, got 0"
+            )
         assert backend.get_payload_many(bad, kind="sim") == {}
         assert list(backend.get_payload_many([good.content_hash()], kind="sim"))
 

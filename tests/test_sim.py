@@ -5,8 +5,6 @@ import weakref
 
 import pytest
 
-from dataclasses import replace
-
 from repro.engine import ROUTING_BUILDERS, build_routing
 from repro.routing import RoutingAlgorithm, StaticMinimalRouting, UGALRouting
 from repro.routing.algorithms import Route
@@ -15,17 +13,20 @@ from repro.sim.links import ElasticLink
 from repro.topos import make_network
 from repro.topos.base import Topology
 from repro.traffic import SyntheticSource
+from sim_state import flits_in_network
 
 
 def drain(sim, max_cycles=2000):
-    """Step until all live packets are delivered; returns them."""
+    """Step until every injected flit is delivered; returns the packets."""
     delivered = []
     for _ in range(max_cycles):
         delivered += sim.step()
         sim.issue_replies()
-        if not sim._live_packets:
+        if not flits_in_network(sim):
             return delivered
-    raise AssertionError(f"{len(sim._live_packets)} packets stuck after {max_cycles} cycles")
+    raise AssertionError(
+        f"{flits_in_network(sim)} flits stuck after {max_cycles} cycles"
+    )
 
 
 class TestLinkModels:
@@ -142,9 +143,9 @@ class TestElasticDifferential:
                 dict(s) for s in core_link.stages
             ], f"cycle {now}"
             mixed_stages += sum(len(s) > 1 for s in core_link.stages)
-            if not sim._live_packets:
+            if not flits_in_network(sim):
                 break
-        assert not sim._live_packets
+        assert not flits_in_network(sim)
         assert len(core_delivered) == 12 * 4
         assert mixed_stages > 0, "no stage ever held two VCs"
 
@@ -232,7 +233,7 @@ class TestFlitOrdering:
             sim.step()
             for _, flit in before:
                 seen.setdefault(flit.packet.pid, []).append(flit.index)
-            if not sim._live_packets:
+            if not flits_in_network(sim):
                 break
         for pid, indices in seen.items():
             assert indices == sorted(indices), f"packet {pid} flits out of order"
@@ -360,7 +361,7 @@ class TestReplies:
         for _ in range(500):
             sim.step()
             replies += sim.issue_replies()
-            if replies and not sim._live_packets:
+            if replies and not flits_in_network(sim):
                 break
         assert len(replies) == 1
         reply = replies[0]
@@ -426,7 +427,8 @@ class TestIncrementalCounters:
             for spec in source.packets_at(sim.now, sim.rng):
                 sim.inject_packet(*spec)
             sim.step()
-            assert sim._current_backlog() == max(sim.injection_backlog)
+            backlog = max(len(unit.buffer) for unit in sim._inj_units)
+            assert sim._current_backlog() == backlog
 
     def test_router_occupancy_counters_consistent(self):
         topo = make_network("sn54")
@@ -439,49 +441,9 @@ class TestIncrementalCounters:
             for router in sim.routers:
                 occupied = {u.index for u in router.in_units if u.buffer}
                 assert router.occupied == occupied
-                assert router.buffered == sum(
-                    len(u.buffer) for u in router.in_units
-                )
-                if router.buffered or router.cb_flits:
+                assert router.cb_flits == sum(map(len, router.cb_queues.values()))
+                if occupied or router.cb_flits:
                     assert router.index in sim._active_routers
-
-
-class TestFastForward:
-    """`now` jumps are a pure optimization: toggling them off must not
-    change a single byte of the result."""
-
-    @pytest.mark.parametrize("make_config", [SimConfig, eb_var, el_links, lambda: cbr(12)])
-    @pytest.mark.parametrize("rate", [0.004, 0.02, 0.12])
-    def test_fast_forward_toggle_is_bit_identical(self, make_config, rate):
-        topo = make_network("sn54")
-        results = {}
-        for fast_forward in (True, False):
-            config = replace(make_config(), fast_forward=fast_forward)
-            sim = NoCSimulator(topo, config, seed=5)
-            source = SyntheticSource(topo, "RND", rate)
-            results[fast_forward] = sim.run(
-                source, warmup=120, measure=300, drain=700
-            ).to_dict()
-        assert results[True] == results[False]
-
-    def test_fast_forward_skips_cycles_in_bulk(self):
-        """At near-zero load the run loop must visit far fewer iterations
-        than simulated cycles (the whole point of fast-forward)."""
-        topo = make_network("sn54")
-        sim = NoCSimulator(topo, SimConfig(), seed=5)
-        steps = 0
-        original = sim.step
-
-        def counting_step():
-            nonlocal steps
-            steps += 1
-            return original()
-
-        sim.step = counting_step
-        result = sim.run(
-            SyntheticSource(topo, "RND", 0.002), warmup=200, measure=400, drain=800
-        )
-        assert result.cycles > steps  # jumped over idle stretches
 
 
 class TestRefcountFree:
