@@ -26,10 +26,6 @@ class ResilienceReport:
     diameter: int | None
     average_path: float | None
 
-    @property
-    def failure_fraction(self) -> float:
-        return self.failed_links / self.total_links if self.total_links else 0.0
-
 
 def failed_links(
     topology: Topology, fail_fraction: float, seed: int = 0

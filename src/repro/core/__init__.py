@@ -13,13 +13,7 @@ from .costmodel import (
 )
 from .layouts import LAYOUTS, layout_coordinates
 from .mms import MMSGraph, MMSParams, RouterLabel, generator_sets, mms_graph, mms_params
-from .placement import (
-    max_wire_crossings,
-    satisfies_wire_constraint,
-    technology_wire_limit,
-    wire_crossing_counts,
-    wire_path,
-)
+from .placement import max_wire_crossings, technology_wire_limit, wire_crossing_counts
 from .slimnoc import (
     SN_1024,
     SN_L,
@@ -52,11 +46,9 @@ __all__ = [
     "SN_1024",
     "LAYOUTS",
     "layout_coordinates",
-    "wire_path",
     "wire_crossing_counts",
     "max_wire_crossings",
     "technology_wire_limit",
-    "satisfies_wire_constraint",
     "round_trip_cycles",
     "edge_buffer_flits",
     "average_wire_length",

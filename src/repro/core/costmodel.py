@@ -131,13 +131,3 @@ class BufferBudget:
     def central(cls, topology: Topology, cb_flits: int, vcs: int = 2) -> "BufferBudget":
         total = total_central_buffers(topology, cb_flits, vcs)
         return cls(f"cbr{cb_flits}", total, total / topology.num_routers)
-
-
-def theorem1_bounds(num_nodes: int) -> tuple[float, float]:
-    """Theorem 1 scaling: ``M = Θ(N^(1/3))`` — returns (lower, upper) guide values.
-
-    Used by tests to check the measured average wire length of the
-    subgroup layout scales with the cube root of the node count.
-    """
-    cube_root = num_nodes ** (1.0 / 3.0)
-    return 0.25 * cube_root, 4.0 * cube_root

@@ -32,47 +32,19 @@ def x_dominant(ci: Coordinate, cj: Coordinate) -> bool:
     return abs(ci[0] - cj[0]) > abs(ci[1] - cj[1])
 
 
-def wire_path(ci: Coordinate, cj: Coordinate) -> list[Coordinate]:
-    """Every grid slot the wire from ``ci`` to ``cj`` passes over.
-
-    Includes both endpoints; follows the Eq. 1/2 tie-break.  The result is
-    the union of the two line segments of the chosen L-shape.
-    """
-    xi, yi = ci
-    xj, yj = cj
-    slots: list[Coordinate] = []
-    if x_dominant(ci, cj):
-        # Leave i vertically first: (xi,yi) -> (xi,yj) -> (xj,yj).
-        for y in _inclusive(yi, yj):
-            slots.append((xi, y))
-        for x in _inclusive(xi, xj):
-            if (x, yj) != (xi, yj):
-                slots.append((x, yj))
-    else:
-        # Leave i horizontally first: (xi,yi) -> (xj,yi) -> (xj,yj).
-        for x in _inclusive(xi, xj):
-            slots.append((x, yi))
-        for y in _inclusive(yi, yj):
-            if (xj, y) != (xj, yi):
-                slots.append((xj, y))
-    return slots
-
-
-def _inclusive(a: int, b: int) -> range:
-    return range(a, b + 1) if a <= b else range(a, b - 1, -1)
-
-
 def wire_crossing_counts(
     edges: list[tuple[int, int]], coords: dict[int, Coordinate]
 ) -> Counter[Coordinate]:
     """Wires routed over each grid slot (left-hand side of Eq. 3).
 
     Wire endpoints count toward their own slots, matching the paper's
-    "wires placed over a router and its attached nodes".  Each
-    :func:`wire_path` is one column segment plus one row segment that
-    share a corner slot: the segments go into per-column and per-row
-    difference arrays, the corner is subtracted once, and prefix sums
-    read off every slot, in time linear in wires plus grid slots.
+    "wires placed over a router and its attached nodes".  Each wire is
+    an L of one column segment and one row segment that share a corner
+    slot: when the X-span is the larger, the column is ``x_i``'s and the
+    row ``y_j``'s, otherwise the row is ``y_i``'s and the column
+    ``x_j``'s.  The segments go into per-column and per-row difference
+    arrays, the corner is subtracted once, and prefix sums read off
+    every slot, in time linear in wires plus grid slots.
     """
     counts: Counter[Coordinate] = Counter()
     if not edges:
@@ -86,7 +58,7 @@ def wire_crossing_counts(
     corners: Counter[Coordinate] = Counter()
     for i, j in edges:
         ci, cj = coords[i], coords[j]
-        # The column and row of the L, as in wire_path.
+        # The column and row of the L.
         if x_dominant(ci, cj):
             x, y = ci[0], cj[1]
         else:
@@ -130,15 +102,3 @@ def technology_wire_limit(
     tile_side_mm = math.sqrt(concentration * CORE_AREA_MM2[technology_nm])
     raw_wires = WIRING_DENSITY_PER_MM[technology_nm] * tile_side_mm
     return int(raw_wires // link_width_bits)
-
-
-def satisfies_wire_constraint(
-    edges: list[tuple[int, int]],
-    coords: dict[int, Coordinate],
-    technology_nm: int,
-    concentration: int,
-    link_width_bits: int = 128,
-) -> bool:
-    """Check Eq. 3 for every slot of the given placement."""
-    limit = technology_wire_limit(technology_nm, concentration, link_width_bits)
-    return max_wire_crossings(edges, coords) <= limit

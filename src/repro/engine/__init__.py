@@ -94,14 +94,11 @@ from .store import (
     open_backend,
 )
 
-#: Names served on first access (PEP 562): the remote store, the fault
-#: injector, the work queue and the worker fleet, which a serial run on
-#: the local store never uses (the remote store alone pulls in
-#: ``urllib.request``, ``ssl`` and ``http.server``).  Name -> submodule
-#: that defines it.
+#: Names served on first access (PEP 562): the remote store, the work
+#: queue and the worker fleet, which a serial run on the local store
+#: never uses (the remote store alone pulls in ``urllib.request``,
+#: ``ssl`` and ``http.server``).  Name -> submodule that defines it.
 _LAZY = {
-    "FaultyBackend": ".store.faulty",
-    "InjectedFault": ".store.faulty",
     "TOKEN_ENV": ".store.http",
     "RemoteAuthError": ".store.http",
     "RemoteStore": ".store.http",
@@ -130,8 +127,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentEngine",
     "CacheBackend",
-    "FaultyBackend",
-    "InjectedFault",
     "JobQueue",
     "QueueClient",
     "QueueJob",

@@ -72,10 +72,13 @@ from ..traffic import (
 #: alters results for identical inputs) so stale cache entries miss.
 #: Version 2: ``SimConfig`` grew the ``fast_forward`` knob (results are
 #: unchanged, but the serialized config — and thus every hash — moved).
-#: The knob is gone (the simulator always steps every cycle), but every
-#: serialized config still carries ``"fast_forward": true`` and
-#: :meth:`ExperimentSpec.from_dict` accepts and drops it, so no hash and
-#: no store entry moved.
+#: That knob and the NIC queue sizes ``ejection_queue_flits`` and
+#: ``injection_queue_flits`` are gone from ``SimConfig``: the simulator
+#: steps every cycle, its ejection port never blocks and nothing read the
+#: injection size.  Every serialized config still carries them at their
+#: constants (:data:`RETIRED_CONFIG`), and
+#: :meth:`ExperimentSpec.from_dict` accepts and drops them, so no hash
+#: and no store entry moved and the version stays 4.
 #: Version 3: the traffic source became a tagged union (``source``
 #: replaces the top-level ``pattern``/``load`` fields) so trace-driven
 #: ``WorkloadSource`` experiments flow through the engine; synthetic
@@ -455,6 +458,14 @@ def traffic_from_dict(payload: dict) -> TrafficSpec:
 _CONFIG_TYPES = _wire_types(SimConfig)
 _WORKLOAD_FIELDS = tuple(f.name for f in fields(WorkloadSpec))
 
+#: Retired ``SimConfig`` knobs and the one value each may still carry on
+#: the wire (see :data:`SPEC_VERSION`).
+RETIRED_CONFIG = {
+    "fast_forward": True,
+    "ejection_queue_flits": 20,
+    "injection_queue_flits": 20,
+}
+
 #: Integer spec fields and their lower bounds (``None``: any int).
 _INT_BOUNDS = {"packet_flits": 1, "seed": None, "warmup": 0, "measure": 1, "drain": 0}
 
@@ -535,7 +546,7 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict:
         config = {name: getattr(self.config, name) for name in _CONFIG_TYPES}
-        config["fast_forward"] = True  # the retired knob; see SPEC_VERSION
+        config.update(RETIRED_CONFIG)
         return {
             "topology": self.topology,
             "source": self.source.to_dict(),
@@ -557,8 +568,8 @@ class ExperimentSpec:
         Every top-level and config field must be present with its wire
         type, and no other key may appear; anything else raises
         ``ValueError``, so a malformed queue job fails on its own.  Two
-        legacy forms still decode: a config carrying the retired
-        ``"fast_forward": true`` (see :data:`SPEC_VERSION`), and a
+        legacy forms still decode: a config with or without each
+        retired knob at its constant (:data:`RETIRED_CONFIG`), and a
         pre-version-3 payload with top-level ``pattern``/``load``.
         """
         if type(payload) is dict and "source" not in payload and "pattern" in payload:
@@ -570,8 +581,12 @@ class ExperimentSpec:
             }
         check_fields("spec", payload, _SPEC_TYPES)
         config = dict(payload["config"])
-        if config.pop("fast_forward", True) is not True:
-            raise ValueError("config.fast_forward is retired; it can only be true")
+        for name, constant in RETIRED_CONFIG.items():
+            value = config.pop(name, constant)
+            if type(value) is not type(constant) or value != constant:
+                raise ValueError(
+                    f"config.{name} is retired; it can only be {json.dumps(constant)}"
+                )
         kwargs = {name: payload[name] for name in _SPEC_TYPES if name != "spec_version"}
         kwargs["source"] = traffic_from_dict(payload["source"])
         kwargs["config"] = SimConfig(**check_fields("config", config, _CONFIG_TYPES))

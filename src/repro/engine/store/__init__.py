@@ -16,13 +16,12 @@ backends the workflows use — one local, one shared:
 * :mod:`~repro.engine.store.frontend` — :class:`ResultCache`, the
   engine-facing wrapper adding the SimResult codec, hit counters,
   batched ``get_many``/``put_many``, and the ``REPRO_CACHE_MAX_BYTES``
-  auto-GC;
-* :mod:`~repro.engine.store.faulty` — :class:`FaultyBackend`, a
-  deterministic fault-injection wrapper around any backend (chaos
-  tests for the engine's write-back and the queue's retry paths).
+  auto-GC.
 
-The ``http`` and ``faulty`` names are exported lazily: each submodule
-is imported the first time one of its names is read from this package.
+The ``http`` names are exported lazily: the submodule is imported the
+first time one of its names is read from this package.  The test suite
+keeps its own fault-injecting wrapper (``tests/faulty.py``); the served
+store's ``--fail-every`` knob is the injector outside tests.
 
 A location is ``sqlite:FILE`` (a pack file), ``http(s)://HOST:PORT``
 (a ``repro serve`` endpoint), or a plain path — a cache directory,
@@ -55,9 +54,6 @@ from .sqlite import SqlitePackStore
 #: ``urllib.request``, ``ssl`` and ``http.server``, which a run on the
 #: local store never needs.  Name -> submodule that defines it.
 _LAZY = {
-    "DEFAULT_FAILABLE_OPS": ".faulty",
-    "FaultyBackend": ".faulty",
-    "InjectedFault": ".faulty",
     "DEFAULT_PORT": ".http",
     "PROTOCOL_VERSION": ".http",
     "TOKEN_ENV": ".http",
@@ -80,7 +76,6 @@ def __getattr__(name: str):
 __all__ = [
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_FAILABLE_OPS",
     "DEFAULT_PORT",
     "MAX_BYTES_ENV",
     "PROTOCOL_VERSION",
@@ -88,9 +83,7 @@ __all__ = [
     "TOKEN_ENV",
     "CacheBackend",
     "CacheStats",
-    "FaultyBackend",
     "GCReport",
-    "InjectedFault",
     "RemoteAuthError",
     "RemoteStore",
     "RemoteStoreError",

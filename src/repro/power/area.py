@@ -38,14 +38,6 @@ class AreaReport:
     def per_node_cm2(self, num_nodes: int) -> float:
         return self.total / num_nodes / 100.0
 
-    def breakdown(self) -> dict[str, float]:
-        return {
-            "a-routers": self.a_routers,
-            "i-routers": self.i_routers,
-            "RRg-wires": self.rr_wires,
-            "RNg-wires": self.rn_wires,
-        }
-
 
 def router_buffer_flits(
     topology: Topology,

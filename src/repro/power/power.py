@@ -43,13 +43,6 @@ class PowerReport:
     def per_node(self, num_nodes: int) -> float:
         return self.total / num_nodes
 
-    def breakdown(self) -> dict[str, float]:
-        return {
-            "buffers": self.buffers,
-            "crossbars": self.crossbars,
-            "wires": self.wires,
-        }
-
 
 def static_power(
     topology: Topology,

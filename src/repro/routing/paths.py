@@ -62,9 +62,6 @@ class MinimalPaths:
                 raise RuntimeError("routing loop detected")
         return tuple(path)
 
-    def hop_count(self, src: int, dst: int) -> int:
-        return len(self.path(src, dst)) - 1
-
     def channel_loads(
         self, flows: dict[tuple[int, int], float]
     ) -> dict[tuple[int, int], float]:

@@ -2,9 +2,13 @@
 
 Section 5.1 "Router Architectures" fixes the microarchitectural constants
 reproduced here: a 2-stage edge-buffer router pipeline with 2 VCs, a CBR
-with a 2-cycle bypass and 4-cycle buffered path, 20-flit injection and
-ejection queues, 6-flit packets, and 128-bit links (one flit per link
-cycle).  Section 5.1 "Buffering Strategies" names the presets:
+with a 2-cycle bypass and 4-cycle buffered path, 6-flit packets, and
+128-bit links (one flit per link cycle).  Its 20-flit NIC queues need
+no knob: a NIC drains an ejected flit the cycle after its grant, so the
+ejection queue never fills, and sources are open-loop, so a standing
+injection backlog beyond ``saturation_backlog`` flags saturation
+instead of blocking.  Section 5.1 "Buffering Strategies" names the
+presets:
 
 ========== ==========================================================
 EB-Small   all edge buffers 5 flits per VC
@@ -61,6 +65,21 @@ def check_fields(what: str, payload: object, types: dict[str, str]) -> dict:
     return payload
 
 
+#: The least value of each bounded :class:`SimConfig` knob.
+#: ``saturation_delivery_fraction`` is left unbounded: above 1 it flags
+#: every run that created a packet.
+FIELD_MINIMUMS = {
+    "num_vcs": 1,
+    "edge_buffer_flits": 1,
+    "hops_per_cycle": 1,
+    "router_delay": 1,
+    "central_buffer_flits": 0,
+    "cbr_penalty": 0,
+    "cbr_patience": 0,
+    "saturation_backlog": 0,
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """All knobs of the cycle-accurate model.
@@ -84,9 +103,6 @@ class SimConfig:
             read and a single write port (section 4.2), so it must absorb
             persistent head-of-line conflicts, not transient ones —
             without patience every conflict serialises on the CB port.
-        ejection_queue_flits: NIC ejection queue capacity.
-        injection_queue_flits: Advisory NIC injection queue size (sources
-            are open-loop; occupancy beyond this flags saturation).
         saturation_delivery_fraction: A run is saturated when fewer than
             this fraction of the packets created during the measurement
             window were delivered by the end of the drain phase.
@@ -95,7 +111,9 @@ class SimConfig:
             persistently above accepted load).
 
     Every field is a scalar whose annotation is a key of
-    :data:`FIELD_CHECKS`, so a decoded config is checked field by field.
+    :data:`FIELD_CHECKS`, so a decoded config is checked field by field,
+    and construction raises ``ValueError`` for a field below its
+    :data:`FIELD_MINIMUMS` entry.
     """
 
     num_vcs: int = 2
@@ -108,10 +126,14 @@ class SimConfig:
     router_delay: int = 2
     cbr_penalty: int = 2
     cbr_patience: int = 4
-    ejection_queue_flits: int = 20
-    injection_queue_flits: int = 20
     saturation_delivery_fraction: float = 0.90
     saturation_backlog: int = 120
+
+    def __post_init__(self) -> None:
+        for name, least in FIELD_MINIMUMS.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"config.{name} must be >= {least}, got {value!r}")
 
     @property
     def uses_central_buffer(self) -> bool:

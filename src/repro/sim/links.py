@@ -37,11 +37,10 @@ class ElasticLink:
     ``stages[s]`` maps a VC to the flit in stage ``s``'s slave latch and
     ``rr[s]`` is that stage's master-latch round-robin pointer.  ``busy``
     lists the indices of the non-empty stages in descending order, so a
-    cycle of motion walks only the stages that hold flits.  The upstream
-    router offers flits via :meth:`can_accept` / :meth:`push`; the
-    downstream router drains stage ``latency - 1`` inside :meth:`advance`.
-    :class:`~repro.sim.NoCSimulator` open-codes :meth:`advance` over this
-    same state, so the two must move flits identically.
+    cycle of motion walks only the stages that hold flits.
+    :class:`~repro.sim.NoCSimulator` moves the flits: it pushes them into
+    stage 0, advances each occupied stage once per cycle and drains stage
+    ``latency - 1`` into the downstream router's staging buffers.
     """
 
     def __init__(self, latency: int, num_vcs: int):
@@ -54,62 +53,6 @@ class ElasticLink:
         self.busy: list[int] = []
         #: ``orders[p]``: the VCs in round-robin order from pointer ``p``.
         self.orders = _vc_orders(num_vcs)
-
-    def can_accept(self, vc: int) -> bool:
-        return vc not in self.stages[0]
-
-    def push(self, flit: Flit, vc: int) -> None:
-        stage = self.stages[0]
-        if vc in stage:
-            raise RuntimeError("elastic stage 0 busy for this VC")
-        if not stage:
-            self.busy.append(0)  # the lowest index: ``busy`` stays descending
-        stage[vc] = flit
-
-    def advance(self, downstream_free) -> list[tuple[Flit, int]]:
-        """One cycle of pipeline motion over the occupied stages, last first.
-
-        Each occupied stage moves at most one flit (the shared master
-        latch): the first VC in round-robin order whose flit can go
-        forward.  A stage's content is unchanged until it is visited
-        (only stage ``s`` and ``s + 1`` change while ``s`` is visited), so
-        walking the stages occupied at the start of the cycle is the
-        same as walking all of them.
-
-        Args:
-            downstream_free: callable ``(vc) -> bool`` — can the router's
-                staging buffer accept a flit on this VC right now?
-
-        Returns:
-            Flits delivered into the downstream router this cycle.
-        """
-        delivered: list[tuple[Flit, int]] = []
-        stages = self.stages
-        rr = self.rr
-        last = self.latency - 1
-        busy: list[int] = []
-        for s in self.busy:
-            stage = stages[s]
-            order = self.orders[rr[s]]
-            if s == last:
-                for vc in order:
-                    if vc in stage and downstream_free(vc):
-                        delivered.append((stage.pop(vc), vc))
-                        rr[s] = (vc + 1) % self.num_vcs
-                        break
-            else:
-                forward = stages[s + 1]
-                for vc in order:
-                    if vc in stage and vc not in forward:
-                        forward[vc] = stage.pop(vc)
-                        rr[s] = (vc + 1) % self.num_vcs
-                        if not busy or busy[-1] != s + 1:
-                            busy.append(s + 1)
-                        break
-            if stage:
-                busy.append(s)
-        self.busy = busy
-        return delivered
 
     @property
     def in_flight(self) -> int:

@@ -44,9 +44,9 @@ that hold flits.
 
 Adaptive routings observe live channel occupancy through
 :class:`LiveQueues`, a :class:`~repro.routing.algorithms.QueueOracle`
-view over the simulator's occupancy counters that holds no reference
-back to the simulator, so a finished run is freed by reference counting
-alone.
+view that reads it off the credit counters and elastic links and holds
+no reference back to the simulator, so a finished run is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -260,34 +260,34 @@ _HIST_FIELDS = {
 class LiveQueues(QueueOracle):
     """One simulator's live channel occupancy, as a routing oracle.
 
-    The view holds the simulator's occupancy list and its
-    ``(src, dst) -> ordinal`` map, never the simulator itself.  Installed
-    as ``routing.oracle`` it therefore forms no simulator <-> routing
-    reference cycle, and a finished run's routers, flits and event wheel
-    are freed by reference counting the moment the caller drops the
-    simulator, not at some later generation-2 collection.
+    The view holds each credit link's ``(credits, start, stop,
+    capacity)`` (``credits[start:stop]`` are the sender's per-VC credits,
+    ``capacity`` in total when the channel is empty) and the elastic
+    links, never the simulator itself.  Installed as ``routing.oracle``
+    it therefore forms no simulator <-> routing reference cycle, and a
+    finished run's routers, flits and event wheel are freed by reference
+    counting the moment the caller drops the simulator, not at some
+    later generation-2 collection.
     """
 
-    def __init__(self, occupancy: list[int], occ_ordinal: dict[tuple[int, int], int]):
-        self._occupancy = occupancy
-        self._occ_ordinal = occ_ordinal
+    def __init__(self, credit_ports: dict, links: dict[tuple[int, int], ElasticLink]):
+        self._credit_ports = credit_ports
+        self._links = links
 
     def output_queue(self, router: int, neighbor: int) -> int:
-        """Live congestion on the ``router -> neighbor`` channel.
-
-        The simulator increments a channel's occupancy when a flit wins
-        arbitration onto the link and decrements it when the flit's
-        credit returns (credit-flow links) or when it drains into the
-        staging buffer (elastic links) — so for credit links this is
-        exactly the downstream credit deficit (flits in flight plus flits
-        still buffered at the neighbor), and for elastic links the flits
-        occupying the link pipeline.  This is the state adaptive
-        algorithms read at injection time; it is maintained
-        unconditionally (cheap array bumps), so attaching an adaptive
-        routing never changes static-routing results.
-        """
-        ordinal = self._occ_ordinal.get((router, neighbor))
-        return 0 if ordinal is None else self._occupancy[ordinal]
+        """Live congestion on the ``router -> neighbor`` channel (0 if it
+        is not one), read off flow-control state the simulator keeps
+        anyway: a credit link's deficit (flits on the wire, flits still
+        buffered at the neighbor, credits on their way back), or the
+        flits in an elastic link's pipeline."""
+        link = self._links.get((router, neighbor))
+        if link is not None:
+            return link.in_flight
+        port = self._credit_ports.get((router, neighbor))
+        if port is None:
+            return 0
+        credits, start, stop, capacity = port
+        return capacity - sum(credits[start:stop])
 
 
 class NoCSimulator:
@@ -314,10 +314,10 @@ class NoCSimulator:
         self._build()
         # Adaptive algorithms observe live congestion through this run's
         # LiveQueues view: the default (degenerate) ZeroQueues oracle and
-        # any stale view left by a previous run are replaced with it, so route choice reads this run's credit/occupancy state
-        # at injection time.  A custom QueueOracle (anything else,
-        # including ZeroQueues subclasses) was attached deliberately and
-        # is kept.
+        # any stale view left by a previous run are replaced with it, so
+        # route choice reads this run's channel occupancy at injection
+        # time.  A custom QueueOracle (anything else, including
+        # ZeroQueues subclasses) was attached deliberately and is kept.
         oracle = getattr(self.routing, "oracle", None)
         if oracle is not None and (
             type(oracle) is ZeroQueues or isinstance(oracle, LiveQueues)
@@ -376,13 +376,9 @@ class NoCSimulator:
                 base = router.out_base[neighbor]
                 for vc in range(cfg.num_vcs):
                     router.credits[base + vc] = peer_depth
-        # Channel occupancy (UGAL's congestion estimate) as a flat list
-        # indexed by link ordinal, with the (src, dst) -> ordinal map kept
-        # for the cold QueueOracle lookup.  ``queues`` is the oracle view
-        # over both that adaptive routings read.
-        self._occ_ordinal: dict[tuple[int, int], int] = {}
-        self._occupancy: list[int] = [0] * len(self.link_cycles)
-        self.queues = LiveQueues(self._occupancy, self._occ_ordinal)
+        # The occupancy view adaptive routings read (filled below).
+        credit_ports: dict[tuple[int, int], tuple] = {}
+        self.queues = LiveQueues(credit_ports, self.links)
         # Per link ordinal: the destination router and its [vc] -> input
         # unit (flit delivery); for elastic links also the link and its
         # stage 0, which the allocation pass tests directly.
@@ -396,7 +392,6 @@ class NoCSimulator:
         for ordinal, ((src, dst), latency) in enumerate(self.link_cycles.items()):
             dst_router = self.routers[dst]
             units = [dst_router.in_index[(src, vc)] for vc in range(cfg.num_vcs)]
-            self._occ_ordinal[(src, dst)] = ordinal
             self._link_dst.append(dst_router)
             self._link_units.append(units)
             src_router = self.routers[src]
@@ -414,6 +409,12 @@ class NoCSimulator:
                 base = src_router.out_base[dst]
                 for vc in range(cfg.num_vcs):
                     units[vc].credit_entry = (src_router.credits, base + vc, ordinal)
+                credit_ports[(src, dst)] = (
+                    src_router.credits,
+                    base,
+                    base + cfg.num_vcs,
+                    cfg.num_vcs * cfg.buffer_depth_for(latency),
+                )
         # Route -> its per-hop grant records (see :meth:`_hop_records`),
         # keyed by ``id(route)`` with the route held alive in the value.
         self._route_hops: dict[int, tuple] = {}
@@ -441,9 +442,9 @@ class NoCSimulator:
         # CBR switch-allocation scratch, cleared after each router: output
         # slot -> blocked input candidates.
         self._blocked: dict[int, list] = {}
-        # NIC state.
-        self.eject_credits = [cfg.ejection_queue_flits] * topo.num_nodes
-        self.eject_pipe: deque[tuple[int, Flit]] = deque()
+        # NIC state.  ``eject_pipe`` holds the flits granted to ejection
+        # ports last cycle: each NIC takes its flit the cycle after.
+        self.eject_pipe: list[Flit] = []
         self._nonzero_backlogs: dict[int, int] = {}
         self._backlog_current = 0
         self._backlog_dirty = False
@@ -568,12 +569,10 @@ class NoCSimulator:
         lockstep core's dict order produce identical state.
         """
         now = self.now
-        occupancy = self._occupancy
         credits_back = self._credit_wheel.pop(now, None)
         if credits_back is not None:
-            for credits, index, ordinal in credits_back:
+            for credits, index, _ in credits_back:
                 credits[index] += 1
-                occupancy[ordinal] -= 1
         entries = self._event_wheel.pop(now, None)
         if entries is None:
             return
@@ -594,14 +593,13 @@ class NoCSimulator:
     def _advance_elastic_links(self) -> None:
         """One cycle of elastic pipeline motion for every in-flight link.
 
-        This open-codes :meth:`ElasticLink.advance` over the link's own
-        state (which therefore remains the standalone model) and fuses
-        last-stage delivery into the walk: per active link per cycle only
-        the occupied stages are visited, with no method or closure calls,
-        and a delivered flit lands in its staging buffer directly.
+        Per active link only the occupied stages are visited, last first;
+        each moves at most one flit (the shared master latch), and a flit
+        leaving the last stage lands in its staging buffer directly.
+        ``tests/test_sim.py`` replays this walk against a standalone model
+        of the link (``tests/oracles.py``).
         """
         now = self.now
-        occupancy = self._occupancy
         links = self._elastic_links
         link_units = self._link_units
         link_dst = self._link_dst
@@ -633,7 +631,6 @@ class NoCSimulator:
                         router = link_dst[ordinal]
                         router.occupied.add(unit.index)
                         buffer.append(flit)
-                        occupancy[ordinal] -= 1
                         active_routers.add(router.index)
                         break
                     if stage:
@@ -667,24 +664,25 @@ class NoCSimulator:
                 active.discard(ordinal)
 
     def _drain_ejection(self) -> list[Packet]:
-        """Flits reaching NICs this cycle; NICs drain one flit per cycle."""
-        finished: list[Packet] = []
+        """Hand last cycle's ejection grants to their NICs; returns the
+        packets whose tail arrived.  Each ejection port grants at most one
+        flit per cycle and its NIC takes it the next, so an ejection port
+        never blocks."""
         pipe = self.eject_pipe
-        if not pipe or pipe[0][0] > self.now:
-            return finished
+        if not pipe:
+            return []
+        finished: list[Packet] = []
         now = self.now
-        eject_credits = self.eject_credits
-        while pipe and pipe[0][0] <= now:
-            _, flit = pipe.popleft()
-            packet = flit.packet
-            eject_credits[packet.dst] += 1  # NIC consumes immediately
+        for flit in pipe:
             if flit.is_tail:
+                packet = flit.packet
                 packet.ejected = now
                 finished.append(packet)
                 if packet.wants_reply:
                     self._pending_replies.append(
                         (packet.dst, packet.src, packet.reply_size)
                     )
+        pipe.clear()
         return finished
 
     def issue_replies(self) -> list[Packet]:
@@ -710,8 +708,8 @@ class NoCSimulator:
         index (build order, the order the lockstep core walked its (port,
         VC) dict), then the CB queues.  Each head flit whose pipeline wait
         is over is tested for viability as it is bucketed by output slot —
-        VC owner, credit or elastic stage-0 slot, ejection credit, CB
-        commitment — through its packet's per-hop grant record
+        VC owner, credit or elastic stage-0 slot, CB commitment (an
+        ejection port never blocks) — through its packet's per-hop grant record
         (:meth:`_hop_records`), and only viable candidates enter a bucket.
         Each non-empty bucket then grants one winner by its slot's
         round-robin pointer.
@@ -730,11 +728,9 @@ class NoCSimulator:
         stage0 = self._stage0
         uses_cb = self._uses_cb
         ej_slot = self._ej_slot
-        eject_credits = self.eject_credits
         blocked = self._blocked
         wheel = self._event_wheel
         credit_wheel = self._credit_wheel
-        occupancy = self._occupancy
         link_units = self._link_units
         elastic_links = self._elastic_links
         active_links = self._active_elastic_links
@@ -760,9 +756,8 @@ class NoCSimulator:
                 packet = flit.packet
                 hop = packet.hops[flit.hop]
                 if hop is None:  # ejection port
-                    dst = packet.dst
-                    slot = ej_slot[dst]
-                    viable = eject_credits[dst] > 0
+                    slot = ej_slot[packet.dst]
+                    viable = True
                 else:
                     slot, index, vc, ordinal, _ = hop
                     owner = owner_list[index]
@@ -864,18 +859,12 @@ class NoCSimulator:
                                 credit_wheel[when].append(credit)
                             except KeyError:
                                 credit_wheel[when] = [credit]
-                    packet = flit.packet
                     if hop is None:  # ejection: the CB only fronts router ports
-                        eject_credits[packet.dst] -= 1
-                        eject_pipe.append((now + 1, flit))
-                        if flit.is_head and packet.injected < 0:
-                            packet.injected = now
+                        eject_pipe.append(flit)
                         continue
                     _, index, vc, ordinal, latency = hop
                     if flit.is_head:
-                        owner_list[index] = packet.pid
-                        if packet.injected < 0:
-                            packet.injected = now
+                        owner_list[index] = flit.packet.pid
                     if flit.is_tail:
                         owner_list[index] = None
                     flit.hop += 1
@@ -889,13 +878,12 @@ class NoCSimulator:
                             wheel[when] = [entry]
                         if self._track_inflight:
                             self._credit_inflight[ordinal] += 1
-                    else:  # inline ElasticLink.push (stage 0 was tested free)
+                    else:  # into stage 0 (it was tested free for this VC)
                         stage = stage0[ordinal]
                         if not stage:
                             elastic_links[ordinal].busy.append(0)
                         stage[vc] = flit
                         active_links.add(ordinal)
-                    occupancy[ordinal] += 1
                 if blocked:
                     blocked.clear()
             if not occupied and not router.cb_flits:

@@ -25,7 +25,6 @@ class Packet:
         route: Router-level route including the VC schedule.
         size: Length in flits.
         created: Cycle the source generated the packet.
-        injected: Cycle the head flit left the NIC into the router.
         ejected: Cycle the tail flit reached the destination NIC.
         kind: Free-form tag used by trace traffic ("read", "write", "reply").
         wants_reply: Trace traffic: destination generates a reply on arrival.
@@ -43,7 +42,6 @@ class Packet:
     wants_reply: bool = False
     reply_size: int = 0
     pid: int = field(default_factory=_packet_ids.__next__)
-    injected: int = -1
     ejected: int = -1
     hops: tuple = field(default=(), repr=False, compare=False)
 

@@ -24,7 +24,7 @@ class Topology(ABC):
 
     Concrete subclasses define :meth:`_build_adjacency` and
     :meth:`_build_coordinates`; the base class provides validated, cached
-    derived quantities (diameter, hop distances, bisection, …).
+    derived quantities (diameter, hop distances, wire lengths, …).
     """
 
     #: Short identifier used in result tables (e.g. ``"sn_subgr"``, ``"fbf3"``).
@@ -110,9 +110,6 @@ class Topology(ABC):
             if i < j
         ]
 
-    def num_links(self) -> int:
-        return sum(len(n) for n in self.adjacency) // 2
-
     @cached_property
     def coordinates(self) -> dict[int, Coordinate]:
         coords = self._build_coordinates()
@@ -177,13 +174,6 @@ class Topology(ABC):
 
     # -- graph metrics ---------------------------------------------------------
 
-    def shortest_hops_from(self, source: int) -> list[int]:
-        """BFS hop counts from ``source`` to every router."""
-        dist = hop_distances(self.adjacency, source)
-        if -1 in dist:
-            raise ValueError("topology is disconnected")
-        return dist
-
     @cached_property
     def hop_summary(self) -> HopSummary:
         """All-pairs shortest-path totals (:func:`all_pairs_hops`)."""
@@ -204,27 +194,6 @@ class Topology(ABC):
         nr = self.num_routers
         return self._connected_hops().total / (nr * (nr - 1))
 
-    def bisection_links(self) -> int:
-        """Links crossing a median cut of the die (minimum over both axes).
-
-        A physical-layout proxy for bisection bandwidth, matching how the
-        paper compares FBF/PFBF/SN bandwidths on a die.  Taking the
-        minimum over the two cut orientations makes the metric independent
-        of how a rectangular die is rotated.
-        """
-        counts = []
-        for axis in (0, 1):
-            values = sorted(c[axis] for c in self.coordinates.values())
-            median = values[len(values) // 2]
-            count = 0
-            for i, j in self.edges():
-                vi = self.coordinates[i][axis]
-                vj = self.coordinates[j][axis]
-                if (vi < median) != (vj < median):
-                    count += 1
-            counts.append(count)
-        return min(counts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(name={self.name!r}, routers={self.num_routers}, "
@@ -243,21 +212,6 @@ def topology_fingerprint(topology: Topology) -> str:
     once per object and cached on it.
     """
     return topology.fingerprint
-
-
-def hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
-    """BFS hop counts from ``source`` over ``adjacency``; -1 marks a router
-    that ``source`` cannot reach."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    order = [source]
-    for current in order:  # FIFO: the list grows while read
-        step = dist[current] + 1
-        for neighbor in adjacency[current]:
-            if dist[neighbor] < 0:
-                dist[neighbor] = step
-                order.append(neighbor)
-    return dist
 
 
 class HopSummary(NamedTuple):

@@ -59,11 +59,6 @@ class PartitionedFBF(_GridTopology):
         self.grid_rows = grid_rows
         self.name = name
 
-    def partition_of(self, router: int) -> tuple[int, int]:
-        """(partition-x, partition-y) of a router."""
-        x, y = self.position_of(router)
-        return x // self.part_cols, y // self.part_rows
-
     def _build_adjacency(self) -> list[tuple[int, ...]]:
         adjacency = []
         for router in range(self.cols * self.rows):
@@ -84,7 +79,8 @@ class PartitionedFBF(_GridTopology):
                 if 0 <= npx < self.grid_cols and 0 <= npy < self.grid_rows:
                     neighbors.add(
                         self.router_at(
-                            npx * self.part_cols + local_x, npy * self.part_rows + local_y
+                            npx * self.part_cols + local_x,
+                            npy * self.part_rows + local_y,
                         )
                     )
             adjacency.append(tuple(sorted(neighbors)))

@@ -138,10 +138,6 @@ class HotspotSource(SyntheticSource):
         share = 1.0 / len(self.hotspots)
         return {node: share for node in self.hotspots}
 
-    def destination_mass(self) -> dict[str, float]:
-        """Split of the total destination mass (sums to 1)."""
-        return {"hotspot": self.fraction, "background": 1.0 - self.fraction}
-
     def _draw_destination(self, src: int, rng: random.Random) -> int:
         if rng.random() < self.fraction:
             return self.hotspots[rng.randrange(len(self.hotspots))]

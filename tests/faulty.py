@@ -1,4 +1,4 @@
-"""Deterministic fault injection for any :class:`CacheBackend`.
+"""Deterministic fault injection for any store backend: a test double.
 
 :class:`FaultyBackend` wraps a real backend and makes chosen store
 operations raise :class:`InjectedFault` (an ``OSError``, so it travels
@@ -27,8 +27,8 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
-from ...obs import get_logger
-from .base import CacheBackend, CacheStats, GCReport
+from repro.engine.store.base import CacheBackend, CacheStats, GCReport
+from repro.obs import get_logger
 
 _log = get_logger("store.faulty")
 

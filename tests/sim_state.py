@@ -18,3 +18,25 @@ def flits_in_network(sim) -> int:
         + sum(len(stage) for link in sim._elastic_links for stage in link.stages)
         + len(sim.eject_pipe)
     )
+
+
+def channel_occupancy(sim) -> dict[tuple[int, int], int]:
+    """Every channel's occupancy, recounted from where its flits and
+    credits are, keyed ``(src, dst)``.
+
+    On a credit link: flits on the event wheel for the link, plus flits
+    in the link's downstream input units, plus the link's credits on the
+    credit wheel.  On an elastic link: the flits in its stages.
+    """
+    counts = [0] * len(sim.link_cycles)  # by link ordinal
+    if sim.config.elastic_links:
+        for ordinal, link in enumerate(sim._elastic_links):
+            counts[ordinal] = sum(map(len, link.stages))
+    else:
+        for wheel in (sim._event_wheel, sim._credit_wheel):
+            for entries in wheel.values():
+                for *_, ordinal in entries:
+                    counts[ordinal] += 1
+        for ordinal, units in enumerate(sim._link_units):
+            counts[ordinal] += sum(len(unit.buffer) for unit in units)
+    return dict(zip(sim.link_cycles, counts))

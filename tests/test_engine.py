@@ -28,6 +28,7 @@ from repro.engine import (
     topology_fingerprint,
 )
 from repro.engine.batching import spec_batchable
+from repro.engine.spec import RETIRED_CONFIG
 from repro.engine.store import SCHEMA_VERSION
 from repro.sim import BUFFERING_STRATEGIES, SimConfig, SimResult, cbr, el_links
 from repro.topos import make_network
@@ -119,16 +120,22 @@ FIGURE_CONFIGS = {
 
 class TestSpecConfigDict:
     """``to_dict`` reads ``SimConfig``'s fields one by one instead of the
-    recursive ``asdict`` copy, then appends the retired ``fast_forward``
-    knob as the constant ``true``; the dict, and so every hash, must
-    match the one the knob's config wrote."""
+    recursive ``asdict`` copy, then appends the retired knobs at their
+    constants (``fast_forward: true``, both NIC queue sizes 20); the
+    dict, and so every hash, must match the one the knobs' config
+    wrote."""
 
     @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
     def test_config_dict_equals_asdict(self, name):
         config = FIGURE_CONFIGS[name]
         spec = fast_spec(config=config)
         payload = spec.to_dict()
-        legacy = {**dataclasses.asdict(config), "fast_forward": True}
+        legacy = {**dataclasses.asdict(config), **RETIRED_CONFIG}
+        assert RETIRED_CONFIG == {
+            "fast_forward": True,
+            "ejection_queue_flits": 20,
+            "injection_queue_flits": 20,
+        }
         assert payload["config"] == legacy
         assert list(payload["config"]) == list(legacy)
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(payload)))
@@ -138,23 +145,37 @@ class TestSpecConfigDict:
 
     @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
     def test_serialized_config_carries_retired_fast_forward(self, name):
-        """Every spec config still serializes ``"fast_forward": true``, so
-        no content hash moved when the knob went; decoding drops it, and
-        any other value cannot be written back and is refused."""
+        """Every spec config still serializes ``"fast_forward": true`` and
+        both NIC queue sizes as 20, so no content hash moved when the
+        knobs went; decoding drops each, present or absent, and any other
+        value (or type) cannot be written back and is refused."""
         specs = [
             fast_spec(config=FIGURE_CONFIGS[name]),
             ExperimentSpec.workload("sn54", "barnes", config=FIGURE_CONFIGS[name]),
             fast_spec(config=FIGURE_CONFIGS[name], routing="deflect"),
         ]
+        others = {
+            "fast_forward": [False, 1, None],
+            "ejection_queue_flits": [0, 1, 21, 20.0, True, "20"],
+            "injection_queue_flits": [0, 21, 20.0, None],
+        }
         for spec in specs:
             payload = json.loads(json.dumps(spec.to_dict()))
             assert payload["config"]["fast_forward"] is True
+            assert payload["config"]["ejection_queue_flits"] == 20
+            assert payload["config"]["injection_queue_flits"] == 20
             assert ExperimentSpec.from_dict(payload) == spec
-            del payload["config"]["fast_forward"]
+            for knob, values in others.items():
+                trimmed = json.loads(json.dumps(payload))
+                del trimmed["config"][knob]
+                assert ExperimentSpec.from_dict(trimmed).to_dict() == spec.to_dict()
+                for value in values:
+                    trimmed["config"][knob] = value
+                    with pytest.raises(ValueError, match=f"{knob} is retired"):
+                        ExperimentSpec.from_dict(trimmed)
+            for knob in RETIRED_CONFIG:
+                del payload["config"][knob]
             assert ExperimentSpec.from_dict(payload).to_dict() == spec.to_dict()
-            payload["config"]["fast_forward"] = False
-            with pytest.raises(ValueError, match="fast_forward is retired"):
-                ExperimentSpec.from_dict(payload)
 
     def test_every_config_field_is_a_scalar(self):
         # A nested field would make the shallow walk share (and the hash
@@ -168,13 +189,12 @@ class TestSpecConfigDict:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules a warm serial run on the local store must never load: the
-#: remote store, queue, worker and fault injector, and what they (or a
-#: process pool) would drag in.
+#: remote store, queue and worker, and what they (or a process pool)
+#: would drag in.
 REMOTE_STACK = (
     "repro.engine.store.http",
     "repro.engine.queue",
     "repro.engine.worker",
-    "repro.engine.store.faulty",
     "ssl",
     "http.client",
     "multiprocessing",
@@ -865,7 +885,8 @@ class TestDecoderFuzz:
     ``ValueError`` (nothing else, so a queue worker or the store can
     treat it as bad input).  Dropping a top-level, config or result field
     always raises: only traffic fields have defaults, and only the
-    retired ``config.fast_forward`` may be absent."""
+    retired config knobs (``fast_forward`` and the NIC queue sizes) may
+    be absent."""
 
     def test_valid_payloads_round_trip_byte_identically(self):
         for payload in _SPEC_PAYLOADS:
@@ -893,7 +914,8 @@ class TestDecoderFuzz:
         payload = data.draw(st.sampled_from(_SPEC_PAYLOADS))
         path = data.draw(st.sampled_from(list(_key_paths(payload))))
         replacement = data.draw(st.sampled_from(_REPLACEMENTS))
-        optional = {"source"} if path != ("config", "fast_forward") else {"config"}
+        retired = path[0] == "config" and path[-1] in RETIRED_CONFIG
+        optional = {"config"} if retired else {"source"}
         self._check(ExperimentSpec.from_dict, payload, path, replacement, optional)
 
     @given(st.data())

@@ -6,7 +6,7 @@ from repro.analysis import degrade, resilience_curve
 from repro.analysis.resilience import ResilienceReport, failed_links
 from repro.core.slimnoc import design_for_nodes
 from repro.topos import make_network
-from repro.topos.base import hop_distances
+from oracles import hop_distances
 
 
 class TestDesignForNodes:
@@ -91,8 +91,8 @@ class TestResilience:
     def test_failure_fraction_accounting(self):
         sn = make_network("sn200")
         report = degrade(sn, 0.2, seed=3)
-        assert report.failed_links == int(0.2 * sn.num_links())
-        assert 0.18 < report.failure_fraction < 0.22
+        assert report.failed_links == int(0.2 * len(sn.edges()))
+        assert report.total_links == len(sn.edges())
 
     def test_seeds_vary_patterns(self):
         sn = make_network("sn54")

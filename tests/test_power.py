@@ -25,6 +25,7 @@ from repro.power.area import crossbar_area_mm2, router_buffer_flits, total_wire_
 from repro.routing.paths import MinimalPaths
 from repro.topos import catalog_symbols, cycle_time_ns, make_network
 from repro.topos.base import Topology
+from oracles import shortest_hops_from
 
 
 class TestTechnology:
@@ -86,7 +87,8 @@ class TestAreaModel:
     def test_breakdown_sums_to_total(self):
         sn = make_network("sn200")
         report = network_area(sn, TECH_45NM)
-        assert report.total == pytest.approx(sum(report.breakdown().values()))
+        parts = (report.a_routers, report.i_routers, report.rr_wires, report.rn_wires)
+        assert report.total == pytest.approx(sum(parts))
 
     def test_paper_fig16_sn_beats_fbf_area(self):
         """SN reduces area over FBF by roughly 33-50% (Figures 15-17)."""
@@ -109,7 +111,9 @@ class TestStaticPower:
     def test_components_positive(self):
         report = static_power(make_network("sn200"), TECH_45NM)
         assert report.buffers > 0 and report.crossbars > 0 and report.wires > 0
-        assert report.total == pytest.approx(sum(report.breakdown().values()))
+        assert report.total == pytest.approx(
+            report.buffers + report.crossbars + report.wires
+        )
 
     def test_sn_beats_fbf_static(self):
         """Paper: SN reduces static power over FBF by ~45-60%."""
@@ -232,7 +236,7 @@ class TestRouteAverages:
         report = degrade(base, 0.2, seed=3)
         assert report.connected and report.failed_links > 0
         topo = DegradedTopology(base, 0.2, seed=3)
-        assert topo.num_links() == report.total_links - report.failed_links
+        assert len(topo.edges()) == report.total_links - report.failed_links
         stats = average_route_stats(topo)
         assert stats == reference_route_stats(topo)
         assert stats[0] == report.average_path  # minimal routes are BFS-short
@@ -299,7 +303,7 @@ class TestStructureSummary:
         symbol, _, layout = name.partition("/")
         topo = make_network(symbol, layout=layout or None)
         nr = topo.num_routers
-        dists = [topo.shortest_hops_from(s) for s in range(nr)]
+        dists = [shortest_hops_from(topo, s) for s in range(nr)]
         assert topo.hop_summary == (sum(map(sum, dists)), max(map(max, dists)), True)
         assert topo.diameter == max(max(d) for d in dists)
         assert topo.average_hop_distance() == sum(map(sum, dists)) / (nr * (nr - 1))

@@ -15,8 +15,6 @@ import pytest
 from repro.engine import (
     ExperimentEngine,
     ExperimentSpec,
-    FaultyBackend,
-    InjectedFault,
     JobQueue,
     QueueClient,
     QueueWorker,
@@ -28,6 +26,7 @@ from repro.engine import (
     jobs_for_specs,
 )
 from repro.obs.metrics import REGISTRY
+from faulty import FaultyBackend, InjectedFault
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -439,12 +438,16 @@ class TestQueueWorker:
         del no_topology["topology"]
         no_window = fast_spec(load=0.08).to_dict()
         no_window["measure"] = 0
+        # A config no router can be built from fails the same way.
+        no_hops = fast_spec(load=0.08).to_dict()
+        no_hops["config"]["hops_per_cycle"] = 0
         bad = {
             "ee" * 32: poison,
             "ef" * 32: nan_load,
             "fe" * 32: nan_scale,
             "ed" * 32: no_topology,
             "de" * 32: no_window,
+            "dd" * 32: no_hops,
         }
         jobs = jobs_for_specs([good]) + [
             {"key": key, "spec": spec, "cost": 99.0} for key, spec in bad.items()
@@ -452,12 +455,12 @@ class TestQueueWorker:
         queue.submit(jobs)
         with StoreServer(backend, quiet=True, queue=queue) as server:
             worker = QueueWorker(
-                server.url, worker_id="t1", max_specs=6, sleep=0.05
+                server.url, worker_id="t1", max_specs=7, sleep=0.05
             )
             stats = worker.run()
-            assert stats.done == 1 and stats.failed == 5
+            assert stats.done == 1 and stats.failed == 6
             status = QueueClient(server.url).status()
-            assert status["drained"] and status["quarantined"] == 5
+            assert status["drained"] and status["quarantined"] == 6
             errors = {r["key"]: r["error"] for r in status["quarantine"]}
             assert sorted(errors) == sorted(bad)
             assert "no-such-network" in errors["ee" * 32]
@@ -467,6 +470,9 @@ class TestQueueWorker:
             assert "missing fields ['topology']" in errors["ed" * 32]
             assert errors["de" * 32] == (
                 "ValueError: measure must be an int >= 1, got 0"
+            )
+            assert errors["dd" * 32] == (
+                "ValueError: config.hops_per_cycle must be >= 1, got 0"
             )
         assert backend.get_payload_many(bad, kind="sim") == {}
         assert list(backend.get_payload_many([good.content_hash()], kind="sim"))

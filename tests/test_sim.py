@@ -1,5 +1,6 @@
 """Tests for the cycle-accurate simulator: delivery, ordering, flow control."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -9,11 +10,11 @@ from repro.engine import ROUTING_BUILDERS, build_routing
 from repro.routing import RoutingAlgorithm, StaticMinimalRouting, UGALRouting
 from repro.routing.algorithms import Route
 from repro.sim import NoCSimulator, SimConfig, cbr, eb_var, el_links, link_latency
-from repro.sim.links import ElasticLink
 from repro.topos import make_network
 from repro.topos.base import Topology
 from repro.traffic import SyntheticSource
-from sim_state import flits_in_network
+from oracles import ElasticLinkModel
+from sim_state import channel_occupancy, flits_in_network
 
 
 def drain(sim, max_cycles=2000):
@@ -38,7 +39,7 @@ class TestLinkModels:
         assert link_latency(10, hops_per_cycle=9) == 2
 
     def test_elastic_link_advances_one_per_stage(self):
-        link = ElasticLink(latency=2, num_vcs=2)
+        link = ElasticLinkModel(latency=2, num_vcs=2)
         link.push("x", 0)
         assert not link.can_accept(0)
         assert link.can_accept(1)
@@ -48,14 +49,14 @@ class TestLinkModels:
         assert out == [("x", 0)]
 
     def test_elastic_link_blocks_on_downstream(self):
-        link = ElasticLink(latency=1, num_vcs=1)
+        link = ElasticLinkModel(latency=1, num_vcs=1)
         link.push("x", 0)
         assert link.advance(lambda vc: False) == []
         assert link.in_flight == 1
         assert link.advance(lambda vc: True) == [("x", 0)]
 
     def test_elastic_double_push_rejected(self):
-        link = ElasticLink(latency=2, num_vcs=1)
+        link = ElasticLinkModel(latency=2, num_vcs=1)
         link.push("x", 0)
         with pytest.raises(RuntimeError):
             link.push("y", 0)
@@ -90,13 +91,13 @@ class _AlternatingVCs(RoutingAlgorithm):
 
 
 class TestElasticDifferential:
-    """The simulator open-codes ``ElasticLink.advance`` over the link's own
-    state; both must move every flit identically.
+    """The simulator open-codes ``ElasticLinkModel.advance`` over the link's
+    own state; both must move every flit identically.
 
     The core drives a congested 2-router line: two sources behind router 0
     send to one node behind router 1, on alternating VCs, so the latency-4
     link backs up from the 1-flit staging buffers and stages hold flits of
-    both VCs (the round-robin path).  A standalone :class:`ElasticLink`
+    both VCs (the round-robin path).  A standalone ``ElasticLinkModel``
     replays the core's pushes and staging-buffer drains cycle by cycle and
     must deliver each flit in the same cycle, with equal stage contents
     and round-robin pointers after every cycle.
@@ -112,7 +113,7 @@ class TestElasticDifferential:
                 sim.inject_packet(src, 2, size=4)
         staging = [sim.routers[1].in_index[(0, vc)] for vc in range(2)]
 
-        shadow = ElasticLink(core_link.latency, core_link.num_vcs)
+        shadow = ElasticLinkModel(core_link.latency, core_link.num_vcs)
         shadow_staging: list[list] = [[], []]
         seen_pushed: dict[int, object] = {}  # id -> flit, held alive
         core_delivered: dict[int, int] = {}
@@ -212,29 +213,23 @@ class TestFlitOrdering:
         """Wormhole + VC ownership must preserve per-packet flit order."""
         topo = make_network("sn54")
         sim = NoCSimulator(topo, make_config())
-        arrivals = {}
-        original = sim._drain_ejection
-
-        def recording_drain():
-            finished = original()
-            return finished
-
-        packets = []
         rng_pairs = [(i, (i * 17 + 5) % topo.num_nodes) for i in range(0, 54, 2)]
         for src, dst in rng_pairs:
             if src != dst:
-                packets.append(sim.inject_packet(src, dst, 6))
-        # Track ejection order via the eject pipe.
+                sim.inject_packet(src, dst, 6)
+        # Track ejection order via the eject pipe: each step hands last
+        # cycle's grants to the NICs and empties it.
         seen: dict[int, list[int]] = {}
         for _ in range(3000):
-            for _, flit in list(sim.eject_pipe):
-                pass
             before = list(sim.eject_pipe)
             sim.step()
-            for _, flit in before:
+            for flit in before:
                 seen.setdefault(flit.packet.pid, []).append(flit.index)
+            assert not set(map(id, before)) & set(map(id, sim.eject_pipe))
             if not flits_in_network(sim):
                 break
+        assert not flits_in_network(sim)
+        assert sum(map(len, seen.values())) == 6 * sum(s != d for s, d in rng_pairs)
         for pid, indices in seen.items():
             assert indices == sorted(indices), f"packet {pid} flits out of order"
 
@@ -411,7 +406,7 @@ class TestIncrementalCounters:
     """Counters that replaced per-call scans must track the scanned truth."""
 
     def test_elastic_in_flight_matches_stage_scan(self):
-        link = ElasticLink(latency=3, num_vcs=2)
+        link = ElasticLinkModel(latency=3, num_vcs=2)
         link.push("a", 0)
         link.push("b", 1)
         for blocked in (False, True, False, True, False, False, False):
@@ -444,6 +439,63 @@ class TestIncrementalCounters:
                 assert router.cb_flits == sum(map(len, router.cb_queues.values()))
                 if occupied or router.cb_flits:
                     assert router.index in sim._active_routers
+
+
+class TestOccupancyView:
+    """The adaptive routings' occupancy view equals a physical recount of
+    every channel (:func:`sim_state.channel_occupancy`) at every cycle."""
+
+    @pytest.mark.parametrize("make_config", [SimConfig, el_links], ids=["EB", "EL-Links"])
+    @pytest.mark.parametrize("name", ["ugal-l", "ugal-g", "deflect"])
+    def test_view_matches_recount(self, name, make_config):
+        topo = make_network("sn54")
+        routing = build_routing(name, topo)
+        sim = NoCSimulator(topo, make_config(), routing=routing, seed=5)
+        assert routing.oracle is sim.queues
+        source = SyntheticSource(topo, "ADV1", rate=0.4)
+        busiest = 0
+        for cycle in range(250):
+            if cycle < 150:
+                for spec in source.packets_at(sim.now, sim.rng):
+                    sim.inject_packet(*spec)
+            sim.step()
+            recount = channel_occupancy(sim)
+            view = {(a, b): sim.queues.output_queue(a, b) for a, b in recount}
+            assert view == recount, f"cycle {sim.now}"
+            busiest = max(busiest, *view.values())
+        assert busiest > 1  # the traffic really queued on some channel
+        assert sim.queues.output_queue(0, 0) == 0  # not a channel
+
+
+class TestSimConfigBounds:
+    """A config the core cannot build or run fails at construction."""
+
+    BAD = [
+        ("num_vcs", 0),
+        ("edge_buffer_flits", 0),
+        ("hops_per_cycle", 0),
+        ("router_delay", 0),
+        ("central_buffer_flits", -1),
+        ("cbr_penalty", -1),
+        ("cbr_patience", -1),
+        ("saturation_backlog", -1),
+    ]
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_out_of_range_field_raises(self, field, value):
+        message = f"config.{field} must be >= {value + 1}, got {value}"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(SimConfig(), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [(f, v + 1) for f, v in BAD])
+    def test_least_value_runs(self, field, value):
+        """Each field at its bound still delivers a packet."""
+        topo = make_network("sn54")
+        sim = NoCSimulator(topo, SimConfig(**{field: value}))
+        packet = sim.inject_packet(0, 40, 6)
+        assert drain(sim) == [packet]
 
 
 class TestRefcountFree:

@@ -231,10 +231,6 @@ class TestPartitionedFBF:
         assert mirror_x in p.adjacency[r]
         assert mirror_y in p.adjacency[r]
 
-    def test_partition_of(self):
-        p = PartitionedFBF(4, 4, 2, 2, 3)
-        assert p.partition_of(p.router_at(5, 6)) == (1, 1)
-
 
 class TestDragonfly:
     def test_balanced_structure(self):
@@ -305,19 +301,6 @@ class TestTopologyBase:
         t = make_network("sn200")
         with pytest.raises(ValueError):
             t.node_router(200)
-
-    def test_partitioning_reduces_bisection(self):
-        """PFBF trades FBF's full bisection for SN-class cost (Figure 9)."""
-        for fbf_sym, pfbf_sym in (("fbf4", "pfbf4"), ("fbf9", "pfbf9")):
-            fbf = make_network(fbf_sym)
-            pfbf = make_network(pfbf_sym)
-            assert pfbf.bisection_links() < fbf.bisection_links()
-
-    def test_low_radix_networks_have_low_bisection(self):
-        """Tori/meshes sit far below SN in physical bisection (10x-class gap)."""
-        sn = make_network("sn1296")
-        t2d = make_network("t2d9")
-        assert sn.bisection_links() > 5 * t2d.bisection_links()
 
     def test_coordinates_unique(self):
         for symbol in ("sn200", "fbf3", "t2d4", "pfbf9"):
