@@ -773,8 +773,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return run_campaign(args, campaign)
     if args.queue is not None:
         raise ValueError("--queue applies to simulation campaigns, not --model")
-    from dataclasses import replace
-
     from .analysis import model_curves
 
     def run_model(engine: ExperimentEngine, progress) -> dict:
@@ -782,9 +780,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             {symbol: resolve_topology(symbol) for symbol in args.networks},
             args.pattern,
             args.loads,
-            config=replace(config, packet_flits=args.packet_flits),
+            config=config,
             cache=engine.cache if engine.cache is not None else False,
             seed=args.seed,
+            packet_flits=args.packet_flits,
         )
         return {(n, args.routing, args.pattern): c for n, c in curves.items()}
 

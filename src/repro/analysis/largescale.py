@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from ..power.power import average_route_stats
 from ..routing.paths import MinimalPaths
-from ..sim.config import SimConfig
+from ..sim.config import PACKET_FLITS, ROUTER_DELAY, SimConfig
 from ..topos.base import Topology
 from ..traffic import SyntheticSource
 from .sweep import SweepPoint, SweepResult
@@ -47,6 +47,7 @@ class LargeScaleModel:
     topology: Topology
     pattern: str
     config: SimConfig
+    packet_flits: int
     avg_hops: float
     avg_wire_hops: float
     max_channel_load_per_rate: float
@@ -60,6 +61,7 @@ class LargeScaleModel:
         cache=None,
         samples: int | None = None,
         seed: int = 0,
+        packet_flits: int = PACKET_FLITS,
     ) -> "LargeScaleModel":
         """Derive the model's scalars (hop/wire averages, worst-channel
         load), memoized in the content-addressed result store.
@@ -69,6 +71,8 @@ class LargeScaleModel:
         ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``), or ``False`` to
         always recompute; ``samples``/``seed`` control the randomized
         flow estimate (see :meth:`SyntheticSource.flows`).
+        ``packet_flits`` sets the serialization and queueing terms; the
+        router pipeline is :data:`~repro.sim.config.ROUTER_DELAY`.
         """
         if cache is None:
             from ..engine import default_engine
@@ -78,14 +82,14 @@ class LargeScaleModel:
             cache = None
         config = config if config is not None else SimConfig()
         probe = SyntheticSource(
-            topology, pattern, rate=1.0, packet_flits=config.packet_flits,
-            seed=seed,
+            topology, pattern, rate=1.0, packet_flits=packet_flits, seed=seed
         )
         scalars = _model_scalars(topology, probe, cache, samples)
         return cls(
             topology=topology,
             pattern=pattern,
             config=config,
+            packet_flits=packet_flits,
             avg_hops=scalars["avg_hops"],
             avg_wire_hops=scalars["avg_wire_hops"],
             max_channel_load_per_rate=scalars["max_channel_load_per_rate"],
@@ -99,12 +103,11 @@ class LargeScaleModel:
         return 1.0 / self.max_channel_load_per_rate
 
     def zero_load_latency(self) -> float:
-        cfg = self.config
-        router_cycles = (self.avg_hops + 1) * cfg.router_delay
+        router_cycles = (self.avg_hops + 1) * ROUTER_DELAY
         link_cycles = max(
-            self.avg_hops, self.avg_wire_hops / cfg.hops_per_cycle
+            self.avg_hops, self.avg_wire_hops / self.config.hops_per_cycle
         )
-        serialization = cfg.packet_flits - 1
+        serialization = self.packet_flits - 1
         nic = 2.0  # injection + ejection port crossing
         return router_cycles + link_cycles + serialization + nic
 
@@ -116,9 +119,7 @@ class LargeScaleModel:
         utilization = rate / self.saturation_rate
         if utilization >= 1.0:
             return float("inf")
-        queueing = (
-            self.config.packet_flits * utilization / (2.0 * (1.0 - utilization))
-        )
+        queueing = self.packet_flits * utilization / (2.0 * (1.0 - utilization))
         return base + queueing * self.avg_hops
 
     def sweep(self, loads: list[float], name: str | None = None) -> SweepResult:
@@ -193,12 +194,13 @@ def model_curves(
     config: SimConfig | None = None,
     cache=None,
     seed: int = 0,
+    packet_flits: int = PACKET_FLITS,
 ) -> dict[str, SweepResult]:
     """Analytical counterpart of :func:`repro.analysis.compare_networks`
     for the N = 1296 class, sharing the engine's result cache."""
     return {
         label: LargeScaleModel.build(
-            topo, pattern, config, cache=cache, seed=seed
+            topo, pattern, config, cache=cache, seed=seed, packet_flits=packet_flits
         ).sweep(loads, name=label)
         for label, topo in topologies.items()
     }

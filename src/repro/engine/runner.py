@@ -7,8 +7,8 @@ returns one :class:`~repro.sim.SimResult` per spec, in order:
 2. the content-addressed cache is consulted for every unique spec in a
    *single* batched round trip (:meth:`ResultCache.get_many` — one
    indexed query on a SQLite pack, instead of per-spec file probes);
-3. misses are executed — on a ``ProcessPoolExecutor`` when the batch has
-   at least ``serial_threshold`` of them, serially in-process otherwise —
+3. misses are executed — on a ``ProcessPoolExecutor`` when there are
+   several and ``max_workers > 1``, serially in-process otherwise —
    and written back through one batched :meth:`ResultCache.put_many`.
 
 Each parallel batch gets its own pool, sized to its misses and joined
@@ -191,22 +191,15 @@ class ExperimentEngine:
         max_workers: Process count for simulation fan-out; ``1`` (the
             default here) runs everything serially in-process.  The CLI
             and :func:`default_engine` pass :func:`default_workers`.
-        serial_threshold: Batches with fewer misses than this run
-            serially even when ``max_workers > 1`` (worker startup would
-            dominate).
+            A batch with a single miss runs serially whatever this is
+            (worker startup would dominate).
     """
 
-    def __init__(
-        self,
-        cache: ResultCache | None = None,
-        max_workers: int = 1,
-        serial_threshold: int = 2,
-    ):
+    def __init__(self, cache: ResultCache | None = None, max_workers: int = 1):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.cache = cache
         self.max_workers = max_workers
-        self.serial_threshold = serial_threshold
         self.last_stats = RunStats()
         self.total_stats = RunStats(workers=max_workers)
 
@@ -330,7 +323,7 @@ class ExperimentEngine:
                 progress(done, len(unique), spec, False)
 
         if misses:
-            parallel = self.max_workers > 1 and len(misses) >= self.serial_threshold
+            parallel = self.max_workers > 1 and len(misses) > 1
             try:
                 with span("engine.dispatch") as dispatch_span:
                     if parallel:

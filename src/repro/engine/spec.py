@@ -56,6 +56,7 @@ from ..routing import (
     default_routing,
 )
 from ..sim import NoCSimulator, SimConfig, SimResult
+from ..sim import config as sim_config
 from ..sim.config import FIELD_CHECKS, check_fields
 from ..topos.base import Topology, topology_fingerprint
 from ..traffic import (
@@ -75,10 +76,12 @@ from ..traffic import (
 #: That knob and the NIC queue sizes ``ejection_queue_flits`` and
 #: ``injection_queue_flits`` are gone from ``SimConfig``: the simulator
 #: steps every cycle, its ejection port never blocks and nothing read the
-#: injection size.  Every serialized config still carries them at their
-#: constants (:data:`RETIRED_CONFIG`), and
-#: :meth:`ExperimentSpec.from_dict` accepts and drops them, so no hash
-#: and no store entry moved and the version stays 4.
+#: injection size.  So are ``packet_flits`` (the simulator reads the
+#: spec's) and the section 5.1 timing and saturation constants.  Every
+#: serialized config still carries each retired knob at its constant
+#: (:data:`RETIRED_CONFIG`), and :meth:`ExperimentSpec.from_dict`
+#: accepts and drops them, so no hash and no store entry moved and the
+#: version stays 4.
 #: Version 3: the traffic source became a tagged union (``source``
 #: replaces the top-level ``pattern``/``load`` fields) so trace-driven
 #: ``WorkloadSource`` experiments flow through the engine; synthetic
@@ -464,6 +467,12 @@ RETIRED_CONFIG = {
     "fast_forward": True,
     "ejection_queue_flits": 20,
     "injection_queue_flits": 20,
+    "packet_flits": sim_config.PACKET_FLITS,
+    "router_delay": sim_config.ROUTER_DELAY,
+    "cbr_penalty": sim_config.CBR_PENALTY,
+    "cbr_patience": sim_config.CBR_PATIENCE,
+    "saturation_delivery_fraction": sim_config.SATURATION_DELIVERY_FRACTION,
+    "saturation_backlog": sim_config.SATURATION_BACKLOG,
 }
 
 #: Integer spec fields and their lower bounds (``None``: any int).

@@ -6,7 +6,7 @@ with a 2-cycle bypass and 4-cycle buffered path, 6-flit packets, and
 128-bit links (one flit per link cycle).  Its 20-flit NIC queues need
 no knob: a NIC drains an ejected flit the cycle after its grant, so the
 ejection queue never fills, and sources are open-loop, so a standing
-injection backlog beyond ``saturation_backlog`` flags saturation
+injection backlog beyond :data:`SATURATION_BACKLOG` flags saturation
 instead of blocking.  Section 5.1 "Buffering Strategies" names the
 presets:
 
@@ -28,6 +28,22 @@ from dataclasses import dataclass, replace
 PACKET_FLITS = 6
 LINK_WIDTH_BITS = 128
 SMART_H = 9
+ROUTER_DELAY = 2  # cycles before a flit arbitrates: 1 wait + 1 transfer
+CBR_PENALTY = 2  # extra cycles on the CBR buffered path (4-cycle total)
+
+#: Cycles a head flit must have stalled in staging before its packet
+#: commits to the CB.  The CB has a single read and a single write port
+#: (section 4.2), so it must absorb persistent head-of-line conflicts,
+#: not transient ones — without patience every conflict serialises on
+#: the CB port.
+CBR_PATIENCE = 4
+
+#: A run is saturated when fewer than this fraction of the packets
+#: created during the measurement window were delivered by the end of
+#: the drain phase, or when any NIC's standing injection backlog exceeds
+#: this many flits (offered load persistently above accepted load).
+SATURATION_DELIVERY_FRACTION = 0.90
+SATURATION_BACKLOG = 120
 
 #: The test for each field annotation a decoded payload may carry.  A
 #: ``bool`` is not an ``int`` here, an ``int`` is a ``float``, and a
@@ -66,27 +82,20 @@ def check_fields(what: str, payload: object, types: dict[str, str]) -> dict:
 
 
 #: The least value of each bounded :class:`SimConfig` knob.
-#: ``saturation_delivery_fraction`` is left unbounded: above 1 it flags
-#: every run that created a packet.
 FIELD_MINIMUMS = {
     "num_vcs": 1,
     "edge_buffer_flits": 1,
     "hops_per_cycle": 1,
-    "router_delay": 1,
     "central_buffer_flits": 0,
-    "cbr_penalty": 0,
-    "cbr_patience": 0,
-    "saturation_backlog": 0,
 }
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """All knobs of the cycle-accurate model.
+    """The knobs of the cycle-accurate model that a figure varies.
 
     Attributes:
         num_vcs: Virtual channels per physical link.
-        packet_flits: Flits per packet for synthetic traffic.
         edge_buffer_flits: Input buffer depth per (port, VC); ignored when
             ``variable_edge_buffers`` or a central buffer is active.
         variable_edge_buffers: Size each input buffer to its link's RTT
@@ -95,39 +104,20 @@ class SimConfig:
         elastic_links: Replace credit links + deep buffers with elastic
             pipeline latches and 1-flit staging buffers.
         hops_per_cycle: The SMART ``H`` (1 = no SMART, 9 = SMART at 45nm).
-        router_delay: Cycles a flit spends in the router pipeline before it
-            can arbitrate (2-stage edge router => 1 wait cycle + 1 transfer).
-        cbr_penalty: Extra cycles on the CBR buffered path (4-cycle total).
-        cbr_patience: Cycles a head flit must have stalled in staging
-            before its packet commits to the CB.  The CB has a single
-            read and a single write port (section 4.2), so it must absorb
-            persistent head-of-line conflicts, not transient ones —
-            without patience every conflict serialises on the CB port.
-        saturation_delivery_fraction: A run is saturated when fewer than
-            this fraction of the packets created during the measurement
-            window were delivered by the end of the drain phase.
-        saturation_backlog: A run is saturated when any NIC's standing
-            injection backlog exceeds this many flits (offered load
-            persistently above accepted load).
 
-    Every field is a scalar whose annotation is a key of
-    :data:`FIELD_CHECKS`, so a decoded config is checked field by field,
-    and construction raises ``ValueError`` for a field below its
-    :data:`FIELD_MINIMUMS` entry.
+    The packet size is the spec's; the router pipeline, CBR timing and
+    saturation thresholds are this module's constants.  Every field is a
+    scalar whose annotation is a key of :data:`FIELD_CHECKS`, so a
+    decoded config is checked field by field, and construction raises
+    ``ValueError`` for a field below its :data:`FIELD_MINIMUMS` entry.
     """
 
     num_vcs: int = 2
-    packet_flits: int = PACKET_FLITS
     edge_buffer_flits: int = 5
     variable_edge_buffers: bool = False
     central_buffer_flits: int = 0
     elastic_links: bool = False
     hops_per_cycle: int = 1
-    router_delay: int = 2
-    cbr_penalty: int = 2
-    cbr_patience: int = 4
-    saturation_delivery_fraction: float = 0.90
-    saturation_backlog: int = 120
 
     def __post_init__(self) -> None:
         for name, least in FIELD_MINIMUMS.items():

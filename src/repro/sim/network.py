@@ -4,7 +4,7 @@ Models flit-level virtual-channel wormhole switching with credit-based or
 elastic flow control over any :class:`~repro.topos.base.Topology`:
 
 * **Edge-buffer router** — 2-stage pipeline: a flit arriving at cycle
-  ``t`` may arbitrate from ``t + router_delay - 1`` and reaches the next
+  ``t`` may arbitrate from ``t + ROUTER_DELAY - 1`` and reaches the next
   router after the wire latency.  Input buffers per (port, VC) sized by
   the active buffering strategy; credits flow back over the same wire.
 * **Central-buffer router (CBR)** — 1-flit staging buffers per (port,
@@ -58,7 +58,8 @@ from functools import cached_property
 
 from ..routing import QueueOracle, RoutingAlgorithm, ZeroQueues, default_routing
 from ..topos.base import Topology
-from .config import SimConfig, check_fields
+from .config import (CBR_PATIENCE, CBR_PENALTY, ROUTER_DELAY, SATURATION_BACKLOG,
+                     SATURATION_DELIVERY_FRACTION, SimConfig, check_fields)
 from .links import ElasticLink, link_latency
 from .packet import Flit, Packet
 
@@ -161,8 +162,8 @@ class SimResult:
     num_nodes: int
     measure_cycles: int
     max_injection_backlog: int
-    saturation_delivery_fraction: float = 0.90
-    saturation_backlog: int = 120
+    saturation_delivery_fraction: float = SATURATION_DELIVERY_FRACTION
+    saturation_backlog: int = SATURATION_BACKLOG
 
     @cached_property
     def sorted_latencies(self) -> list[int]:
@@ -332,7 +333,7 @@ class NoCSimulator:
         topo, cfg = self.topology, self.config
         self._elastic = cfg.elastic_links
         self._uses_cb = cfg.uses_central_buffer
-        self._eligible_at = cfg.router_delay - 1
+        self._eligible_at = ROUTER_DELAY - 1
         self._node_router = [topo.node_router(n) for n in range(topo.num_nodes)]
         self.routers = [
             _Router(
@@ -938,7 +939,7 @@ class NoCSimulator:
                     continue  # only heads open a CB reservation
                 if router.cb_stream_owner.get(key) is not None:
                     continue  # another packet streams through this CB queue
-                if self.now - flit.arrival < self.config.cbr_patience:
+                if self.now - flit.arrival < CBR_PATIENCE:
                     continue  # transient conflict: keep retrying the bypass
                 if not self._upstream_pressure(flit):
                     continue  # nothing waiting behind: stay on the bypass path
@@ -948,7 +949,7 @@ class NoCSimulator:
                 router.cb_committed[pid] = packet.size
                 router.cb_stream_owner[key] = pid
             self._pop_input(router, unit)
-            flit.arrival = self.now + self.config.cbr_penalty
+            flit.arrival = self.now + CBR_PENALTY
             queue = router.cb_queues.get(key)
             if queue is None:
                 queue = router.cb_queues[key] = deque()
@@ -1018,6 +1019,4 @@ class NoCSimulator:
             num_nodes=self.topology.num_nodes,
             measure_cycles=measure,
             max_injection_backlog=max_backlog,
-            saturation_delivery_fraction=self.config.saturation_delivery_fraction,
-            saturation_backlog=self.config.saturation_backlog,
         )

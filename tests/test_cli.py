@@ -159,6 +159,25 @@ def test_info_probe_goes_through_the_store(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_compare_model_takes_the_packet_size(tmp_path, capsys):
+    """``compare --model`` hands ``--packet-flits`` to the analytic
+    model: serialization is ``packet_flits - 1`` cycles, so 6-flit
+    packets reach the load-0 latency 2 cycles after 4-flit ones."""
+    from repro.__main__ import main
+
+    zero_load = {}
+    for flits in (6, 4):
+        out = tmp_path / f"model-{flits}.json"
+        argv = ["compare", "sn54", "--model", "--loads", "0,0.05", "--no-cache"]
+        argv += ["--packet-flits", str(flits), "--quiet", "--json", str(out)]
+        assert main(argv) == 0
+        curve = json.loads(out.read_text())["curves"]["sn54"]
+        assert [point["load"] for point in curve["points"]] == [0.0, 0.05]
+        zero_load[flits] = curve["points"][0]["latency"]
+    capsys.readouterr()
+    assert zero_load[6] - zero_load[4] == pytest.approx(2.0, abs=1e-9)
+
+
 #: (option, bad value, the commands that take the option).
 BAD_OPTIONS = [
     ("--packet-flits", "0", ("sweep", "compare")),

@@ -121,9 +121,9 @@ FIGURE_CONFIGS = {
 class TestSpecConfigDict:
     """``to_dict`` reads ``SimConfig``'s fields one by one instead of the
     recursive ``asdict`` copy, then appends the retired knobs at their
-    constants (``fast_forward: true``, both NIC queue sizes 20); the
-    dict, and so every hash, must match the one the knobs' config
-    wrote."""
+    constants (``fast_forward: true``, both NIC queue sizes 20 and the
+    section 5.1 constants); the dict, and so every hash, must match the
+    one the knobs' config wrote."""
 
     @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
     def test_config_dict_equals_asdict(self, name):
@@ -135,6 +135,12 @@ class TestSpecConfigDict:
             "fast_forward": True,
             "ejection_queue_flits": 20,
             "injection_queue_flits": 20,
+            "packet_flits": 6,
+            "router_delay": 2,
+            "cbr_penalty": 2,
+            "cbr_patience": 4,
+            "saturation_delivery_fraction": 0.90,
+            "saturation_backlog": 120,
         }
         assert payload["config"] == legacy
         assert list(payload["config"]) == list(legacy)
@@ -145,10 +151,11 @@ class TestSpecConfigDict:
 
     @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
     def test_serialized_config_carries_retired_fast_forward(self, name):
-        """Every spec config still serializes ``"fast_forward": true`` and
-        both NIC queue sizes as 20, so no content hash moved when the
-        knobs went; decoding drops each, present or absent, and any other
-        value (or type) cannot be written back and is refused."""
+        """Every spec config still serializes ``"fast_forward": true``,
+        both NIC queue sizes as 20 and the section 5.1 constants, so no
+        content hash moved when the knobs went; decoding drops each,
+        present or absent, and any other value (or type) cannot be
+        written back and is refused."""
         specs = [
             fast_spec(config=FIGURE_CONFIGS[name]),
             ExperimentSpec.workload("sn54", "barnes", config=FIGURE_CONFIGS[name]),
@@ -158,6 +165,12 @@ class TestSpecConfigDict:
             "fast_forward": [False, 1, None],
             "ejection_queue_flits": [0, 1, 21, 20.0, True, "20"],
             "injection_queue_flits": [0, 21, 20.0, None],
+            "packet_flits": [2, 6.0],
+            "router_delay": [3, "2"],
+            "cbr_penalty": [0, True],
+            "cbr_patience": [0, 4.0],
+            "saturation_delivery_fraction": [1.1, "0.9"],
+            "saturation_backlog": [10**9, 120.0],
         }
         for spec in specs:
             payload = json.loads(json.dumps(spec.to_dict()))
@@ -777,14 +790,6 @@ class TestSerializationSatellites:
         )
         assert clone.points == curve.points
         assert clone.network == curve.network
-
-    def test_saturation_thresholds_come_from_config(self):
-        strict = SimConfig(saturation_delivery_fraction=1.1)
-        result = fast_spec(config=strict).execute()
-        assert result.saturation_delivery_fraction == 1.1
-        assert result.saturated  # nothing can deliver 110%
-        lax = SimConfig(saturation_delivery_fraction=0.0, saturation_backlog=10**9)
-        assert not fast_spec(config=lax).execute().saturated
 
     def test_largescale_model_build_memoizes(self, tmp_path):
         from repro.analysis import LargeScaleModel

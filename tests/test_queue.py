@@ -441,6 +441,9 @@ class TestQueueWorker:
         # A config no router can be built from fails the same way.
         no_hops = fast_spec(load=0.08).to_dict()
         no_hops["config"]["hops_per_cycle"] = 0
+        # A retired knob at any value but its constant is refused too.
+        slow_router = fast_spec(load=0.08).to_dict()
+        slow_router["config"]["router_delay"] = 3
         bad = {
             "ee" * 32: poison,
             "ef" * 32: nan_load,
@@ -448,6 +451,7 @@ class TestQueueWorker:
             "ed" * 32: no_topology,
             "de" * 32: no_window,
             "dd" * 32: no_hops,
+            "df" * 32: slow_router,
         }
         jobs = jobs_for_specs([good]) + [
             {"key": key, "spec": spec, "cost": 99.0} for key, spec in bad.items()
@@ -455,12 +459,12 @@ class TestQueueWorker:
         queue.submit(jobs)
         with StoreServer(backend, quiet=True, queue=queue) as server:
             worker = QueueWorker(
-                server.url, worker_id="t1", max_specs=7, sleep=0.05
+                server.url, worker_id="t1", max_specs=8, sleep=0.05
             )
             stats = worker.run()
-            assert stats.done == 1 and stats.failed == 6
+            assert stats.done == 1 and stats.failed == 7
             status = QueueClient(server.url).status()
-            assert status["drained"] and status["quarantined"] == 6
+            assert status["drained"] and status["quarantined"] == 7
             errors = {r["key"]: r["error"] for r in status["quarantine"]}
             assert sorted(errors) == sorted(bad)
             assert "no-such-network" in errors["ee" * 32]
@@ -473,6 +477,9 @@ class TestQueueWorker:
             )
             assert errors["dd" * 32] == (
                 "ValueError: config.hops_per_cycle must be >= 1, got 0"
+            )
+            assert errors["df" * 32] == (
+                "ValueError: config.router_delay is retired; it can only be 2"
             )
         assert backend.get_payload_many(bad, kind="sim") == {}
         assert list(backend.get_payload_many([good.content_hash()], kind="sim"))

@@ -22,6 +22,7 @@ from repro.routing import (
 )
 from repro.topos import ConcentratedMesh, FlattenedButterfly, Torus2D, make_network
 from oracles import shortest_hops_from
+from sim_state import channel_occupancy
 
 
 class TestMinimalPaths:
@@ -365,8 +366,9 @@ class TestZeroOracleWarning:
 
     def test_installed_view_reads_live_occupancy(self):
         """After traffic has run, the routing's oracle reports exactly the
-        simulator's live per-channel state: on credit links, the credit
-        deficit toward the downstream buffers."""
+        simulator's live per-channel state: on credit links, the flits and
+        credits in flight on the channel and the flits buffered behind it,
+        recounted from where they are."""
         from repro.sim import NoCSimulator, SimConfig
         from repro.traffic import SyntheticSource
 
@@ -379,17 +381,10 @@ class TestZeroOracleWarning:
                 sim.inject_packet(*spec)
             sim.step()
         assert ugal.oracle is sim.queues
-        busy = 0
-        for (a, b), cycles in sim.link_cycles.items():
-            depth = sim.config.buffer_depth_for(cycles)
-            base = sim.routers[a].out_base[b]
-            deficit = sum(
-                depth - sim.routers[a].credits[base + vc]
-                for vc in range(sim.config.num_vcs)
-            )
-            assert sim.queues.output_queue(a, b) == deficit
-            busy += deficit > 0
-        assert busy  # the traffic really left channels occupied
+        recount = channel_occupancy(sim)
+        for (a, b), occupancy in recount.items():
+            assert sim.queues.output_queue(a, b) == occupancy, (a, b)
+        assert any(recount.values())  # the traffic left channels occupied
         assert ugal.oracle.output_queue(0, 0) == 0  # not a channel
 
     def test_stale_simulator_oracle_is_rebound(self):

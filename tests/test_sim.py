@@ -474,11 +474,7 @@ class TestSimConfigBounds:
         ("num_vcs", 0),
         ("edge_buffer_flits", 0),
         ("hops_per_cycle", 0),
-        ("router_delay", 0),
         ("central_buffer_flits", -1),
-        ("cbr_penalty", -1),
-        ("cbr_patience", -1),
-        ("saturation_backlog", -1),
     ]
 
     @pytest.mark.parametrize("field, value", BAD)
