@@ -31,12 +31,11 @@ def latency_curves(grid, loads):
     symbol's default layout.  Each curve is named by its layout, else by
     its symbol.  Returns ``{key: SweepResult}`` in the order of ``grid``.
     """
-    curves, topologies = {}, {}
+    curves = {}
     for key, (symbol, pattern, config, layout) in grid.items():
-        token, topology = resolve_network(symbol, layout)
-        topologies[token] = topology
+        token = resolve_network(symbol, layout)
         curves[key] = CurveSpec(layout or symbol, token, pattern, "default", config)
-    return run_curves(default_engine(), curves, loads, topologies, **SIM_KW)
+    return run_curves(default_engine(), curves, loads, **SIM_KW)
 
 
 def print_series(title: str, headers, rows) -> None:

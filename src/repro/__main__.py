@@ -89,6 +89,7 @@ from .engine import (
     default_workers,
     predicted_cost,
     resolve_topology,
+    topology_token,
 )
 from .engine.campaign import (
     CurveSpec,
@@ -572,21 +573,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    token, topology = resolve_network(args.network, None)
+    topology = resolve_topology(args.network)
     area = network_area(topology, TECH_45NM, edge_buffer_flits=None)
     power = static_power(topology, TECH_45NM, edge_buffer_flits=None)
-    topologies = {token: topology}
+    token = topology_token(topology)
     spec = curve_spec(
         CurveSpec(args.network, token, "RND", "default", SimConfig().with_smart()),
         0.05,
-        topologies,
         packet_flits=6,
         seed=1,
         warmup=200,
         measure=500,
         drain=1000,
     )
-    (probe,) = default_engine().run([spec], topologies=topologies)
+    (probe,) = default_engine().run([spec])
     print(
         format_table(
             ["property", "value"],
@@ -614,15 +614,14 @@ class Campaign:
     """What a campaign command hands :func:`run_campaign`.
 
     ``specs`` is the whole grid the run may simulate: what ``--queue``
-    submits and what the progress line counts.  ``node_counts`` and
-    ``symbols`` map its topology tokens to node counts (the cost model)
-    and to the catalog symbols queue workers rebuild networks from.
+    submits and what the progress line counts.  ``symbols`` maps its
+    topology tokens to the catalog symbols queue workers rebuild
+    networks from.
     ``run(engine, progress)`` computes the result; ``render(result)``
     prints its tables and returns the command's ``--json`` keys.
     """
 
     specs: list[ExperimentSpec]
-    node_counts: dict[str, int]
     symbols: dict[str, str]
     run: Callable[[ExperimentEngine, Any], Any]
     render: Callable[[Any], dict]
@@ -641,10 +640,9 @@ def run_campaign(args: argparse.Namespace, campaign: Campaign) -> int:
     if args.progress and not args.quiet:
         # The line is itself the callback; its ETA weights each spec
         # left to simulate by its predicted cost.
-        def cost(spec) -> float:
-            return predicted_cost(spec, campaign.node_counts.get(spec.topology))
-
-        progress = line = ProgressLine(total=len(campaign.specs), cost_fn=cost)
+        progress = line = ProgressLine(
+            total=len(campaign.specs), cost_fn=predicted_cost
+        )
         line.add_pending(campaign.specs)
     elif not args.quiet:
         progress = _progress
@@ -677,7 +675,7 @@ def _curve_campaign(
     """A campaign of latency-load curves, one per (network, routing,
     pattern), run as one staged :func:`~repro.engine.campaign.run_curves`
     campaign; ``render`` gets the curves keyed by that triple."""
-    curves, topologies = study_curves(networks, routings, patterns, config=config)
+    curves = study_curves(networks, routings, patterns, config=config)
     window = dict(
         packet_flits=getattr(args, "packet_flits", 6),
         seed=args.seed,
@@ -691,15 +689,13 @@ def _curve_campaign(
             engine,
             curves,
             args.loads,
-            topologies,
             stop_after_saturation=not args.no_stop,
             progress=progress,
             **window,
         )
 
     return Campaign(
-        curve_specs(curves.values(), args.loads, topologies, **window),
-        {token: topology.num_nodes for token, topology in topologies.items()},
+        curve_specs(curves.values(), args.loads, **window),
         {curve.token: curve.name for curve in curves.values()},
         run,
         render,
@@ -787,7 +783,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         return {(n, args.routing, args.pattern): c for n, c in curves.items()}
 
-    return run_campaign(args, Campaign([], {}, {}, run_model, render))
+    return run_campaign(args, Campaign([], {}, run_model, render))
 
 
 def cmd_adaptive(args: argparse.Namespace) -> int:
@@ -829,18 +825,13 @@ def cmd_workloads(args: argparse.Namespace) -> int:
         measure=args.measure,
         drain=args.drain,
     )
-    config = SimConfig().with_smart(not args.no_smart)
-    specs: list[ExperimentSpec] = []
-    node_counts: dict[str, int] = {}
-    symbols: dict[str, str] = {}
-    for network in args.networks:
-        grid, topologies = build_workload_specs(
-            network, benches, config=config, **window
-        )
-        specs.extend(grid)
-        for token, topology in topologies.items():
-            node_counts[token] = topology.num_nodes
-            symbols[token] = network
+    specs = build_workload_specs(
+        {network: network for network in args.networks},
+        benches,
+        config=SimConfig().with_smart(not args.no_smart),
+        **window,
+    )
+    symbols = {resolve_network(network, None): network for network in args.networks}
 
     def run(engine: ExperimentEngine, progress) -> dict:
         return workload_table(
@@ -900,7 +891,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
             "edp_normalized": edp,
         }
 
-    return run_campaign(args, Campaign(specs, node_counts, symbols, run, render))
+    return run_campaign(args, Campaign(specs, symbols, run, render))
 
 
 def _submit_and_wait(args: argparse.Namespace, campaign: Campaign) -> None:
@@ -920,7 +911,7 @@ def _submit_and_wait(args: argparse.Namespace, campaign: Campaign) -> None:
     from .engine.queue import QueueClient, jobs_for_specs
 
     url = args.queue
-    jobs = jobs_for_specs(campaign.specs, campaign.node_counts)
+    jobs = jobs_for_specs(campaign.specs)
     client = QueueClient(url)
     reply = client.submit(jobs, campaign.symbols)
     if not args.quiet:

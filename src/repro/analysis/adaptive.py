@@ -128,14 +128,13 @@ def adaptive_study(
         routings=tuple(routings),
         traffic=tuple(traffic),
     )
-    curves, topo_map = study_curves(
+    curves = study_curves(
         study.networks, study.routings, study.traffic, config=config, configs=configs
     )
     study.curves = run_curves(
         engine,
         curves,
         loads,
-        topo_map,
         seed=seed,
         warmup=warmup,
         measure=measure,

@@ -28,6 +28,7 @@ campaign against that store assembles the curves as a pure cache read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
@@ -52,19 +53,19 @@ if TYPE_CHECKING:
     from ..analysis.sweep import SweepResult
 
 
-def resolve_network(
-    topology: Topology | str, layout: str | None
-) -> tuple[str, Topology]:
-    """Canonical (token, object) pair for a campaign network.
+def resolve_network(topology: Topology | str, layout: str | None) -> str:
+    """The fingerprint token of a campaign network.
 
     Catalog symbols are resolved to live objects here, in the parent,
     and *every* campaign spec is keyed by the structural fingerprint —
     so a sweep launched from the CLI (symbol) and one launched from the
     harness (live object) share cache entries for the same network.
+    The token resolves back to the object through
+    :func:`~repro.engine.spec.resolve_topology`.
     """
     if isinstance(topology, str):
         topology = resolve_topology(topology, layout)
-    return topology_token(topology), topology
+    return topology_token(topology)
 
 
 #: Defaults for the non-stationary traffic token grammar (below).
@@ -180,29 +181,25 @@ def study_curves(
     *,
     config: SimConfig | None = None,
     configs: Mapping[str, SimConfig] | None = None,
-) -> tuple[dict[tuple[str, str, str], CurveSpec], dict[str, Topology]]:
-    """One curve per (network, routing, pattern), keyed by that triple,
-    plus the topology map :func:`run_curves` takes.  ``networks`` are
-    catalog symbols, which also name the curves; ``configs`` overrides
-    ``config`` per symbol."""
+) -> dict[tuple[str, str, str], CurveSpec]:
+    """One curve per (network, routing, pattern), keyed by that triple.
+    ``networks`` are catalog symbols, which also name the curves;
+    ``configs`` overrides ``config`` per symbol."""
     curves: dict[tuple[str, str, str], CurveSpec] = {}
-    topologies: dict[str, Topology] = {}
     for network in networks:
-        token, topology = resolve_network(network, None)
-        topologies[token] = topology
+        token = resolve_network(network, None)
         network_config = (configs or {}).get(network, config)
         for routing in routings:
             for pattern in patterns:
                 curves[(network, routing, pattern)] = CurveSpec(
                     network, token, pattern, routing, network_config
                 )
-    return curves, topologies
+    return curves
 
 
 def curve_spec(
     curve: CurveSpec,
     load: float,
-    topologies: dict[str, Topology],
     *,
     packet_flits: int,
     seed: int,
@@ -211,14 +208,14 @@ def curve_spec(
     drain: int,
 ) -> ExperimentSpec:
     """The spec of ``curve`` at ``load``: the one place a curve point's
-    spec is built.  ``topologies`` maps the curve's token to its network."""
+    spec is built."""
     # The fingerprint token already encodes the layout's wire lengths, so
     # the spec's layout field stays None — keeping cache keys identical no
     # matter how the caller named the network.
     return ExperimentSpec(
         topology=curve.token,
         source=traffic_for_token(
-            curve.pattern, load, topologies[curve.token].num_nodes
+            curve.pattern, load, resolve_topology(curve.token).num_nodes
         ),
         packet_flits=packet_flits,
         config=curve.config if curve.config is not None else SimConfig(),
@@ -234,7 +231,6 @@ def curve_spec(
 def curve_specs(
     curves: Iterable[CurveSpec],
     loads: Sequence[float],
-    topologies: dict[str, Topology],
     **window: int,
 ) -> list[ExperimentSpec]:
     """Every spec of every curve, curve by curve in ascending load: the
@@ -242,7 +238,7 @@ def curve_specs(
     or a progress line over the campaign is sized by.  ``window`` is the
     keyword arguments of :func:`curve_spec`."""
     return [
-        curve_spec(curve, load, topologies, **window)
+        curve_spec(curve, load, **window)
         for curve in curves
         for load in sorted(loads)
     ]
@@ -252,7 +248,6 @@ def run_curves(
     engine: ExperimentEngine,
     curves: Mapping[Hashable, CurveSpec],
     loads: Sequence[float],
-    topologies: dict[str, Topology],
     *,
     packet_flits: int = 6,
     seed: int = 1,
@@ -267,8 +262,7 @@ def run_curves(
     Each round submits the next chunk of loads of every still-active
     curve as one engine batch; the chunk is sized so the round is at
     least as wide as the engine's worker count.  A curve stops once a
-    chunk holds a saturated point.  ``topologies`` maps each curve's
-    token to its live network.
+    chunk holds a saturated point.
 
     ``progress`` is the engine's :data:`~repro.engine.runner.ProgressFn`.
     If it also has a ``skip(specs)`` method (as
@@ -285,7 +279,6 @@ def run_curves(
         return curve_spec(
             curve,
             load,
-            topologies,
             packet_flits=packet_flits,
             seed=seed,
             warmup=warmup,
@@ -307,9 +300,7 @@ def run_curves(
             for load in loads[len(results[key]) : len(results[key]) + chunk]
         ]
         outcomes = engine.run(
-            [spec(curves[key], load) for key, load in batch],
-            topologies=topologies,
-            progress=progress,
+            [spec(curves[key], load) for key, load in batch], progress=progress
         )
         for (key, _load), outcome in zip(batch, outcomes):
             results[key].append(outcome)
@@ -364,10 +355,8 @@ def run_compare(
     while preserving per-network early stop.
     """
     curves: dict[str, CurveSpec] = {}
-    topo_map: dict[str, Topology] = {}
     for label, topology in topologies.items():
-        token, topology = resolve_network(topology, None)
-        topo_map[token] = topology
+        token = resolve_network(topology, None)
         curves[label] = CurveSpec(
             label, token, pattern, routing, (configs or {}).get(label, config)
         )
@@ -375,7 +364,6 @@ def run_compare(
         engine,
         curves,
         loads,
-        topo_map,
         packet_flits=packet_flits,
         seed=seed,
         warmup=warmup,
@@ -386,71 +374,7 @@ def run_compare(
     )
 
 
-def _workload_spec_for(
-    token: str,
-    bench: str,
-    *,
-    config: SimConfig | None,
-    intensity_scale: float,
-    packet_flits: int,
-    routing: str,
-    seed: int,
-    warmup: int,
-    measure: int,
-    drain: int,
-) -> ExperimentSpec:
-    # Like :func:`curve_spec`, fingerprint-keyed specs carry layout=None
-    # so cache keys don't depend on how the network was named.
-    return ExperimentSpec(
-        topology=token,
-        source=WorkloadTraffic(bench, intensity_scale),
-        packet_flits=packet_flits,
-        config=config if config is not None else SimConfig(),
-        routing=routing,
-        seed=seed,
-        warmup=warmup,
-        measure=measure,
-        drain=drain,
-        layout=None,
-    )
-
-
 def build_workload_specs(
-    topology: Topology | str,
-    benches: Sequence[str],
-    *,
-    config: SimConfig | None = None,
-    intensity_scale: float = 1.0,
-    packet_flits: int = 6,
-    routing: str = "default",
-    seed: int = 1,
-    warmup: int = 300,
-    measure: int = 800,
-    drain: int = 1500,
-) -> tuple[list[ExperimentSpec], dict[str, Topology]]:
-    """Specs for one network across several benchmark models, plus the
-    topology map the engine needs for the fingerprinted network."""
-    token, topology = resolve_network(topology, None)
-    specs = [
-        _workload_spec_for(
-            token,
-            bench,
-            config=config,
-            intensity_scale=intensity_scale,
-            packet_flits=packet_flits,
-            routing=routing,
-            seed=seed,
-            warmup=warmup,
-            measure=measure,
-            drain=drain,
-        )
-        for bench in benches
-    ]
-    return specs, {token: topology}
-
-
-def workload_compare(
-    engine: ExperimentEngine,
     topologies: Mapping[Hashable, Topology | str],
     benches: Sequence[str],
     *,
@@ -463,40 +387,55 @@ def workload_compare(
     warmup: int = 300,
     measure: int = 800,
     drain: int = 1500,
-    progress=None,
-) -> dict[Hashable, dict[str, SimResult]]:
-    """Run every (network × benchmark) point as one engine batch.
-
-    Returns ``{label: {bench: SimResult}}``.  Unlike load sweeps there is
-    no saturation early stop — each benchmark is a single point — so the
-    whole grid is submitted at once: a multi-worker engine fans it out,
-    and every point is individually content-addressed in the cache.
-    """
-    topo_map: dict[str, Topology] = {}
-    batch: list[tuple[Hashable, str]] = []
-    specs: list[ExperimentSpec] = []
+) -> list[ExperimentSpec]:
+    """Every (network × benchmark) spec, benchmarks in order within each
+    labeled network in order: the one place a workload point's spec is
+    built, and the whole grid :func:`workload_compare` runs.  ``configs``
+    overrides ``config`` per label."""
+    specs = []
     for label, topology in topologies.items():
-        token, topology = resolve_network(topology, None)
-        topo_map[token] = topology
+        token = resolve_network(topology, None)
         label_config = (configs or {}).get(label, config)
         for bench in benches:
-            batch.append((label, bench))
+            # Like :func:`curve_spec`, fingerprint-keyed specs carry
+            # layout=None so cache keys don't depend on how the network
+            # was named.
             specs.append(
-                _workload_spec_for(
-                    token,
-                    bench,
-                    config=label_config,
-                    intensity_scale=intensity_scale,
+                ExperimentSpec(
+                    topology=token,
+                    source=WorkloadTraffic(bench, intensity_scale),
                     packet_flits=packet_flits,
+                    config=label_config if label_config is not None else SimConfig(),
                     routing=routing,
                     seed=seed,
                     warmup=warmup,
                     measure=measure,
                     drain=drain,
+                    layout=None,
                 )
             )
-    results = engine.run(specs, topologies=topo_map, progress=progress)
+    return specs
+
+
+def workload_compare(
+    engine: ExperimentEngine,
+    topologies: Mapping[Hashable, Topology | str],
+    benches: Sequence[str],
+    *,
+    progress=None,
+    **grid,
+) -> dict[Hashable, dict[str, SimResult]]:
+    """Run every (network × benchmark) point as one engine batch.
+
+    Returns ``{label: {bench: SimResult}}``.  Unlike load sweeps there is
+    no saturation early stop — each benchmark is a single point — so the
+    whole :func:`build_workload_specs` grid (``grid`` is its keyword
+    arguments) is submitted at once: a multi-worker engine fans it out,
+    and every point is individually content-addressed in the cache.
+    """
+    specs = build_workload_specs(topologies, benches, **grid)
+    results = engine.run(specs, progress=progress)
     table: dict[Hashable, dict[str, SimResult]] = {label: {} for label in topologies}
-    for (label, bench), outcome in zip(batch, results):
+    for (label, bench), outcome in zip(itertools.product(topologies, benches), results):
         table[label][bench] = outcome
     return table

@@ -601,10 +601,7 @@ class QueueClient:
         return self.store._call("queue/status")
 
 
-def jobs_for_specs(
-    specs: Iterable,
-    node_counts: Mapping[str, int] | None = None,
-) -> list[dict]:
+def jobs_for_specs(specs: Iterable) -> list[dict]:
     """Wire-form jobs for a batch of :class:`ExperimentSpec`\\ s.
 
     Costs come from :func:`~repro.engine.spec.predicted_cost`, so the
@@ -613,7 +610,6 @@ def jobs_for_specs(
     """
     from .spec import predicted_cost
 
-    nodes = node_counts or {}
     jobs: dict[str, dict] = {}
     for spec in specs:
         key = spec.content_hash()
@@ -622,6 +618,6 @@ def jobs_for_specs(
         jobs[key] = {
             "key": key,
             "spec": spec.to_dict(),
-            "cost": predicted_cost(spec, nodes.get(spec.topology)),
+            "cost": predicted_cost(spec),
         }
     return list(jobs.values())

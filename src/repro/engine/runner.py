@@ -23,8 +23,12 @@ fresh simulation, a parallel run, and a cache hit are indistinguishable
 point-for-point (simulations are deterministic per spec; only the
 meaningless per-packet latency ordering is canonicalized).
 
-Catalog-symbol specs ship only their token to workers (the topology is
-rebuilt there); fingerprint specs pickle the live topology object.
+Every spec resolves its topology token through
+:func:`~repro.engine.spec.resolve_topology`.  A pool worker rebuilds a
+catalog symbol itself, but gets the live object with each fingerprint
+spec: a forkserver or spawn worker inherits none of the parent's
+minted tokens, so the object is pickled with the spec and minted again
+there.
 
 Environment knobs: ``REPRO_WORKERS=N`` (a positive integer) sets the
 default worker count, which is otherwise every CPU this process may run
@@ -45,7 +49,12 @@ from typing import Callable, Sequence
 from ..obs.metrics import ENGINE_SPEC_SECONDS, ENGINE_SPECS, span
 from ..sim import SimResult
 from ..topos.base import Topology
-from .spec import FINGERPRINT_PREFIX, ExperimentSpec, resolve_topology
+from .spec import (
+    FINGERPRINT_PREFIX,
+    ExperimentSpec,
+    resolve_topology,
+    topology_token,
+)
 from .store import ResultCache
 
 #: progress(done, total, spec, from_cache) — invoked once per unique spec.
@@ -67,7 +76,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _simulate(spec: ExperimentSpec, topology: Topology | None) -> dict:
+def _simulate(spec: ExperimentSpec) -> dict:
     """Simulate ``spec`` and return its result as a JSON dict plus its
     measured wall seconds — the one simulate path of both dispatch modes.
 
@@ -76,17 +85,18 @@ def _simulate(spec: ExperimentSpec, topology: Topology | None) -> dict:
     passes through exactly the codec the cache uses.  The seconds feed
     the engine's ``simulate`` stage time.
     """
-    if topology is None:
-        topology = resolve_topology(spec.topology, spec.layout)
     start = time.perf_counter()
-    result = spec.execute(topology=topology)
+    result = spec.execute()
     return {"result": result.to_dict(), "seconds": time.perf_counter() - start}
 
 
 def _execute_remote(payload: tuple[dict, Topology | None]) -> dict:
-    """Worker entry point: rebuild the spec, then :func:`_simulate` it."""
+    """Worker entry point: mint the shipped topology, rebuild the spec,
+    then :func:`_simulate` it."""
     spec_dict, topology = payload
-    return _simulate(ExperimentSpec.from_dict(spec_dict), topology)
+    if topology is not None:
+        topology_token(topology)
+    return _simulate(ExperimentSpec.from_dict(spec_dict))
 
 
 def _exit_with_engine(engine: int) -> None:
@@ -203,7 +213,7 @@ class ExperimentEngine:
         self.last_stats = RunStats()
         self.total_stats = RunStats(workers=max_workers)
 
-    def _dispatch_parallel(self, misses, topology_for, record) -> None:
+    def _dispatch_parallel(self, misses, record) -> None:
         """Simulate ``misses`` on a pool of their own.  The pool is shut
         down before this returns, so no worker outlives the batch.  After
         an error the specs still queued are dropped, not simulated, and
@@ -231,7 +241,10 @@ class ExperimentEngine:
         pending = {}
         try:
             for key, spec in misses:
-                payload = (spec.to_dict(), topology_for(spec))
+                topology = None
+                if spec.topology.startswith(FINGERPRINT_PREFIX):
+                    topology = resolve_topology(spec.topology)
+                payload = (spec.to_dict(), topology)
                 pending[pool.submit(_execute_remote, payload)] = (key, spec)
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -247,16 +260,10 @@ class ExperimentEngine:
     def run(
         self,
         specs: Sequence[ExperimentSpec],
-        topologies: dict[str, Topology] | None = None,
         progress: ProgressFn | None = None,
     ) -> list[SimResult]:
-        """Execute ``specs``; returns results aligned with the input order.
-
-        ``topologies`` maps fingerprint tokens (``spec.topology``) to live
-        :class:`Topology` objects for specs built from ad-hoc networks.
-        """
+        """Execute ``specs``; returns results aligned with the input order."""
         run_start = time.perf_counter()
-        topologies = topologies or {}
         unique: dict[str, ExperimentSpec] = {}
         for spec in specs:
             unique.setdefault(spec.content_hash(), spec)
@@ -293,17 +300,6 @@ class ExperimentEngine:
         if stats.cache_hits:
             ENGINE_SPECS.labels(outcome="cache_hit").inc(stats.cache_hits)
 
-        def topology_for(spec: ExperimentSpec) -> Topology | None:
-            if spec.topology.startswith(FINGERPRINT_PREFIX):
-                try:
-                    return topologies[spec.topology]
-                except KeyError:
-                    raise LookupError(
-                        f"spec references fingerprint topology {spec.topology!r} "
-                        "but no object was supplied via `topologies`"
-                    ) from None
-            return None
-
         executed: list[tuple[ExperimentSpec, SimResult]] = []
 
         def record(key: str, spec: ExperimentSpec, reply: dict) -> None:
@@ -327,10 +323,10 @@ class ExperimentEngine:
             try:
                 with span("engine.dispatch") as dispatch_span:
                     if parallel:
-                        self._dispatch_parallel(misses, topology_for, record)
+                        self._dispatch_parallel(misses, record)
                     else:
                         for key, spec in misses:
-                            record(key, spec, _simulate(spec, topology_for(spec)))
+                            record(key, spec, _simulate(spec))
                 stats.stage_seconds["dispatch"] = dispatch_span.seconds
             finally:
                 # One batched write-back per engine batch (a single

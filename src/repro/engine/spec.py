@@ -113,10 +113,15 @@ LEGACY_ROUTINGS = frozenset(
 )
 
 #: Topology tokens carrying a structural fingerprint instead of a catalog
-#: symbol.  Fingerprinted topologies cannot be rebuilt from the token
-#: alone — the runner ships the live object to workers (see
-#: :func:`repro.engine.runner.ExperimentEngine.run`).
+#: symbol.  A fingerprint cannot be rebuilt from the token alone: it
+#: resolves to the object :func:`topology_token` minted it for in this
+#: process, and the runner ships that object to its pool workers.
 FINGERPRINT_PREFIX = "fp:"
+
+#: Every topology :func:`topology_token` fingerprinted in this process,
+#: by token.  Strong references, like ``make_network``'s memo: a campaign
+#: may build a spec long before the engine resolves it.
+_MINTED: dict[str, Topology] = {}
 
 #: Routing schemes a worker process can rebuild by name.
 ROUTING_BUILDERS = {
@@ -145,25 +150,32 @@ def build_routing(name: str, topology: Topology) -> RoutingAlgorithm:
 
 
 def topology_token(topology: Topology | str) -> str:
-    """Spec token for a topology: symbols pass through, objects fingerprint."""
+    """Spec token for a topology: symbols pass through, objects fingerprint.
+
+    The only place a fingerprint token is minted: the object is recorded
+    under it, so :func:`resolve_topology` can hand it back.
+    """
     if isinstance(topology, str):
         return topology
-    return FINGERPRINT_PREFIX + topology_fingerprint(topology)
+    token = FINGERPRINT_PREFIX + topology_fingerprint(topology)
+    _MINTED.setdefault(token, topology)
+    return token
 
 
 def resolve_topology(token: str, layout: str | None = None) -> Topology:
-    """Rebuild a topology from its spec token (catalog symbol or node count).
-
-    Fingerprint tokens are *not* resolvable — the object must be supplied
-    out-of-band by whoever created the spec.
-    """
+    """The topology a spec token names: a catalog symbol, a node count, or
+    a fingerprint :func:`topology_token` minted in this process (any other
+    fingerprint is a ``LookupError``)."""
     from ..topos import make_network  # local: topos.catalog imports core
 
     if token.startswith(FINGERPRINT_PREFIX):
-        raise LookupError(
-            f"topology {token!r} is a fingerprint; the caller must supply "
-            "the live Topology object"
-        )
+        try:
+            return _MINTED[token]
+        except KeyError:
+            raise LookupError(
+                f"topology {token!r} is a fingerprint no Topology in this "
+                "process was minted for"
+            ) from None
     if token.isdigit():
         from ..core.slimnoc import SlimNoC, design_for_nodes
 
@@ -614,15 +626,10 @@ class ExperimentSpec:
             self.__dict__["_content_hash"] = cached
         return cached
 
-    def execute(self, topology: Topology | None = None) -> SimResult:
-        """Run the simulation this spec describes (in any process).
-
-        ``topology`` short-circuits token resolution and is mandatory for
-        fingerprint specs.
-        """
-        topo = topology
-        if topo is None:
-            topo = resolve_topology(self.topology, self.layout)
+    def execute(self) -> SimResult:
+        """Run the simulation this spec describes (in any process that can
+        :func:`resolve_topology` its token)."""
+        topo = resolve_topology(self.topology, self.layout)
         routing = build_routing(self.routing, topo)
         sim = NoCSimulator(topo, self.config, routing=routing, seed=self.seed)
         source = self.source.build(topo, self.packet_flits, self.seed)
@@ -648,7 +655,7 @@ def iter_spec_keys(specs: Iterable[ExperimentSpec]) -> Iterator[str]:
 COST_BASE_ACTIVITY = 0.25
 
 
-def predicted_cost(spec: ExperimentSpec, num_nodes: int | None = None) -> float:
+def predicted_cost(spec: ExperimentSpec) -> float:
     """Cost estimate for one simulation point.
 
     The model is deliberately crude — simulated work scales with how
@@ -665,10 +672,11 @@ def predicted_cost(spec: ExperimentSpec, num_nodes: int | None = None) -> float:
     weights done and pending specs by it.  Only ratios between specs
     matter, so the units are arbitrary.
 
-    ``num_nodes`` comes from the campaign layer, which holds the live
-    topology objects; without it the model still orders same-network
-    specs correctly (the common case — one campaign, one grid).
+    The node count comes from :func:`resolve_topology`, so a spec costs
+    in any process that can resolve its token: the campaign that built
+    it, or a worker for a catalog symbol.
     """
     cycles = spec.warmup + spec.measure + spec.drain
     activity = COST_BASE_ACTIVITY + spec.source.mean_load
-    return float(cycles) * float(num_nodes or 1) * activity
+    num_nodes = resolve_topology(spec.topology, spec.layout).num_nodes
+    return float(cycles) * float(num_nodes) * activity

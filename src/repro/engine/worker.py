@@ -41,7 +41,12 @@ from dataclasses import dataclass, field
 from ..obs import get_logger
 from .queue import QueueClient
 from .runner import ExperimentEngine
-from .spec import ExperimentSpec, resolve_topology
+from .spec import (
+    FINGERPRINT_PREFIX,
+    ExperimentSpec,
+    resolve_topology,
+    topology_token,
+)
 from .store.frontend import ResultCache
 from .store.http import RemoteStore, RemoteStoreError
 
@@ -200,14 +205,10 @@ class QueueWorker:
         failed: list[dict] = []
         released: list[str] = []
         with _Heartbeat(self.client, lease_id, interval) as beat:
-            specs, topologies = self._parse_jobs(
-                jobs, lease.get("topologies", {}), failed
-            )
+            specs = self._parse_jobs(jobs, lease.get("topologies", {}), failed)
             try:
                 if specs:
-                    engine.run(
-                        [spec for _key, spec in specs], topologies=topologies
-                    )
+                    engine.run([spec for _key, spec in specs])
                     done.extend(key for key, _spec in specs)
             except RemoteStoreError:
                 raise  # the coordinator is gone; let the loop surface it
@@ -217,9 +218,7 @@ class QueueWorker:
                     lease_id,
                     exc,
                 )
-                self._run_specs_individually(
-                    engine, specs, topologies, done, failed, released
-                )
+                self._run_specs_individually(engine, specs, done, failed, released)
         self.stats.heartbeats += beat.sent
         self.stats.done += len(done)
         self.stats.failed += len(failed)
@@ -235,36 +234,40 @@ class QueueWorker:
         jobs: list[dict],
         symbols: dict[str, str],
         failed: list[dict],
-    ) -> tuple[list[tuple[str, ExperimentSpec]], dict]:
-        """Rebuild specs and live topologies from a lease's wire form.
+    ) -> list[tuple[str, ExperimentSpec]]:
+        """Rebuild specs from a lease's wire form.
 
-        Fingerprint topology tokens (``fp:...``) are resolved through
-        the lease's ``{token: catalog symbol}`` map — the fingerprint of
-        the rebuilt topology matches the token by construction, so the
-        spec's content hash (and thus its cache key) is unchanged.  A
-        spec that cannot even be rebuilt is reported failed right here.
+        A fingerprint topology token (``fp:...``) names a catalog symbol
+        in the lease's ``{token: symbol}`` map.  The worker rebuilds that
+        network, which mints its token here, and checks the token is the
+        spec's: a symbol that rebuilds any other network would store its
+        result under a key hashed for a different one, so the job fails
+        with a ``ValueError`` instead.  A spec that cannot even be
+        rebuilt is reported failed right here.
         """
         specs: list[tuple[str, ExperimentSpec]] = []
-        topologies: dict = {}
         for job in jobs:
             key = job["key"]
             try:
                 spec = ExperimentSpec.from_dict(job["spec"])
                 token = spec.topology
-                if token not in topologies and token in symbols:
-                    topologies[token] = resolve_topology(
-                        symbols[token], spec.layout
-                    )
+                if token.startswith(FINGERPRINT_PREFIX) and token in symbols:
+                    symbol = symbols[token]
+                    rebuilt = topology_token(resolve_topology(symbol, spec.layout))
+                    if rebuilt != token:
+                        raise ValueError(
+                            f"topology {symbol!r} rebuilds as {rebuilt}, "
+                            f"not the spec's {token}"
+                        )
                 specs.append((key, spec))
             except (KeyError, ValueError, LookupError) as exc:
                 failed.append({"key": key, "error": f"{type(exc).__name__}: {exc}"})
-        return specs, topologies
+        return specs
 
     def _run_specs_individually(
         self,
         engine: ExperimentEngine,
         specs: list[tuple[str, ExperimentSpec]],
-        topologies: dict,
         done: list[str],
         failed: list[dict],
         released: list[str],
@@ -281,7 +284,7 @@ class QueueWorker:
                 released.extend(k for k, _s in specs[index:])
                 return
             try:
-                engine.run([spec], topologies=topologies)
+                engine.run([spec])
                 done.append(key)
             except RemoteStoreError:
                 raise

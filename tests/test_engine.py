@@ -26,6 +26,7 @@ from repro.engine import (
     resolve_topology,
     run_compare,
     topology_fingerprint,
+    topology_token,
 )
 from repro.engine.batching import spec_batchable
 from repro.engine.spec import RETIRED_CONFIG
@@ -78,7 +79,7 @@ class TestExperimentSpec:
 
     def test_execute_matches_direct_simulation(self):
         spec = fast_spec()
-        direct = spec.execute(topology=make_network("sn54"))
+        direct = fast_spec(topology=topology_token(make_network("sn54"))).execute()
         rebuilt = spec.execute()
         assert direct.avg_latency == rebuilt.avg_latency
         assert direct.throughput == rebuilt.throughput
@@ -388,12 +389,15 @@ class TestRunner:
         assert result.delivered_packets > 0
 
     def test_fingerprint_spec_needs_topology(self, tmp_path):
-        topo = make_network("sn54")
-        spec = fast_spec(topology="fp:" + topology_fingerprint(topo))
+        """A fingerprint resolves to the object ``topology_token`` minted
+        it for in this process, and to nothing else."""
         engine = ExperimentEngine(cache=ResultCache(tmp_path))
-        with pytest.raises(LookupError):
-            engine.run([spec])
-        (result,) = engine.run([spec], topologies={spec.topology: topo})
+        with pytest.raises(LookupError, match="no Topology in this process"):
+            engine.run([fast_spec(topology="fp:" + "0" * 64)])
+        topo = make_network("sn54")
+        token = topology_token(topo)
+        assert resolve_topology(token) is topo
+        (result,) = engine.run([fast_spec(topology=token)])
         assert result.delivered_packets > 0
 
 
@@ -685,16 +689,13 @@ class TestAdaptiveStudy:
             rounds[workers] = len(calls)
         assert studies[1].to_dict() == studies[2].to_dict()
         assert max(rounds.values()) <= len(loads)
-        curves, topologies = study_curves(
-            kwargs["networks"], kwargs["routings"], kwargs["traffic"]
-        )
+        curves = study_curves(kwargs["networks"], kwargs["routings"], kwargs["traffic"])
         kept = {
             spec.content_hash()
             for key, curve in studies[1].curves.items()
             for spec in curve_specs(
                 [curves[key]],
                 [point.load for point in curve.points],
-                topologies,
                 packet_flits=6,
                 seed=1,
                 **FAST,

@@ -39,12 +39,11 @@ def test_latency_curves_stage_the_grid_in_few_rounds(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ExperimentEngine, "run", run)
     for key, (symbol, pattern, config, layout) in grid.items():
-        token, topology = resolve_network(symbol, layout)
+        token = resolve_network(symbol, layout)
         (alone,) = run_curves(
             ExperimentEngine(max_workers=1),
             {key: CurveSpec(symbol, token, pattern, "default", config)},
             loads,
-            {token: topology},
             **harness.SIM_KW,
         ).values()
         assert curves[key].to_dict() == alone.to_dict()

@@ -33,7 +33,6 @@ from repro.obs.metrics import REGISTRY, MetricsRegistry, Span
 
 FAST = dict(warmup=100, measure=200, drain=300)
 SLOW = dict(warmup=300, measure=800, drain=1500)
-NODES = {"sn54": 54}
 
 
 def fast_spec(load=0.05, **overrides) -> ExperimentSpec:
@@ -212,7 +211,7 @@ class TestLogging:
 class TestCostModel:
     def queue_order(self, path, specs):
         queue = JobQueue(SqlitePackStore(path))
-        queue.submit(jobs_for_specs(specs, NODES))
+        queue.submit(jobs_for_specs(specs))
         return list(queue.pending)
 
     def test_queue_hands_out_heaviest_predicted_cost_first(self, tmp_path):
@@ -222,9 +221,7 @@ class TestCostModel:
             fast_spec(load=0.03, **SLOW),
             fast_spec(load=0.10),
         ]
-        by_cost = sorted(
-            specs, key=lambda spec: predicted_cost(spec, NODES["sn54"]), reverse=True
-        )
+        by_cost = sorted(specs, key=predicted_cost, reverse=True)
         assert self.queue_order(tmp_path / "q.sqlite", specs) == [
             spec.content_hash() for spec in by_cost
         ]
@@ -235,9 +232,8 @@ class TestCostModel:
         long = fast_spec(load=0.02, **SLOW)
         assert predicted_cost(heavy) > predicted_cost(light)
         assert predicted_cost(long) > predicted_cost(light)
-        assert predicted_cost(light, num_nodes=200) > predicted_cost(
-            light, num_nodes=54
-        )
+        bigger = fast_spec(load=0.02, topology="sn200")
+        assert predicted_cost(bigger) > predicted_cost(light)
 
 
 class TestEngineTelemetry:
@@ -344,7 +340,7 @@ class TestProgressLine:
     def test_eta_weights_remaining_specs_by_predicted_cost(self, monkeypatch):
         clock = FakeClock(monkeypatch)
         specs = [fast_spec(load=0.02), fast_spec(load=0.3), fast_spec(load=0.25)]
-        cost = {spec: predicted_cost(spec, 54) for spec in specs}
+        cost = {spec: predicted_cost(spec) for spec in specs}
         stream = io.StringIO()
         line = ProgressLine(total=3, stream=stream, cost_fn=cost.__getitem__)
         line.add_pending(specs)
@@ -374,7 +370,7 @@ class TestProgressLine:
         and the pending cost, so the line ends at 100% with no ETA."""
         clock = FakeClock(monkeypatch)
         specs = [fast_spec(load=x) for x in (0.02, 0.1, 0.3, 0.5)]
-        cost = {spec: predicted_cost(spec, 54) for spec in specs}
+        cost = {spec: predicted_cost(spec) for spec in specs}
         stream = io.StringIO()
         line = ProgressLine(total=4, stream=stream, cost_fn=cost.__getitem__)
         line.add_pending(specs)

@@ -24,8 +24,10 @@ from repro.engine import (
     SqlitePackStore,
     StoreServer,
     jobs_for_specs,
+    topology_token,
 )
 from repro.obs.metrics import REGISTRY
+from repro.topos import make_network
 from faulty import FaultyBackend, InjectedFault
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -483,6 +485,25 @@ class TestQueueWorker:
             )
         assert backend.get_payload_many(bad, kind="sim") == {}
         assert list(backend.get_payload_many([good.content_hash()], kind="sim"))
+
+    def test_symbol_that_rebuilds_another_network_is_quarantined(self, backend):
+        """A lease whose symbol map sends an sn200 fingerprint to sn54
+        must not simulate sn54 and store it under the sn200 spec's key."""
+        queue = make_queue(backend, quarantine_workers=1)
+        token = topology_token(make_network("sn200"))
+        spec = fast_spec(topology=token)
+        queue.submit(jobs_for_specs([spec]), topologies={token: "sn54"})
+        with StoreServer(backend, quiet=True, queue=queue) as server:
+            stats = QueueWorker(server.url, worker_id="t1", sleep=0.05).run()
+            assert stats.done == 0 and stats.failed == 1 and stats.executed == 0
+            status = QueueClient(server.url).status()
+            assert status["drained"] and status["quarantined"] == 1
+            (report,) = status["quarantine"]
+        sn54 = topology_token(make_network("sn54"))
+        assert report["error"] == (
+            f"ValueError: topology 'sn54' rebuilds as {sn54}, not the spec's {token}"
+        )
+        assert backend.get_payload_many([spec.content_hash()], kind="sim") == {}
 
     def test_request_stop_before_run_exits_immediately(self, backend):
         queue = make_queue(backend)

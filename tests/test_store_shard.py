@@ -671,14 +671,11 @@ class TestRunnerDurability:
     def test_partial_results_survive_a_failing_batch(self, tmp_path):
         """Results that finished before a miss raised are flushed to the
         store — an interrupted campaign never re-simulates paid-for work."""
-        from repro.engine import topology_fingerprint
-        from repro.topos import make_network
-
         cache = ResultCache(tmp_path)
         engine = ExperimentEngine(cache=cache)
         good = fast_spec()
-        bad = fast_spec(topology="fp:" + topology_fingerprint(make_network("cm54")))
-        with pytest.raises(LookupError):  # no topology supplied for the fingerprint
+        bad = fast_spec(topology="fp:" + "0" * 64)
+        with pytest.raises(LookupError):  # no topology has that fingerprint
             engine.run([good, bad])
         assert cache.get(good) is not None
 
@@ -747,10 +744,14 @@ class TestPoolLifecycle:
     def test_parallel_batch_on_a_forkserver_pool(self, tmp_path, monkeypatch):
         """A worker whose parent is a forkserver, not the engine, must
         not take that for an orphaned pool (the default start method on
-        Linux from Python 3.14)."""
+        Linux from Python 3.14).  Such a worker inherits no minted
+        fingerprint, so a fingerprint spec runs on the object shipped
+        with it."""
         import multiprocessing
 
         import repro.engine.runner as runner_module
+        from repro.engine import topology_token
+        from repro.topos import make_network
 
         real = runner_module.ProcessPoolExecutor
 
@@ -759,6 +760,7 @@ class TestPoolLifecycle:
             return real(**kwargs)
 
         specs = [fast_spec(load=x) for x in (0.02, 0.05, 0.08)]
+        specs.append(fast_spec(topology=topology_token(make_network("cm54"))))
         serial = ExperimentEngine(cache=None).run(specs)
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", forkserver_pool)
         engine = ExperimentEngine(cache=ResultCache(tmp_path), max_workers=3)
