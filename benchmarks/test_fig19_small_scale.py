@@ -58,7 +58,7 @@ def test_fig19(benchmark):
     # SN uses less area than FBF (paper: ~22%).  At this tiny scale the
     # radix gap (8 vs 10) is too small for our dynamic model to show the
     # paper's ~40% power gap; we check SN stays at least comparable
-    # (within 10%) — see EXPERIMENTS.md.
+    # (within 10%) — see docs/architecture.md.
     assert area["sn54"] < area["fbf54"]
     assert dyn["sn54"] < dyn["fbf54"] * 1.10
     print(

@@ -66,7 +66,6 @@ from .campaign import (
 )
 from .runner import ExperimentEngine, RunStats, default_engine, default_workers
 from .spec import (
-    LIVE_SPEC_VERSIONS,
     ROUTING_BUILDERS,
     SPEC_VERSION,
     BurstTraffic,
@@ -143,7 +142,6 @@ __all__ = [
     "WorkerStats",
     "SCHEMA_VERSION",
     "SPEC_VERSION",
-    "LIVE_SPEC_VERSIONS",
     "ROUTING_BUILDERS",
     "TOKEN_ENV",
     "SyntheticTraffic",

@@ -28,6 +28,9 @@ Workers may join, leave, crash, or be SIGKILLed at any point:
   workers (or ``max_attempts`` total attempts, so a one-worker fleet
   still terminates) is parked and reported in ``queue/status`` instead
   of being retried forever — one poison spec cannot wedge the campaign.
+  A failure the worker reports as ``permanent`` (the job fails to
+  decode, to hash to its key or to rebuild its network) parks it at
+  once.
 * **Coordinator restart.**  Queue state (jobs, completions, quarantine,
   the topology map) is persisted *through the backing store* as an
   ordinary entry under :data:`QUEUE_STATE_KEY`; ``repro serve --queue``
@@ -429,9 +432,11 @@ class JobQueue:
 
         Accepted even when the lease has already expired (the worker's
         results are in the store either way — completion is idempotent
-        by key).  ``failed`` entries are ``{key, error}``; a spec that
-        has now failed :attr:`quarantine_workers` distinct workers, or
-        :attr:`max_attempts` times in total, is quarantined.  Anything
+        by key).  ``failed`` entries are ``{key, error, permanent?}``; a
+        spec whose failure is ``permanent`` (it would fail the same way
+        on every host), or that has now failed :attr:`quarantine_workers`
+        distinct workers, or :attr:`max_attempts` times in total, is
+        quarantined.  Anything
         claimed but neither done, failed, nor released (a worker dying
         politely enough to call complete but not finish) is released
         too.
@@ -470,7 +475,8 @@ class JobQueue:
                     job.failed_workers.append(worker)
                 job.last_error = str(entry.get("error") or "unknown error")
                 if (
-                    len(job.failed_workers) >= self.quarantine_workers
+                    entry.get("permanent")
+                    or len(job.failed_workers) >= self.quarantine_workers
                     or job.attempts >= self.max_attempts
                 ):
                     self.quarantined[key] = job

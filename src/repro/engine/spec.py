@@ -56,7 +56,6 @@ from ..routing import (
     default_routing,
 )
 from ..sim import NoCSimulator, SimConfig, SimResult
-from ..sim import config as sim_config
 from ..sim.config import FIELD_CHECKS, check_fields
 from ..topos.base import Topology, topology_fingerprint
 from ..traffic import (
@@ -69,48 +68,16 @@ from ..traffic import (
     WorkloadSpec,
 )
 
-#: Bump when the *meaning* of a spec changes (e.g. a simulator fix that
-#: alters results for identical inputs) so stale cache entries miss.
-#: Version 2: ``SimConfig`` grew the ``fast_forward`` knob (results are
-#: unchanged, but the serialized config — and thus every hash — moved).
-#: That knob and the NIC queue sizes ``ejection_queue_flits`` and
-#: ``injection_queue_flits`` are gone from ``SimConfig``: the simulator
-#: steps every cycle, its ejection port never blocks and nothing read the
-#: injection size.  So are ``packet_flits`` (the simulator reads the
-#: spec's) and the section 5.1 timing and saturation constants.  Every
-#: serialized config still carries each retired knob at its constant
-#: (:data:`RETIRED_CONFIG`), and :meth:`ExperimentSpec.from_dict`
-#: accepts and drops them, so no hash and no store entry moved and the
-#: version stays 4.
-#: Version 3: the traffic source became a tagged union (``source``
-#: replaces the top-level ``pattern``/``load`` fields) so trace-driven
-#: ``WorkloadSource`` experiments flow through the engine; synthetic
-#: results are unchanged, but every serialized spec — and hash — moved.
-#: Version 4: non-stationary traffic kinds (burst/hotspot/transient) and
-#: the adaptive routing names (``deflect``, ``xy-adapt``) joined the
-#: union.  Serialization is *minimum-required-version*: a spec writes
-#: the oldest version that can express it (see
-#: :meth:`ExperimentSpec.min_spec_version`), so every version-3-shaped
-#: spec keeps its exact version-3 hash and cache entry — pinned by
-#: ``tests/golden/spec_hashes.json``.
-SPEC_VERSION = 4
-
-#: The last spec version before the version-4 additions; specs using
-#: only pre-4 features serialize as this version so their hashes and
-#: cache entries survive the bump.
-_LEGACY_SPEC_VERSION = 3
-
-#: Spec versions the current code still *writes* (and therefore still
-#: looks up): minimum-required-version serialization keeps version-3
-#: entries reachable, so ``cache gc``/``stats`` must not count them as
-#: reclaimable (see :func:`~repro.engine.store.base.entry_is_unreachable`).
-LIVE_SPEC_VERSIONS = frozenset({_LEGACY_SPEC_VERSION, SPEC_VERSION})
-
-#: Routing names that already existed at version 3.  A spec naming any
-#: other routing needs version 4.
-LEGACY_ROUTINGS = frozenset(
-    {"default", "minimal", "dor", "valiant", "ugal-l", "ugal-g"}
-)
+#: Bump when the *meaning* or the serialized form of a spec changes (a
+#: simulator fix that alters results for identical inputs, a field added
+#: or removed), so every key moves and stale cache entries miss.  Every
+#: spec writes this version and :meth:`ExperimentSpec.from_dict` accepts
+#: no other.  Version 5: the config carries only the live ``SimConfig``
+#: fields; the retired knobs (``fast_forward``, both NIC queue sizes,
+#: ``packet_flits`` and the section 5.1 timing and saturation constants)
+#: are no longer written at their constants, and every spec writes 5
+#: instead of the oldest version that could express it.
+SPEC_VERSION = 5
 
 #: Topology tokens carrying a structural fingerprint instead of a catalog
 #: symbol.  A fingerprint cannot be rebuilt from the token alone: it
@@ -252,7 +219,6 @@ class SyntheticTraffic(_TrafficCodec):
     """Synthetic-pattern traffic: a pattern acronym at one offered load."""
 
     kind: ClassVar[str] = "synthetic"
-    min_spec_version: ClassVar[int] = 3
 
     pattern: str
     load: float
@@ -276,7 +242,6 @@ class BurstTraffic(_TrafficCodec):
     :class:`~repro.traffic.nonstationary.BurstSource`)."""
 
     kind: ClassVar[str] = "burst"
-    min_spec_version: ClassVar[int] = 4
 
     pattern: str
     load: float
@@ -316,7 +281,6 @@ class HotspotTraffic(_TrafficCodec):
     mass goes to a fixed hotspot node set, the rest to ``pattern``."""
 
     kind: ClassVar[str] = "hotspot"
-    min_spec_version: ClassVar[int] = 4
 
     pattern: str
     load: float
@@ -357,7 +321,6 @@ class TransientTraffic(_TrafficCodec):
     ``[k*period, (k+1)*period)``, cycling through the tuple."""
 
     kind: ClassVar[str] = "transient"
-    min_spec_version: ClassVar[int] = 4
 
     patterns: tuple[str, ...]
     load: float
@@ -400,7 +363,6 @@ class WorkloadTraffic(_TrafficCodec):
     """
 
     kind: ClassVar[str] = "workload"
-    min_spec_version: ClassVar[int] = 3
 
     bench: str
     intensity_scale: float = 1.0
@@ -473,20 +435,6 @@ def traffic_from_dict(payload: dict) -> TrafficSpec:
 _CONFIG_TYPES = _wire_types(SimConfig)
 _WORKLOAD_FIELDS = tuple(f.name for f in fields(WorkloadSpec))
 
-#: Retired ``SimConfig`` knobs and the one value each may still carry on
-#: the wire (see :data:`SPEC_VERSION`).
-RETIRED_CONFIG = {
-    "fast_forward": True,
-    "ejection_queue_flits": 20,
-    "injection_queue_flits": 20,
-    "packet_flits": sim_config.PACKET_FLITS,
-    "router_delay": sim_config.ROUTER_DELAY,
-    "cbr_penalty": sim_config.CBR_PENALTY,
-    "cbr_patience": sim_config.CBR_PATIENCE,
-    "saturation_delivery_fraction": sim_config.SATURATION_DELIVERY_FRACTION,
-    "saturation_backlog": sim_config.SATURATION_BACKLOG,
-}
-
 #: Integer spec fields and their lower bounds (``None``: any int).
 _INT_BOUNDS = {"packet_flits": 1, "seed": None, "warmup": 0, "measure": 1, "drain": 0}
 
@@ -551,23 +499,8 @@ class ExperimentSpec:
             **kw,
         )
 
-    def min_spec_version(self) -> int:
-        """The oldest :data:`SPEC_VERSION` that can express this spec.
-
-        Serialization (and therefore :meth:`content_hash`) writes this
-        version, not the current one: a spec using only version-3
-        features keeps the exact bytes — and cache entries — it had
-        before the version-4 traffic/routing additions.  Only specs
-        naming a new traffic kind or routing move to 4.
-        """
-        version = getattr(type(self.source), "min_spec_version", SPEC_VERSION)
-        if self.routing not in LEGACY_ROUTINGS:
-            version = max(version, 4)
-        return version
-
     def to_dict(self) -> dict:
         config = {name: getattr(self.config, name) for name in _CONFIG_TYPES}
-        config.update(RETIRED_CONFIG)
         return {
             "topology": self.topology,
             "source": self.source.to_dict(),
@@ -579,7 +512,7 @@ class ExperimentSpec:
             "measure": self.measure,
             "drain": self.drain,
             "layout": self.layout,
-            "spec_version": self.min_spec_version(),
+            "spec_version": SPEC_VERSION,
         }
 
     @classmethod
@@ -587,30 +520,20 @@ class ExperimentSpec:
         """Rebuild a spec from its :meth:`to_dict` form.
 
         Every top-level and config field must be present with its wire
-        type, and no other key may appear; anything else raises
-        ``ValueError``, so a malformed queue job fails on its own.  Two
-        legacy forms still decode: a config with or without each
-        retired knob at its constant (:data:`RETIRED_CONFIG`), and a
-        pre-version-3 payload with top-level ``pattern``/``load``.
+        type, no other key may appear, and ``spec_version`` must be
+        :data:`SPEC_VERSION`; anything else raises ``ValueError``, so a
+        malformed or older queue job fails on its own.
         """
-        if type(payload) is dict and "source" not in payload and "pattern" in payload:
-            payload = dict(payload)  # pre-version-3: top-level pattern/load
-            payload["source"] = {
-                "kind": "synthetic",
-                "pattern": payload.pop("pattern"),
-                "load": payload.pop("load", None),
-            }
         check_fields("spec", payload, _SPEC_TYPES)
-        config = dict(payload["config"])
-        for name, constant in RETIRED_CONFIG.items():
-            value = config.pop(name, constant)
-            if type(value) is not type(constant) or value != constant:
-                raise ValueError(
-                    f"config.{name} is retired; it can only be {json.dumps(constant)}"
-                )
+        if payload["spec_version"] != SPEC_VERSION:
+            raise ValueError(
+                f"spec_version must be {SPEC_VERSION}, got {payload['spec_version']}"
+            )
         kwargs = {name: payload[name] for name in _SPEC_TYPES if name != "spec_version"}
         kwargs["source"] = traffic_from_dict(payload["source"])
-        kwargs["config"] = SimConfig(**check_fields("config", config, _CONFIG_TYPES))
+        kwargs["config"] = SimConfig(
+            **check_fields("config", payload["config"], _CONFIG_TYPES)
+        )
         return cls(**kwargs)
 
     def content_hash(self) -> str:

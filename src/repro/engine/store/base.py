@@ -115,9 +115,7 @@ def chunked(seq: list, size: int = 500) -> Iterator[list]:
         yield seq[start : start + size]
 
 
-def entry_is_unreachable(
-    text: str, spec_versions: Iterable[int] | None = None
-) -> bool:
+def entry_is_unreachable(text: str) -> bool:
     """True when no current lookup key can ever hit this entry.
 
     Entries are written by :func:`encode_entry` with a canonical
@@ -126,29 +124,18 @@ def entry_is_unreachable(
     raw text replace a full JSON parse of every result payload.
     Anything not written by that encoder fails the check and counts as
     unreachable, which matches ``get_payload`` treating it as a
-    permanent miss.
-
-    Several spec versions can be live at once: serialization writes each
-    spec's *minimum required* version, so a version-3-shaped spec keeps
-    its version-3 bytes (and key) under the current code.  An entry is
-    unreachable only when its embedded spec matches none of
-    :data:`~repro.engine.spec.LIVE_SPEC_VERSIONS`.
+    permanent miss.  An entry whose embedded spec carries any version
+    but :data:`~repro.engine.spec.SPEC_VERSION` is unreachable too: no
+    current spec hashes to its key.
     """
-    if spec_versions is None:
-        from ..spec import LIVE_SPEC_VERSIONS
-
-        spec_versions = LIVE_SPEC_VERSIONS
+    from ..spec import SPEC_VERSION
 
     def has(marker: str) -> bool:  # value followed by , or } (not "1" in "12")
         return marker + "," in text or marker + "}" in text
 
     if not has(f'"schema":{SCHEMA_VERSION}'):
         return True
-    if '"spec":{' in text and not any(
-        has(f'"spec_version":{version}') for version in spec_versions
-    ):
-        return True
-    return False
+    return '"spec":{' in text and not has(f'"spec_version":{SPEC_VERSION}')
 
 
 @dataclass(frozen=True)

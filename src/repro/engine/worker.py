@@ -17,8 +17,9 @@ One :class:`QueueWorker` is one member of a fleet draining a
    which flushes even when a later spec fails, so partial batches
    survive worker crashes.
 4. **Complete** the lease (``queue/complete``): done keys, per-spec
-   failures (the coordinator's quarantine counts them), and released
-   keys for anything claimed but not attempted.
+   failures (the coordinator's quarantine counts them; a job that does
+   not decode or hash to its key is a ``permanent`` failure), and
+   released keys for anything claimed but not attempted.
 
 A batch that fails as a whole is retried spec-by-spec to isolate the
 poison: one broken spec costs one failure report, not the batch.
@@ -237,19 +238,26 @@ class QueueWorker:
     ) -> list[tuple[str, ExperimentSpec]]:
         """Rebuild specs from a lease's wire form.
 
-        A fingerprint topology token (``fp:...``) names a catalog symbol
-        in the lease's ``{token: symbol}`` map.  The worker rebuilds that
-        network, which mints its token here, and checks the token is the
-        spec's: a symbol that rebuilds any other network would store its
-        result under a key hashed for a different one, so the job fails
-        with a ``ValueError`` instead.  A spec that cannot even be
-        rebuilt is reported failed right here.
+        The spec must decode and hash to the job's ``key``: a spec stored
+        under its own hash would leave the key the client waits on
+        empty.  A fingerprint topology token (``fp:...``) names a catalog
+        symbol in the lease's ``{token: symbol}`` map.  The worker
+        rebuilds that network, which mints its token here, and checks the
+        token is the spec's: a symbol that rebuilds any other network
+        would store its result under a key hashed for a different one.
+        A job failing any check fails the same way on every host, so it
+        is reported here as ``permanent`` and quarantined at once.
         """
         specs: list[tuple[str, ExperimentSpec]] = []
         for job in jobs:
             key = job["key"]
             try:
                 spec = ExperimentSpec.from_dict(job["spec"])
+                if spec.content_hash() != key:
+                    raise ValueError(
+                        f"job key {key[:12]} is not the spec's content hash "
+                        f"{spec.content_hash()[:12]}"
+                    )
                 token = spec.topology
                 if token.startswith(FINGERPRINT_PREFIX) and token in symbols:
                     symbol = symbols[token]
@@ -261,7 +269,13 @@ class QueueWorker:
                         )
                 specs.append((key, spec))
             except (KeyError, ValueError, LookupError) as exc:
-                failed.append({"key": key, "error": f"{type(exc).__name__}: {exc}"})
+                failed.append(
+                    {
+                        "key": key,
+                        "error": f"{type(exc).__name__}: {exc}",
+                        "permanent": True,
+                    }
+                )
         return specs
 
     def _run_specs_individually(

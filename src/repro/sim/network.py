@@ -162,8 +162,6 @@ class SimResult:
     num_nodes: int
     measure_cycles: int
     max_injection_backlog: int
-    saturation_delivery_fraction: float = SATURATION_DELIVERY_FRACTION
-    saturation_backlog: int = SATURATION_BACKLOG
 
     @cached_property
     def sorted_latencies(self) -> list[int]:
@@ -196,9 +194,9 @@ class SimResult:
         after the drain phase, or a large standing source backlog built up."""
         if self.created_packets == 0:
             return False
-        threshold = self.saturation_delivery_fraction * self.created_packets
+        threshold = SATURATION_DELIVERY_FRACTION * self.created_packets
         undelivered = self.delivered_packets < threshold
-        return undelivered or self.max_injection_backlog > self.saturation_backlog
+        return undelivered or self.max_injection_backlog > SATURATION_BACKLOG
 
     def to_dict(self) -> dict:
         """JSON-safe representation (see :meth:`from_dict` for the inverse).
@@ -216,8 +214,6 @@ class SimResult:
             "num_nodes": self.num_nodes,
             "measure_cycles": self.measure_cycles,
             "max_injection_backlog": self.max_injection_backlog,
-            "saturation_delivery_fraction": self.saturation_delivery_fraction,
-            "saturation_backlog": self.saturation_backlog,
         }
         if len(self.latencies) > LATENCY_HISTOGRAM_THRESHOLD:
             counts: dict[int, int] = {}

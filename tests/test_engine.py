@@ -29,7 +29,6 @@ from repro.engine import (
     topology_token,
 )
 from repro.engine.batching import spec_batchable
-from repro.engine.spec import RETIRED_CONFIG
 from repro.engine.store import SCHEMA_VERSION
 from repro.sim import BUFFERING_STRATEGIES, SimConfig, SimResult, cbr, el_links
 from repro.topos import make_network
@@ -119,32 +118,33 @@ FIGURE_CONFIGS = {
 }
 
 
+#: The ``SimConfig`` knobs retired before spec version 5, each at the
+#: constant version 4 still wrote.
+RETIRED_KNOBS = {
+    "fast_forward": True,
+    "ejection_queue_flits": 20,
+    "injection_queue_flits": 20,
+    "packet_flits": 6,
+    "router_delay": 2,
+    "cbr_penalty": 2,
+    "cbr_patience": 4,
+    "saturation_delivery_fraction": 0.90,
+    "saturation_backlog": 120,
+}
+
+
 class TestSpecConfigDict:
     """``to_dict`` reads ``SimConfig``'s fields one by one instead of the
-    recursive ``asdict`` copy, then appends the retired knobs at their
-    constants (``fast_forward: true``, both NIC queue sizes 20 and the
-    section 5.1 constants); the dict, and so every hash, must match the
-    one the knobs' config wrote."""
+    recursive ``asdict`` copy; the dict, and so every hash, must match
+    ``asdict``'s, and nothing else may ride along."""
 
     @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
     def test_config_dict_equals_asdict(self, name):
         config = FIGURE_CONFIGS[name]
         spec = fast_spec(config=config)
         payload = spec.to_dict()
-        legacy = {**dataclasses.asdict(config), **RETIRED_CONFIG}
-        assert RETIRED_CONFIG == {
-            "fast_forward": True,
-            "ejection_queue_flits": 20,
-            "injection_queue_flits": 20,
-            "packet_flits": 6,
-            "router_delay": 2,
-            "cbr_penalty": 2,
-            "cbr_patience": 4,
-            "saturation_delivery_fraction": 0.90,
-            "saturation_backlog": 120,
-        }
-        assert payload["config"] == legacy
-        assert list(payload["config"]) == list(legacy)
+        assert payload["config"] == dataclasses.asdict(config)
+        assert list(payload["config"]) == list(dataclasses.asdict(config))
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(payload)))
         assert clone == spec
         assert clone.to_dict() == payload
@@ -152,44 +152,22 @@ class TestSpecConfigDict:
 
     @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
     def test_serialized_config_carries_retired_fast_forward(self, name):
-        """Every spec config still serializes ``"fast_forward": true``,
-        both NIC queue sizes as 20 and the section 5.1 constants, so no
-        content hash moved when the knobs went; decoding drops each,
-        present or absent, and any other value (or type) cannot be
-        written back and is refused."""
+        """A serialized config that still carries ``fast_forward`` or any
+        other retired knob, even at the constant version 4 wrote, is
+        refused: version 5 writes none of them."""
         specs = [
             fast_spec(config=FIGURE_CONFIGS[name]),
             ExperimentSpec.workload("sn54", "barnes", config=FIGURE_CONFIGS[name]),
             fast_spec(config=FIGURE_CONFIGS[name], routing="deflect"),
         ]
-        others = {
-            "fast_forward": [False, 1, None],
-            "ejection_queue_flits": [0, 1, 21, 20.0, True, "20"],
-            "injection_queue_flits": [0, 21, 20.0, None],
-            "packet_flits": [2, 6.0],
-            "router_delay": [3, "2"],
-            "cbr_penalty": [0, True],
-            "cbr_patience": [0, 4.0],
-            "saturation_delivery_fraction": [1.1, "0.9"],
-            "saturation_backlog": [10**9, 120.0],
-        }
         for spec in specs:
-            payload = json.loads(json.dumps(spec.to_dict()))
-            assert payload["config"]["fast_forward"] is True
-            assert payload["config"]["ejection_queue_flits"] == 20
-            assert payload["config"]["injection_queue_flits"] == 20
-            assert ExperimentSpec.from_dict(payload) == spec
-            for knob, values in others.items():
-                trimmed = json.loads(json.dumps(payload))
-                del trimmed["config"][knob]
-                assert ExperimentSpec.from_dict(trimmed).to_dict() == spec.to_dict()
-                for value in values:
-                    trimmed["config"][knob] = value
-                    with pytest.raises(ValueError, match=f"{knob} is retired"):
-                        ExperimentSpec.from_dict(trimmed)
-            for knob in RETIRED_CONFIG:
-                del payload["config"][knob]
-            assert ExperimentSpec.from_dict(payload).to_dict() == spec.to_dict()
+            payload = spec.to_dict()
+            assert not RETIRED_KNOBS.keys() & payload["config"].keys()
+            for knob, constant in RETIRED_KNOBS.items():
+                carried = json.loads(json.dumps(payload))
+                carried["config"][knob] = constant
+                with pytest.raises(ValueError, match=rf"unknown fields \['{knob}'\]"):
+                    ExperimentSpec.from_dict(carried)
 
     def test_every_config_field_is_a_scalar(self):
         # A nested field would make the shallow walk share (and the hash
@@ -872,7 +850,7 @@ def _result_payloads() -> list[dict]:
     latencies = [20, 31, 22] * 9 + [40, 41]
     small = SimResult(0.05, 610, 30, 29, 174, latencies, 54, 200, 6)
     latencies = [10] * 400 + [20] * 400 + [30] * 10  # stored as a histogram
-    large = SimResult(0.3, 900, 810, 810, 4860, latencies, 54, 500, 130, 0.85, 100)
+    large = SimResult(0.3, 900, 810, 810, 4860, latencies, 54, 500, 130)
     return [small.to_dict(), large.to_dict()]
 
 
@@ -890,9 +868,7 @@ class TestDecoderFuzz:
     whose ``to_dict()`` round-trips byte-identically, or raises
     ``ValueError`` (nothing else, so a queue worker or the store can
     treat it as bad input).  Dropping a top-level, config or result field
-    always raises: only traffic fields have defaults, and only the
-    retired config knobs (``fast_forward`` and the NIC queue sizes) may
-    be absent."""
+    always raises: only traffic fields have defaults."""
 
     def test_valid_payloads_round_trip_byte_identically(self):
         for payload in _SPEC_PAYLOADS:
@@ -920,9 +896,7 @@ class TestDecoderFuzz:
         payload = data.draw(st.sampled_from(_SPEC_PAYLOADS))
         path = data.draw(st.sampled_from(list(_key_paths(payload))))
         replacement = data.draw(st.sampled_from(_REPLACEMENTS))
-        retired = path[0] == "config" and path[-1] in RETIRED_CONFIG
-        optional = {"config"} if retired else {"source"}
-        self._check(ExperimentSpec.from_dict, payload, path, replacement, optional)
+        self._check(ExperimentSpec.from_dict, payload, path, replacement, {"source"})
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

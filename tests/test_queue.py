@@ -427,8 +427,11 @@ class TestQueueWorker:
     def test_poison_spec_is_isolated_and_quarantined(self, backend):
         queue = make_queue(backend, quarantine_workers=1)
         good = fast_spec()
+        # An unknown network decodes (and hashes to its own key) but fails
+        # in the engine.
         poison = fast_spec(load=0.08).to_dict()
         poison["topology"] = "no-such-network"
+        poison_key = ExperimentSpec.from_dict(poison).content_hash()
         # Non-finite loads fail when the worker rebuilds the spec.
         nan_load = fast_spec(load=0.08).to_dict()
         nan_load["source"]["load"] = float("nan")
@@ -443,11 +446,11 @@ class TestQueueWorker:
         # A config no router can be built from fails the same way.
         no_hops = fast_spec(load=0.08).to_dict()
         no_hops["config"]["hops_per_cycle"] = 0
-        # A retired knob at any value but its constant is refused too.
+        # A retired knob is refused too.
         slow_router = fast_spec(load=0.08).to_dict()
         slow_router["config"]["router_delay"] = 3
         bad = {
-            "ee" * 32: poison,
+            poison_key: poison,
             "ef" * 32: nan_load,
             "fe" * 32: nan_scale,
             "ed" * 32: no_topology,
@@ -469,7 +472,7 @@ class TestQueueWorker:
             assert status["drained"] and status["quarantined"] == 7
             errors = {r["key"]: r["error"] for r in status["quarantine"]}
             assert sorted(errors) == sorted(bad)
-            assert "no-such-network" in errors["ee" * 32]
+            assert "no-such-network" in errors[poison_key]
             assert "load must be finite" in errors["ef" * 32]
             assert "intensity_scale must be finite" in errors["fe" * 32]
             assert errors["ed" * 32].startswith("ValueError: ")
@@ -481,7 +484,8 @@ class TestQueueWorker:
                 "ValueError: config.hops_per_cycle must be >= 1, got 0"
             )
             assert errors["df" * 32] == (
-                "ValueError: config.router_delay is retired; it can only be 2"
+                "ValueError: config: missing fields [], "
+                "unknown fields ['router_delay']"
             )
         assert backend.get_payload_many(bad, kind="sim") == {}
         assert list(backend.get_payload_many([good.content_hash()], kind="sim"))
@@ -504,6 +508,47 @@ class TestQueueWorker:
             f"ValueError: topology 'sn54' rebuilds as {sn54}, not the spec's {token}"
         )
         assert backend.get_payload_many([spec.content_hash()], kind="sim") == {}
+
+    @pytest.mark.parametrize("defect", ["no-topology", "version-4"])
+    def test_undecodable_job_is_quarantined_at_first_failure(self, backend, defect):
+        """A job that fails to decode fails the same way on every host:
+        under the default quarantine settings it is leased once, not
+        ``max_attempts`` times."""
+        queue = make_queue(backend)
+        spec = fast_spec().to_dict()
+        if defect == "no-topology":
+            del spec["topology"]
+        else:
+            spec["spec_version"] = 4
+        queue.submit([{"key": "ab" * 32, "spec": spec, "cost": 1.0}])
+        with StoreServer(backend, quiet=True, queue=queue) as server:
+            stats = QueueWorker(server.url, worker_id="t1", sleep=0.05).run()
+            assert stats.leases == 1 and stats.failed == 1 and stats.executed == 0
+            status = QueueClient(server.url).status()
+        assert status["drained"] and status["quarantined"] == 1
+        (report,) = status["quarantine"]
+        assert report["attempts"] == 1 and report["error"].startswith("ValueError: ")
+
+    def test_mismatched_key_is_quarantined_and_nothing_stored(self, backend):
+        """A spec submitted under another spec's key must not be simulated
+        and stored under its own hash while the job reads done."""
+        queue = make_queue(backend)
+        spec, other = fast_spec(load=0.05), fast_spec(load=0.07)
+        job = {"key": other.content_hash(), "spec": spec.to_dict(), "cost": 1.0}
+        queue.submit([job])
+        with StoreServer(backend, quiet=True, queue=queue) as server:
+            stats = QueueWorker(server.url, worker_id="t1", sleep=0.05).run()
+            assert stats.leases == 1 and stats.done == 0 and stats.executed == 0
+            status = QueueClient(server.url).status()
+        assert status["drained"] and status["done"] == 0
+        (report,) = status["quarantine"]
+        assert report["attempts"] == 1
+        assert report["error"] == (
+            f"ValueError: job key {other.content_hash()[:12]} is not the "
+            f"spec's content hash {spec.content_hash()[:12]}"
+        )
+        keys = [spec.content_hash(), other.content_hash()]
+        assert backend.get_payload_many(keys, kind="sim") == {}
 
     def test_request_stop_before_run_exits_immediately(self, backend):
         queue = make_queue(backend)

@@ -78,12 +78,23 @@ class TestTaggedUnionSpecs:
         assert clone.content_hash() == spec.content_hash()
         assert isinstance(clone.source, WorkloadTraffic)
 
-    def test_legacy_v2_payload_still_parses(self):
-        payload = ExperimentSpec.synthetic("sn54", "RND", 0.05, **FAST).to_dict()
-        del payload["source"]
-        payload.update(pattern="RND", load=0.05, spec_version=2)
-        clone = ExperimentSpec.from_dict(payload)
-        assert clone.source == SyntheticTraffic("RND", 0.05)
+    def test_older_payloads_are_refused(self):
+        """Only version 5 decodes: an older version, a config carrying a
+        retired knob at its old constant, and a pre-version-3 top-level
+        ``pattern``/``load`` payload each raise ``ValueError``."""
+        spec = ExperimentSpec.synthetic("sn54", "RND", 0.05, **FAST)
+        version_4 = dict(spec.to_dict(), spec_version=4)
+        with pytest.raises(ValueError, match="spec_version must be 5, got 4"):
+            ExperimentSpec.from_dict(version_4)
+        retired = spec.to_dict()
+        retired["config"]["router_delay"] = 2
+        with pytest.raises(ValueError, match=r"unknown fields \['router_delay'\]"):
+            ExperimentSpec.from_dict(retired)
+        top_level = spec.to_dict()
+        del top_level["source"]
+        top_level.update(pattern="RND", load=0.05)
+        with pytest.raises(ValueError, match=r"missing fields \['source'\]"):
+            ExperimentSpec.from_dict(top_level)
 
     def test_hash_distinguishes_kinds_and_knobs(self):
         synthetic = ExperimentSpec.synthetic("sn54", "RND", 0.05, **FAST)
@@ -261,15 +272,16 @@ class TestCacheGC:
         assert stamp > old + 86400
 
     def test_unreachable_versions_reclaimable_and_collected(self, tmp_path):
-        cache, specs = self.fill(tmp_path, n=2)
-        key = specs[0].content_hash()
+        cache, specs = self.fill(tmp_path, n=3)
         rows = PackEntries(cache.backend.path)
-        entry = rows.entry(key)
-        entry["spec"]["spec_version"] = 2  # superseded spec version
-        rows.write(key, entry)
+        for spec, version in zip(specs, (4, 3)):  # superseded spec versions
+            key = spec.content_hash()
+            entry = rows.entry(key)
+            entry["spec"]["spec_version"] = version
+            rows.write(key, entry)
         stats = cache.stats()
-        assert stats.reclaimable_entries == 1
+        assert stats.reclaimable_entries == 2
         assert stats.reclaimable_bytes > 0
         report = cache.gc()  # no limits: only unreachable garbage goes
-        assert report.removed_entries == 1
-        assert cache.get(specs[1]) is not None
+        assert report.removed_entries == 2
+        assert cache.get(specs[2]) is not None
