@@ -159,6 +159,21 @@ def run_adaptive_case(case: tuple) -> dict:
     return adaptive_spec(case).execute().to_dict()
 
 
+def classic_spec(case: tuple) -> ExperimentSpec:
+    """The engine's spec for a :data:`MATRIX` case (for its cache key)."""
+    topo, pattern, cfg, load, seed, warmup, measure, drain = case
+    return ExperimentSpec(
+        topology=topo,
+        source=SyntheticTraffic(pattern, load),
+        config=CONFIGS[cfg](),
+        routing="default",
+        seed=seed,
+        warmup=warmup,
+        measure=measure,
+        drain=drain,
+    )
+
+
 def run_case(case: tuple) -> dict:
     topo_sym, pattern, cfg, load, seed, warmup, measure, drain = case
     topology = make_network(topo_sym)
@@ -173,42 +188,6 @@ def digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: The two constant ``SimResult`` fields spec version 5 stopped writing.
-V4_RESULT_FIELDS = {"saturation_delivery_fraction": 0.9, "saturation_backlog": 120}
-
-#: The retired ``SimConfig`` knobs version 4 wrote at their constants.
-V4_CONFIG = {
-    "fast_forward": True,
-    "ejection_queue_flits": 20,
-    "injection_queue_flits": 20,
-    "packet_flits": 6,
-    "router_delay": 2,
-    "cbr_penalty": 2,
-    "cbr_patience": 4,
-    "saturation_delivery_fraction": 0.9,
-    "saturation_backlog": 120,
-}
-
-
-def v4_digest(payload: dict) -> str:
-    """The version-4 digest of a version-5 ``SimResult.to_dict()``: the
-    two dropped constants put back, nothing else changed."""
-    return digest({**payload, **V4_RESULT_FIELDS})
-
-
-def v4_spec_hash(spec: ExperimentSpec) -> str:
-    """The version-4 ``content_hash()`` of ``spec``: its version-5 dict
-    with the retired knobs put back and the minimum version it wrote (3
-    unless it names a version-4 traffic kind or routing)."""
-    payload = spec.to_dict()
-    payload["config"].update(V4_CONFIG)
-    legacy = payload["source"]["kind"] in ("synthetic", "workload") and (
-        spec.routing in {"default", "minimal", "dor", "valiant", "ugal-l", "ugal-g"}
-    )
-    payload["spec_version"] = 3 if legacy else 4
-    return digest(payload)
-
-
 def load_golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())["digests"]
 
@@ -217,7 +196,7 @@ def load_golden() -> dict[str, str]:
 def test_simresult_matches_golden_digest(case):
     golden = load_golden()
     assert case_id(case) in golden, "regenerate tests/golden/sim_digests.json"
-    assert v4_digest(run_case(case)) == golden[case_id(case)]
+    assert digest(run_case(case)) == golden[case_id(case)]
 
 
 def test_matrix_and_golden_file_agree():
@@ -242,7 +221,7 @@ def test_adaptive_case_matches_golden_digest(case):
     golden = load_adaptive_golden()
     cid = adaptive_case_id(case)
     assert cid in golden, "regenerate tests/golden/adaptive_digests.json"
-    assert v4_digest(run_adaptive_case(case)) == golden[cid]
+    assert digest(run_adaptive_case(case)) == golden[cid]
 
 
 def test_adaptive_matrix_and_golden_file_agree():
@@ -261,7 +240,7 @@ def test_workload_case_matches_golden_digest(case):
     assert cid in golden, "regenerate tests/golden/workload_digests.json"
     payload = run_workload_case(case)
     assert "latencies" in payload, "row must hash the raw latency order"
-    assert v4_digest(payload) == golden[cid]
+    assert digest(payload) == golden[cid]
 
 
 def test_workload_matrix_and_golden_file_agree():
@@ -276,19 +255,8 @@ def test_classic_spec_hashes_unchanged():
     golden = json.loads(SPEC_HASH_PATH.read_text())["hashes"]
     assert sorted(golden) == sorted(case_id(c) for c in MATRIX)
     for case in MATRIX:
-        topo, pattern, cfg, load, seed, warmup, measure, drain = case
-        spec = ExperimentSpec(
-            topology=topo,
-            source=SyntheticTraffic(pattern, load),
-            config=CONFIGS[cfg](),
-            routing="default",
-            seed=seed,
-            warmup=warmup,
-            measure=measure,
-            drain=drain,
-        )
-        assert spec.to_dict()["spec_version"] == 5, case_id(case)
-        assert v4_spec_hash(spec) == golden[case_id(case)], case_id(case)
+        cid = case_id(case)
+        assert classic_spec(case).content_hash() == golden[cid], cid
 
 
 def test_adaptive_and_workload_spec_hashes_unchanged():
@@ -300,13 +268,19 @@ def test_adaptive_and_workload_spec_hashes_unchanged():
     cache key.
     """
     golden = json.loads(SPEC_HASH_PATH.read_text())
-    adaptive = {adaptive_case_id(c): adaptive_spec(c) for c in ADAPTIVE_MATRIX}
-    workload = {workload_case_id(c): workload_spec(c) for c in WORKLOAD_MATRIX}
-    for section, specs in (("adaptive", adaptive), ("workload", workload)):
+    for section, specs in spec_sections().items():
         assert sorted(golden[section]) == sorted(specs)
         for cid, spec in specs.items():
-            assert spec.to_dict()["spec_version"] == 5, cid
-            assert v4_spec_hash(spec) == golden[section][cid], cid
+            assert spec.content_hash() == golden[section][cid], cid
+
+
+def spec_sections() -> dict[str, dict[str, ExperimentSpec]]:
+    """Every pinned spec by ``spec_hashes.json`` section and case id."""
+    return {
+        "hashes": {case_id(c): classic_spec(c) for c in MATRIX},
+        "adaptive": {adaptive_case_id(c): adaptive_spec(c) for c in ADAPTIVE_MATRIX},
+        "workload": {workload_case_id(c): workload_spec(c) for c in WORKLOAD_MATRIX},
+    }
 
 
 def regenerate() -> None:
@@ -362,21 +336,26 @@ def regenerate_workload() -> None:
     print(f"wrote {len(digests)} digests to {WORKLOAD_GOLDEN_PATH}")
 
 
+def regenerate_spec_hashes() -> None:
+    hashes = {
+        section: {cid: spec.content_hash() for cid, spec in specs.items()}
+        for section, specs in spec_sections().items()
+    }
+    hashes["note"] = (
+        "ExperimentSpec.content_hash() of the 28 classic ('hashes'), 13 "
+        "adaptive and 6 workload golden cases; regenerate only with a "
+        "repro.engine.spec.SPEC_VERSION bump"
+    )
+    SPEC_HASH_PATH.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {sum(map(len, spec_sections().values()))} spec hashes")
+
+
 if __name__ == "__main__":
     import sys
 
-    if "--regen-workload" in sys.argv:
-        # New rows only: the classic and adaptive files stay as recorded.
-        regenerate_workload()
-    elif "--regen-adaptive" in sys.argv:
-        # The adaptive corpus alone — the classic 28-case file is append-
-        # only history and must stay byte-identical across spec versions.
-        regenerate_adaptive()
-    elif "--regen" in sys.argv:
-        regenerate()
-        regenerate_adaptive()
-        regenerate_workload()
-    else:
-        raise SystemExit(
-            "refusing to run without --regen / --regen-adaptive / --regen-workload"
-        )
+    if "--regen" not in sys.argv:
+        raise SystemExit("refusing to run without --regen")
+    regenerate()
+    regenerate_adaptive()
+    regenerate_workload()
+    regenerate_spec_hashes()
