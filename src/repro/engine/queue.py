@@ -114,6 +114,8 @@ class QueueJob:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QueueJob":
+        if type(payload["key"]) is not str:
+            raise ValueError(f"job key must be a string, got {payload['key']!r}")
         return cls(
             key=payload["key"],
             spec=payload["spec"],
@@ -324,12 +326,15 @@ class JobQueue:
         """
         with self._lock:
             self._expire()
+            # Decode every job before touching the queue: a malformed job
+            # must reject the whole call, not strand the jobs before it
+            # as known keys that are never pending.
+            decoded = [QueueJob.from_dict(payload) for payload in jobs]
             if topologies:
                 self.topologies.update(topologies)
             fresh: list[str] = []
             duplicates = 0
-            for payload in jobs:
-                job = QueueJob.from_dict(payload)
+            for job in decoded:
                 if job.key in self.jobs:
                     duplicates += 1
                     continue
@@ -436,10 +441,9 @@ class JobQueue:
         spec whose failure is ``permanent`` (it would fail the same way
         on every host), or that has now failed :attr:`quarantine_workers`
         distinct workers, or :attr:`max_attempts` times in total, is
-        quarantined.  Anything
-        claimed but neither done, failed, nor released (a worker dying
-        politely enough to call complete but not finish) is released
-        too.
+        quarantined.  Anything claimed but neither done, failed, nor
+        released (a worker dying politely enough to call complete but
+        not finish) is released too.
         """
         with self._lock:
             self._expire()
@@ -475,7 +479,7 @@ class JobQueue:
                     job.failed_workers.append(worker)
                 job.last_error = str(entry.get("error") or "unknown error")
                 if (
-                    entry.get("permanent")
+                    entry.get("permanent") is True
                     or len(job.failed_workers) >= self.quarantine_workers
                     or job.attempts >= self.max_attempts
                 ):

@@ -17,9 +17,10 @@ One :class:`QueueWorker` is one member of a fleet draining a
    which flushes even when a later spec fails, so partial batches
    survive worker crashes.
 4. **Complete** the lease (``queue/complete``): done keys, per-spec
-   failures (the coordinator's quarantine counts them; a job that does
-   not decode or hash to its key is a ``permanent`` failure), and
-   released keys for anything claimed but not attempted.
+   failures (the coordinator's quarantine counts them; a job that fails
+   to decode, to hash to its key or to rebuild its network is a
+   ``permanent`` failure), and released keys for anything claimed but
+   not attempted.
 
 A batch that fails as a whole is retried spec-by-spec to isolate the
 poison: one broken spec costs one failure report, not the batch.
@@ -255,7 +256,7 @@ class QueueWorker:
                 spec = ExperimentSpec.from_dict(job["spec"])
                 if spec.content_hash() != key:
                     raise ValueError(
-                        f"job key {key[:12]} is not the spec's content hash "
+                        f"job key {str(key)[:12]} is not the spec's content hash "
                         f"{spec.content_hash()[:12]}"
                     )
                 token = spec.topology

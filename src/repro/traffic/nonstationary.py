@@ -82,14 +82,16 @@ class BurstSource(SyntheticSource):
                 f"off_load={off_load:g} over {off_cycles} cycles already "
                 f"exceeds the mean rate {rate:g}"
             )
-        if peak > packet_flits:
+        # A mean rate that puts the peak exactly at the ceiling can round
+        # one ulp past it; that is the ceiling, not an overload.
+        if peak > packet_flits and not math.isclose(peak, packet_flits):
             raise ValueError(
                 f"on-phase load {peak:g} exceeds the injection ceiling of "
                 f"{packet_flits} flits/node/cycle (1 packet/cycle); lower "
                 "the mean rate or lengthen on_cycles"
             )
-        self.peak_load = peak
-        self._on_probability = peak / packet_flits
+        self.peak_load = min(peak, packet_flits)
+        self._on_probability = self.peak_load / packet_flits
         self._off_probability = off_load / packet_flits
 
     def in_burst(self, cycle: int) -> bool:

@@ -248,32 +248,6 @@ def test_workload_matrix_and_golden_file_agree():
     assert sorted(golden) == sorted(workload_case_id(c) for c in WORKLOAD_MATRIX)
 
 
-def test_classic_spec_hashes_unchanged():
-    """``tests/golden/spec_hashes.json`` pins the ``content_hash()`` of
-    all 28 golden-matrix specs, so a codec change cannot silently move a
-    classic cache key."""
-    golden = json.loads(SPEC_HASH_PATH.read_text())["hashes"]
-    assert sorted(golden) == sorted(case_id(c) for c in MATRIX)
-    for case in MATRIX:
-        cid = case_id(case)
-        assert classic_spec(case).content_hash() == golden[cid], cid
-
-
-def test_adaptive_and_workload_spec_hashes_unchanged():
-    """The cache keys of every adaptive and workload case are pinned too.
-
-    ``tests/golden/spec_hashes.json`` also holds the ``content_hash()`` of
-    the 13 adaptive and 6 workload cases, so a change to the traffic
-    codec cannot silently move a burst, hotspot, transient or workload
-    cache key.
-    """
-    golden = json.loads(SPEC_HASH_PATH.read_text())
-    for section, specs in spec_sections().items():
-        assert sorted(golden[section]) == sorted(specs)
-        for cid, spec in specs.items():
-            assert spec.content_hash() == golden[section][cid], cid
-
-
 def spec_sections() -> dict[str, dict[str, ExperimentSpec]]:
     """Every pinned spec by ``spec_hashes.json`` section and case id."""
     return {
@@ -281,6 +255,30 @@ def spec_sections() -> dict[str, dict[str, ExperimentSpec]]:
         "adaptive": {adaptive_case_id(c): adaptive_spec(c) for c in ADAPTIVE_MATRIX},
         "workload": {workload_case_id(c): workload_spec(c) for c in WORKLOAD_MATRIX},
     }
+
+
+def assert_spec_hashes_pinned(*sections: str) -> None:
+    golden = json.loads(SPEC_HASH_PATH.read_text())
+    specs_by_section = spec_sections()
+    for section in sections:
+        specs = specs_by_section[section]
+        assert sorted(golden[section]) == sorted(specs)
+        for cid, spec in specs.items():
+            assert spec.content_hash() == golden[section][cid], cid
+
+
+def test_classic_spec_hashes_unchanged():
+    """``tests/golden/spec_hashes.json`` pins the ``content_hash()`` of
+    all 28 golden-matrix specs, so a codec change cannot silently move a
+    classic cache key."""
+    assert_spec_hashes_pinned("hashes")
+
+
+def test_adaptive_and_workload_spec_hashes_unchanged():
+    """The cache keys of every adaptive and workload case are pinned too,
+    so a change to the traffic codec cannot silently move a burst,
+    hotspot, transient or workload cache key."""
+    assert_spec_hashes_pinned("adaptive", "workload")
 
 
 def regenerate() -> None:
@@ -341,13 +339,14 @@ def regenerate_spec_hashes() -> None:
         section: {cid: spec.content_hash() for cid, spec in specs.items()}
         for section, specs in spec_sections().items()
     }
+    count = sum(map(len, hashes.values()))
     hashes["note"] = (
         "ExperimentSpec.content_hash() of the 28 classic ('hashes'), 13 "
         "adaptive and 6 workload golden cases; regenerate only with a "
         "repro.engine.spec.SPEC_VERSION bump"
     )
     SPEC_HASH_PATH.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {sum(map(len, spec_sections().values()))} spec hashes")
+    print(f"wrote {count} spec hashes to {SPEC_HASH_PATH}")
 
 
 if __name__ == "__main__":

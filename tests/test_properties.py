@@ -178,6 +178,18 @@ def test_burst_phase_boundaries_exact(on_cycles, off_cycles, phase, seed):
             assert packets == []
 
 
+def test_burst_peak_at_the_ceiling_is_accepted():
+    """A mean rate whose on-phase peak is exactly the ceiling (here
+    ``6 * 5 / 85`` flits, which computes a peak of 6.000000000000001) is
+    the ceiling, not an overload: it injects every on-phase cycle."""
+    source = BurstSource(_TOPO54, "RND", 6 * 5 / 85, on_cycles=5, off_cycles=80)
+    assert source.peak_load == 6
+    rng = random.Random(0)
+    assert len(list(source.packets_at(0, rng))) > 0.9 * _TOPO54.num_nodes
+    with pytest.raises(ValueError, match="exceeds the injection ceiling"):
+        BurstSource(_TOPO54, "RND", 6.01 * 5 / 85, on_cycles=5, off_cycles=80)
+
+
 def test_burst_mean_load_is_conserved():
     """Peak load exactly compensates the off-phase deficit."""
     for off_load in (0.0, 0.02, 0.1):

@@ -103,6 +103,20 @@ class TestJobQueue:
         assert status["done"] == 1 and status["drained"]
         assert queue.claim("w1")["state"] == "drained"
 
+    @pytest.mark.parametrize(
+        "bad_job", [{"key": "ab" * 32}, {"key": 5, "spec": {}}], ids=["no-spec", "int-key"]
+    )
+    def test_malformed_job_rejects_the_whole_submit(self, backend, bad_job):
+        """A malformed job must not strand the jobs before it as known
+        keys that never become pending (a retry would call them
+        duplicates and the queue would read drained with none done)."""
+        queue = make_queue(backend)
+        jobs = jobs_for_specs(spec_grid(2))
+        with pytest.raises((KeyError, ValueError)):
+            queue.submit(jobs + [bad_job])
+        assert queue.status()["total"] == 0
+        assert queue.submit(jobs)["accepted"] == 2
+
     def test_empty_queue_reads_empty_not_drained(self, backend):
         """Workers may join the fleet before the campaign is submitted."""
         queue = make_queue(backend)
